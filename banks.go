@@ -344,13 +344,19 @@ func (e *engine) concrete() (*graph.Graph, *index.Index, bool) {
 }
 
 // storeErr reports the first lazy-load failure of a store-backed engine;
-// always nil for built engines. Queries check it at their boundary so
-// disk corruption or I/O loss fails loudly instead of shrinking results.
+// always nil for built engines. A store-backed engine degrades lazy-load
+// failures to empty match sets so the search machinery never panics
+// mid-expansion; every search (Query and the front door alike) checks
+// this at its boundary so disk corruption or I/O loss fails the query
+// loudly instead of shrinking its results.
 func (e *engine) storeErr() error {
 	if e.st == nil {
 		return nil
 	}
-	return e.st.Err()
+	if err := e.st.Err(); err != nil {
+		return fmt.Errorf("banks: disk-resident engine: %w", err)
+	}
+	return nil
 }
 
 // newEngine assembles one immutable snapshot: graph, index, a fresh

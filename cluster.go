@@ -8,18 +8,18 @@ import (
 	"sync/atomic"
 
 	"github.com/banksdb/banks/internal/cluster"
-	"github.com/banksdb/banks/internal/core"
 	"github.com/banksdb/banks/internal/index"
-	"github.com/banksdb/banks/internal/sqldb"
+	"github.com/banksdb/banks/internal/serve"
+	"github.com/banksdb/banks/internal/web"
 )
 
 // StrategyDistributed is the scatter-gather execution strategy: the
 // query fans out to the partitions of a Cluster, each runs the backward
 // expanding search over its partition-local engine, and the front door
-// merges the partial results into the global top-k. It is served by
-// Cluster.Query (and the cluster's ServeHandler); a single-engine
-// System rejects it with a pointer here.
-const StrategyDistributed = core.StrategyDistributed
+// merges the partial results into the global top-k. It is the one
+// strategy a Cluster runs (Cluster.Query and the cluster's ServeHandler)
+// and is unknown to a single-engine System.
+const StrategyDistributed = "distributed"
 
 // Cluster is the distributed serving front door: a set of partition
 // engines (in-process stores opened from banks-shard output, or remote
@@ -178,7 +178,7 @@ func (c *Cluster) Query(ctx context.Context, q Query) (*Results, error) {
 	}
 	out := &Results{Stats: statsFromWire(res.Stats)}
 	for i := range res.Answers {
-		out.Answers = append(out.Answers, c.convertWireAnswer(&res.Answers[i]))
+		out.Answers = append(out.Answers, answerFromRefs(c.db.inner, &res.Answers[i]))
 	}
 	return out, nil
 }
@@ -189,58 +189,59 @@ func statsFromWire(st cluster.Stats) Stats {
 	return statsFromCore(&cs)
 }
 
-// convertWireAnswer materializes one wire answer (tuple references)
-// against the cluster's database. The read lock is held for the tree
-// walk, as in the single-engine path: row storage appends under the
-// write lock, and answers must not render half-written rows.
-func (c *Cluster) convertWireAnswer(a *cluster.Answer) *Answer {
-	c.db.inner.RLock()
-	defer c.db.inner.RUnlock()
-	matched := make(map[cluster.Ref]bool, len(a.TermNodes))
-	for _, r := range a.TermNodes {
-		matched[r] = true
+// ServeHandler returns the same front door System.ServeHandler does —
+// the HTML search and browsing UI, admission control with per-class
+// heavy-query gating, load shedding with Retry-After, server-side
+// deadlines, the identical status mapping (a failed partition leg is a
+// 500) — over the cluster: /search scatters to the partitions and renders
+// the merged answers against the cluster's database, and /debug +
+// /debug/vars carry per-partition gauges and the broker's routing
+// counters. StrategyDistributed is the only strategy a request may name.
+func (c *Cluster) ServeHandler(opts *ServeOptions) http.Handler {
+	if opts == nil {
+		opts = &ServeOptions{}
 	}
-	children := make(map[cluster.Ref][]cluster.Edge)
-	for _, e := range a.Edges {
-		children[e.From] = append(children[e.From], e)
-	}
-	var build func(r cluster.Ref, w float64) *TreeNode
-	build = func(r cluster.Ref, w float64) *TreeNode {
-		node := &TreeNode{Tuple: c.tupleOfLocked(r), EdgeWeight: w, Matched: matched[r]}
-		for _, e := range children[r] {
-			node.Children = append(node.Children, build(e.To, e.W))
+	return newFrontDoor(opts, web.Config{
+		DB:         c.db.inner,
+		Search:     c.doorSearch(opts.Search),
+		Strategy:   StrategyDistributed,
+		Strategies: []string{StrategyDistributed},
+	}, c.bindClusterGauges)
+}
+
+// doorSearch is the cluster behind the front door: the coordinator's
+// merged answers are already (table, rid) trees and pass through.
+func (c *Cluster) doorSearch(sopts *SearchOptions) web.SearchFunc {
+	copts := sopts.toCore()
+	return func(ctx context.Context, terms []string, _ string) (web.Result, error) {
+		res, err := c.coord.Query(ctx, cluster.RequestFromOptions(terms, false, false, copts))
+		if err != nil {
+			return web.Result{}, err
 		}
-		return node
-	}
-	tree := build(a.Root, 0)
-	return &Answer{
-		Rank:   a.Rank,
-		Score:  a.Score,
-		EScore: a.EScore,
-		NScore: a.NScore,
-		Weight: a.Weight,
-		Root:   tree.Tuple,
-		Tree:   tree,
+		return web.Result{
+			Answers:         res.Answers,
+			BudgetExhausted: res.Stats.BudgetExhausted,
+			BudgetReason:    res.Stats.BudgetReason,
+			Detail:          res.Stats,
+		}, nil
 	}
 }
 
-// tupleOfLocked materializes the row behind a (table, rid) reference;
-// the caller holds the database read lock.
-func (c *Cluster) tupleOfLocked(r cluster.Ref) Tuple {
-	out := Tuple{Table: r.Table, RID: r.RID}
-	t := c.db.inner.Table(r.Table)
-	if t == nil {
-		return out
+// bindClusterGauges registers the routing counters and one gauge set per
+// partition (size, sketch presence) on the metrics registry.
+func (c *Cluster) bindClusterGauges(m *serve.Metrics) {
+	reg := m.Registry()
+	reg.Gauge("cluster_partitions", func() int64 { return int64(c.Partitions()) })
+	reg.Gauge("cluster_queries_total", func() int64 { return c.Stats().Queries })
+	reg.Gauge("cluster_partitions_routed_total", func() int64 { return c.Stats().PartitionsRouted })
+	reg.Gauge("cluster_partitions_pruned_total", func() int64 { return c.Stats().PartitionsPruned })
+	for i, meta := range c.coord.Partitions() {
+		meta := meta
+		prefix := fmt.Sprintf("partition_%d", i)
+		reg.Gauge(prefix+"_nodes", func() int64 { return int64(meta.Nodes) })
+		reg.Gauge(prefix+"_arcs", func() int64 { return int64(meta.Arcs) })
+		reg.Gauge(prefix+"_sketch_bytes", func() int64 { return int64(len(meta.Sketch)) })
 	}
-	row := t.Row(sqldb.RID(r.RID))
-	if row == nil {
-		return out
-	}
-	for i, col := range t.Schema().Columns {
-		out.Columns = append(out.Columns, col.Name)
-		out.Values = append(out.Values, fromValue(row[i]))
-	}
-	return out
 }
 
 // PartitionHandler exposes one partition store over HTTP for a remote

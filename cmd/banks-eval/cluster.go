@@ -4,9 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
-	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
@@ -16,7 +13,6 @@ import (
 
 	banks "github.com/banksdb/banks"
 	"github.com/banksdb/banks/internal/cluster"
-	"github.com/banksdb/banks/internal/serve"
 )
 
 // dblpSearchOptions mirrors eval.DefaultDBLPOptions at the public API
@@ -235,11 +231,11 @@ func checkClusterAnswers(class string, n int, baseline, reference []*banks.Answe
 }
 
 // runClusterLoadTest drives the cluster front door (Cluster.ServeHandler)
-// under load: the store is split into cfg.Partitions partitions, opened
-// as an in-process cluster, and the §5.2 query mix runs closed-loop
-// against the JSON /search endpoint — admission control, per-class heavy
-// gating and load shedding included. Enforces the same -maxp99/-maxshed
-// thresholds as the single-engine loadtest.
+// under load: the store is split into partitions, opened as an in-process
+// cluster, and the shared client driver runs the §5.2 query mix against
+// it — admission control, per-class heavy gating and load shedding
+// included — under the same -maxp99/-maxshed thresholds as the
+// single-engine loadtest.
 func runClusterLoadTest(ctx context.Context, cfg loadTestConfig, partitions int) {
 	fmt.Printf("== distributed front-door loadtest (%s scale, %d partitions, %v) ==\n",
 		cfg.Scale, partitions, cfg.Duration)
@@ -277,63 +273,13 @@ func runClusterLoadTest(ctx context.Context, cfg loadTestConfig, partitions int)
 		DefaultTimeout:    cfg.Timeout,
 	})
 
-	hist := serve.NewHistogram()
-	var requests, ok, shed, errs atomic.Int64
-	oneRequest := func(i int) {
-		c := latencyClasses[i%len(latencyClasses)]
-		req := httptest.NewRequest("GET", "/search?q="+url.QueryEscape(strings.Join(c.terms, " ")), nil)
-		req = req.WithContext(ctx)
-		rec := httptest.NewRecorder()
-		start := time.Now()
-		handler.ServeHTTP(rec, req)
-		hist.Observe(time.Since(start))
-		requests.Add(1)
-		switch rec.Code {
-		case http.StatusOK:
-			ok.Add(1)
-		case http.StatusServiceUnavailable:
-			shed.Add(1)
-		default:
-			errs.Add(1)
-		}
-	}
-	deadline := time.Now().Add(cfg.Duration)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; time.Now().Before(deadline) && ctx.Err() == nil; i += cfg.Workers {
-				oneRequest(i)
-			}
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
+	load := driveLoad(ctx, handler, cfg)
 	check(ctx.Err())
 
 	cs := cl.Stats()
-	shedRate := 0.0
-	if requests.Load() > 0 {
-		shedRate = float64(shed.Load()) / float64(requests.Load())
-	}
-	fmt.Printf("requests          %d in %v (%.0f req/s)\n",
-		requests.Load(), elapsed.Round(time.Millisecond), float64(requests.Load())/elapsed.Seconds())
-	fmt.Printf("outcomes          %d ok, %d shed (%.1f%%), %d errors\n", ok.Load(), shed.Load(), 100*shedRate, errs.Load())
-	fmt.Printf("latency           p50 %.2fms  p99 %.2fms  max %.2fms\n",
-		float64(hist.Quantile(0.50))/1e6, float64(hist.Quantile(0.99))/1e6, float64(hist.Max())/1e6)
+	load.print()
 	fmt.Printf("routing           %d queries, %d legs routed, %d pruned\n",
 		cs.Queries, cs.PartitionsRouted, cs.PartitionsPruned)
 	printPeakRSS()
-
-	if errs.Load() > 0 {
-		check(fmt.Errorf("cluster loadtest: %d requests errored", errs.Load()))
-	}
-	if cfg.MaxP99 > 0 && hist.Quantile(0.99) > cfg.MaxP99 {
-		check(fmt.Errorf("cluster loadtest: p99 %.2fms exceeds limit %v", float64(hist.Quantile(0.99))/1e6, cfg.MaxP99))
-	}
-	if cfg.MaxShedRate >= 0 && shedRate > cfg.MaxShedRate {
-		check(fmt.Errorf("cluster loadtest: shed rate %.3f exceeds limit %.3f", shedRate, cfg.MaxShedRate))
-	}
+	load.enforce(cfg)
 }

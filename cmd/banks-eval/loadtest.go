@@ -177,31 +177,6 @@ func runLoadTest(ctx context.Context, cfg loadTestConfig) {
 		}()
 	}
 
-	// The client side: each request is one GET /search against the
-	// handler, latency recorded in a client-side histogram, the status
-	// code classified. 503 is a shed (or server-timeout) — the contract
-	// under overload — and anything else but 200 is an error.
-	hist := serve.NewHistogram()
-	var requests, ok, shed, errs atomic.Int64
-	oneRequest := func(i int) {
-		c := latencyClasses[i%len(latencyClasses)]
-		req := httptest.NewRequest("GET", "/search?q="+url.QueryEscape(strings.Join(c.terms, " ")), nil)
-		req = req.WithContext(ctx)
-		rec := httptest.NewRecorder()
-		start := time.Now()
-		handler.ServeHTTP(rec, req)
-		hist.Observe(time.Since(start))
-		requests.Add(1)
-		switch rec.Code {
-		case http.StatusOK:
-			ok.Add(1)
-		case http.StatusServiceUnavailable:
-			shed.Add(1)
-		default:
-			errs.Add(1)
-		}
-	}
-
 	// Snapshot the cache counters after the warmup quarter so the
 	// steady-state hit rate excludes the inevitable cold-start misses.
 	var warmBase banks.CacheStats
@@ -215,35 +190,7 @@ func runLoadTest(ctx context.Context, cfg loadTestConfig) {
 		warmBase = sys.CacheStats()
 	}()
 
-	deadline := time.Now().Add(cfg.Duration)
-	start := time.Now()
-	var wg sync.WaitGroup
-	if cfg.Rate > 0 {
-		// Open loop: requests depart on schedule whether or not earlier
-		// ones finished; completions don't gate arrivals.
-		interval := time.Second / time.Duration(cfg.Rate)
-		ticker := time.NewTicker(interval)
-		for i := 0; time.Now().Before(deadline) && ctx.Err() == nil; i++ {
-			<-ticker.C
-			wg.Add(1)
-			go func(i int) { defer wg.Done(); oneRequest(i) }(i)
-		}
-		ticker.Stop()
-	} else {
-		// Closed loop: each worker issues its next request when the
-		// previous one completes.
-		for w := 0; w < cfg.Workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := w; time.Now().Before(deadline) && ctx.Err() == nil; i += cfg.Workers {
-					oneRequest(i)
-				}
-			}(w)
-		}
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
+	load := driveLoad(ctx, handler, cfg)
 	stopChurn()
 	churnWG.Wait()
 	check(ctx.Err())
@@ -265,20 +212,21 @@ func runLoadTest(ctx context.Context, cfg loadTestConfig) {
 		Mode:            mode,
 		Workers:         cfg.Workers,
 		RatePerSec:      cfg.Rate,
-		DurationS:       elapsed.Seconds(),
+		DurationS:       load.elapsed.Seconds(),
 		MaxInFlight:     cfg.MaxInFlight,
 		MaxQueue:        cfg.MaxQueue,
 		TimeoutMs:       float64(cfg.Timeout) / 1e6,
 		StoreBudget:     cfg.StoreBudget,
 		Churn:           cfg.Churn,
-		Requests:        requests.Load(),
-		OK:              ok.Load(),
-		Shed:            shed.Load(),
-		Errors:          errs.Load(),
-		Throughput:      float64(requests.Load()) / elapsed.Seconds(),
-		P50Ms:           float64(hist.Quantile(0.50)) / 1e6,
-		P99Ms:           float64(hist.Quantile(0.99)) / 1e6,
-		MaxMs:           float64(hist.Max()) / 1e6,
+		Requests:        load.requests,
+		OK:              load.ok,
+		Shed:            load.shed,
+		Errors:          load.errs,
+		Throughput:      load.throughput(),
+		ShedRate:        load.shedRate(),
+		P50Ms:           float64(load.hist.Quantile(0.50)) / 1e6,
+		P99Ms:           float64(load.hist.Quantile(0.99)) / 1e6,
+		MaxMs:           float64(load.hist.Max()) / 1e6,
 		ApplyBatches:    applies.Load(),
 		Refreshes:       refreshes.Load(),
 		CacheHits:       steadyHits,
@@ -287,16 +235,11 @@ func runLoadTest(ctx context.Context, cfg loadTestConfig) {
 		FrontierCarries: cs.FrontierCarries,
 		PeakRSSBytes:    serve.PeakRSSBytes(),
 	}
-	if sum.Requests > 0 {
-		sum.ShedRate = float64(sum.Shed) / float64(sum.Requests)
-	}
 	if lookups := sum.CacheHits + sum.CacheMisses; lookups > 0 {
 		sum.HitRate = float64(sum.CacheHits) / float64(lookups)
 	}
 
-	fmt.Printf("requests          %d in %v (%.0f req/s)\n", sum.Requests, elapsed.Round(time.Millisecond), sum.Throughput)
-	fmt.Printf("outcomes          %d ok, %d shed (%.1f%%), %d errors\n", sum.OK, sum.Shed, 100*sum.ShedRate, sum.Errors)
-	fmt.Printf("latency           p50 %.2fms  p99 %.2fms  max %.2fms\n", sum.P50Ms, sum.P99Ms, sum.MaxMs)
+	load.print()
 	if cfg.Churn {
 		fmt.Printf("churn             %d Apply batches, %d Refresh, %d warm publishes\n",
 			sum.ApplyBatches, sum.Refreshes, sum.WarmPublishes)
@@ -315,16 +258,7 @@ func runLoadTest(ctx context.Context, cfg loadTestConfig) {
 		fmt.Printf("summary           written to %s\n", cfg.JSONPath)
 	}
 
-	// CI thresholds.
-	if sum.Errors > 0 {
-		check(fmt.Errorf("loadtest: %d requests errored", sum.Errors))
-	}
-	if cfg.MaxP99 > 0 && hist.Quantile(0.99) > cfg.MaxP99 {
-		check(fmt.Errorf("loadtest: p99 %.2fms exceeds limit %v", sum.P99Ms, cfg.MaxP99))
-	}
-	if cfg.MaxShedRate >= 0 && sum.ShedRate > cfg.MaxShedRate {
-		check(fmt.Errorf("loadtest: shed rate %.3f exceeds limit %.3f", sum.ShedRate, cfg.MaxShedRate))
-	}
+	load.enforce(cfg)
 	if cfg.MinHitRate > 0 {
 		if sum.CacheHits+sum.CacheMisses == 0 {
 			check(fmt.Errorf("loadtest: -minhitrate %.3f set but no cache lookups observed", cfg.MinHitRate))
@@ -333,6 +267,103 @@ func runLoadTest(ctx context.Context, cfg loadTestConfig) {
 			check(fmt.Errorf("loadtest: steady-state cache hit rate %.3f below limit %.3f",
 				sum.HitRate, cfg.MinHitRate))
 		}
+	}
+}
+
+// loadResult is what the client driver observed.
+type loadResult struct {
+	hist                     *serve.Histogram
+	requests, ok, shed, errs int64
+	elapsed                  time.Duration
+}
+
+func (r loadResult) throughput() float64 { return float64(r.requests) / r.elapsed.Seconds() }
+
+func (r loadResult) shedRate() float64 {
+	if r.requests == 0 {
+		return 0
+	}
+	return float64(r.shed) / float64(r.requests)
+}
+
+// driveLoad is the one client driver of both loadtests: it needs nothing
+// of the backend but its front door. Each request is one GET /search of
+// the §5.2 query mix against handler, latency recorded in a client-side
+// histogram, the status code classified: 503 is a shed (or a server
+// timeout) — the contract under overload — and anything else but 200 is an
+// error. With cfg.Rate > 0 the loop is open (requests depart on schedule
+// whether or not earlier ones finished — the arrival process that exposes
+// queue collapse); otherwise cfg.Workers clients each issue their next
+// request when the previous one completes.
+func driveLoad(ctx context.Context, handler http.Handler, cfg loadTestConfig) loadResult {
+	hist := serve.NewHistogram()
+	var requests, ok, shed, errs atomic.Int64
+	oneRequest := func(i int) {
+		c := latencyClasses[i%len(latencyClasses)]
+		req := httptest.NewRequest("GET", "/search?q="+url.QueryEscape(strings.Join(c.terms, " ")), nil)
+		req = req.WithContext(ctx)
+		rec := httptest.NewRecorder()
+		start := time.Now()
+		handler.ServeHTTP(rec, req)
+		hist.Observe(time.Since(start))
+		requests.Add(1)
+		switch rec.Code {
+		case http.StatusOK:
+			ok.Add(1)
+		case http.StatusServiceUnavailable:
+			shed.Add(1)
+		default:
+			errs.Add(1)
+		}
+	}
+
+	deadline := time.Now().Add(cfg.Duration)
+	start := time.Now()
+	var wg sync.WaitGroup
+	if cfg.Rate > 0 {
+		ticker := time.NewTicker(time.Second / time.Duration(cfg.Rate))
+		for i := 0; time.Now().Before(deadline) && ctx.Err() == nil; i++ {
+			<-ticker.C
+			wg.Add(1)
+			go func(i int) { defer wg.Done(); oneRequest(i) }(i)
+		}
+		ticker.Stop()
+	} else {
+		for w := 0; w < cfg.Workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := w; time.Now().Before(deadline) && ctx.Err() == nil; i += cfg.Workers {
+					oneRequest(i)
+				}
+			}(w)
+		}
+	}
+	wg.Wait()
+	return loadResult{
+		hist: hist, requests: requests.Load(), ok: ok.Load(), shed: shed.Load(), errs: errs.Load(),
+		elapsed: time.Since(start),
+	}
+}
+
+func (r loadResult) print() {
+	fmt.Printf("requests          %d in %v (%.0f req/s)\n", r.requests, r.elapsed.Round(time.Millisecond), r.throughput())
+	fmt.Printf("outcomes          %d ok, %d shed (%.1f%%), %d errors\n", r.ok, r.shed, 100*r.shedRate(), r.errs)
+	fmt.Printf("latency           p50 %.2fms  p99 %.2fms  max %.2fms\n",
+		float64(r.hist.Quantile(0.50))/1e6, float64(r.hist.Quantile(0.99))/1e6, float64(r.hist.Max())/1e6)
+}
+
+// enforce applies the CI thresholds every loadtest shares: no errored
+// request, and the -maxp99 / -maxshed limits when set.
+func (r loadResult) enforce(cfg loadTestConfig) {
+	if r.errs > 0 {
+		check(fmt.Errorf("loadtest: %d requests errored", r.errs))
+	}
+	if p99 := r.hist.Quantile(0.99); cfg.MaxP99 > 0 && p99 > cfg.MaxP99 {
+		check(fmt.Errorf("loadtest: p99 %.2fms exceeds limit %v", float64(p99)/1e6, cfg.MaxP99))
+	}
+	if cfg.MaxShedRate >= 0 && r.shedRate() > cfg.MaxShedRate {
+		check(fmt.Errorf("loadtest: shed rate %.3f exceeds limit %.3f", r.shedRate(), cfg.MaxShedRate))
 	}
 }
 

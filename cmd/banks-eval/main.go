@@ -25,8 +25,9 @@
 //	             rate (the BENCH_cluster.json data)
 //
 // -loadtest with -partitions N splits the store into N partitions and
-// drives the distributed JSON front door (Cluster.ServeHandler) instead
-// of the single-engine web UI, under the same -maxp99/-maxshed gates.
+// drives the same front door over the scatter-gather cluster
+// (Cluster.ServeHandler) instead of over the single engine, with the same
+// client driver and the same -maxp99/-maxshed gates.
 //
 // By default it runs everything at -scale small; -scale paper uses the
 // 100K-node / 300K-edge configuration of the paper. -shards caps the
@@ -125,6 +126,7 @@ func main() {
 			Scale:        *scale,
 			Duration:     *ltDuration,
 			Workers:      *ltWorkers,
+			Rate:         *ltRate,
 			MaxInFlight:  *ltInFlight,
 			MaxQueue:     *ltQueue,
 			QueueTimeout: 2 * time.Second,

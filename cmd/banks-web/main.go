@@ -17,10 +17,10 @@
 //
 // With -partitions N (requires -store), the store is split into N
 // partition stores along the (table, row-range) cut (written next to the
-// base store as PATH.p0 … PATH.pN-1, reused when present) and served
-// through the distributed scatter-gather front door instead: a JSON
-// /search endpoint with term-statistics routing, admission control and
-// /debug observability, in place of the HTML browsing UI.
+// base store as PATH.p0 … PATH.pN-1, reused when present) and the same
+// front door — the whole UI, admission control, /debug — is served over
+// the scatter-gather cluster instead: /search routes by term statistics,
+// scatters to the partitions and renders the merged answers.
 //
 // SIGINT/SIGTERM drain in-flight requests (bounded by -draintimeout)
 // before the engine closes.
@@ -52,7 +52,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	storePath := flag.String("store", "", "serve the engine from this disk store (built+saved on first run)")
 	storeBudget := flag.Int64("storebudget", 0, "resident posting-block budget with -store (bytes; 0 = unbounded)")
-	partitions := flag.Int("partitions", 0, "with -store: split into N partitions and serve the distributed JSON front door")
+	partitions := flag.Int("partitions", 0, "with -store: split into N partitions and serve the same UI over the scatter-gather cluster")
 	maxInFlight := flag.Int("maxinflight", 32, "max concurrently executing searches (0 = no admission control)")
 	maxQueue := flag.Int("maxqueue", 64, "max searches waiting for a worker slot before shedding")
 	queueTimeout := flag.Duration("queuetimeout", 2*time.Second, "shed a queued search after waiting this long (0 = wait forever)")
@@ -75,31 +75,29 @@ func main() {
 		DefaultTimeout: *timeout,
 		SlowQuery:      *slowQuery,
 	}
-	var handler http.Handler
-	var closeEngine func() error
+	// Either backend serves the same front door; all main needs of it is
+	// the handler and how to close it.
+	var backend interface {
+		ServeHandler(*banks.ServeOptions) http.Handler
+		Close() error
+	}
 	if *partitions > 0 {
 		if *storePath == "" {
 			fmt.Fprintln(os.Stderr, "banks-web: -partitions requires -store PATH")
 			os.Exit(2)
 		}
-		cl, err := openCluster(db, *data, *scale, *storePath, *storeBudget, *partitions)
-		if err != nil {
-			log.Fatal(err)
-		}
-		handler = cl.ServeHandler(serveOpts)
-		closeEngine = cl.Close
+		backend, err = openCluster(db, *data, *scale, *storePath, *storeBudget, *partitions)
 	} else {
-		sys, err := openSystem(db, *data, *scale, *storePath, *storeBudget, excluded)
-		if err != nil {
-			log.Fatal(err)
-		}
-		// Seed a few demo templates so /template has content.
-		if err := seedTemplates(db, *data); err != nil {
-			log.Printf("seeding templates: %v", err)
-		}
-		handler = sys.ServeHandler(serveOpts)
-		closeEngine = sys.Close
+		backend, err = openSystem(db, *data, *scale, *storePath, *storeBudget, excluded)
 	}
+	if err != nil {
+		log.Fatal(err)
+	}
+	// Seed a few demo templates so /template has content.
+	if err := seedTemplates(db, *data); err != nil {
+		log.Printf("seeding templates: %v", err)
+	}
+	handler := backend.ServeHandler(serveOpts)
 
 	// A production-shaped server: header reads, whole requests, responses
 	// and idle keep-alives all bounded, so one slow client cannot pin a
@@ -136,7 +134,7 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	if err := closeEngine(); err != nil {
+	if err := backend.Close(); err != nil {
 		log.Printf("closing engine: %v", err)
 	}
 	log.Print("bye")
@@ -176,7 +174,7 @@ func openCluster(db *sqldb.Database, data, scale, storePath string, budget int64
 	if err != nil {
 		return nil, err
 	}
-	log.Printf("opened %d-partition cluster from %s in %v (distributed JSON front door on /search)",
+	log.Printf("opened %d-partition cluster from %s in %v (/search scatters to the partitions)",
 		n, storePath, time.Since(start))
 	return cl, nil
 }

@@ -25,17 +25,27 @@ import (
 	"github.com/banksdb/banks/internal/sqldb"
 )
 
-// newClusterFixture builds a system over inner, saves it as a store,
-// splits the store into parts partitions, and opens both the
-// single-engine baseline and the cluster. Both close at test end.
+// newClusterFixture builds a system over inner and a parts-partition
+// cluster over the same rows. Both close at test end.
 func newClusterFixture(t *testing.T, inner *sqldb.Database, parts int) (*System, *Cluster) {
 	t.Helper()
-	db := wrapDatabase(inner)
-	sys, err := NewSystem(db, nil)
+	sys, err := NewSystem(wrapDatabase(inner), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { sys.Close() })
+	cl, err := OpenCluster(sys.Database(), splitStore(t, sys, parts), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	return sys, cl
+}
+
+// splitStore saves sys as a store and splits it into parts partition
+// stores, returning their paths.
+func splitStore(t *testing.T, sys *System, parts int) []string {
+	t.Helper()
 	base := filepath.Join(t.TempDir(), "store.banks")
 	if err := sys.Save(base); err != nil {
 		t.Fatal(err)
@@ -44,12 +54,7 @@ func newClusterFixture(t *testing.T, inner *sqldb.Database, parts int) (*System,
 	if err := cluster.SplitStore(base, paths); err != nil {
 		t.Fatal(err)
 	}
-	cl, err := OpenCluster(db, paths, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cl.Close() })
-	return sys, cl
+	return paths
 }
 
 func clusterQuery(t *testing.T, cl *Cluster, terms []string, opts *SearchOptions) *Results {
@@ -272,52 +277,5 @@ func TestDistributedScatterBurst(t *testing.T) {
 	if st.PartitionsRouted+st.PartitionsPruned != st.Queries*int64(st.Partitions) {
 		t.Errorf("routing legs %d+%d do not cover %d queries x %d partitions",
 			st.PartitionsRouted, st.PartitionsPruned, st.Queries, st.Partitions)
-	}
-}
-
-// TestDistributedOnSingleEngineRejected: the distributed strategy is a
-// registry citizen, but a single engine cannot serve it — the error must
-// point at the cluster front door.
-func TestDistributedOnSingleEngineRejected(t *testing.T) {
-	_, sys := newQuickstartSystem(t)
-	_, err := sys.Query(context.Background(), Query{Text: "sunita", Strategy: StrategyDistributed})
-	if err == nil {
-		t.Fatal("single-engine distributed query did not fail")
-	}
-	if !strings.Contains(err.Error(), "OpenCluster") {
-		t.Errorf("error %q does not point at the cluster front door", err)
-	}
-}
-
-// TestClusterHeavyGateClasses: with a heavy gate installed, multi-term
-// searches are admitted by gate_heavy while single-term searches use the
-// default gate — visible in the /debug/vars admission counters.
-func TestClusterHeavyGateClasses(t *testing.T) {
-	inner, err := datagen.BuildDBLP(datagen.SmallDBLP())
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, cl := newClusterFixture(t, inner, 2)
-	handler := cl.ServeHandler(&ServeOptions{
-		Search:           &SearchOptions{ExcludedRootTables: []string{"Writes", "Cites"}},
-		MaxInFlight:      4,
-		HeavyMaxInFlight: 2,
-	})
-	get := func(q string) {
-		t.Helper()
-		rec := httptest.NewRecorder()
-		handler.ServeHTTP(rec, httptest.NewRequest("GET", "/search?q="+url.QueryEscape(q), nil))
-		if rec.Code != http.StatusOK {
-			t.Fatalf("%q: status %d: %s", q, rec.Code, rec.Body.String())
-		}
-	}
-	get("sunita")        // 1term -> default gate
-	get("sunita soumen") // heavy -> heavy gate
-	_, gauges := waitGateDrained(t, handler)
-	if got := gauges["gate_admitted_total"]; got != 1 {
-		t.Errorf("default gate admitted %d, want 1", got)
-	}
-	if got := gauges["gate_heavy_admitted_total"]; got != 1 {
-		t.Errorf("heavy gate admitted %d, want 1", got)
 	}
 }

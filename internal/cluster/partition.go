@@ -118,7 +118,7 @@ func (l *Local) Query(ctx context.Context, req Request) (*Result, error) {
 	}
 	res := &Result{Stats: StatsFromCore(stats)}
 	for _, a := range answers {
-		res.Answers = append(res.Answers, answerToWire(l.g, a))
+		res.Answers = append(res.Answers, AnswerToWire(l.g, a))
 	}
 	return res, nil
 }

@@ -208,9 +208,9 @@ type Meta struct {
 	Sketch []byte   `json:"sketch,omitempty"`
 }
 
-// answerToWire renders a core answer as wire refs against the partition's
-// graph view.
-func answerToWire(g graph.View, a *core.Answer) Answer {
+// AnswerToWire renders a core answer as wire refs against the graph view
+// the search ran on: a partition's, or a single engine's pinned snapshot.
+func AnswerToWire(g graph.View, a *core.Answer) Answer {
 	w := Answer{
 		Rank:   a.Rank,
 		Score:  a.Score,

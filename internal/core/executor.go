@@ -21,7 +21,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 
 	"github.com/banksdb/banks/internal/graph"
 	"github.com/banksdb/banks/internal/index"
@@ -45,7 +44,7 @@ const (
 // A strategy contributes two stages: the term-resolution path (how a
 // keyword becomes a match set) and the expansion stage (how resolved
 // match sets become emitted connection trees). Implementations live in
-// this package and register through RegisterStrategy.
+// this package.
 type Strategy interface {
 	// Name is the registry key threaded through Options.Strategy.
 	Name() string
@@ -113,28 +112,15 @@ func (ex *exec) bytesFaulted() int64 {
 	return ex.s.fault() - ex.faultBase
 }
 
-// The strategy registry. Built-ins are always present; RegisterStrategy
-// adds more.
-var (
-	strategyMu sync.RWMutex
-	strategies = map[string]Strategy{
-		StrategyBackward: BackwardStrategy{},
-		StrategyBatched:  BatchedStrategy{},
-	}
-)
-
-// RegisterStrategy installs st under st.Name() for selection through
-// Options.Strategy, replacing any previous strategy of that name.
-func RegisterStrategy(st Strategy) {
-	strategyMu.Lock()
-	defer strategyMu.Unlock()
-	strategies[st.Name()] = st
+// The strategy registry: what a single engine can run, selected through
+// Options.Strategy.
+var strategies = map[string]Strategy{
+	StrategyBackward: BackwardStrategy{},
+	StrategyBatched:  BatchedStrategy{},
 }
 
 // Strategies returns the registered strategy names, sorted.
 func Strategies() []string {
-	strategyMu.RLock()
-	defer strategyMu.RUnlock()
 	names := make([]string, 0, len(strategies))
 	for name := range strategies {
 		names = append(names, name)
@@ -154,9 +140,7 @@ func strategyFor(name string) (Strategy, error) {
 	if name == "" {
 		name = StrategyBackward
 	}
-	strategyMu.RLock()
 	st, ok := strategies[name]
-	strategyMu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("core: unknown strategy %q (have %s)", name, strings.Join(Strategies(), ", "))
 	}

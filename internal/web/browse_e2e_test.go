@@ -8,6 +8,7 @@ package web
 // layer alone.
 
 import (
+	"context"
 	"errors"
 	"net/http/httptest"
 	"regexp"
@@ -16,8 +17,6 @@ import (
 
 	"github.com/banksdb/banks/internal/core"
 	"github.com/banksdb/banks/internal/datagen"
-	"github.com/banksdb/banks/internal/graph"
-	"github.com/banksdb/banks/internal/index"
 )
 
 func newDBLPServer(t *testing.T) *httptest.Server {
@@ -26,18 +25,9 @@ func newDBLPServer(t *testing.T) *httptest.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := graph.Build(db, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix, err := index.Build(db, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	searcher := core.NewSearcher(g, ix)
 	opts := core.DefaultOptions()
 	opts.ExcludedRootTables = []string{"Writes", "Cites"}
-	ts := httptest.NewServer(NewServer(db, func() *core.Searcher { return searcher }, opts))
+	ts := httptest.NewServer(NewServer(engineConfig(t, db, opts)))
 	t.Cleanup(ts.Close)
 	return ts
 }
@@ -126,25 +116,21 @@ func TestBrowseFromQueryResultToRowAndAcrossFK(t *testing.T) {
 
 // TestSearchFailsLoudlyOnEngineError: with a disk-resident engine a lazy
 // segment fault degrades to empty results inside the search core; the
-// server's engine health hook must turn that into a 500, never a quiet
-// empty page.
+// search function reports it as an error, and any error out of the run
+// must become a 500, never a quiet empty page (nor a 400 blaming the
+// client).
 func TestSearchFailsLoudlyOnEngineError(t *testing.T) {
 	db, err := datagen.BuildThesis(datagen.SmallThesis())
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := graph.Build(db, nil)
-	if err != nil {
-		t.Fatal(err)
+	cfg := engineConfig(t, db, nil)
+	search := cfg.Search
+	cfg.Search = func(ctx context.Context, terms []string, strategy string) (Result, error) {
+		res, _ := search(ctx, terms, strategy)
+		return res, errors.New("arcs segment checksum mismatch")
 	}
-	ix, err := index.Build(db, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	searcher := core.NewSearcher(g, ix)
-	srv := NewServer(db, func() *core.Searcher { return searcher }, nil)
-	srv.SetEngineErr(func() error { return errors.New("arcs segment checksum mismatch") })
-	ts := httptest.NewServer(srv)
+	ts := httptest.NewServer(NewServer(cfg))
 	t.Cleanup(ts.Close)
 
 	code, body := get(t, ts, "/search?q=computer")

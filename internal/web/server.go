@@ -8,95 +8,70 @@ package web
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"html/template"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
 	"github.com/banksdb/banks/internal/browse"
-	"github.com/banksdb/banks/internal/core"
-	"github.com/banksdb/banks/internal/graph"
+	"github.com/banksdb/banks/internal/cluster"
+	"github.com/banksdb/banks/internal/index"
 	"github.com/banksdb/banks/internal/serve"
 	"github.com/banksdb/banks/internal/sqldb"
 	"github.com/banksdb/banks/internal/sqlexec"
 )
 
-// Server is the BANKS web UI.
+// Result is what a search hands the door: the answers as (table, rid)
+// trees — the identity every canonical tie-break is defined over, valid
+// for a single engine and across partitions alike — plus the budget
+// verdict and the execution statistics for the slow-query log. The
+// budget fields and Detail are meaningful on error too (a timed-out
+// search still reports what it did).
+type Result struct {
+	Answers         []cluster.Answer
+	BudgetExhausted bool
+	BudgetReason    string // the exhausted axis: "pops", "arcs" or "bytes"
+	Detail          any
+}
+
+// SearchFunc runs one keyword search for the door. terms are already
+// tokenized; strategy is the request's validated choice ("" selects the
+// backend's default).
+type SearchFunc func(ctx context.Context, terms []string, strategy string) (Result, error)
+
+// Config is everything a Server is built from.
+type Config struct {
+	// DB holds the rows every page renders: search results read them by
+	// (table, rid), the browsing views query them.
+	DB *sqldb.Database
+	// Search is the backend behind /search: a single engine or a
+	// scatter-gather cluster.
+	Search SearchFunc
+	// Strategy labels searches whose request named no strategy;
+	// Strategies lists what the backend can run — the form's choices,
+	// and the only names a request may select.
+	Strategy   string
+	Strategies []string
+	// Door is the overload policy in front of /search. With Door.Metrics
+	// set the server also mounts /debug and /debug/vars.
+	Door serve.Door
+}
+
+// Server is the BANKS web UI, and the only /search handler in the repo.
 type Server struct {
-	db        *sqldb.Database
-	engine    *sqlexec.Engine
-	searcher  func() *core.Searcher
-	opts      *core.Options
-	mux       *http.ServeMux
-	engineErr func() error // optional post-query health check (disk stores)
-
-	// The production front door, all optional (nil disables): admission
-	// control in front of /search, per-query observability, and a default
-	// server-side search deadline. Configure before serving — these fields
-	// are read concurrently once requests flow.
-	gate           *serve.Gate
-	heavyGate      *serve.Gate // per-class admission: heavy classes gate here
-	metrics        *serve.Metrics
-	defaultTimeout time.Duration
+	cfg    Config
+	db     *sqldb.Database
+	engine *sqlexec.Engine
+	mux    *http.ServeMux
 }
 
-// SetEngineErr installs a health check consulted after every search. A
-// disk-resident engine (internal/store) degrades lazy-load failures to
-// empty match sets so the expansion loop never panics; without this hook
-// a corrupt segment would silently shrink results to nothing. When fn
-// reports an error the request fails with 500 instead.
-func (s *Server) SetEngineErr(fn func() error) { s.engineErr = fn }
-
-// SetGate installs admission control on /search: at most the gate's
-// worker count of searches run concurrently, a bounded queue waits, and
-// the overflow is shed with 503 + Retry-After. Call before serving.
-func (s *Server) SetGate(g *serve.Gate) { s.gate = g }
-
-// SetHeavyGate installs a second admission gate for the heavy query
-// classes (serve.IsHeavyClass: multi-term, prefix and qualified
-// queries). With it set, heavy requests contend only for the heavy
-// gate's slots while cheap single-term queries keep the main gate —
-// a burst of expensive queries can no longer starve the cheap ones.
-// Call before serving.
-func (s *Server) SetHeavyGate(g *serve.Gate) { s.heavyGate = g }
-
-// SetMetrics installs query observability (latency histograms, outcome
-// counters, the slow-query log) and mounts the /debug and /debug/vars
-// endpoints. Call before serving.
-func (s *Server) SetMetrics(m *serve.Metrics) {
-	s.metrics = m
-	if m != nil {
-		s.mux.Handle("/debug", serve.DebugHandler(m))
-		s.mux.Handle("/debug/vars", serve.DebugHandler(m))
-	}
-}
-
-// SetDefaultTimeout installs a server-side deadline applied to searches
-// whose request did not specify its own timeout parameter. Expiry maps to
-// 503 + Retry-After (server overload semantics), unlike a client-chosen
-// timeout which maps to 408. Call before serving.
-func (s *Server) SetDefaultTimeout(d time.Duration) { s.defaultTimeout = d }
-
-// NewServer builds a server over the database and a searcher provider.
-// searcher is called once per request needing search structures, so a
-// caller that atomically swaps in a rebuilt searcher (System.Refresh)
-// gets each HTTP request pinned to one consistent snapshot: a request
-// never mixes the graph it searched with a newer one. opts sets the
-// default search parameters (nil uses core defaults).
-func NewServer(db *sqldb.Database, searcher func() *core.Searcher, opts *core.Options) *Server {
-	s := &Server{
-		db:       db,
-		engine:   sqlexec.New(db),
-		searcher: searcher,
-		opts:     opts,
-	}
-	if s.opts == nil {
-		s.opts = core.DefaultOptions()
-	}
+// NewServer builds the web UI over cfg.
+func NewServer(cfg Config) *Server {
+	s := &Server{cfg: cfg, db: cfg.DB, engine: sqlexec.New(cfg.DB)}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", s.handleHome)
 	mux.HandleFunc("/search", s.handleSearch)
@@ -104,6 +79,10 @@ func NewServer(db *sqldb.Database, searcher func() *core.Searcher, opts *core.Op
 	mux.HandleFunc("/tuple", s.handleTuple)
 	mux.HandleFunc("/schema", s.handleSchema)
 	mux.HandleFunc("/template", s.handleTemplate)
+	if m := cfg.Door.Metrics; m != nil {
+		mux.Handle("/debug", serve.DebugHandler(m))
+		mux.Handle("/debug/vars", serve.DebugHandler(m))
+	}
 	s.mux = mux
 	return s
 }
@@ -147,7 +126,7 @@ func (s *Server) renderError(w http.ResponseWriter, status int, err error) {
 
 // searchFormHTML renders the search form: keywords, an optional per-query
 // timeout (empty = none), and the execution strategy (empty = the
-// server's default).
+// backend's default).
 func (s *Server) searchFormHTML(q, timeout, strategy string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, `<form action="/search"><input name="q" size="40" placeholder="keywords..." value="%s"> `,
@@ -155,7 +134,7 @@ func (s *Server) searchFormHTML(q, timeout, strategy string) string {
 	fmt.Fprintf(&b, `timeout <input name="timeout" size="6" placeholder="none" value="%s"> `,
 		template.HTMLEscapeString(timeout))
 	b.WriteString(`strategy <select name="strategy"><option value="">default</option>`)
-	for _, name := range core.Strategies() {
+	for _, name := range s.cfg.Strategies {
 		sel := ""
 		if name == strategy {
 			sel = " selected"
@@ -197,39 +176,32 @@ func (s *Server) handleHome(w http.ResponseWriter, r *http.Request) {
 	s.render(w, "BANKS: Browsing ANd Keyword Searching", template.HTML(b.String()))
 }
 
-// pkOf renders the textual primary key of a node's row, or "" when the
-// table has no single-column PK. g is the graph snapshot the request
-// pinned.
-func (s *Server) pkOf(g graph.View, n graph.NodeID) (table, pk string) {
-	table = g.TableNameOf(n)
-	t := s.db.Table(table)
-	if t == nil {
-		return table, ""
+// tupleHTML renders the row behind ref, hyperlinked to its /tuple page
+// when the table has a single-column primary key. The row is read straight
+// from the database; the caller holds its read lock. A row deleted after
+// the search pinned its snapshot renders as a placeholder.
+func (s *Server) tupleHTML(ref cluster.Ref, matched bool) string {
+	var row []sqldb.Value
+	t := s.db.Table(ref.Table)
+	if t != nil {
+		row = t.Row(sqldb.RID(ref.RID))
 	}
-	schema := t.Schema()
-	if len(schema.PrimaryKey) != 1 {
-		return table, ""
-	}
-	row := t.Row(g.RIDOf(n))
+	var label string
 	if row == nil {
-		return table, ""
-	}
-	return table, row[schema.ColumnIndex(schema.PrimaryKey[0])].String()
-}
-
-func (s *Server) tupleHTML(g graph.View, n graph.NodeID, matched bool) string {
-	table := g.TableNameOf(n)
-	t := s.db.Table(table)
-	row := t.Row(g.RIDOf(n))
-	var cells []string
-	for i, c := range t.Schema().Columns {
-		cells = append(cells, template.HTMLEscapeString(c.Name+"="+row[i].String()))
-	}
-	label := template.HTMLEscapeString(table) + "(" + strings.Join(cells, ", ") + ")"
-	_, pk := s.pkOf(g, n)
-	if pk != "" {
-		label = fmt.Sprintf(`<a href="/tuple?table=%s&pk=%s">%s</a>`,
-			template.URLQueryEscaper(table), template.URLQueryEscaper(pk), label)
+		label = template.HTMLEscapeString(fmt.Sprintf("%s#%d (deleted)", ref.Table, ref.RID))
+	} else {
+		schema := t.Schema()
+		var cells []string
+		for i, c := range schema.Columns {
+			cells = append(cells, template.HTMLEscapeString(c.Name+"="+row[i].String()))
+		}
+		label = template.HTMLEscapeString(ref.Table) + "(" + strings.Join(cells, ", ") + ")"
+		if len(schema.PrimaryKey) == 1 {
+			if pk := row[schema.ColumnIndex(schema.PrimaryKey[0])].String(); pk != "" {
+				label = fmt.Sprintf(`<a href="/tuple?table=%s&pk=%s">%s</a>`,
+					template.URLQueryEscaper(ref.Table), template.URLQueryEscaper(pk), label)
+			}
+		}
 	}
 	if matched {
 		label = `<span class="keyword">` + label + `</span>`
@@ -237,186 +209,99 @@ func (s *Server) tupleHTML(g graph.View, n graph.NodeID, matched bool) string {
 	return label
 }
 
-// renderOverload maps an admission rejection (or a server-side deadline)
-// to 503 with a Retry-After hint — the "come back later" contract that
-// tells well-behaved clients to back off instead of hammering. gate is
-// the gate the request was admitted through (its backoff hint applies);
-// nil falls back to the main gate, then one second.
-func (s *Server) renderOverload(w http.ResponseWriter, gate *serve.Gate, err error) {
-	if gate == nil {
-		gate = s.gate
-	}
-	retry := time.Second
-	if gate != nil {
-		retry = gate.RetryAfter()
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(retry.Seconds()))))
-	s.renderError(w, http.StatusServiceUnavailable, err)
-}
-
+// handleSearch is the one /search path: tokenize, validate, run through
+// the door, render. Everything the client can get wrong is rejected with
+// 400 before admission, so a malformed request never occupies a worker
+// slot and every admitted request is one observed query.
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query().Get("q")
 	timeoutParam := r.URL.Query().Get("timeout")
-	strategyParam := r.URL.Query().Get("strategy")
-	terms := strings.Fields(q)
-	if len(terms) == 0 {
-		s.render(w, "Search", template.HTML(s.searchFormHTML("", timeoutParam, strategyParam)))
+	strategy := r.URL.Query().Get("strategy")
+	if strings.TrimSpace(q) == "" {
+		s.render(w, "Search", template.HTML(s.searchFormHTML("", timeoutParam, strategy)))
 		return
 	}
-	// Validate the timeout field before taking a worker slot: a malformed
-	// request must not occupy admission capacity (and every admitted
-	// request then observes exactly one query, which /debug audits).
-	clientTimeout := timeoutParam != ""
-	var clientDeadline time.Duration
-	if clientTimeout {
+	// The same tokenization System.Query and Cluster.Query apply, so
+	// "sunita, soumen" is the two-term query it reads as; the token count
+	// picks the class and therefore the gate.
+	terms := index.Tokenize(q)
+	if len(terms) == 0 {
+		s.renderError(w, http.StatusBadRequest, fmt.Errorf("empty query: no keywords in %q", q))
+		return
+	}
+	var timeout time.Duration
+	if timeoutParam != "" {
 		d, err := time.ParseDuration(timeoutParam)
 		if err != nil || d <= 0 {
 			s.renderError(w, http.StatusBadRequest, fmt.Errorf("bad timeout %q (want a duration like 500ms)", timeoutParam))
 			return
 		}
-		clientDeadline = d
+		timeout = d
 	}
-	// Admission control: the search runs only once its class's gate
-	// grants a worker slot. The class is computed before admission so a
-	// heavy query (multi-term, prefix, qualified) contends for the heavy
-	// gate when one is installed, leaving the main gate to cheap
-	// single-term traffic. A full queue (or a queue wait past the gate's
-	// patience) sheds the request immediately with 503 + Retry-After,
-	// before any engine work happens; a client that disconnects while
-	// queued just goes away.
-	class := serve.ClassOf(len(terms), false, false)
-	gate := s.gate
-	if s.heavyGate != nil && serve.IsHeavyClass(class) {
-		gate = s.heavyGate
-	}
-	release, aerr := gate.Acquire(r.Context())
-	if aerr != nil {
-		if serve.IsOverload(aerr) {
-			s.renderOverload(w, gate, aerr)
-		}
-		return
-	}
-	// The request context rides into the expansion loop, so a client that
-	// disconnects stops paying for its search; the optional timeout field
-	// (a Go duration, e.g. "500ms" or "2s"; empty = none) adds a
-	// per-query deadline on top, and the server's default timeout (when
-	// configured) bounds requests that chose none.
-	ctx := r.Context()
-	if clientTimeout {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, clientDeadline)
-		defer cancel()
-	} else if s.defaultTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.defaultTimeout)
-		defer cancel()
-	}
-	// The strategy field overrides the server's default execution
-	// strategy for this request.
-	opts := s.opts
-	if strategyParam != "" {
-		o := *s.opts
-		o.Strategy = strategyParam
-		opts = &o
-	}
-	// Pin one searcher (and therefore one graph snapshot) for the whole
-	// request; a concurrent Refresh cannot tear the result rendering.
-	searcher := s.searcher()
-	g := searcher.Graph()
-	start := time.Now()
-	// The deadline is enforced here, at the response layer, not only
-	// inside the expansion loop: the query runs in its own goroutine and
-	// the response leaves the moment ctx expires, even if the expansion is
-	// slow to reach its next cancellation poll (heavy GC or a concurrent
-	// rebuild can stretch that to seconds). The abandoned search unwinds
-	// in the background and frees its admission slot only when it
-	// actually exits, so admitted concurrency stays bounded.
-	type queryResult struct {
-		answers []*core.Answer
-		stats   *core.Stats
-		err     error
-	}
-	done := make(chan queryResult, 1)
-	go func() {
-		answers, stats, qerr := searcher.Query(ctx, core.Request{Terms: terms}, opts, nil)
-		s.metrics.ObserveQuery(serve.QueryOutcome{
-			Query:           q,
-			Strategy:        opts.Strategy,
-			Class:           class,
-			Elapsed:         time.Since(start),
-			Err:             qerr,
-			BudgetExhausted: stats != nil && stats.BudgetExhausted,
-			TimedOut:        errors.Is(qerr, context.DeadlineExceeded),
-			Detail:          stats,
-		})
-		done <- queryResult{answers, stats, qerr}
-		release()
-	}()
-	var answers []*core.Answer
-	var stats *core.Stats
-	var err error
-	select {
-	case res := <-done:
-		answers, stats, err = res.answers, res.stats, res.err
-	case <-ctx.Done():
-		err = ctx.Err()
-	}
-	if errors.Is(err, context.DeadlineExceeded) {
-		// A deadline the client chose is its own doing: 408. A deadline
-		// the server imposed is overload protection: 503 + Retry-After.
-		if clientTimeout {
-			s.renderError(w, http.StatusRequestTimeout,
-				fmt.Errorf("search timed out after %s", timeoutParam))
-		} else {
-			s.renderOverload(w, gate, fmt.Errorf("search exceeded the server's %s limit", s.defaultTimeout))
-		}
-		return
-	}
-	if errors.Is(err, context.Canceled) {
-		return // client disconnected; nobody is listening
-	}
-	if err != nil {
-		s.renderError(w, http.StatusBadRequest, err)
-		return
-	}
-	if s.engineErr != nil {
-		if eerr := s.engineErr(); eerr != nil {
-			s.renderError(w, http.StatusInternalServerError,
-				fmt.Errorf("disk-resident engine: %w", eerr))
+	label := s.cfg.Strategy
+	if strategy != "" {
+		if !slices.Contains(s.cfg.Strategies, strategy) {
+			s.renderError(w, http.StatusBadRequest, fmt.Errorf("unsupported strategy %q (this server runs %s)",
+				strategy, strings.Join(s.cfg.Strategies, ", ")))
 			return
 		}
+		label = strategy
 	}
+
+	res, st := serve.Do(r.Context(), &s.cfg.Door, serve.Request{
+		Query:    q,
+		Strategy: label,
+		Class:    serve.ClassOf(len(terms), false, false),
+		Timeout:  timeout,
+	}, func(ctx context.Context) (Result, serve.Outcome, error) {
+		res, err := s.cfg.Search(ctx, terms, strategy)
+		return res, serve.Outcome{BudgetExhausted: res.BudgetExhausted, Detail: res.Detail}, err
+	})
+	if st.Code == 0 {
+		return // client disconnected; nobody is listening
+	}
+	if st.Code != http.StatusOK {
+		if st.RetryAfter > 0 {
+			// The "come back later" contract that tells well-behaved
+			// clients to back off instead of hammering.
+			w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(st.RetryAfter.Seconds()))))
+		}
+		s.renderError(w, st.Code, st.Err)
+		return
+	}
+
 	var b strings.Builder
-	b.WriteString(s.searchFormHTML(q, timeoutParam, strategyParam))
-	if stats != nil && stats.BudgetExhausted {
+	b.WriteString(s.searchFormHTML(q, timeoutParam, strategy))
+	if res.BudgetExhausted {
 		fmt.Fprintf(&b, `<p class="score">Partial results: the query exhausted its %s budget.</p>`,
-			template.HTMLEscapeString(stats.BudgetReason))
+			template.HTMLEscapeString(res.BudgetReason))
 	}
-	if len(answers) == 0 {
+	if len(res.Answers) == 0 {
 		b.WriteString("<p>No results.</p>")
 	}
 	// Row reads during tree rendering hold the database read lock so a
 	// concurrent writer cannot expose half-written rows.
 	s.db.RLock()
-	for _, a := range answers {
-		matched := make(map[graph.NodeID]bool)
+	for i := range res.Answers {
+		a := &res.Answers[i]
+		matched := make(map[cluster.Ref]bool, len(a.TermNodes))
 		for _, n := range a.TermNodes {
 			matched[n] = true
 		}
-		children := make(map[graph.NodeID][]core.TreeEdge)
+		children := make(map[cluster.Ref][]cluster.Ref)
 		for _, e := range a.Edges {
-			children[e.From] = append(children[e.From], e)
+			children[e.From] = append(children[e.From], e.To)
 		}
 		fmt.Fprintf(&b, `<div class="tree"><p>%d. <span class="score">score %.4f</span></p><ul><li>`,
 			a.Rank, a.Score)
-		var walk func(n graph.NodeID)
-		walk = func(n graph.NodeID) {
-			b.WriteString(s.tupleHTML(g, n, matched[n]))
+		var walk func(n cluster.Ref)
+		walk = func(n cluster.Ref) {
+			b.WriteString(s.tupleHTML(n, matched[n]))
 			if len(children[n]) > 0 {
 				b.WriteString("<ul>")
-				for _, e := range children[n] {
+				for _, c := range children[n] {
 					b.WriteString("<li>")
-					walk(e.To)
+					walk(c)
 					b.WriteString("</li>")
 				}
 				b.WriteString("</ul>")

@@ -3,29 +3,29 @@ package web
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/banksdb/banks/internal/browse"
+	"github.com/banksdb/banks/internal/cluster"
 	"github.com/banksdb/banks/internal/core"
 	"github.com/banksdb/banks/internal/datagen"
 	"github.com/banksdb/banks/internal/graph"
 	"github.com/banksdb/banks/internal/index"
 	"github.com/banksdb/banks/internal/serve"
+	"github.com/banksdb/banks/internal/sqldb"
 	"github.com/banksdb/banks/internal/sqlexec"
 )
 
-func newTestServer(t *testing.T) (*Server, *httptest.Server) {
+// engineConfig is a Config over a freshly built single engine: the search
+// function runs the core searcher and maps its answers through the graph.
+func engineConfig(t *testing.T, db *sqldb.Database, opts *core.Options) Config {
 	t.Helper()
-	db, err := datagen.BuildThesis(datagen.SmallThesis())
-	if err != nil {
-		t.Fatal(err)
-	}
 	g, err := graph.Build(db, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -35,7 +35,32 @@ func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 		t.Fatal(err)
 	}
 	searcher := core.NewSearcher(g, ix)
-	srv := NewServer(db, func() *core.Searcher { return searcher }, nil)
+	if opts == nil {
+		opts = core.DefaultOptions()
+	}
+	return Config{
+		DB:         db,
+		Strategies: core.Strategies(),
+		Search: func(ctx context.Context, terms []string, strategy string) (Result, error) {
+			o := *opts
+			o.Strategy = strategy
+			answers, st, err := searcher.Query(ctx, core.Request{Terms: terms}, &o, nil)
+			res := Result{BudgetExhausted: st.BudgetExhausted, BudgetReason: st.BudgetReason, Detail: st}
+			for _, a := range answers {
+				res.Answers = append(res.Answers, cluster.AnswerToWire(g, a))
+			}
+			return res, err
+		},
+	}
+}
+
+func newTestServer(t *testing.T) (*Server, *httptest.Server) {
+	t.Helper()
+	db, err := datagen.BuildThesis(datagen.SmallThesis())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(engineConfig(t, db, nil))
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	return srv, ts
@@ -301,110 +326,106 @@ func TestSearchStrategyParam(t *testing.T) {
 	}
 }
 
-func TestSearchTimeoutParam(t *testing.T) {
-	_, ts := newTestServer(t)
-	// A roomy timeout succeeds.
+// TestSearchRejectsBeforeAdmission: everything the client can get wrong
+// is a 400, decided before the search function is ever called.
+func TestSearchRejectsBeforeAdmission(t *testing.T) {
+	db, err := datagen.BuildThesis(datagen.SmallThesis())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := engineConfig(t, db, nil)
+	search := cfg.Search
+	calls := 0
+	cfg.Search = func(ctx context.Context, terms []string, strategy string) (Result, error) {
+		calls++
+		return search(ctx, terms, strategy)
+	}
+	ts := httptest.NewServer(NewServer(cfg))
+	t.Cleanup(ts.Close)
+	for _, path := range []string{
+		"/search?q=" + url.QueryEscape(", - !"), // characters but no keywords
+		"/search?q=aditya&timeout=banana",
+		"/search?q=aditya&timeout=-5s",
+		"/search?q=aditya&strategy=bogus",
+		"/search?q=aditya&strategy=distributed", // known elsewhere, not run here
+	} {
+		if code, body := get(t, ts, path); code != http.StatusBadRequest {
+			t.Errorf("%s: status = %d, want 400; body = %s", path, code, body)
+		}
+	}
+	if calls != 0 {
+		t.Errorf("search ran %d times for malformed requests", calls)
+	}
+	// A roomy timeout succeeds, and the form echoes the field.
 	code, body := get(t, ts, "/search?q=aditya&timeout=30s")
-	if code != 200 || !strings.Contains(body, "Aditya") {
+	if code != 200 || !strings.Contains(body, "Aditya") || !strings.Contains(body, `name="timeout"`) {
 		t.Errorf("timeout=30s: status %d", code)
 	}
-	// The form defaults to no timeout and echoes the field.
-	if !strings.Contains(body, `name="timeout"`) {
-		t.Error("search form has no timeout field")
-	}
-	// A malformed timeout is a client error.
-	code, _ = get(t, ts, "/search?q=aditya&timeout=banana")
-	if code != http.StatusBadRequest {
-		t.Errorf("bad timeout: status = %d", code)
-	}
-	code, _ = get(t, ts, "/search?q=aditya&timeout=-5s")
-	if code != http.StatusBadRequest {
-		t.Errorf("negative timeout: status = %d", code)
-	}
-	// A 1ns deadline expires before the search can finish. The client
-	// chose it, so the failure is the client's: 408, not 503.
-	code, body = get(t, ts, "/search?q="+url.QueryEscape("sudarshan aditya")+"&timeout=1ns")
-	if code != http.StatusRequestTimeout {
-		t.Errorf("1ns timeout: status = %d, body = %s", code, body)
-	}
-	if !strings.Contains(body, "timed out") {
-		t.Error("timeout page does not say the search timed out")
-	}
 }
 
-func getResp(t *testing.T, ts *httptest.Server, path string) (*http.Response, string) {
-	t.Helper()
-	resp, err := http.Get(ts.URL + path)
+// TestSearchClassFromTokens: the token count — not the whitespace field
+// count — picks the class (and with it the gate): one field holding two
+// keywords is a 2term query.
+func TestSearchClassFromTokens(t *testing.T) {
+	db, err := datagen.BuildThesis(datagen.SmallThesis())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
+	cfg := engineConfig(t, db, nil)
+	cfg.Door.Metrics = serve.NewMetrics(0, 0)
+	ts := httptest.NewServer(NewServer(cfg))
+	t.Cleanup(ts.Close)
+	if code, body := get(t, ts, "/search?q=sudarshan-aditya"); code != 200 || !strings.Contains(body, "Aditya") {
+		t.Fatalf("hyphenated query: status %d", code)
+	}
+	_, vars := get(t, ts, "/debug/vars")
+	if !strings.Contains(vars, "query_latency_backward_2term") || strings.Contains(vars, "_1term") {
+		t.Errorf("one-field two-token query was not classed 2term: %s", vars)
+	}
+}
+
+// TestTupleHTMLDeletedRow: a (table, rid) whose row is gone — deleted
+// after the search pinned its snapshot — renders as a placeholder instead
+// of indexing a nil row; so does a reference into a dropped table.
+func TestTupleHTMLDeletedRow(t *testing.T) {
+	srv, _ := newTestServer(t)
+	tbl := srv.db.Table("thesis")
+	rid := tbl.LookupPK([]sqldb.Value{sqldb.Text(datagen.ThesisAditya)})
+	if rid < 0 {
+		t.Fatal("fixture thesis row missing")
+	}
+	ref := cluster.Ref{Table: "thesis", RID: int64(rid)}
+	if live := srv.tupleHTML(ref, false); !strings.Contains(live, "/tuple?table=thesis") {
+		t.Fatalf("live row not rendered as a hyperlinked tuple: %s", live)
+	}
+	if err := srv.db.Delete("thesis", rid); err != nil {
 		t.Fatal(err)
 	}
-	return resp, string(body)
-}
-
-// TestSearchServerTimeoutIsOverload: a search that exceeds the *server's*
-// default deadline (the client chose none) is overload protection, so it
-// maps to 503 + Retry-After — not 408, which would blame the client.
-func TestSearchServerTimeoutIsOverload(t *testing.T) {
-	srv, ts := newTestServer(t)
-	srv.SetDefaultTimeout(time.Nanosecond)
-	resp, body := getResp(t, ts, "/search?q="+url.QueryEscape("sudarshan aditya"))
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status = %d, body = %s", resp.StatusCode, body)
+	want := fmt.Sprintf("thesis#%d (deleted)", rid)
+	if got := srv.tupleHTML(ref, false); got != want {
+		t.Errorf("deleted row rendered %q, want %q", got, want)
 	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("503 without a Retry-After hint")
+	if got := srv.tupleHTML(ref, true); got != `<span class="keyword">`+want+`</span>` {
+		t.Errorf("deleted keyword row rendered %q", got)
+	}
+	if got := srv.tupleHTML(cluster.Ref{Table: "nosuch", RID: 3}, false); got != "nosuch#3 (deleted)" {
+		t.Errorf("missing table rendered %q", got)
 	}
 }
 
-// TestSearchShedWithRetryAfter: with the gate's only worker slot occupied
-// and a zero-length queue, a search is shed immediately with 503 and a
-// Retry-After header matching the gate's configured hint.
-func TestSearchShedWithRetryAfter(t *testing.T) {
-	srv, ts := newTestServer(t)
-	gate := serve.NewGate(serve.GateConfig{Workers: 1, Queue: 0, RetryAfter: 3 * time.Second})
-	srv.SetGate(gate)
-
-	// Occupy the single worker slot so the next request must shed.
-	release, err := gate.Acquire(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer release()
-
-	resp, body := getResp(t, ts, "/search?q=aditya")
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status = %d, body = %s", resp.StatusCode, body)
-	}
-	if got := resp.Header.Get("Retry-After"); got != "3" {
-		t.Errorf("Retry-After = %q, want 3", got)
-	}
-	if !strings.Contains(body, "shed") {
-		t.Errorf("shed page does not say so: %s", body)
-	}
-	if gate.Stats().Shed != 1 {
-		t.Errorf("gate shed count = %d, want 1", gate.Stats().Shed)
-	}
-
-	// With the slot free again the same search succeeds.
-	release()
-	code, body2 := get(t, ts, "/search?q=aditya")
-	if code != 200 || !strings.Contains(body2, "Aditya") {
-		t.Errorf("post-release search: status = %d", code)
-	}
-}
-
-// TestDebugEndpoints: SetMetrics mounts /debug (human page) and
+// TestDebugEndpoints: a Door with Metrics mounts /debug (human page) and
 // /debug/vars (JSON), and a served search shows up in both.
 func TestDebugEndpoints(t *testing.T) {
-	srv, ts := newTestServer(t)
+	db, err := datagen.BuildThesis(datagen.SmallThesis())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := engineConfig(t, db, nil)
 	m := serve.NewMetrics(0, 0)
-	m.BindGate(serve.NewGate(serve.GateConfig{Workers: 2}))
-	srv.SetMetrics(m)
+	cfg.Door = serve.Door{Metrics: m, Gate: serve.NewGate(serve.GateConfig{Workers: 2})}
+	m.BindGate(cfg.Door.Gate)
+	ts := httptest.NewServer(NewServer(cfg))
+	t.Cleanup(ts.Close)
 
 	if code, _ := get(t, ts, "/search?q=aditya"); code != 200 {
 		t.Fatalf("search status = %d", code)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 
+	"github.com/banksdb/banks/internal/cluster"
 	"github.com/banksdb/banks/internal/core"
 	"github.com/banksdb/banks/internal/index"
 )
@@ -209,7 +210,8 @@ func (s *System) run(ctx context.Context, q Query, fn func(*Answer) bool) (*Resu
 	byCore := make(map[*core.Answer]*Answer)
 	stopped := false
 	cb := func(a *core.Answer) bool {
-		pa := s.convertAnswer(eng, a)
+		wire := cluster.AnswerToWire(eng.g, a)
+		pa := answerFromRefs(s.db.inner, &wire)
 		byCore[a] = pa
 		if fn != nil && !fn(pa) {
 			stopped = true
@@ -222,11 +224,8 @@ func (s *System) run(ctx context.Context, q Query, fn func(*Answer) bool) (*Resu
 	if err != nil {
 		return nil, err
 	}
-	// A store-backed engine degrades lazy-load failures to empty match
-	// sets so the search machinery never panics mid-expansion; surface
-	// them here so a disk fault fails the query instead of shrinking it.
 	if serr := eng.storeErr(); serr != nil {
-		return nil, fmt.Errorf("banks: disk-resident engine: %w", serr)
+		return nil, serr
 	}
 
 	// The core trims heap-overflow overshoot (a visit can emit an answer

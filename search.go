@@ -5,6 +5,7 @@ import (
 	"strings"
 	"unicode/utf8"
 
+	"github.com/banksdb/banks/internal/cluster"
 	"github.com/banksdb/banks/internal/core"
 	"github.com/banksdb/banks/internal/graph"
 	"github.com/banksdb/banks/internal/sqldb"
@@ -183,26 +184,28 @@ func formatNode(b *strings.Builder, n *TreeNode, depth int) {
 	}
 }
 
-// convertAnswer materializes a core answer against the pinned engine
-// snapshot eng, so conversion never mixes the graph a search ran on with
-// a newer one swapped in by a concurrent Refresh. The database read lock
-// is held for the duration of the tree walk: row storage appends under
-// the write lock, and answers must not render half-written rows.
-func (s *System) convertAnswer(eng *engine, a *core.Answer) *Answer {
-	s.db.inner.RLock()
-	defer s.db.inner.RUnlock()
-	matched := make(map[graph.NodeID]bool, len(a.TermNodes))
-	for _, n := range a.TermNodes {
-		matched[n] = true
+// answerFromRefs materializes one answer tree against db. Answers arrive
+// as (table, rid) references — a single engine maps its nodes through the
+// snapshot the search pinned (cluster.AnswerToWire), a cluster's merge
+// produces them directly — so conversion never mixes the graph a search
+// ran on with a newer one swapped in by a concurrent Refresh. The database
+// read lock is held for the duration of the tree walk: row storage appends
+// under the write lock, and answers must not render half-written rows.
+func answerFromRefs(db *sqldb.Database, a *cluster.Answer) *Answer {
+	db.RLock()
+	defer db.RUnlock()
+	matched := make(map[cluster.Ref]bool, len(a.TermNodes))
+	for _, r := range a.TermNodes {
+		matched[r] = true
 	}
-	children := make(map[graph.NodeID][]core.TreeEdge)
+	children := make(map[cluster.Ref][]cluster.Edge)
 	for _, e := range a.Edges {
 		children[e.From] = append(children[e.From], e)
 	}
-	var build func(n graph.NodeID, w float64) *TreeNode
-	build = func(n graph.NodeID, w float64) *TreeNode {
-		node := &TreeNode{Tuple: s.tupleOf(eng, n), EdgeWeight: w, Matched: matched[n]}
-		for _, e := range children[n] {
+	var build func(r cluster.Ref, w float64) *TreeNode
+	build = func(r cluster.Ref, w float64) *TreeNode {
+		node := &TreeNode{Tuple: tupleAt(db, r), EdgeWeight: w, Matched: matched[r]}
+		for _, e := range children[r] {
 			node.Children = append(node.Children, build(e.To, e.W))
 		}
 		return node
@@ -219,16 +222,16 @@ func (s *System) convertAnswer(eng *engine, a *core.Answer) *Answer {
 	}
 }
 
-// tupleOf materializes the row behind a graph node of eng's snapshot.
-func (s *System) tupleOf(eng *engine, n graph.NodeID) Tuple {
-	table := eng.g.TableNameOf(n)
-	rid := eng.g.RIDOf(n)
-	t := s.db.inner.Table(table)
-	out := Tuple{Table: table, RID: int64(rid)}
+// tupleAt materializes the row behind a (table, rid) reference; the
+// caller holds the database read lock. A row that is gone (deleted since
+// the search pinned its snapshot) yields the bare reference.
+func tupleAt(db *sqldb.Database, r cluster.Ref) Tuple {
+	out := Tuple{Table: r.Table, RID: r.RID}
+	t := db.Table(r.Table)
 	if t == nil {
 		return out
 	}
-	row := t.Row(rid)
+	row := t.Row(sqldb.RID(r.RID))
 	if row == nil {
 		return out
 	}
@@ -272,9 +275,8 @@ func (s *System) TupleByPK(table, pk string) (Tuple, bool) {
 	if rid < 0 {
 		return Tuple{}, false
 	}
-	n := eng.g.NodeOf(table, rid)
-	if n == graph.NoNode {
+	if eng.g.NodeOf(table, rid) == graph.NoNode {
 		return Tuple{}, false
 	}
-	return s.tupleOf(eng, n), true
+	return tupleAt(s.db.inner, cluster.Ref{Table: table, RID: int64(rid)}), true
 }

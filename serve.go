@@ -1,19 +1,22 @@
 package banks
 
 import (
+	"context"
 	"net/http"
 	"time"
 
+	"github.com/banksdb/banks/internal/cluster"
 	"github.com/banksdb/banks/internal/core"
 	"github.com/banksdb/banks/internal/serve"
 	"github.com/banksdb/banks/internal/store"
 	"github.com/banksdb/banks/internal/web"
 )
 
-// ServeOptions configure the production front door ServeHandler puts in
-// front of the web UI: admission control, default deadlines, and
-// observability. The zero value serves with admission control and
-// server-side deadlines disabled but observability on.
+// ServeOptions configure the production front door ServeHandler (of a
+// System or a Cluster) puts in front of the web UI: admission control,
+// default deadlines, and observability. The zero value serves with
+// admission control and server-side deadlines disabled but observability
+// on.
 type ServeOptions struct {
 	// Search sets the default search parameters (nil: the paper's
 	// defaults), including any per-query cost Budget.
@@ -53,53 +56,113 @@ type ServeOptions struct {
 	SlowLogSize int
 }
 
-// ServeHandler returns the BANKS web interface wrapped in the production
-// front door: admission control with load shedding on /search, per-query
-// latency histograms and outcome counters, a slow-query log, and the
-// /debug + /debug/vars observability surface wired to the live engine
-// (match cache, flight group, frontier pool, store residency, pending
-// mutations). Handler remains the bare, zero-overhead mount.
+// ServeHandler returns the BANKS web interface — keyword search with
+// hyperlinked connection trees, the Section 4 browsing views (column
+// controls, FK hyperlinks, backward reference browsing), schema display
+// and the display templates — behind the production front door: admission
+// control with load shedding on /search, per-query latency histograms and
+// outcome counters, a slow-query log, and the /debug + /debug/vars
+// observability surface wired to the live engine (match cache, flight
+// group, frontier pool, store residency, pending mutations).
 //
-// Status mapping under pressure: a shed or queue-timed-out request gets
-// 503 with a Retry-After hint; a search that exceeds the server's
-// DefaultTimeout also gets 503 + Retry-After; a search that exceeds a
-// client-chosen timeout parameter gets 408.
+// Each search pins the engine snapshot current at its start and honours
+// the request's context, so the handler is safe to serve concurrently
+// with Refresh and Apply. The system's default execution strategy
+// (SystemOptions.Strategy) applies unless a request's strategy form field
+// overrides it, and the form's timeout field puts a per-query deadline on
+// the search.
+//
+// Status mapping: a malformed request (no keywords, a bad timeout, an
+// unknown strategy) gets 400 before admission; a shed or queue-timed-out
+// request gets 503 with a Retry-After hint; a search that exceeds the
+// server's DefaultTimeout also gets 503 + Retry-After; a search that
+// exceeds a client-chosen timeout parameter gets 408; a search that fails
+// (a store fault) gets 500.
 func (s *System) ServeHandler(opts *ServeOptions) http.Handler {
 	if opts == nil {
 		opts = &ServeOptions{}
 	}
-	copts := opts.Search.toCore()
-	copts.Strategy = s.opts.Strategy
-	srv := web.NewServer(s.db.inner, func() *core.Searcher { return s.engine().searcher }, copts)
-	srv.SetEngineErr(func() error { return s.engine().storeErr() })
-	srv.SetDefaultTimeout(opts.DefaultTimeout)
+	return newFrontDoor(opts, web.Config{
+		DB:         s.db.inner,
+		Search:     s.doorSearch(opts.Search),
+		Strategy:   s.opts.Strategy,
+		Strategies: core.Strategies(),
+	}, s.bindEngineGauges)
+}
 
-	var gate, heavy *serve.Gate
+// Handler is ServeHandler with admission control and server-side
+// deadlines off: the web interface over this system with opts as the
+// default search parameters.
+//
+//	http.ListenAndServe(":8080", sys.Handler(nil))
+func (s *System) Handler(opts *SearchOptions) http.Handler {
+	return s.ServeHandler(&ServeOptions{Search: opts})
+}
+
+// newFrontDoor is the one constructor behind System.ServeHandler and
+// Cluster.ServeHandler: it builds the admission gates and the metrics
+// bundle opts describe, lets the backend register its gauges, and mounts
+// the web UI over cfg (whose Door it fills in).
+func newFrontDoor(opts *ServeOptions, cfg web.Config, bindGauges func(*serve.Metrics)) http.Handler {
+	m := serve.NewMetrics(opts.SlowQuery, opts.SlowLogSize)
+	cfg.Door = serve.Door{Metrics: m, DefaultTimeout: opts.DefaultTimeout}
 	if opts.MaxInFlight > 0 {
-		gate = serve.NewGate(serve.GateConfig{
+		cfg.Door.Gate = serve.NewGate(serve.GateConfig{
 			Workers:      opts.MaxInFlight,
 			Queue:        opts.MaxQueue,
 			QueueTimeout: opts.QueueTimeout,
 			RetryAfter:   opts.RetryAfter,
 		})
-		srv.SetGate(gate)
 	}
 	if opts.HeavyMaxInFlight > 0 {
-		heavy = serve.NewGate(serve.GateConfig{
+		cfg.Door.HeavyGate = serve.NewGate(serve.GateConfig{
 			Workers:      opts.HeavyMaxInFlight,
 			Queue:        opts.HeavyMaxQueue,
 			QueueTimeout: opts.HeavyQueueTimeout,
 			RetryAfter:   opts.RetryAfter,
 		})
-		srv.SetHeavyGate(heavy)
 	}
+	m.BindGate(cfg.Door.Gate)
+	m.BindGateNamed("gate_heavy", cfg.Door.HeavyGate)
+	bindGauges(m)
+	return web.NewServer(cfg)
+}
 
-	m := serve.NewMetrics(opts.SlowQuery, opts.SlowLogSize)
-	m.BindGate(gate)
-	m.BindGateNamed("gate_heavy", heavy)
-	s.bindEngineGauges(m)
-	srv.SetMetrics(m)
-	return srv
+// doorSearch is the single engine behind the front door. Each search pins
+// one engine snapshot — and, for a store-backed one, its byte source — for
+// the whole run, and hands back its answers mapped through that pinned
+// graph view, so a concurrent Refresh or Close cannot tear the rendering.
+func (s *System) doorSearch(sopts *SearchOptions) web.SearchFunc {
+	base := sopts.toCore()
+	base.Strategy = s.opts.Strategy
+	return func(ctx context.Context, terms []string, strategy string) (web.Result, error) {
+		opts := base
+		if strategy != "" {
+			o := *base
+			o.Strategy = strategy
+			opts = &o
+		}
+		eng := s.engine()
+		if eng.st != nil {
+			if !eng.st.Acquire() {
+				return web.Result{}, ErrClosed
+			}
+			defer eng.st.Release()
+		}
+		answers, st, err := eng.searcher.Query(ctx, core.Request{Terms: terms}, opts, nil)
+		res := web.Result{BudgetExhausted: st.BudgetExhausted, BudgetReason: st.BudgetReason, Detail: st}
+		if err != nil {
+			return res, err
+		}
+		if serr := eng.storeErr(); serr != nil {
+			return res, serr
+		}
+		res.Answers = make([]cluster.Answer, len(answers))
+		for i, a := range answers {
+			res.Answers[i] = cluster.AnswerToWire(eng.g, a)
+		}
+		return res, nil
+	}
 }
 
 // bindEngineGauges registers the engine's live state — the gauges the

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -81,91 +80,6 @@ func newHeavyTPCDSystem(t *testing.T) *System {
 		t.Fatal(heavyTPCDErr)
 	}
 	return heavyTPCDSys
-}
-
-// TestServeHandlerSaturation saturates the front door: with 2 worker
-// slots and a queue of 2, a burst of 16 slow searches must shed the
-// overflow immediately with 503 + Retry-After, never run more than the
-// slot count concurrently, drain completely, and leak no goroutines.
-// The /debug/vars surface must agree with the client-observed outcomes.
-func TestServeHandlerSaturation(t *testing.T) {
-	sys := newHeavyTPCDSystem(t) // shared; not closed here
-	handler := sys.ServeHandler(&ServeOptions{
-		Search:       &SearchOptions{TopK: 1 << 20, HeapSize: 1 << 10},
-		MaxInFlight:  2,
-		MaxQueue:     2,
-		QueueTimeout: 5 * time.Second, // queued requests wait; only overflow sheds
-	})
-	before := runtime.NumGoroutine()
-
-	const burst = 16
-	// Each request carries its own 300ms timeout so admitted searches end
-	// quickly (as 408s) and free their slots for the queued ones.
-	path := "/search?q=" + url.QueryEscape("part orders lineitem") + "&timeout=300ms"
-	var ok, clientTimeout, shed, other atomic.Int64
-	var retryAfterSeen atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < burst; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rec := httptest.NewRecorder()
-			handler.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
-			switch rec.Code {
-			case http.StatusOK:
-				ok.Add(1)
-			case http.StatusRequestTimeout:
-				clientTimeout.Add(1)
-			case http.StatusServiceUnavailable:
-				shed.Add(1)
-				if rec.Header().Get("Retry-After") != "" {
-					retryAfterSeen.Add(1)
-				}
-			default:
-				other.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
-
-	if got := ok.Load() + clientTimeout.Load() + shed.Load() + other.Load(); got != burst {
-		t.Fatalf("outcomes = %d, want %d", got, burst)
-	}
-	if other.Load() != 0 {
-		t.Errorf("%d requests got unexpected statuses", other.Load())
-	}
-	// 2 run + 2 queue = at most 4 admitted; the other 12 must shed.
-	if shed.Load() < burst-4 {
-		t.Errorf("shed = %d, want >= %d", shed.Load(), burst-4)
-	}
-	if retryAfterSeen.Load() != shed.Load() {
-		t.Errorf("Retry-After on %d of %d sheds", retryAfterSeen.Load(), shed.Load())
-	}
-
-	counters, gauges := waitGateDrained(t, handler)
-	if gauges["gate_shed_total"] != shed.Load() {
-		t.Errorf("gate_shed_total = %d, client saw %d", gauges["gate_shed_total"], shed.Load())
-	}
-	admitted := gauges["gate_admitted_total"]
-	if got := admitted + gauges["gate_shed_total"] + gauges["gate_queue_timeout_total"] + gauges["gate_canceled_total"]; got != burst {
-		t.Errorf("gate outcome counters sum to %d, want %d", got, burst)
-	}
-	// Every admitted request ran one observed query.
-	if counters["queries_total"] != admitted {
-		t.Errorf("queries_total = %d, admitted = %d", counters["queries_total"], admitted)
-	}
-	if counters["queries_timeout"] != clientTimeout.Load() {
-		t.Errorf("queries_timeout = %d, clients saw %d x 408", counters["queries_timeout"], clientTimeout.Load())
-	}
-
-	// No goroutine leak once the burst drains.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before+2 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if g := runtime.NumGoroutine(); g > before+2 {
-		t.Errorf("goroutines = %d, was %d before the burst", g, before)
-	}
 }
 
 // TestServeBudgetExhaustionTPCD pins the budget-kill contract on a heavy
