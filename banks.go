@@ -239,10 +239,11 @@ type SystemOptions struct {
 	// with Query.Strategy. NewSystem rejects unknown names.
 	Strategy string
 	// FrontierPoolIters caps the shared frontier pool of the batched
-	// strategy: how many warm per-origin iterators (each holding dense
-	// node-indexed state plus its memoized trail — up to ~40 bytes/node
-	// when deeply expanded) a snapshot keeps between queries. 0 uses
-	// core's default (32); negative disables pooling.
+	// strategy: how many warm per-origin iterators (each holding state
+	// for the nodes it touched plus its memoized trail — a few KB
+	// typically, up to ~80 bytes/node when expanded to exhaustion) a
+	// snapshot keeps between queries. 0 uses core's default (32);
+	// negative disables pooling.
 	FrontierPoolIters int
 	// StoreBudgetBytes bounds the resident posting blocks of a
 	// store-opened engine (OpenSystem/LoadSystem of a segmented store):

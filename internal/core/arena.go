@@ -4,15 +4,19 @@ import (
 	"github.com/banksdb/banks/internal/graph"
 )
 
-// searchArena is the dense, NodeID-indexed scratch state for one query.
-// Everything a search needs that used to be a per-query (or worse,
-// per-iterator) hash map lives here as flat slices sized to the graph's
-// node count, invalidated in O(1) between queries by bumping a generation
-// stamp instead of clearing. Arenas are recycled through the Searcher's
-// sync.Pool, so the steady-state allocation cost of a query is just its
-// answers — the memory-frugal iterator-state representation EMBANKS argues
-// for, which is also what keeps one Searcher cheap to share between many
-// concurrent queries.
+// searchArena is the scratch state for one query. The per-query maps
+// (membership marks, origin slots, visit slots) are flat NodeID-indexed
+// slices sized to the graph's node count — 20 bytes/node, once per arena —
+// invalidated in O(1) between queries by bumping a generation stamp instead
+// of clearing. Per-iterator state is not sized to the graph: an iterator
+// holds a table proportional to the nodes it touched and borrows a dense
+// 24 bytes/node block from freeDense only once it has swept a real
+// fraction of the graph (see sspIterator), so a query's scratch bytes are
+// bounded by the arcs it relaxed — the bounded search-time footprint
+// EMBANKS argues for. Arenas are recycled through the Searcher's sync.Pool,
+// so the steady-state allocation cost of a query is just its answers, which
+// is also what keeps one Searcher cheap to share between many concurrent
+// queries.
 //
 // An arena is owned by exactly one search from acquire to release; none of
 // its state is safe for concurrent use.
@@ -51,9 +55,13 @@ type searchArena struct {
 	termLists []([]graph.NodeID)
 	listsUsed int
 
-	// freeIters are recycled shortest-path iterators; each holds dense
-	// arrays sized to n plus its heap, all reused via generation bumps.
+	// freeIters are recycled shortest-path iterators; each keeps its sparse
+	// table and heap, reused via generation bumps. freeDense are the dense
+	// blocks (sized to n) promoted iterators borrow for one query: the list
+	// grows to the most iterators that went deep in a single query, not to
+	// every iterator that ever did.
 	freeIters []*sspIterator
+	freeDense []*denseBlock
 
 	// Result-heap dedup state, keyed by hashed tree signature.
 	inHeap map[uint64]*resultItem
@@ -335,15 +343,24 @@ func (a *searchArena) newIterator(g graph.View, origin graph.NodeID) *sspIterato
 		it = a.freeIters[k-1]
 		a.freeIters = a.freeIters[:k-1]
 	} else {
-		it = &sspIterator{
-			dist:    make([]float64, a.n),
-			parent:  make([]graph.NodeID, a.n),
-			pweight: make([]float64, a.n),
-			visit:   make([]uint32, a.n),
-		}
+		it = &sspIterator{}
 	}
+	it.ar = a
 	it.reset(g, origin)
 	return it
+}
+
+// takeDense hands a promoting iterator a dense block with every node
+// untouched: recycled from freeDense, or fresh.
+func (a *searchArena) takeDense() *denseBlock {
+	k := len(a.freeDense)
+	if k == 0 {
+		return newDenseBlock(a.n)
+	}
+	b := a.freeDense[k-1]
+	a.freeDense = a.freeDense[:k-1]
+	clear(b.visit)
+	return b
 }
 
 // release returns all per-query state to the arena so the next search
@@ -353,6 +370,11 @@ func (a *searchArena) release() {
 	for i := range a.origins {
 		if it := a.origins[i].it; it != nil {
 			it.g = nil
+			it.ar = nil
+			if it.dense != nil {
+				a.freeDense = append(a.freeDense, it.dense)
+				it.dense = nil
+			}
 			a.freeIters = append(a.freeIters, it)
 			a.origins[i].it = nil
 		}

@@ -229,3 +229,260 @@ func TestAnswerNodesAndDescribe(t *testing.T) {
 		t.Errorf("Describe = %q", desc)
 	}
 }
+
+// randomFKDB builds n rows in one table, each referencing up to two random
+// earlier-or-later rows: unit forward arcs and indegree-scaled backward
+// arcs, so equal-distance ties (settle order and parent choice both) are
+// everywhere.
+func randomFKDB(t *testing.T, rng *rand.Rand, n int) *fixture {
+	t.Helper()
+	db := sqldb.NewDatabase()
+	if _, err := db.CreateTable(&sqldb.TableSchema{
+		Name: "t",
+		Columns: []sqldb.Column{
+			{Name: "id", Type: sqldb.TypeInt, NotNull: true},
+			{Name: "a", Type: sqldb.TypeInt},
+			{Name: "b", Type: sqldb.TypeInt},
+		},
+		PrimaryKey: []string{"id"},
+		ForeignKeys: []sqldb.ForeignKey{
+			{Column: "a", RefTable: "t"},
+			{Column: "b", RefTable: "t"},
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	ref := func(i int) sqldb.Value {
+		if i == 1 || rng.Intn(8) == 0 {
+			return sqldb.Null()
+		}
+		return sqldb.Int(int64(1 + rng.Intn(i-1)))
+	}
+	for i := 1; i <= n; i++ {
+		if _, err := db.Insert("t", []sqldb.Value{sqldb.Int(int64(i)), ref(i), ref(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return newFixture(t, db)
+}
+
+// sspStep is one Next() as the expansion loop observes it.
+type sspStep struct {
+	node graph.NodeID
+	d    float64
+	arcs int
+}
+
+// drain runs it to exhaustion (Peeking before every other Next, the two
+// call patterns the searches use) and returns the steps appended to seq.
+func drain(t *testing.T, it *sspIterator, seq []sspStep) []sspStep {
+	t.Helper()
+	for {
+		if len(seq)%2 == 0 {
+			pn, pd, pok := it.Peek()
+			n, d, ok := it.Next()
+			if pok != ok || (ok && (pn != n || pd != d)) {
+				t.Fatalf("peek (%d,%v,%v) != next (%d,%v,%v)", pn, pd, pok, n, d, ok)
+			}
+			if !ok {
+				return seq
+			}
+			seq = append(seq, sspStep{n, d, it.lastArcs})
+			continue
+		}
+		n, d, ok := it.Next()
+		if !ok {
+			return seq
+		}
+		seq = append(seq, sspStep{n, d, it.lastArcs})
+	}
+}
+
+// sameRun fails unless got settled the same nodes at the same distances
+// and arc counts as want, in the same order, and it reports the same Dist
+// and PathEdges for every one of them as ref does.
+func sameRun(t *testing.T, label string, want, got []sspStep, ref, it *sspIterator) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: settled %d nodes, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: step %d = %+v, want %+v", label, i, got[i], want[i])
+		}
+	}
+	for _, s := range want {
+		if d, ok := it.Dist(s.node); !ok || d != s.d {
+			t.Fatalf("%s: Dist(%d) = %v,%v, want %v", label, s.node, d, ok, s.d)
+		}
+		wp, gp := ref.PathEdges(s.node, nil), it.PathEdges(s.node, nil)
+		if len(wp) != len(gp) {
+			t.Fatalf("%s: path of %d has %d edges, want %d", label, s.node, len(gp), len(wp))
+		}
+		for i := range wp {
+			if wp[i] != gp[i] {
+				t.Fatalf("%s: path of %d edge %d = %+v, want %+v", label, s.node, i, gp[i], wp[i])
+			}
+		}
+	}
+}
+
+const neverPromote = int(^uint(0) >> 1)
+
+// TestSSPIteratorRegimesAgree is the differential test of the two state
+// representations: from every sampled origin of randomized tie-heavy
+// graphs, an iterator held sparse, one dense from reset, ones that promote
+// in the middle of a relaxation loop at assorted points (the production
+// threshold among them), and recycled iterators carrying stale slots of
+// earlier origins all yield the same settle sequence, arc counts, distances
+// and paths.
+func TestSSPIteratorRegimesAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range []int{40, 333, 1500} {
+		f := randomFKDB(t, rng, n)
+		recycledSparse, recycledMixed := &sspIterator{}, &sspIterator{}
+		for trial := 0; trial < 6; trial++ {
+			origin := graph.NodeID(rng.Intn(f.g.NumNodes()))
+
+			sparse := newSSPIterator(f.g, origin)
+			sparse.promoteAt = neverPromote
+			want := drain(t, sparse, nil)
+			if sparse.dense != nil {
+				t.Fatal("reference iterator left the sparse regime")
+			}
+			if len(want) < 2 {
+				continue
+			}
+
+			natural := newSSPIterator(f.g, origin)
+			sameRun(t, "production threshold", want, drain(t, natural, nil), sparse, natural)
+			if len(want) > f.g.NumNodes()/densePromoteDiv+1 && natural.dense == nil {
+				t.Errorf("n=%d: touched %d nodes and never promoted", n, len(want))
+			}
+
+			dense := newSSPIterator(f.g, origin)
+			if dense.dense == nil {
+				dense.promote()
+			}
+			sameRun(t, "dense from reset", want, drain(t, dense, nil), sparse, dense)
+
+			for _, at := range []int{1, 2, 7, 32, 33, len(want) / 2, len(want) - 1} {
+				mid := newSSPIterator(f.g, origin)
+				mid.promoteAt = at
+				sameRun(t, "promote mid-run", want, drain(t, mid, nil), sparse, mid)
+				if at < len(want)-1 && mid.dense == nil {
+					t.Errorf("promoteAt=%d of %d never promoted", at, len(want))
+				}
+			}
+
+			recycledSparse.reset(f.g, origin)
+			recycledSparse.promoteAt = neverPromote
+			sameRun(t, "recycled sparse", want, drain(t, recycledSparse, nil), sparse, recycledSparse)
+
+			recycledMixed.reset(f.g, origin)
+			recycledMixed.promoteAt = 5 + trial*9
+			sameRun(t, "recycled promoting", want, drain(t, recycledMixed, nil), sparse, recycledMixed)
+		}
+	}
+}
+
+// TestSSPIteratorTableGrowsAtHalfLoad pins the growth rule: the table
+// holds exactly half its width without growing, the next claim doubles it,
+// and every slot survives the rehash.
+func TestSSPIteratorTableGrowsAtHalfLoad(t *testing.T) {
+	f := lineDB(t, 3*sparseInitSlots)
+	it := newSSPIterator(f.g, 0)
+	it.promoteAt = neverPromote
+	claim := func(n graph.NodeID) {
+		i, ok := it.probe(n)
+		if ok {
+			t.Fatalf("node %d already claimed", n)
+		}
+		it.tab[i] = sparseSlot{node: n, stamp: it.gen, dist: float64(n), parent: n - 1, pweight: 1}
+		it.claimed()
+	}
+	check := func() {
+		t.Helper()
+		for n := graph.NodeID(1); int(n) < it.live; n++ {
+			i, ok := it.probe(n)
+			if s := it.tab[i]; !ok || s.dist != float64(n) || s.parent != n-1 || s.stamp != it.gen {
+				t.Fatalf("node %d lost in a %d-slot table: %+v (found %v)", n, len(it.tab), s, ok)
+			}
+		}
+	}
+	for n := graph.NodeID(1); int(n) < sparseInitSlots/2; n++ { // the origin is claim one
+		claim(n)
+	}
+	if it.live != sparseInitSlots/2 || len(it.tab) != sparseInitSlots {
+		t.Fatalf("at half load: %d live in %d slots, want %d in %d", it.live, len(it.tab), sparseInitSlots/2, sparseInitSlots)
+	}
+	check()
+	claim(sparseInitSlots / 2)
+	if len(it.tab) != 2*sparseInitSlots {
+		t.Fatalf("one past half load: %d slots, want %d", len(it.tab), 2*sparseInitSlots)
+	}
+	check()
+	for n := graph.NodeID(sparseInitSlots/2 + 1); int(n) <= sparseInitSlots; n++ {
+		claim(n)
+	}
+	if len(it.tab) != 4*sparseInitSlots {
+		t.Fatalf("second doubling: %d slots, want %d", len(it.tab), 4*sparseInitSlots)
+	}
+	check()
+}
+
+// TestSSPIteratorGenWraparound: stamps left by the first generations must
+// not read as current once gen wraps back onto them.
+func TestSSPIteratorGenWraparound(t *testing.T) {
+	f := randomFKDB(t, rand.New(rand.NewSource(11)), 200)
+	a, b := graph.NodeID(3), graph.NodeID(150)
+	it := newSSPIterator(f.g, a)
+	it.promoteAt = neverPromote
+	drain(t, it, nil) // the table now holds gen-2 stamps: 2 and 3
+	it.gen = ^uint32(0) - 1
+	it.reset(f.g, b) // wraps back to gen 2
+	it.promoteAt = neverPromote
+	if it.gen != 2 {
+		t.Fatalf("gen after wrap = %d, want 2", it.gen)
+	}
+	fresh := newSSPIterator(f.g, b)
+	fresh.promoteAt = neverPromote
+	want := drain(t, fresh, nil)
+	sameRun(t, "after wraparound", want, drain(t, it, nil), fresh, it)
+}
+
+// TestSSPIteratorRewindAfterPromotion: a memoized iterator that promoted
+// part-way replays its trail across the regime change, resumes live
+// expansion in the dense regime, and serves paths for nodes settled in
+// either.
+func TestSSPIteratorRewindAfterPromotion(t *testing.T) {
+	f := randomFKDB(t, rand.New(rand.NewSource(13)), 600)
+	origin := graph.NodeID(42)
+	ref := newSSPIterator(f.g, origin)
+	ref.promoteAt = neverPromote
+	want := drain(t, ref, nil)
+	if len(want) < 100 {
+		t.Fatalf("origin reaches only %d nodes", len(want))
+	}
+
+	it := newSSPIterator(f.g, origin)
+	it.memo = true
+	it.promoteAt = 20
+	var got []sspStep
+	for len(got) < 60 { // first query: stops well past the promotion
+		n, d, _ := it.Next()
+		got = append(got, sspStep{n, d, it.lastArcs})
+	}
+	if it.dense == nil {
+		t.Fatal("first query did not promote")
+	}
+	it.rewind()
+	sameRun(t, "replay then live", want, drain(t, it, nil), ref, it)
+	it.rewind()
+	sameRun(t, "full replay", want, drain(t, it, nil), ref, it)
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("first query step %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}

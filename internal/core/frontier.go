@@ -24,12 +24,14 @@ import (
 )
 
 // DefaultFrontierPoolIters is the pool capacity used when a caller
-// enables frontier pooling without choosing a size. Each pooled iterator
-// holds dense node-indexed arrays (24 bytes/node) plus its memoized
-// trail (16 bytes per settled node) and checkpointed heap, so a deeply
-// expanded iterator costs up to ~40 bytes/node and the cap bounds
-// resident memory to roughly DefaultFrontierPoolIters × 40 × NumNodes
-// bytes worst case.
+// enables frontier pooling without choosing a size. A pooled iterator
+// holds its node state — a table of 32-byte slots at most half full, or,
+// once it has touched more than 1/32 of the graph, a dense block
+// (24 bytes/node) on top of the table it outgrew (under 4 bytes/node) —
+// plus its memoized trail (28 bytes per settled node) and checkpointed
+// heap (24 bytes per entry). Typical entries cost a few KB; the cap bounds
+// resident memory to roughly DefaultFrontierPoolIters × 80 × NumNodes bytes
+// in the worst case of every pooled origin expanded to exhaustion.
 const DefaultFrontierPoolIters = 32
 
 // frontierPool caches warm, memoized per-origin iterators across queries.
@@ -202,6 +204,7 @@ type frontierSource struct {
 func (f *frontierSource) acquire(g graph.View, origin graph.NodeID) *sspIterator {
 	if it := f.pool.checkout(origin, f.gen); it != nil {
 		f.stats.FrontierReused++
+		it.ar = f.ar // where a promotion during this query finds its block
 		it.rewind()
 		return it
 	}
@@ -213,7 +216,9 @@ func (f *frontierSource) acquire(g graph.View, origin graph.NodeID) *sspIterator
 }
 
 // releaseAll parks the query's memoized iterators in the pool and detaches
-// them from the arena's origin records so the arena does not reclaim them.
+// them from the arena — its origin records, and the iterator's own pointer
+// to it — so the arena reclaims neither them nor a dense block they
+// promoted into: the block now belongs to the iterator for good.
 // Non-memoized iterators (pool disabled) stay with the arena.
 func (f *frontierSource) releaseAll(ar *searchArena) {
 	if f.pool == nil {
@@ -222,6 +227,7 @@ func (f *frontierSource) releaseAll(ar *searchArena) {
 	for i := range ar.origins {
 		if it := ar.origins[i].it; it != nil && it.memo {
 			ar.origins[i].it = nil
+			it.ar = nil
 			f.pool.checkin(it, f.gen)
 		}
 	}

@@ -155,7 +155,7 @@ type Stats struct {
 // Searcher answers keyword queries over a graph + keyword index pair —
 // any graph.View/index.View implementations (built, store-backed lazy, or
 // base+delta overlay). It is safe for concurrent use: each Search call
-// checks a searchArena — the dense per-query scratch state — out of an
+// checks a searchArena — the per-query scratch state — out of an
 // internal pool, so concurrent queries never share mutable state while
 // steady-state searches allocate almost nothing.
 type Searcher struct {
