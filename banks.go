@@ -27,19 +27,10 @@
 //
 // Query is the single entry point for keyword search: one request type
 // covers plain, qualified ("author:levy") and prefix matching, answer
-// grouping by tree shape, execution-strategy selection, and per-search
-// statistics, and every query honours its context — cancellation or a
-// deadline stops the backward expanding search promptly. QueryStream
-// delivers answers incrementally; QueryIter does the same as a
-// range-over-func sequence.
-//
-// Query execution is a staged pipeline behind a strategy registry:
-// StrategyBackward (the default) is the paper's backward expanding
-// search, and StrategyBatched single-flights keyword resolution across
-// concurrent queries and replays pooled, memoized per-term frontiers, so
-// bursts of queries sharing terms share work — with answers identical to
-// the backward strategy. Select per system (SystemOptions.Strategy) or
-// per query (Query.Strategy).
+// grouping by tree shape, and per-search statistics, and every query
+// honours its context — cancellation or a deadline stops the backward
+// expanding search promptly. QueryStream delivers answers incrementally;
+// QueryIter does the same as a range-over-func sequence.
 //
 // A System serves queries from an immutable engine snapshot (graph +
 // index + searcher) held behind an atomic pointer. Refresh builds a new
@@ -230,21 +221,6 @@ type SystemOptions struct {
 	// cache belongs to the immutable engine snapshot, so Refresh
 	// invalidates it for free by swapping in a fresh one.
 	MatchCacheBytes int64
-	// Strategy selects the default query execution strategy for the
-	// system: StrategyBackward (also the "" default) runs the paper's
-	// per-query backward expanding search; StrategyBatched single-flights
-	// term resolution across concurrent queries and serves per-term
-	// frontiers from a shared pool of memoized iterators, so bursts of
-	// queries sharing terms share work. Individual queries can override
-	// with Query.Strategy. NewSystem rejects unknown names.
-	Strategy string
-	// FrontierPoolIters caps the shared frontier pool of the batched
-	// strategy: how many warm per-origin iterators (each holding state
-	// for the nodes it touched plus its memoized trail — a few KB
-	// typically, up to ~80 bytes/node when expanded to exhaustion) a
-	// snapshot keeps between queries. 0 uses core's default (32);
-	// negative disables pooling.
-	FrontierPoolIters int
 	// StoreBudgetBytes bounds the resident posting blocks of a
 	// store-opened engine (OpenSystem/LoadSystem of a segmented store):
 	// decoded blocks beyond the budget are evicted LRU — the EMBANKS
@@ -286,16 +262,6 @@ type SystemOptions struct {
 	WALPath string
 }
 
-// Names of the built-in query execution strategies, threaded through
-// SystemOptions.Strategy and Query.Strategy.
-const (
-	StrategyBackward = core.StrategyBackward
-	StrategyBatched  = core.StrategyBatched
-)
-
-// Strategies returns the names of the registered execution strategies.
-func Strategies() []string { return core.Strategies() }
-
 // DefaultMatchCacheBytes is the match-set cache budget used when
 // SystemOptions.MatchCacheBytes is zero.
 const DefaultMatchCacheBytes = 4 << 20
@@ -322,8 +288,7 @@ func (o SystemOptions) cacheBytes() int64 {
 type engine struct {
 	g        graph.View
 	ix       index.View
-	cache    *index.MatchCache  // nil when caching is disabled
-	flight   *index.FlightGroup // single-flight admission (batched strategy)
+	cache    *index.MatchCache // nil when caching is disabled
 	searcher *core.Searcher
 	st       *store.Store // non-nil when the engine serves from a disk store
 	walSeq   uint64       // last WAL sequence folded into this snapshot's views
@@ -361,37 +326,19 @@ func (e *engine) storeErr() error {
 }
 
 // newEngine assembles one immutable snapshot: graph, index, a fresh
-// match-set cache and single-flight group scoped to the pair, and the
-// searcher (with its frontier pool) over all of them.
+// match-set cache scoped to the pair, and the searcher over all of them.
 func newEngine(g graph.View, ix index.View, opts SystemOptions) *engine {
 	cache := index.NewMatchCache(opts.cacheBytes())
-	flight := index.NewFlightGroup()
-	poolIters := opts.FrontierPoolIters
-	if poolIters == 0 {
-		poolIters = core.DefaultFrontierPoolIters
-	}
-	return &engine{
-		g:      g,
-		ix:     ix,
-		cache:  cache,
-		flight: flight,
-		searcher: core.NewSearcher(g, ix).
-			WithMatchCache(cache).
-			WithFlightGroup(flight).
-			WithFrontierPool(poolIters),
-	}
+	return &engine{g: g, ix: ix, cache: cache, searcher: core.NewSearcher(g, ix).WithMatchCache(cache)}
 }
 
-// newEngineFrom assembles the next snapshot over prev's warm state: the
-// match cache and single-flight group carry over with only the batch's
-// touched terms invalidated (epoch-guarded — see MatchCache.Invalidate),
-// and for a non-structural batch (pure text updates: no nodes or edges
-// moved) the batched strategy's memoized frontier pool carries too.
-// Structural batches keep the pool object but bump its generation,
-// dropping the now-stale iterators. The graph and index views must share
-// prev's node numbering (delta overlays append, never renumber); a
-// rebuild or a renumbering compaction must use newEngine instead.
-func newEngineFrom(prev *engine, g graph.View, ix index.View, opts SystemOptions, touched []string, structural bool) *engine {
+// newEngineFrom assembles the next snapshot over prev's warm match cache,
+// which carries over with only the batch's touched terms invalidated
+// (epoch-guarded — see MatchCache.Invalidate). The graph and index views
+// must share prev's node numbering (delta overlays append, never
+// renumber); a rebuild or a renumbering compaction must use newEngine
+// instead.
+func newEngineFrom(prev *engine, g graph.View, ix index.View, opts SystemOptions, touched []string) *engine {
 	if prev == nil {
 		return newEngine(g, ix, opts)
 	}
@@ -400,22 +347,14 @@ func newEngineFrom(prev *engine, g graph.View, ix index.View, opts SystemOptions
 		epoch++
 	}
 	prev.cache.Invalidate(epoch, touched)
-	poolIters := opts.FrontierPoolIters
-	if poolIters == 0 {
-		poolIters = core.DefaultFrontierPoolIters
-	}
 	return &engine{
-		g:      g,
-		ix:     ix,
-		cache:  prev.cache,
-		flight: prev.flight,
-		epoch:  epoch,
+		g:     g,
+		ix:    ix,
+		cache: prev.cache,
+		epoch: epoch,
 		searcher: core.NewSearcher(g, ix).
 			WithMatchCache(prev.cache).
-			WithFlightGroup(prev.flight).
-			WithFrontierPool(poolIters).
-			WithSnapshotEpoch(epoch).
-			AdoptFrontierPool(prev.searcher, structural),
+			WithSnapshotEpoch(epoch),
 	}
 }
 
@@ -455,10 +394,8 @@ type System struct {
 	compactHook func()
 
 	// warmPublishes counts snapshot publishes that carried the previous
-	// snapshot's cache and flight group; frontierCarries the subset that
-	// also kept the memoized frontier pool (non-structural batches).
-	warmPublishes   atomic.Int64
-	frontierCarries atomic.Int64
+	// snapshot's match cache.
+	warmPublishes atomic.Int64
 }
 
 // engine returns the current snapshot. Callers pin it once per operation
@@ -475,9 +412,6 @@ func NewSystem(db *Database, opts *SystemOptions) (*System, error) {
 	s := &System{db: db}
 	if opts != nil {
 		s.opts = *opts
-	}
-	if err := core.ValidateStrategy(s.opts.Strategy); err != nil {
-		return nil, fmt.Errorf("banks: %w", err)
 	}
 	if _, err := s.openWAL(0, false); err != nil {
 		return nil, err
@@ -637,15 +571,6 @@ type CacheStats struct {
 	Entries  int   // resident match sets
 	Bytes    int64 // charged bytes (keys + postings + overhead)
 	MaxBytes int64 // configured budget (0 when caching is disabled)
-	// SingleFlight counts term lookups that piggybacked on another
-	// query's in-flight resolution instead of resolving themselves — the
-	// admission layer's contribution under concurrent shared-term bursts
-	// (batched strategy).
-	SingleFlight int64
-	// FrontierReuses counts query origins served warm from the shared
-	// frontier pool: expansions replayed from a memoized trail instead of
-	// re-running Dijkstra (batched strategy).
-	FrontierReuses int64
 	// Epoch is the invalidation epoch of the serving snapshot's cache.
 	// Live mutations bump it once per Apply batch that changed any term's
 	// match set; a carried cache keeps its counters across the bump.
@@ -656,12 +581,8 @@ type CacheStats struct {
 	Invalidated int64
 	// WarmPublishes counts snapshot publishes (Apply, and Compact when
 	// the numbering is unchanged) that carried the previous snapshot's
-	// cache and flight group forward instead of starting cold.
+	// cache forward instead of starting cold.
 	WarmPublishes int64
-	// FrontierCarries counts warm publishes that additionally retained
-	// the batched strategy's memoized frontier pool — batches that moved
-	// no nodes or edges (pure text updates).
-	FrontierCarries int64
 }
 
 // HitRate returns Hits/(Hits+Misses), or 0 before any lookup.
@@ -676,19 +597,15 @@ func (cs CacheStats) HitRate() float64 {
 // CacheStats returns the current snapshot's match-cache counters; all
 // zeros when caching is disabled.
 func (s *System) CacheStats() CacheStats {
-	eng := s.engine()
-	st := eng.cache.Stats()
+	st := s.engine().cache.Stats()
 	return CacheStats{
-		Hits:            st.Hits,
-		Misses:          st.Misses,
-		Entries:         st.Entries,
-		Bytes:           st.Bytes,
-		MaxBytes:        st.MaxBytes,
-		SingleFlight:    eng.flight.Coalesced(),
-		FrontierReuses:  eng.searcher.FrontierReuses(),
-		Epoch:           st.Epoch,
-		Invalidated:     st.Invalidated,
-		WarmPublishes:   s.warmPublishes.Load(),
-		FrontierCarries: s.frontierCarries.Load(),
+		Hits:          st.Hits,
+		Misses:        st.Misses,
+		Entries:       st.Entries,
+		Bytes:         st.Bytes,
+		MaxBytes:      st.MaxBytes,
+		Epoch:         st.Epoch,
+		Invalidated:   st.Invalidated,
+		WarmPublishes: s.warmPublishes.Load(),
 	}
 }

@@ -19,6 +19,16 @@ func searchAnswers(t *testing.T, sys *System, text string, opts *SearchOptions) 
 	return res.Answers
 }
 
+// renderAnswers flattens a result list into a comparison-stable string.
+func renderAnswers(answers []*Answer) string {
+	var b strings.Builder
+	for _, a := range answers {
+		b.WriteString(a.Format())
+		b.WriteString("\n")
+	}
+	return b.String()
+}
+
 // newQuickstartSystem builds the small bibliographic database from the
 // package doc through the public API only.
 func newQuickstartSystem(t *testing.T) (*Database, *System) {

@@ -24,7 +24,6 @@ import (
 	"context"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"github.com/banksdb/banks/internal/core"
@@ -661,111 +660,6 @@ func benchName(prefix string, n int) string {
 		n /= 10
 	}
 	return prefix + "-" + string(buf[i:])
-}
-
-// --- concurrent shared-term bursts (strategy A/B) ---
-
-// burstQueries is the shared-term workload of the concurrent-burst
-// benchmarks: a handful of multi-term queries sharing origins (frontier
-// reuse) plus prefix terms whose resolution walks the vocabulary
-// (single-flight's worst case).
-var burstQueries = [][]string{
-	{"soumen", "sunita"},
-	{"seltzer", "sunita"},
-	{"soumen", "sunita", "byron"},
-	{"gray", "concepts"},
-}
-
-var burstPrefixes = []string{"sur", "tra", "min", "cha"}
-
-// newBurstSearcher assembles a fresh searcher with the full admission
-// stack over the shared paper-scale fixture.
-func newBurstSearcher(f *benchFixture) (*core.Searcher, *index.MatchCache, *index.FlightGroup) {
-	cache := index.NewMatchCache(4 << 20)
-	flight := index.NewFlightGroup()
-	s := core.NewSearcher(f.g, f.ix).
-		WithMatchCache(cache).
-		WithFlightGroup(flight).
-		WithFrontierPool(core.DefaultFrontierPoolIters)
-	return s, cache, flight
-}
-
-// BenchmarkConcurrentBurst measures steady-state throughput of a mixed
-// shared-term workload under 8-way parallelism for each strategy, plus
-// how many term resolutions (index lookups) the run cost. The batched
-// strategy shares resolution work across the burst — the resolutions/op
-// and coalesced metrics are the contract.
-func BenchmarkConcurrentBurst(b *testing.B) {
-	f := paperFixture(b)
-	for _, strat := range []string{core.StrategyBackward, core.StrategyBatched} {
-		b.Run(strat, func(b *testing.B) {
-			s, cache, flight := newBurstSearcher(f)
-			opts := dblpOpts()
-			opts.Strategy = strat
-			var ctr atomic.Int64
-			b.SetParallelism(8)
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					i := int(ctr.Add(1))
-					var req core.Request
-					if i%4 == 0 {
-						req = core.Request{Terms: []string{burstPrefixes[(i/4)%len(burstPrefixes)]}, Prefix: true}
-					} else {
-						req = core.Request{Terms: burstQueries[i%len(burstQueries)]}
-					}
-					if _, _, err := s.Query(context.Background(), req, opts, nil); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			b.StopTimer()
-			st := cache.Stats()
-			b.ReportMetric(float64(st.Misses)/float64(b.N), "resolutions/op")
-			b.ReportMetric(float64(flight.Coalesced()), "coalesced")
-			b.ReportMetric(float64(s.FrontierReuses()), "frontier-reuses")
-		})
-	}
-}
-
-// BenchmarkConcurrentBurstCold isolates the admission layer: every
-// iteration is one cold burst — a fresh cache and flight group, then 16
-// goroutines all resolving the same four prefix terms at once. Backward
-// pays the thundering herd (every goroutine walks the vocabulary);
-// batched coalesces to roughly one resolution per term. resolutions/burst
-// is the headline metric.
-func BenchmarkConcurrentBurstCold(b *testing.B) {
-	f := paperFixture(b)
-	const workers = 16
-	for _, strat := range []string{core.StrategyBackward, core.StrategyBatched} {
-		b.Run(strat, func(b *testing.B) {
-			opts := dblpOpts()
-			opts.Strategy = strat
-			var resolutions, coalesced int64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s, cache, flight := newBurstSearcher(f)
-				var wg sync.WaitGroup
-				for w := 0; w < workers; w++ {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
-						req := core.Request{Terms: []string{burstPrefixes[w%len(burstPrefixes)]}, Prefix: true}
-						if _, _, err := s.Query(context.Background(), req, opts, nil); err != nil {
-							b.Error(err)
-						}
-					}(w)
-				}
-				wg.Wait()
-				resolutions += cache.Stats().Misses
-				coalesced += flight.Coalesced()
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(resolutions)/float64(b.N), "resolutions/burst")
-			b.ReportMetric(float64(coalesced)/float64(b.N), "coalesced/burst")
-		})
-	}
 }
 
 // BenchmarkSteadyStateQuery is the allocation-discipline gate of the

@@ -123,6 +123,57 @@ func TestCacheUnderConcurrentQueryAndRefresh(t *testing.T) {
 	}
 }
 
+// TestConcurrentBurstSystem: many goroutines fire the same exact and
+// prefix queries at one snapshot; every answer list must equal the
+// sequential baseline, and the repeats must be served from the cache.
+func TestConcurrentBurstSystem(t *testing.T) {
+	sys := newDBLPSystem(t, nil)
+	opts := &SearchOptions{ExcludedRootTables: []string{"Writes", "Cites"}}
+	burst := []Query{
+		{Text: "soumen sunita", Options: opts},
+		{Text: "seltzer sunita", Options: opts},
+		{Text: "surpris", Prefix: true, Options: opts},
+	}
+	baselines := map[string]string{}
+	for _, q := range burst {
+		res, err := sys.Query(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		baselines[q.Text] = renderAnswers(res.Answers)
+	}
+
+	const workers, reps = 8, 25
+	var wg sync.WaitGroup
+	errc := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < reps; r++ {
+				q := burst[(w+r)%len(burst)]
+				res, err := sys.Query(context.Background(), q)
+				if err != nil {
+					errc <- err
+					return
+				}
+				if renderAnswers(res.Answers) != baselines[q.Text] {
+					errc <- fmt.Errorf("burst answers for %q diverged from the baseline", q.Text)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Error(err)
+	}
+	if st := sys.CacheStats(); st.Hits == 0 {
+		t.Error("burst of repeated queries never hit the match cache")
+	}
+}
+
 // TestCacheStatsAccumulate: repeated queries against one snapshot hit the
 // cache, and the public stats show it.
 func TestCacheStatsAccumulate(t *testing.T) {

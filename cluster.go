@@ -13,14 +13,6 @@ import (
 	"github.com/banksdb/banks/internal/web"
 )
 
-// StrategyDistributed is the scatter-gather execution strategy: the
-// query fans out to the partitions of a Cluster, each runs the backward
-// expanding search over its partition-local engine, and the front door
-// merges the partial results into the global top-k. It is the one
-// strategy a Cluster runs (Cluster.Query and the cluster's ServeHandler)
-// and is unknown to a single-engine System.
-const StrategyDistributed = "distributed"
-
 // Cluster is the distributed serving front door: a set of partition
 // engines (in-process stores opened from banks-shard output, or remote
 // processes), a term-statistics routing broker that prunes partitions
@@ -144,18 +136,11 @@ func (c *Cluster) Stats() ClusterStats {
 // the broker routes to the partitions whose term statistics can match,
 // each routed partition runs the paper's backward expanding search
 // locally, and the results merge into the global top-k under the
-// engine's canonical (table, rid) tie-break. Accepted strategies are ""
-// and StrategyDistributed (partitions always run the backward search
-// locally); GroupByShape is not supported on a cluster.
+// engine's canonical (table, rid) tie-break. GroupByShape is not
+// supported on a cluster.
 func (c *Cluster) Query(ctx context.Context, q Query) (*Results, error) {
 	if c.closed.Load() {
 		return nil, ErrClosed
-	}
-	switch q.Strategy {
-	case "", StrategyDistributed:
-	default:
-		return nil, fmt.Errorf("banks: a cluster serves only the %q strategy (got %q)",
-			StrategyDistributed, q.Strategy)
 	}
 	if q.GroupByShape {
 		return nil, fmt.Errorf("banks: GroupByShape is not supported on a cluster")
@@ -196,16 +181,15 @@ func statsFromWire(st cluster.Stats) Stats {
 // 500) — over the cluster: /search scatters to the partitions and renders
 // the merged answers against the cluster's database, and /debug +
 // /debug/vars carry per-partition gauges and the broker's routing
-// counters. StrategyDistributed is the only strategy a request may name.
+// counters. Its latency histograms are labelled "distributed".
 func (c *Cluster) ServeHandler(opts *ServeOptions) http.Handler {
 	if opts == nil {
 		opts = &ServeOptions{}
 	}
 	return newFrontDoor(opts, web.Config{
-		DB:         c.db.inner,
-		Search:     c.doorSearch(opts.Search),
-		Strategy:   StrategyDistributed,
-		Strategies: []string{StrategyDistributed},
+		DB:       c.db.inner,
+		Search:   c.doorSearch(opts.Search),
+		Strategy: "distributed",
 	}, c.bindClusterGauges)
 }
 
@@ -213,7 +197,7 @@ func (c *Cluster) ServeHandler(opts *ServeOptions) http.Handler {
 // merged answers are already (table, rid) trees and pass through.
 func (c *Cluster) doorSearch(sopts *SearchOptions) web.SearchFunc {
 	copts := sopts.toCore()
-	return func(ctx context.Context, terms []string, _ string) (web.Result, error) {
+	return func(ctx context.Context, terms []string) (web.Result, error) {
 		res, err := c.coord.Query(ctx, cluster.RequestFromOptions(terms, false, false, copts))
 		if err != nil {
 			return web.Result{}, err

@@ -50,7 +50,7 @@ type clusterBenchSummary struct {
 }
 
 // runClusterBench produces the BENCH_cluster.json data: the §5.2 latency
-// classes through the distributed strategy at N = 1, 2, 4 partitions
+// classes through the scatter-gather cluster at N = 1, 2, 4 partitions
 // against the single-engine baseline, the broker's routing prune rate,
 // and a short closed-loop throughput burst per partition count. It also
 // asserts the correctness contracts on the way: N=1 answers are
@@ -109,7 +109,7 @@ func runClusterBench(ctx context.Context, scale, jsonPath string) {
 		point := clusterBenchPoint{Partitions: n, SplitMs: splitMs, GoldenAtN1: n == 1}
 		var routedTotal, prunableTotal int
 		for _, c := range latencyClasses {
-			q := banks.Query{Text: strings.Join(c.terms, " "), Strategy: banks.StrategyDistributed, Options: opts}
+			q := banks.Query{Text: strings.Join(c.terms, " "), Options: opts}
 			const reps = 5
 			start := time.Now()
 			var res *banks.Results
@@ -149,7 +149,7 @@ func runClusterBench(ctx context.Context, scale, jsonPath string) {
 				for i := w; time.Now().Before(deadline) && ctx.Err() == nil; i += workers {
 					c := latencyClasses[i%len(latencyClasses)]
 					_, err := cl.Query(ctx, banks.Query{
-						Text: strings.Join(c.terms, " "), Strategy: banks.StrategyDistributed, Options: opts})
+						Text: strings.Join(c.terms, " "), Options: opts})
 					check(err)
 					reqs.Add(1)
 				}

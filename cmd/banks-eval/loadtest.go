@@ -22,7 +22,6 @@ import (
 // loadTestConfig carries the -loadtest knobs from main.
 type loadTestConfig struct {
 	Scale    string
-	Strategy string
 	Duration time.Duration
 	// Workers is the closed-loop concurrency; with Rate > 0 the harness
 	// runs open-loop instead, issuing requests on a fixed schedule
@@ -44,8 +43,8 @@ type loadTestConfig struct {
 	// Churn enables background Apply batches and periodic Refresh while
 	// the load runs; ApplyEvery is the Apply cadence (0: 20ms). Each
 	// Apply republishes the engine snapshot with the warm read-side state
-	// carried over (epoch-guarded match cache and flight group, touched
-	// terms invalidated), so even an aggressive cadence must not reset
+	// carried over (epoch-guarded match cache, touched terms
+	// invalidated), so even an aggressive cadence must not reset
 	// serving state — that is what MinHitRate checks.
 	Churn      bool
 	ApplyEvery time.Duration
@@ -66,7 +65,6 @@ type loadTestConfig struct {
 // loadTestSummary is the recorded artifact of one run.
 type loadTestSummary struct {
 	Scale        string  `json:"scale"`
-	Strategy     string  `json:"strategy"`
 	Mode         string  `json:"mode"` // "closed" or "open"
 	Workers      int     `json:"workers"`
 	RatePerSec   int     `json:"rate_per_sec,omitempty"`
@@ -89,12 +87,11 @@ type loadTestSummary struct {
 	Refreshes    int64   `json:"refreshes,omitempty"`
 	// Steady-state match-cache behaviour, measured from the end of the
 	// warmup quarter to the end of the run.
-	CacheHits       int64   `json:"cache_hits"`
-	CacheMisses     int64   `json:"cache_misses"`
-	HitRate         float64 `json:"cache_hit_rate"`
-	WarmPublishes   int64   `json:"warm_publishes,omitempty"`
-	FrontierCarries int64   `json:"frontier_carries,omitempty"`
-	PeakRSSBytes    int64   `json:"peak_rss_bytes,omitempty"`
+	CacheHits     int64   `json:"cache_hits"`
+	CacheMisses   int64   `json:"cache_misses"`
+	HitRate       float64 `json:"cache_hit_rate"`
+	WarmPublishes int64   `json:"warm_publishes,omitempty"`
+	PeakRSSBytes  int64   `json:"peak_rss_bytes,omitempty"`
 }
 
 // runLoadTest drives the production front door (System.ServeHandler) in
@@ -108,8 +105,8 @@ func runLoadTest(ctx context.Context, cfg loadTestConfig) {
 	if cfg.Rate > 0 {
 		mode = "open"
 	}
-	fmt.Printf("== front-door loadtest (%s scale, %s strategy, %s loop, %v) ==\n",
-		cfg.Scale, cfg.Strategy, mode, cfg.Duration)
+	fmt.Printf("== front-door loadtest (%s scale, %s loop, %v) ==\n",
+		cfg.Scale, mode, cfg.Duration)
 
 	dir, err := os.MkdirTemp("", "banks-loadtest")
 	check(err)
@@ -207,33 +204,31 @@ func runLoadTest(ctx context.Context, cfg loadTestConfig) {
 	}
 
 	sum := loadTestSummary{
-		Scale:           cfg.Scale,
-		Strategy:        cfg.Strategy,
-		Mode:            mode,
-		Workers:         cfg.Workers,
-		RatePerSec:      cfg.Rate,
-		DurationS:       load.elapsed.Seconds(),
-		MaxInFlight:     cfg.MaxInFlight,
-		MaxQueue:        cfg.MaxQueue,
-		TimeoutMs:       float64(cfg.Timeout) / 1e6,
-		StoreBudget:     cfg.StoreBudget,
-		Churn:           cfg.Churn,
-		Requests:        load.requests,
-		OK:              load.ok,
-		Shed:            load.shed,
-		Errors:          load.errs,
-		Throughput:      load.throughput(),
-		ShedRate:        load.shedRate(),
-		P50Ms:           float64(load.hist.Quantile(0.50)) / 1e6,
-		P99Ms:           float64(load.hist.Quantile(0.99)) / 1e6,
-		MaxMs:           float64(load.hist.Max()) / 1e6,
-		ApplyBatches:    applies.Load(),
-		Refreshes:       refreshes.Load(),
-		CacheHits:       steadyHits,
-		CacheMisses:     steadyMisses,
-		WarmPublishes:   cs.WarmPublishes,
-		FrontierCarries: cs.FrontierCarries,
-		PeakRSSBytes:    serve.PeakRSSBytes(),
+		Scale:         cfg.Scale,
+		Mode:          mode,
+		Workers:       cfg.Workers,
+		RatePerSec:    cfg.Rate,
+		DurationS:     load.elapsed.Seconds(),
+		MaxInFlight:   cfg.MaxInFlight,
+		MaxQueue:      cfg.MaxQueue,
+		TimeoutMs:     float64(cfg.Timeout) / 1e6,
+		StoreBudget:   cfg.StoreBudget,
+		Churn:         cfg.Churn,
+		Requests:      load.requests,
+		OK:            load.ok,
+		Shed:          load.shed,
+		Errors:        load.errs,
+		Throughput:    load.throughput(),
+		ShedRate:      load.shedRate(),
+		P50Ms:         float64(load.hist.Quantile(0.50)) / 1e6,
+		P99Ms:         float64(load.hist.Quantile(0.99)) / 1e6,
+		MaxMs:         float64(load.hist.Max()) / 1e6,
+		ApplyBatches:  applies.Load(),
+		Refreshes:     refreshes.Load(),
+		CacheHits:     steadyHits,
+		CacheMisses:   steadyMisses,
+		WarmPublishes: cs.WarmPublishes,
+		PeakRSSBytes:  serve.PeakRSSBytes(),
 	}
 	if lookups := sum.CacheHits + sum.CacheMisses; lookups > 0 {
 		sum.HitRate = float64(sum.CacheHits) / float64(lookups)
@@ -376,17 +371,16 @@ func openLoadTestSystem(dir string, cfg loadTestConfig) *banks.System {
 	bdb := banks.WrapDatabase(buildDataset(cfg.Scale))
 	wal := filepath.Join(dir, "load.wal")
 	if cfg.StoreBudget <= 0 {
-		sys, err := banks.NewSystem(bdb, &banks.SystemOptions{Strategy: cfg.Strategy, WALPath: wal})
+		sys, err := banks.NewSystem(bdb, &banks.SystemOptions{WALPath: wal})
 		check(err)
 		return sys
 	}
 	path := filepath.Join(dir, "load.store")
-	builder, err := banks.NewSystem(bdb, &banks.SystemOptions{Strategy: cfg.Strategy})
+	builder, err := banks.NewSystem(bdb, nil)
 	check(err)
 	check(builder.Save(path))
 	check(builder.Close())
 	sys, err := banks.OpenSystem(path, bdb, &banks.SystemOptions{
-		Strategy:         cfg.Strategy,
 		StoreBudgetBytes: cfg.StoreBudget,
 		WALPath:          wal,
 	})

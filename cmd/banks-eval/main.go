@@ -7,9 +7,6 @@
 //	-latency     the §5.2 query latency experiment (7 query classes)
 //	-buildbench  the parallel-build shard sweep and the match-cache
 //	             skewed-workload experiment (the BENCH_build.json data)
-//	-ab          the strategy A/B bench: the latency classes and a
-//	             concurrent shared-term burst under both execution
-//	             strategies (the BENCH_query.json data)
 //	-mutate N    apply N live-mutation batches through the WAL-backed
 //	             overlay: Apply latency vs full Refresh, query latency
 //	             under churn, overlay-vs-rebuild parity, post-Compact
@@ -31,10 +28,9 @@
 //
 // By default it runs everything at -scale small; -scale paper uses the
 // 100K-node / 300K-edge configuration of the paper. -shards caps the
-// build parallelism of the main experiments (0 = GOMAXPROCS), and
-// -strategy selects the execution strategy the experiments query with
-// (backward or batched). -buildbench and -ab report the process peak RSS
-// so memory-bounded serving shows up in recorded benchmarks.
+// build parallelism of the main experiments (0 = GOMAXPROCS).
+// -buildbench reports the process peak RSS so memory-bounded serving
+// shows up in recorded benchmarks.
 package main
 
 import (
@@ -46,7 +42,6 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"github.com/banksdb/banks/internal/core"
@@ -66,11 +61,8 @@ func main() {
 	space := flag.Bool("space", false, "run the §5.2 space experiment")
 	latency := flag.Bool("latency", false, "run the §5.2 latency experiment")
 	buildbench := flag.Bool("buildbench", false, "run the parallel-build and match-cache experiments")
-	ab := flag.Bool("ab", false, "run the strategy A/B bench (latency classes + concurrent burst)")
 	scale := flag.String("scale", "small", "dataset scale: small or paper")
 	shards := flag.Int("shards", 0, "build shard cap (0 = GOMAXPROCS, 1 = serial)")
-	strategy := flag.String("strategy", core.StrategyBackward,
-		"query execution strategy: "+strings.Join(core.Strategies(), " or "))
 	mutate := flag.Int("mutate", 0, "run N live-mutation batches: Apply latency vs Refresh, query-under-churn parity (the BENCH_wal.json data)")
 	savePath := flag.String("save", "", "persist the built DBLP engine to this store path and exit")
 	loadPath := flag.String("load", "", "open a saved store: report cold-open vs rebuild time and parity")
@@ -95,11 +87,7 @@ func main() {
 	clusterBench := flag.Bool("clusterbench", false, "run the distributed-serving bench: distributed vs single-engine latency at N=1,2,4 and routing prune rate (the BENCH_cluster.json data)")
 	cbJSON := flag.String("cbjson", "", "write the -clusterbench summary JSON to this path")
 	flag.Parse()
-	all := !*figure5 && !*full && !*anecdotes && !*space && !*latency && !*buildbench && !*ab
-
-	if err := core.ValidateStrategy(*strategy); err != nil {
-		check(err)
-	}
+	all := !*figure5 && !*full && !*anecdotes && !*space && !*latency && !*buildbench
 
 	// Interrupt cancels the context; every query below stops promptly.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -114,7 +102,7 @@ func main() {
 		return
 	}
 	if *mutate > 0 {
-		runMutate(ctx, *scale, *strategy, *mutate)
+		runMutate(ctx, *scale, *mutate)
 		return
 	}
 	if *clusterBench {
@@ -140,7 +128,6 @@ func main() {
 	if *loadtest {
 		runLoadTest(ctx, loadTestConfig{
 			Scale:        *scale,
-			Strategy:     *strategy,
 			Duration:     *ltDuration,
 			Workers:      *ltWorkers,
 			Rate:         *ltRate,
@@ -168,7 +155,7 @@ func main() {
 	if *scale == "paper" {
 		cfg = datagen.PaperScaleDBLP()
 	}
-	fmt.Printf("== building DBLP dataset (%s scale, %d shards, %s strategy) ==\n", *scale, *shards, *strategy)
+	fmt.Printf("== building DBLP dataset (%s scale, %d shards) ==\n", *scale, *shards)
 	db, err := datagen.BuildDBLP(cfg)
 	check(err)
 	bo := graph.DefaultBuildOptions()
@@ -179,31 +166,23 @@ func main() {
 	buildTime := time.Since(start)
 	ix, err := index.BuildWithOptions(db, g, &index.BuildOptions{Shards: *shards})
 	check(err)
-	// The full admission stack is attached so -strategy batched exercises
-	// the single-flight group and the frontier pool; the backward
-	// strategy simply queries through the cache.
-	s := newStackedSearcher(g, ix)
+	s := newCachedSearcher(g, ix)
 	fmt.Printf("%s, %d index terms; graph built in %v\n\n", g, ix.NumTerms(), buildTime)
-
-	if *ab {
-		runAB(ctx, g, ix, s)
-		return
-	}
 
 	if all || *space {
 		runSpace(g, buildTime)
 	}
 	if all || *anecdotes {
-		runAnecdotes(ctx, db, s, *strategy)
+		runAnecdotes(ctx, db, s)
 	}
 	if all || *latency {
-		runLatency(ctx, s, *strategy)
+		runLatency(ctx, s)
 	}
 	if all || *figure5 {
-		runFigure5(db, g, s, *strategy)
+		runFigure5(db, g, s)
 	}
 	if *full {
-		runFull(db, g, s, *strategy)
+		runFull(db, g, s)
 	}
 }
 
@@ -274,8 +253,8 @@ func runLoad(ctx context.Context, scale string, shards int, layout, path string,
 
 	// First-query cost (faults the arcs, node metadata and dictionary in)
 	// versus warm queries, and parity against the rebuilt engine.
-	stored := newStackedSearcher(st.Graph(), st.Index())
-	fresh := newStackedSearcher(g, ix)
+	stored := newCachedSearcher(st.Graph(), st.Index())
+	fresh := newCachedSearcher(g, ix)
 	opts := eval.DefaultDBLPOptions()
 	minfltBefore, majfltBefore := pageFaults()
 	firstStart := time.Now()
@@ -353,13 +332,10 @@ func printPeakRSS() {
 	}
 }
 
-// newStackedSearcher wires a searcher with match cache, single-flight
-// admission and frontier pool over one engine snapshot.
-func newStackedSearcher(g *graph.Graph, ix *index.Index) *core.Searcher {
-	return core.NewSearcher(g, ix).
-		WithMatchCache(index.NewMatchCache(4 << 20)).
-		WithFlightGroup(index.NewFlightGroup()).
-		WithFrontierPool(core.DefaultFrontierPoolIters)
+// newCachedSearcher wires a searcher with a match cache over one engine
+// snapshot.
+func newCachedSearcher(g *graph.Graph, ix *index.Index) *core.Searcher {
+	return core.NewSearcher(g, ix).WithMatchCache(index.NewMatchCache(4 << 20))
 }
 
 func check(err error) {
@@ -384,10 +360,9 @@ func runSpace(g *graph.Graph, buildTime time.Duration) {
 	fmt.Printf("paper (Java)        ~120 MB, ~2 min load for 100K nodes/300K edges\n\n")
 }
 
-func runAnecdotes(ctx context.Context, db *sqldb.Database, s *core.Searcher, strategy string) {
+func runAnecdotes(ctx context.Context, db *sqldb.Database, s *core.Searcher) {
 	fmt.Println("== E2: §5.1 anecdotes (DBLP) ==")
 	opts := eval.DefaultDBLPOptions()
-	opts.Strategy = strategy
 	for _, q := range [][]string{
 		{"mohan"},
 		{"transaction"},
@@ -459,10 +434,9 @@ var latencyClasses = []struct {
 	{"three coauthors", []string{"soumen", "sunita", "byron"}},
 }
 
-func runLatency(ctx context.Context, s *core.Searcher, strategy string) {
+func runLatency(ctx context.Context, s *core.Searcher) {
 	fmt.Println("== E5: §5.2 query latency by class ==")
 	opts := eval.DefaultDBLPOptions()
-	opts.Strategy = strategy
 	for _, c := range latencyClasses {
 		start := time.Now()
 		const reps = 5
@@ -477,77 +451,11 @@ func runLatency(ctx context.Context, s *core.Searcher, strategy string) {
 	fmt.Println()
 }
 
-// runAB is the strategy A/B bench behind BENCH_query.json: the §5.2
-// latency classes under each execution strategy (sequential repeats, so
-// the batched strategy's pooled frontiers warm up the way a skewed
-// workload would), then a concurrent cold burst of shared prefix terms
-// measuring term resolutions — the single-flight admission layer's
-// contract is that a shared-term burst resolves each term roughly once,
-// where the plain path pays the thundering herd.
-func runAB(ctx context.Context, g *graph.Graph, ix *index.Index, warm *core.Searcher) {
-	fmt.Printf("== strategy A/B (host: %d CPUs, GOMAXPROCS %d) ==\n",
-		runtime.NumCPU(), runtime.GOMAXPROCS(0))
-
-	fmt.Println("\n-- latency classes, sequential (5 reps) --")
-	for _, c := range latencyClasses {
-		line := fmt.Sprintf("%-22s", c.name)
-		for _, strat := range core.Strategies() {
-			opts := eval.DefaultDBLPOptions()
-			opts.Strategy = strat
-			const reps = 5
-			start := time.Now()
-			for i := 0; i < reps; i++ {
-				_, _, err := warm.Query(ctx, core.Request{Terms: c.terms}, opts, nil)
-				check(err)
-			}
-			line += fmt.Sprintf("  %s %10v/query", strat, time.Since(start)/reps)
-		}
-		fmt.Println(line)
-	}
-	fmt.Printf("frontier reuses after warm runs: %d\n", warm.FrontierReuses())
-
-	fmt.Println("\n-- concurrent cold burst: 16 goroutines × 4 shared prefix terms --")
-	prefixes := []string{"sur", "tra", "min", "cha"}
-	const workers = 16
-	for _, strat := range core.Strategies() {
-		check(ctx.Err())
-		// Fresh cache + flight per leg: the burst is the cold window the
-		// admission layer exists for.
-		cache := index.NewMatchCache(4 << 20)
-		flight := index.NewFlightGroup()
-		s := core.NewSearcher(g, ix).
-			WithMatchCache(cache).
-			WithFlightGroup(flight).
-			WithFrontierPool(core.DefaultFrontierPoolIters)
-		opts := eval.DefaultDBLPOptions()
-		opts.Strategy = strat
-		start := time.Now()
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				req := core.Request{Terms: []string{prefixes[w%len(prefixes)]}, Prefix: true}
-				_, _, err := s.Query(ctx, req, opts, nil)
-				check(err)
-			}(w)
-		}
-		wg.Wait()
-		fmt.Printf("%-9s burst %10v  resolutions=%d coalesced=%d\n",
-			strat, time.Since(start), cache.Stats().Misses, flight.Coalesced())
-	}
-	fmt.Println("\n(single-flight coalescing needs true concurrency; on a 1-CPU host")
-	fmt.Println(" the herd window closes serially — compare GOMAXPROCS >= 4.)")
-	printPeakRSS()
-}
-
-func runFigure5(db *sqldb.Database, g *graph.Graph, s *core.Searcher, strategy string) {
+func runFigure5(db *sqldb.Database, g *graph.Graph, s *core.Searcher) {
 	fmt.Println("== E6: Figure 5 — scaled error vs parameter choices ==")
 	queries, err := eval.DBLPSuite(db, g)
 	check(err)
-	base := eval.DefaultDBLPOptions()
-	base.Strategy = strategy
-	points, err := eval.SweepFigure5(s, queries, base)
+	points, err := eval.SweepFigure5(s, queries, eval.DefaultDBLPOptions())
 	check(err)
 	fmt.Print(eval.FormatFigure5(points))
 	best := eval.Best(points)
@@ -652,13 +560,11 @@ func runBuildBench(ctx context.Context, scale string) {
 	printPeakRSS()
 }
 
-func runFull(db *sqldb.Database, g *graph.Graph, s *core.Searcher, strategy string) {
+func runFull(db *sqldb.Database, g *graph.Graph, s *core.Searcher) {
 	fmt.Println("== E7: extended sweep over all eight §2.3 combinations ==")
 	queries, err := eval.DBLPSuite(db, g)
 	check(err)
-	base := eval.DefaultDBLPOptions()
-	base.Strategy = strategy
-	points, err := eval.SweepFull(s, queries, base)
+	points, err := eval.SweepFull(s, queries, eval.DefaultDBLPOptions())
 	check(err)
 	fmt.Println("lambda  edgeLog  nodeLog  combine         error  note")
 	for _, p := range points {

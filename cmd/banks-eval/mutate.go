@@ -26,19 +26,15 @@ func mutateQueryOpts() *banks.SearchOptions {
 // mutation batches journaled through the WAL, the full Refresh each Apply
 // replaces, query latency while mutations churn, overlay-vs-rebuild
 // result parity after the churn, and the post-Compact steady state.
-func runMutate(ctx context.Context, scale, strategy string, n int) {
-	fmt.Printf("== live mutations: Apply vs Refresh (%s scale, %d batches, %s strategy) ==\n",
-		scale, n, strategy)
+func runMutate(ctx context.Context, scale string, n int) {
+	fmt.Printf("== live mutations: Apply vs Refresh (%s scale, %d batches) ==\n", scale, n)
 
 	dir, err := os.MkdirTemp("", "banks-mutate")
 	check(err)
 	defer os.RemoveAll(dir)
 
 	bdb := banks.WrapDatabase(buildDataset(scale))
-	sys, err := banks.NewSystem(bdb, &banks.SystemOptions{
-		WALPath:  filepath.Join(dir, "live.wal"),
-		Strategy: strategy,
-	})
+	sys, err := banks.NewSystem(bdb, &banks.SystemOptions{WALPath: filepath.Join(dir, "live.wal")})
 	check(err)
 	defer sys.Close()
 
@@ -132,7 +128,7 @@ func runMutate(ctx context.Context, scale, strategy string, n int) {
 
 	// Parity: the overlay engine must answer exactly like a from-scratch
 	// rebuild over the mutated database.
-	ref, err := banks.NewSystem(bdb, &banks.SystemOptions{Strategy: strategy})
+	ref, err := banks.NewSystem(bdb, nil)
 	check(err)
 	defer ref.Close()
 	comparePublic(ctx, sys, ref, "overlay vs rebuild")

@@ -59,19 +59,15 @@ func splitStore(t *testing.T, sys *System, parts int) []string {
 
 func clusterQuery(t *testing.T, cl *Cluster, terms []string, opts *SearchOptions) *Results {
 	t.Helper()
-	res, err := cl.Query(context.Background(), Query{
-		Text:     strings.Join(terms, " "),
-		Strategy: StrategyDistributed,
-		Options:  opts,
-	})
+	res, err := cl.Query(context.Background(), Query{Text: strings.Join(terms, " "), Options: opts})
 	if err != nil {
 		t.Fatalf("distributed %v: %v", terms, err)
 	}
 	return res
 }
 
-// TestDistributedGoldenParityDBLP: with one partition, the distributed
-// strategy must return byte-identical answers (scores, order, trees) to
+// TestDistributedGoldenParityDBLP: with one partition, the cluster must
+// return byte-identical answers (scores, order, trees) to
 // the single-engine backward search across the §5.3 DBLP suite, and the
 // partition-local bound must NOT be reported.
 func TestDistributedGoldenParityDBLP(t *testing.T) {
@@ -90,7 +86,7 @@ func TestDistributedGoldenParityDBLP(t *testing.T) {
 	}
 	opts := &SearchOptions{ExcludedRootTables: []string{"Writes", "Cites"}}
 	for _, q := range queries {
-		want := renderAnswers(queryStrategy(t, sys, q.Terms, StrategyBackward, opts))
+		want := renderAnswers(searchAnswers(t, sys, strings.Join(q.Terms, " "), opts))
 		res := clusterQuery(t, cl, q.Terms, opts)
 		if got := renderAnswers(res.Answers); got != want {
 			t.Errorf("query %s: distributed N=1 differs from backward\nbackward:\n%s\ndistributed:\n%s",
@@ -115,7 +111,7 @@ func TestDistributedGoldenParityTPCD(t *testing.T) {
 	}
 	sys, cl := newClusterFixture(t, inner, 1)
 	for _, q := range eval.TPCDSuite() {
-		want := renderAnswers(queryStrategy(t, sys, q.Terms, StrategyBackward, nil))
+		want := renderAnswers(searchAnswers(t, sys, strings.Join(q.Terms, " "), nil))
 		got := renderAnswers(clusterQuery(t, cl, q.Terms, nil).Answers)
 		if got != want {
 			t.Errorf("query %s: distributed N=1 differs from backward\nbackward:\n%s\ndistributed:\n%s",
@@ -181,7 +177,7 @@ func TestDistributedMultiPartitionBound(t *testing.T) {
 				{"gray", "concepts"},
 				{"soumen", "sunita", "byron"},
 			} {
-				single := queryStrategy(t, sys, terms, StrategyBackward, opts)
+				single := searchAnswers(t, sys, strings.Join(terms, " "), opts)
 				best := make(map[string]float64)
 				for _, a := range single {
 					key := fmt.Sprintf("%s/%d", a.Root.Table, a.Root.RID)

@@ -204,24 +204,28 @@ func TestFrontDoorStatusMapping(t *testing.T) {
 				"/search?q=%2C+-",
 				"/search?q=sunita&timeout=banana",
 				"/search?q=sunita&timeout=-5s",
-				"/search?q=sunita&strategy=bogus",
 			} {
 				if rec := doorGet(handler, path); rec.Code != http.StatusBadRequest {
 					t.Errorf("%s: status %d, want 400", path, rec.Code)
 				}
 			}
-			// A strategy is valid only where the backend can run it.
-			for strategy, want := range map[string]map[string]int{
-				StrategyDistributed: {"System": http.StatusBadRequest, "Cluster": http.StatusOK},
-				StrategyBatched:     {"System": http.StatusOK, "Cluster": http.StatusBadRequest},
-			} {
-				if rec := doorGet(handler, "/search?q=sunita&strategy="+strategy); rec.Code != want[name] {
-					t.Errorf("strategy %s: status %d, want %d", strategy, rec.Code, want[name])
+			// Both backends have one search path: a strategy parameter is
+			// ignored like any other unknown parameter.
+			strategies := []string{"bogus", "backward", "batched", "distributed"}
+			for _, strategy := range strategies {
+				if rec := doorGet(handler, "/search?q=sunita&strategy="+strategy); rec.Code != http.StatusOK {
+					t.Errorf("strategy %s: status %d, want 200", strategy, rec.Code)
 				}
 			}
 			_, gauges := waitGateDrained(t, handler)
-			if got := gauges["gate_admitted_total"]; got != 1 {
-				t.Errorf("gate admitted %d requests, want only the valid one", got)
+			if got := gauges["gate_admitted_total"]; got != int64(len(strategies)) {
+				t.Errorf("gate admitted %d requests, want only the %d valid ones", got, len(strategies))
+			}
+			// The latency histogram keeps the backend's name, whatever the
+			// request asked for.
+			hist := map[string]string{"System": "query_latency_backward_1term", "Cluster": "query_latency_distributed_1term"}[name]
+			if vars := doorGet(handler, "/debug/vars").Body.String(); !strings.Contains(vars, `"`+hist+`"`) || strings.Contains(vars, "query_latency_batched") {
+				t.Errorf("/debug/vars lacks %s or names a requested strategy: %s", hist, vars)
 			}
 
 			rec := doorGet(handler, "/search?q=sunita+soumen&timeout=1ns")
@@ -364,8 +368,8 @@ func TestFrontDoorRendersDeletedRow(t *testing.T) {
 				remove = func() error { return cl.db.inner.Delete("writes", victim) }
 			}
 			search := cfg.Search
-			cfg.Search = func(ctx context.Context, terms []string, strategy string) (web.Result, error) {
-				res, err := search(ctx, terms, strategy)
+			cfg.Search = func(ctx context.Context, terms []string) (web.Result, error) {
+				res, err := search(ctx, terms)
 				if derr := remove(); derr != nil {
 					t.Errorf("deleting the row: %v", derr)
 				}

@@ -137,7 +137,6 @@ func MergeStats(results []Stats, cleanTerms []string) Stats {
 		out.MetadataTruncated = out.MetadataTruncated || st.MetadataTruncated
 		out.CombosTruncated = out.CombosTruncated || st.CombosTruncated
 		out.TermsDropped += st.TermsDropped
-		out.FrontierReused += st.FrontierReused
 		out.ArcsScanned += st.ArcsScanned
 		out.BytesFaulted += st.BytesFaulted
 		if st.BudgetExhausted && !out.BudgetExhausted {

@@ -57,9 +57,9 @@ func RequestFromOptions(terms []string, qualified, prefix bool, o *core.Options)
 	}
 }
 
-// CoreOptions reconstructs the partition-side core options. Strategy is
-// left empty: every partition runs the plain backward expanding search
-// over its partition-local engine.
+// CoreOptions reconstructs the partition-side core options: every
+// partition runs the backward expanding search over its partition-local
+// engine.
 func (r *Request) CoreOptions() *core.Options {
 	o := core.DefaultOptions()
 	o.TopK = r.TopK
@@ -125,7 +125,6 @@ type Stats struct {
 	MetadataTruncated bool     `json:"metadata_truncated,omitempty"`
 	CombosTruncated   bool     `json:"combos_truncated,omitempty"`
 	TermsDropped      int      `json:"terms_dropped,omitempty"`
-	FrontierReused    int      `json:"frontier_reused,omitempty"`
 	ArcsScanned       int      `json:"arcs_scanned"`
 	BytesFaulted      int64    `json:"bytes_faulted,omitempty"`
 	BudgetExhausted   bool     `json:"budget_exhausted,omitempty"`
@@ -153,7 +152,6 @@ func StatsFromCore(st *core.Stats) Stats {
 		MetadataTruncated:   st.MetadataTruncated,
 		CombosTruncated:     st.CombosTruncated,
 		TermsDropped:        st.TermsDropped,
-		FrontierReused:      st.FrontierReused,
 		ArcsScanned:         st.ArcsScanned,
 		BytesFaulted:        st.BytesFaulted,
 		BudgetExhausted:     st.BudgetExhausted,
@@ -178,7 +176,6 @@ func (st Stats) ToCore() core.Stats {
 		MetadataTruncated:   st.MetadataTruncated,
 		CombosTruncated:     st.CombosTruncated,
 		TermsDropped:        st.TermsDropped,
-		FrontierReused:      st.FrontierReused,
 		ArcsScanned:         st.ArcsScanned,
 		BytesFaulted:        st.BytesFaulted,
 		BudgetExhausted:     st.BudgetExhausted,

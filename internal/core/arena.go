@@ -343,9 +343,8 @@ func (a *searchArena) newIterator(g graph.View, origin graph.NodeID) *sspIterato
 		it = a.freeIters[k-1]
 		a.freeIters = a.freeIters[:k-1]
 	} else {
-		it = &sspIterator{}
+		it = &sspIterator{ar: a}
 	}
-	it.ar = a
 	it.reset(g, origin)
 	return it
 }
@@ -370,7 +369,6 @@ func (a *searchArena) release() {
 	for i := range a.origins {
 		if it := a.origins[i].it; it != nil {
 			it.g = nil
-			it.ar = nil
 			if it.dense != nil {
 				a.freeDense = append(a.freeDense, it.dense)
 				it.dense = nil

@@ -1,11 +1,8 @@
 package core
 
-// BackwardStrategy: the paper's Figure 3 backward expanding search, as the
-// default executor of the staged pipeline. The expansion loop itself
-// (runExpansion) is shared with BatchedStrategy — the strategies differ
-// only in where per-origin iterator state comes from (iterSource) and how
-// terms were resolved — which is what makes the two paths answer-identical
-// by construction.
+// The paper's Figure 3 backward expanding search: the expansion stage of
+// the staged pipeline. Every keyword node gets a fresh shortest-path
+// iterator from the query's arena, per query.
 
 import (
 	"context"
@@ -14,44 +11,6 @@ import (
 
 	"github.com/banksdb/banks/internal/graph"
 )
-
-// BackwardStrategy is the §3 backward expanding search: one fresh
-// shortest-path iterator per keyword node, checked out of the query's
-// arena. It is the default when Options.Strategy is empty.
-type BackwardStrategy struct{}
-
-// Name implements Strategy.
-func (BackwardStrategy) Name() string { return StrategyBackward }
-
-func (BackwardStrategy) resolver(s *Searcher) termResolver { return cacheResolver{s} }
-
-func (BackwardStrategy) run(ctx context.Context, ex *exec) ([]*Answer, error) {
-	if len(ex.sets) == 1 {
-		return searchSingleTerm(ctx, ex)
-	}
-	return runExpansion(ctx, ex, arenaSource{ex.ar})
-}
-
-// iterSource hands the expansion loop its per-origin shortest-path
-// iterators. arenaSource builds them fresh from the arena's free list;
-// the batched strategy's frontierSource serves memoized iterators from
-// the shared pool.
-type iterSource interface {
-	acquire(g graph.View, origin graph.NodeID) *sspIterator
-	// releaseAll returns strategy-owned iterators after the expansion;
-	// arena-owned iterators are reclaimed by the arena itself.
-	releaseAll(ar *searchArena)
-}
-
-// arenaSource is the per-query path: iterators live and die with the
-// arena.
-type arenaSource struct{ ar *searchArena }
-
-func (a arenaSource) acquire(g graph.View, origin graph.NodeID) *sspIterator {
-	return a.ar.newIterator(g, origin)
-}
-
-func (arenaSource) releaseAll(*searchArena) {}
 
 // searchSingleTerm handles n=1 exactly: any tree with edges has a
 // single-child root and is discarded by the §3 rule, so the answers are
@@ -88,16 +47,15 @@ func searchSingleTerm(ctx context.Context, ex *exec) ([]*Answer, error) {
 	return em.finish(), nil
 }
 
-// runExpansion is the backward expanding search of Figure 3, shared by
-// both built-in strategies. cb (via the emitter), when non-nil, observes
-// answers at emission time and may cancel the search. The expansion loop
-// polls ctx every cancelCheckMask+1 iterator pops so a canceled context or
-// an expired deadline stops a long-running expansion promptly; the
-// context's error is then returned and no answers are.
-func runExpansion(ctx context.Context, ex *exec, src iterSource) ([]*Answer, error) {
+// runExpansion is the backward expanding search of Figure 3 over two or
+// more terms. cb (via the emitter), when non-nil, observes answers at
+// emission time and may cancel the search. The expansion loop polls ctx
+// every cancelCheckMask+1 iterator pops so a canceled context or an
+// expired deadline stops a long-running expansion promptly; the context's
+// error is then returned and no answers are.
+func runExpansion(ctx context.Context, ex *exec) ([]*Answer, error) {
 	s, ar, o, stats := ex.s, ex.ar, ex.o, ex.stats
 	n := len(ex.sets)
-	defer src.releaseAll(ar)
 
 	// A node may match several terms; it gets one iterator and one origin
 	// slot whose bitmask records the terms it matched.
@@ -122,7 +80,7 @@ func runExpansion(ctx context.Context, ex *exec, src iterSource) ([]*Answer, err
 				return nil, err
 			}
 		}
-		it := src.acquire(s.g, ar.origins[i].node)
+		it := ar.newIterator(s.g, ar.origins[i].node)
 		ar.origins[i].it = it
 		if _, d, ok := it.Peek(); ok {
 			ih = append(ih, iterEntry{it: it, next: d, key: nodeKey(s.g, ar.origins[i].node)})
@@ -152,8 +110,8 @@ func runExpansion(ctx context.Context, ex *exec, src iterSource) ([]*Answer, err
 	budget := o.Budget
 	for len(ih) > 0 && len(em.emitted) < o.TopK && !em.stopped {
 		// Budget checks. Pops and arcs are deterministic per
-		// (snapshot, query) — cold or memoized-replay runs truncate at the
-		// same point — so budget-killed answers are reproducible. Bytes
+		// (snapshot, query) — a fresh arena and a recycled one truncate at
+		// the same point — so budget-killed answers are reproducible. Bytes
 		// faulted is engine-global and polled at the cancel cadence: a
 		// safety valve against cold-store blowups, not exact accounting.
 		if stats.Pops >= budget.MaxPops {

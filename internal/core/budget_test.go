@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sync/atomic"
@@ -85,19 +86,19 @@ func TestBudgetArcsExhaustion(t *testing.T) {
 	}
 }
 
-// TestBudgetTruncationDeterministicColdVsWarm pins the arc-replay
-// contract: a budget-truncated query over pooled (memoized) frontiers
+// TestBudgetTruncationDeterministicColdVsWarm: a budget-truncated query
 // must cut off at exactly the same point — same pops, same arcs, same
-// answers — whether the iterators run cold or replay a warm trail.
+// answers — on a fresh arena and on a recycled one, whose iterators carry
+// the previous query's stale slots.
 func TestBudgetTruncationDeterministicColdVsWarm(t *testing.T) {
 	f := newBibFixture(t)
-	s := NewSearcher(f.g, f.ix).WithFrontierPool(16)
+	sess := NewSearcher(f.g, f.ix).NewSession()
+	defer sess.Close()
 	o := defaultBibOptions()
-	o.Strategy = StrategyBatched
 	o.Budget.MaxArcsScanned = 6
 
 	run := func() ([]string, int, int) {
-		answers, stats, err := s.SearchStats([]string{"soumen", "sunita"}, o)
+		answers, stats, err := sess.Query(context.Background(), Request{Terms: []string{"soumen", "sunita"}}, o, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,11 +113,10 @@ func TestBudgetTruncationDeterministicColdVsWarm(t *testing.T) {
 	}
 
 	coldRoots, coldPops, coldArcs := run()
-	// Second run replays the memoized trails checked into the pool.
-	warmRoots, warmPops, warmArcs := run()
-	if s.FrontierReuses() == 0 {
-		t.Fatal("warm run did not reuse pooled frontiers")
+	if len(sess.ar.origins) == 0 {
+		t.Fatal("the first run left no iterator for the second to recycle")
 	}
+	warmRoots, warmPops, warmArcs := run()
 	if coldPops != warmPops || coldArcs != warmArcs {
 		t.Errorf("cold (pops=%d arcs=%d) != warm (pops=%d arcs=%d)", coldPops, coldArcs, warmPops, warmArcs)
 	}

@@ -41,11 +41,9 @@ type sspIterator struct {
 	live      int
 	promoteAt int
 
-	// Dense regime: non-nil once promoted. The block comes from ar (the
-	// arena whose query currently owns the iterator; nil for standalone and
-	// pooled iterators) and goes back to it in searchArena.release — unless
-	// the iterator migrates to the frontier pool, which takes the block
-	// along and severs ar.
+	// Dense regime: non-nil once promoted. The block comes from ar, the
+	// arena the iterator belongs to for life, and goes back to it in
+	// searchArena.release.
 	dense *denseBlock
 	ar    *searchArena
 
@@ -55,26 +53,9 @@ type sspIterator struct {
 	cleaned bool
 	top     int
 
-	// Memoized replay (the batched strategy's pooled per-term frontiers):
-	// with memo set, every settled (node, distance) pair is appended to
-	// trail, and rewind restarts the iterator for a later query by
-	// replaying trail from memory instead of re-running Dijkstra. The
-	// expansion from a fixed origin over an immutable graph is
-	// deterministic, so replay yields exactly the sequence (and, via the
-	// persistent parent state, exactly the paths) a fresh run would; when
-	// the trail runs out, live expansion resumes from the checkpoint the
-	// previous query left in the node state and pq.
-	memo   bool
-	trail  []distEntry
-	cursor int // replay position; == len(trail) once expanding live
-
 	// lastArcs is how many reverse arcs the last Next() relaxed — the
-	// expansion loop's unit of arc-budget accounting. trailArcs mirrors
-	// trail entry-for-entry so a memoized replay charges exactly the arc
-	// counts the original expansion did, keeping budget truncation
-	// deterministic between cold and warm (pooled-frontier) runs.
-	lastArcs  int
-	trailArcs []int32
+	// expansion loop's unit of arc-budget accounting.
+	lastArcs int
 }
 
 const (
@@ -212,28 +193,11 @@ func (it *sspIterator) reset(g graph.View, origin graph.NodeID) {
 	it.promoteAt = g.NumNodes() / densePromoteDiv
 	it.cleaned = false
 	it.pq = it.pq[:0]
-	it.memo = false
-	it.trail = it.trail[:0]
-	it.trailArcs = it.trailArcs[:0]
-	it.cursor = 0
 	it.lastArcs = 0
 	i, _ := it.probe(origin)
 	it.tab[i] = sparseSlot{node: origin, stamp: it.gen}
 	it.pq.push(distEntry{node: origin, d: 0, key: nodeKey(g, origin)})
 	it.claimed()
-}
-
-// rewind restarts a memoized iterator for a new query over the same origin
-// and graph: the recorded settling order replays from memory, then live
-// expansion continues where the previous query stopped.
-func (it *sspIterator) rewind() { it.cursor = 0 }
-
-// newSSPIterator allocates a standalone iterator (tests use this; searches
-// go through searchArena.newIterator for pooling).
-func newSSPIterator(g graph.View, origin graph.NodeID) *sspIterator {
-	it := &sspIterator{}
-	it.reset(g, origin)
-	return it
 }
 
 // probe finds n's slot in the sparse table: (its index, true) when n has
@@ -283,15 +247,10 @@ func (it *sspIterator) grow() {
 }
 
 // promote moves the iterator to the dense regime, scattering every touched
-// node's state into a block from the owning arena (a fresh one for an
-// iterator no arena owns). The table is kept for the next reset.
+// node's state into a block from the owning arena. The table is kept for
+// the next reset.
 func (it *sspIterator) promote() {
-	var b *denseBlock
-	if it.ar != nil {
-		b = it.ar.takeDense()
-	} else {
-		b = newDenseBlock(it.g.NumNodes())
-	}
+	b := it.ar.takeDense()
 	for k := range it.tab {
 		if s := &it.tab[k]; s.stamp-it.gen <= 1 {
 			b.dist[s.node] = s.dist
@@ -329,10 +288,6 @@ func (it *sspIterator) clean() {
 
 // Peek returns the next node and distance without consuming it.
 func (it *sspIterator) Peek() (graph.NodeID, float64, bool) {
-	if it.cursor < len(it.trail) {
-		e := it.trail[it.cursor]
-		return e.node, e.d, true
-	}
 	it.clean()
 	if len(it.pq) == 0 {
 		return graph.NoNode, 0, false
@@ -344,12 +299,6 @@ func (it *sspIterator) Peek() (graph.NodeID, float64, bool) {
 // relaxes the reverse edges into v: every forward arc u->v extends the
 // forward path u -> v -> ... -> origin.
 func (it *sspIterator) Next() (graph.NodeID, float64, bool) {
-	if it.cursor < len(it.trail) {
-		e := it.trail[it.cursor]
-		it.lastArcs = int(it.trailArcs[it.cursor])
-		it.cursor++
-		return e.node, e.d, true
-	}
 	it.clean()
 	if len(it.pq) == 0 {
 		it.lastArcs = 0
@@ -369,11 +318,6 @@ func (it *sspIterator) Next() (graph.NodeID, float64, bool) {
 	vkey := nodeKey(it.g, v)
 	in := it.g.In(v)
 	it.lastArcs = len(in)
-	if it.memo {
-		it.trail = append(it.trail, top)
-		it.trailArcs = append(it.trailArcs, int32(len(in)))
-		it.cursor = len(it.trail)
-	}
 	if it.dense == nil {
 		in = it.relaxSparse(v, d, vkey, in)
 	}

@@ -37,6 +37,12 @@ func lineDB(t *testing.T, n int) *fixture {
 	return newFixture(t, db)
 }
 
+// newSSPIterator roots an iterator on an arena of its own, for tests that
+// drive one iterator directly.
+func newSSPIterator(g graph.View, origin graph.NodeID) *sspIterator {
+	return newSearchArena(g.NumNodes()).newIterator(g, origin)
+}
+
 func TestSSPIteratorNondecreasingDistances(t *testing.T) {
 	f := lineDB(t, 12)
 	origin := f.g.NodeOf("t", 0) // node with id 1, the chain's sink
@@ -340,7 +346,7 @@ func TestSSPIteratorRegimesAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, n := range []int{40, 333, 1500} {
 		f := randomFKDB(t, rng, n)
-		recycledSparse, recycledMixed := &sspIterator{}, &sspIterator{}
+		recycledSparse, recycledMixed := newSSPIterator(f.g, 0), newSSPIterator(f.g, 0)
 		for trial := 0; trial < 6; trial++ {
 			origin := graph.NodeID(rng.Intn(f.g.NumNodes()))
 
@@ -449,40 +455,4 @@ func TestSSPIteratorGenWraparound(t *testing.T) {
 	fresh.promoteAt = neverPromote
 	want := drain(t, fresh, nil)
 	sameRun(t, "after wraparound", want, drain(t, it, nil), fresh, it)
-}
-
-// TestSSPIteratorRewindAfterPromotion: a memoized iterator that promoted
-// part-way replays its trail across the regime change, resumes live
-// expansion in the dense regime, and serves paths for nodes settled in
-// either.
-func TestSSPIteratorRewindAfterPromotion(t *testing.T) {
-	f := randomFKDB(t, rand.New(rand.NewSource(13)), 600)
-	origin := graph.NodeID(42)
-	ref := newSSPIterator(f.g, origin)
-	ref.promoteAt = neverPromote
-	want := drain(t, ref, nil)
-	if len(want) < 100 {
-		t.Fatalf("origin reaches only %d nodes", len(want))
-	}
-
-	it := newSSPIterator(f.g, origin)
-	it.memo = true
-	it.promoteAt = 20
-	var got []sspStep
-	for len(got) < 60 { // first query: stops well past the promotion
-		n, d, _ := it.Next()
-		got = append(got, sspStep{n, d, it.lastArcs})
-	}
-	if it.dense == nil {
-		t.Fatal("first query did not promote")
-	}
-	it.rewind()
-	sameRun(t, "replay then live", want, drain(t, it, nil), ref, it)
-	it.rewind()
-	sameRun(t, "full replay", want, drain(t, it, nil), ref, it)
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("first query step %d = %+v, want %+v", i, got[i], want[i])
-		}
-	}
 }

@@ -2,92 +2,24 @@ package core
 
 // The staged query executor. A query runs as an explicit pipeline:
 //
-//	normalize -> resolve (term -> match set, via the strategy's
-//	admission path) -> seed origins -> expand -> emit
+//	normalize -> resolve (term -> match set, through the snapshot's
+//	match cache) -> seed origins -> expand -> emit
 //
-// The expansion stages live behind the Strategy interface, so the §3
-// backward expanding search (BackwardStrategy, the default) and the
-// concurrency-oriented batched path (BatchedStrategy: single-flight term
-// resolution plus pooled per-term frontiers) are interchangeable
-// executors over the same resolution and emission machinery — and
-// alternative executors (e.g. a disk-aware one, as EMBANKS motivates) can
-// register under new names without touching the pipeline.
+// The last three stages are the §3 backward expanding search
+// (backward.go).
 
 import (
 	"container/heap"
 	"context"
 	"errors"
-	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"github.com/banksdb/banks/internal/graph"
-	"github.com/banksdb/banks/internal/index"
 )
-
-// Names of the built-in strategies.
-const (
-	// StrategyBackward is the paper's §3 backward expanding search: one
-	// fresh shortest-path iterator per keyword node, per query.
-	StrategyBackward = "backward"
-	// StrategyBatched is the concurrency-oriented executor: term
-	// resolution is single-flighted across concurrent queries (identical
-	// in-flight lookups coalesce on top of the match cache) and per-term
-	// frontiers come from a shared pool of memoized iterators, so a burst
-	// of queries sharing terms shares resolution and expansion work.
-	// Answers are identical to StrategyBackward.
-	StrategyBatched = "batched"
-)
-
-// Strategy is one pluggable execution path of the staged query pipeline.
-// A strategy contributes two stages: the term-resolution path (how a
-// keyword becomes a match set) and the expansion stage (how resolved
-// match sets become emitted connection trees). Implementations live in
-// this package.
-type Strategy interface {
-	// Name is the registry key threaded through Options.Strategy.
-	Name() string
-	// resolver returns the term -> match-set resolution path.
-	resolver(s *Searcher) termResolver
-	// run executes the expansion stage over the resolved sets.
-	run(ctx context.Context, ex *exec) ([]*Answer, error)
-}
-
-// termResolver is the stage-2 resolution path from a normalized term to
-// its index match set. Strategies differ in admission: the direct path
-// consults the snapshot's match cache, the batched path additionally
-// coalesces concurrent identical lookups.
-type termResolver interface {
-	lookup(term string) index.Match
-	lookupPrefix(term string) []graph.NodeID
-}
-
-// cacheResolver is the direct path: match cache, then index.
-type cacheResolver struct{ s *Searcher }
-
-func (r cacheResolver) lookup(term string) index.Match {
-	return r.s.cache.Lookup(r.s.ix, r.s.epoch, term)
-}
-
-func (r cacheResolver) lookupPrefix(term string) []graph.NodeID {
-	return r.s.cache.LookupPrefix(r.s.ix, r.s.epoch, term)
-}
-
-// flightResolver is the admission path: cache, then single-flight, then
-// index — concurrent identical lookups share one resolution.
-type flightResolver struct{ s *Searcher }
-
-func (r flightResolver) lookup(term string) index.Match {
-	return r.s.flight.Lookup(r.s.cache, r.s.ix, r.s.epoch, term)
-}
-
-func (r flightResolver) lookupPrefix(term string) []graph.NodeID {
-	return r.s.flight.LookupPrefix(r.s.cache, r.s.ix, r.s.epoch, term)
-}
 
 // exec carries one query's state from the executor's resolution stage to
-// the strategy's expansion stage.
+// the expansion stage.
 type exec struct {
 	s        *Searcher
 	ar       *searchArena
@@ -112,41 +44,6 @@ func (ex *exec) bytesFaulted() int64 {
 	return ex.s.fault() - ex.faultBase
 }
 
-// The strategy registry: what a single engine can run, selected through
-// Options.Strategy.
-var strategies = map[string]Strategy{
-	StrategyBackward: BackwardStrategy{},
-	StrategyBatched:  BatchedStrategy{},
-}
-
-// Strategies returns the registered strategy names, sorted.
-func Strategies() []string {
-	names := make([]string, 0, len(strategies))
-	for name := range strategies {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// ValidateStrategy reports whether name selects a registered strategy
-// ("" selects the default).
-func ValidateStrategy(name string) error {
-	_, err := strategyFor(name)
-	return err
-}
-
-func strategyFor(name string) (Strategy, error) {
-	if name == "" {
-		name = StrategyBackward
-	}
-	st, ok := strategies[name]
-	if !ok {
-		return nil, fmt.Errorf("core: unknown strategy %q (have %s)", name, strings.Join(Strategies(), ", "))
-	}
-	return st, nil
-}
-
 // cancelCheckMask sets how often the expansion loops poll ctx.Done():
 // every cancelCheckMask+1 iterator pops. 256 pops is a few microseconds
 // of work, so cancellation latency stays far below any plausible
@@ -165,10 +62,9 @@ func (s *Searcher) SearchStats(terms []string, opts *Options) ([]*Answer, *Stats
 }
 
 // Query is the staged query executor: it resolves the request's terms to
-// node sets (plain, qualified or prefix matching per the request) through
-// the selected strategy's admission path, hands the resolved sets to the
-// strategy's expansion stage under ctx, and returns the emitted answers
-// with execution statistics. cb, when non-nil, sees every answer at
+// node sets (plain, qualified or prefix matching per the request), runs
+// the backward expanding search over the resolved sets under ctx, and
+// returns the emitted answers with execution statistics. cb, when non-nil, sees every answer at
 // emission time and may cancel by returning false (the search then stops
 // cleanly with the answers emitted so far). When ctx is canceled or its
 // deadline passes, the expansion loop stops within a few hundred iterator
@@ -215,11 +111,6 @@ func (s *Searcher) queryInArena(ctx context.Context, req Request, opts *Options,
 }
 
 func (s *Searcher) runStages(ctx context.Context, req Request, o *Options, cb func(*Answer) bool, ar *searchArena, stats *Stats, faultBase int64) ([]*Answer, error) {
-	strat, err := strategyFor(o.Strategy)
-	if err != nil {
-		return nil, err
-	}
-
 	// Stage 1: normalize terms.
 	clean := ar.cleanBuf
 	for _, t := range req.Terms {
@@ -233,19 +124,17 @@ func (s *Searcher) runStages(ctx context.Context, req Request, o *Options, cb fu
 		return nil, errors.New("core: empty query")
 	}
 
-	// Stage 2: locate S_i for each term (§3 step 1) through the
-	// strategy's resolution path.
-	res := strat.resolver(s)
+	// Stage 2: locate S_i for each term (§3 step 1).
 	sets := ar.setsBuf
 	active := ar.activeBuf
 	for _, term := range clean {
 		var set []graph.NodeID
 		if qual, bare, ok := parseQualifiedTerm(term); req.Qualified && ok {
-			set = s.matchQualified(ar, res, req.DB, qual, bare, o, stats)
+			set = s.matchQualified(ar, req.DB, qual, bare, o, stats)
 			canonicalizeSet(s.g, set)
 		} else {
 			buf := ar.termSet(len(sets))
-			buf = s.matchTerm(ar, res, term, o, stats, buf)
+			buf = s.matchTerm(ar, term, o, stats, buf)
 			canonicalizeSet(s.g, buf)
 			ar.termSets[len(sets)] = buf // retain any growth
 			set = buf
@@ -253,7 +142,7 @@ func (s *Searcher) runStages(ctx context.Context, req Request, o *Options, cb fu
 				// Owned by the prefix cache — must not be reordered in
 				// place (node-id order, which is already canonical for
 				// every view that serves prefix lookups).
-				set = res.lookupPrefix(term)
+				set = s.cache.LookupPrefix(s.ix, s.epoch, term)
 			}
 		}
 		if len(set) == 0 {
@@ -283,7 +172,7 @@ func (s *Searcher) runStages(ctx context.Context, req Request, o *Options, cb fu
 		return nil, err
 	}
 
-	// Stages 3-5: seed origins, expand, emit — the strategy's province.
+	// Stages 3-5: seed origins, expand, emit.
 	ex := &ar.exBuf
 	*ex = exec{
 		s:         s,
@@ -302,7 +191,10 @@ func (s *Searcher) runStages(ctx context.Context, req Request, o *Options, cb fu
 		stats.BudgetReason = "bytes"
 		return nil, nil
 	}
-	return strat.run(ctx, ex)
+	if len(sets) == 1 {
+		return searchSingleTerm(ctx, ex)
+	}
+	return runExpansion(ctx, ex)
 }
 
 // emitter drives the fixed-size output heap of §3 shared by the single-

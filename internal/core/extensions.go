@@ -32,8 +32,8 @@ func parseQualifiedTerm(term string) (qual, bare string, ok bool) {
 // name a relation (all matching tuples of that relation) or an attribute
 // (tuples whose that attribute contains the term). It falls back to nil
 // when the qualifier names nothing.
-func (s *Searcher) matchQualified(ar *searchArena, res termResolver, db *sqldb.Database, qual, term string, o *Options, stats *Stats) []graph.NodeID {
-	candidates := s.matchTerm(ar, res, term, o, stats, nil)
+func (s *Searcher) matchQualified(ar *searchArena, db *sqldb.Database, qual, term string, o *Options, stats *Stats) []graph.NodeID {
+	candidates := s.matchTerm(ar, term, o, stats, nil)
 	if len(candidates) == 0 {
 		return nil
 	}

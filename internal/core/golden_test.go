@@ -5,8 +5,7 @@ package core_test
 // trace (iterator pops, candidate trees generated) for a fixed query mix
 // over the deterministic DBLP and TPC-D generators are rendered to text
 // and compared against committed goldens, so any refactor of the executor
-// can prove the default strategy answer-identical — and any strategy can
-// be checked against the same files.
+// can prove itself answer-identical.
 //
 // Regenerate with:
 //
@@ -67,14 +66,13 @@ func tpcdGoldenQueries() []goldenQuery {
 	}
 }
 
-// runGoldenSuite renders the full result of the query mix under the given
-// strategy name ("" = default) into the comparison-stable text form.
-func runGoldenSuite(t *testing.T, db *sqldb.Database, s *core.Searcher, queries []goldenQuery, baseOpts *core.Options, strategy string) string {
+// runGoldenSuite renders the full result of the query mix into the
+// comparison-stable text form.
+func runGoldenSuite(t *testing.T, db *sqldb.Database, s *core.Searcher, queries []goldenQuery, baseOpts *core.Options) string {
 	t.Helper()
 	var b strings.Builder
 	for _, q := range queries {
 		o := *baseOpts
-		o.Strategy = strategy
 		if q.metaLimit > 0 {
 			o.MetadataNodeLimit = q.metaLimit
 		}
@@ -142,7 +140,7 @@ func TestGoldenBackwardDBLP(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, _, s := buildGoldenFixture(t, db)
-	got := runGoldenSuite(t, db, s, dblpGoldenQueries(), dblpGoldenOptions(), "")
+	got := runGoldenSuite(t, db, s, dblpGoldenQueries(), dblpGoldenOptions())
 	checkGolden(t, "golden_backward_dblp.txt", got)
 }
 
@@ -153,45 +151,36 @@ func TestGoldenBackwardTPCD(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, _, s := buildGoldenFixture(t, db)
-	got := runGoldenSuite(t, db, s, tpcdGoldenQueries(), core.DefaultOptions(), "")
+	got := runGoldenSuite(t, db, s, tpcdGoldenQueries(), core.DefaultOptions())
 	checkGolden(t, "golden_backward_tpcd.txt", got)
 }
 
-// newBatchedSearcher assembles the full batched stack: match cache,
-// single-flight admission, frontier pool.
-func newBatchedSearcher(t *testing.T, db *sqldb.Database) *core.Searcher {
-	t.Helper()
-	_, _, s := buildGoldenFixture(t, db)
-	return s.WithMatchCache(index.NewMatchCache(4 << 20)).
-		WithFlightGroup(index.NewFlightGroup()).
-		WithFrontierPool(core.DefaultFrontierPoolIters)
-}
-
-// TestGoldenBatchedDBLP asserts the batched strategy (single-flight
-// resolution + pooled memoized frontiers) is answer- and trace-identical
-// to the pinned backward output — on a cold pool and again on a warm one,
-// where every expansion replays from the memoized trails.
-func TestGoldenBatchedDBLP(t *testing.T) {
+// TestGoldenRecycledDBLP runs the DBLP suite twice on one Searcher with a
+// match cache attached, checking both passes against the same golden. The
+// second pass resolves every term from the cache and runs on pooled arenas
+// whose iterators carry the first pass's stale sparse slots and whose dense
+// blocks come off the free list.
+func TestGoldenRecycledDBLP(t *testing.T) {
 	db, err := datagen.BuildDBLP(datagen.SmallDBLP())
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newBatchedSearcher(t, db)
-	cold := runGoldenSuite(t, db, s, dblpGoldenQueries(), dblpGoldenOptions(), core.StrategyBatched)
-	checkGolden(t, "golden_backward_dblp.txt", cold)
-	warm := runGoldenSuite(t, db, s, dblpGoldenQueries(), dblpGoldenOptions(), core.StrategyBatched)
-	checkGolden(t, "golden_backward_dblp.txt", warm)
+	_, _, s := buildGoldenFixture(t, db)
+	s.WithMatchCache(index.NewMatchCache(4 << 20))
+	for pass := 0; pass < 2; pass++ {
+		checkGolden(t, "golden_backward_dblp.txt", runGoldenSuite(t, db, s, dblpGoldenQueries(), dblpGoldenOptions()))
+	}
 }
 
-// TestGoldenBatchedTPCD is TestGoldenBatchedDBLP on the TPC-D generator.
-func TestGoldenBatchedTPCD(t *testing.T) {
+// TestGoldenRecycledTPCD is TestGoldenRecycledDBLP on the TPC-D generator.
+func TestGoldenRecycledTPCD(t *testing.T) {
 	db, err := datagen.BuildTPCD(datagen.SmallTPCD())
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newBatchedSearcher(t, db)
-	cold := runGoldenSuite(t, db, s, tpcdGoldenQueries(), core.DefaultOptions(), core.StrategyBatched)
-	checkGolden(t, "golden_backward_tpcd.txt", cold)
-	warm := runGoldenSuite(t, db, s, tpcdGoldenQueries(), core.DefaultOptions(), core.StrategyBatched)
-	checkGolden(t, "golden_backward_tpcd.txt", warm)
+	_, _, s := buildGoldenFixture(t, db)
+	s.WithMatchCache(index.NewMatchCache(4 << 20))
+	for pass := 0; pass < 2; pass++ {
+		checkGolden(t, "golden_backward_tpcd.txt", runGoldenSuite(t, db, s, tpcdGoldenQueries(), core.DefaultOptions()))
+	}
 }

@@ -47,10 +47,6 @@ type Options struct {
 	// some term matches nothing. When false, unmatched terms are dropped
 	// (the relaxation the paper mentions after the answer model).
 	RequireAllTerms bool
-	// Strategy selects the execution strategy by registry name ("" uses
-	// StrategyBackward, the paper's backward expanding search). Unknown
-	// names make Query return an error.
-	Strategy string
 }
 
 // Budget bounds how much work one query may do before it is cut off with
@@ -133,14 +129,13 @@ type Stats struct {
 	MetadataTruncated bool     // a metadata match hit MetadataNodeLimit
 	CombosTruncated   bool     // a cross product hit MaxCombosPerVisit
 	TermsDropped      int      // unmatched terms dropped (RequireAllTerms=false)
-	FrontierReused    int      // origins served warm from the shared frontier pool (batched strategy)
 	ArcsScanned       int      // reverse arcs relaxed during expansion
 	BytesFaulted      int64    // store bytes faulted during the query (fault meter attached)
 	BudgetExhausted   bool     // the query was truncated by its cost budget
 	BudgetReason      string   // which axis cut it off: "pops", "arcs" or "bytes"
 
-	// Distributed execution (the "distributed" strategy, internal/cluster).
-	// Zero on single-engine queries.
+	// Distributed execution (internal/cluster). Zero on single-engine
+	// queries.
 	PartitionsTotal  int // partitions in the cluster
 	PartitionsRouted int // partitions the broker scattered the query to
 	PartitionsPruned int // partitions pruned by term-statistics routing
@@ -159,21 +154,15 @@ type Stats struct {
 // internal pool, so concurrent queries never share mutable state while
 // steady-state searches allocate almost nothing.
 type Searcher struct {
-	g         graph.View
-	ix        index.View
-	cache     *index.MatchCache  // optional; nil disables match-set caching
-	flight    *index.FlightGroup // optional; nil disables single-flight admission
-	frontiers *frontierPool      // optional; nil disables frontier pooling
-	fault     func() int64       // optional; cumulative store bytes faulted
-	arenas    sync.Pool          // of *searchArena sized to g.NumNodes()
+	g      graph.View
+	ix     index.View
+	cache  *index.MatchCache // optional; nil disables match-set caching
+	fault  func() int64      // optional; cumulative store bytes faulted
+	arenas sync.Pool         // of *searchArena sized to g.NumNodes()
 	// epoch is the snapshot epoch this Searcher's g/ix pair belongs to,
-	// threaded through every cache and flight-group lookup so warm state
-	// carried over from a previous snapshot is consulted safely.
+	// threaded through every cache lookup so a cache carried over from a
+	// previous snapshot is consulted safely.
 	epoch uint64
-	// frontierGen is the frontier pool generation this snapshot is valid
-	// for; checkouts and checkins against a pool that has structurally
-	// moved on are rejected.
-	frontierGen uint64
 }
 
 // NewSearcher returns a Searcher over g and ix (built from the same
@@ -205,33 +194,9 @@ func (s *Searcher) WithMatchCache(c *index.MatchCache) *Searcher {
 // disabled.
 func (s *Searcher) MatchCache() *index.MatchCache { return s.cache }
 
-// WithFlightGroup attaches the single-flight admission layer used by the
-// batched strategy: concurrent queries resolving the same term share one
-// index lookup instead of repeating it. Like the cache, the group belongs
-// to one immutable snapshot and must be attached before the Searcher is
-// shared. Returns s for chaining.
-func (s *Searcher) WithFlightGroup(g *index.FlightGroup) *Searcher {
-	s.flight = g
-	return s
-}
-
-// FlightGroup returns the attached single-flight group, or nil when
-// admission coalescing is disabled.
-func (s *Searcher) FlightGroup() *index.FlightGroup { return s.flight }
-
-// WithFrontierPool attaches a pooled per-term frontier of maxIters warm
-// iterators: the batched strategy checks each origin's shortest-path
-// iterator out of the pool and replays its memoized expansion instead of
-// re-running Dijkstra, so a burst of queries sharing terms shares
-// expansion work. maxIters <= 0 disables pooling. Returns s for chaining.
-func (s *Searcher) WithFrontierPool(maxIters int) *Searcher {
-	s.frontiers = newFrontierPool(maxIters)
-	return s
-}
-
 // WithSnapshotEpoch stamps the Searcher with the snapshot epoch of its
-// graph/index pair. The epoch keys every match-cache and flight-group
-// lookup, so a cache carried over from a previous snapshot serves this
+// graph/index pair. The epoch keys every match-cache lookup, so a cache
+// carried over from a previous snapshot serves this
 // Searcher only entries valid for its epoch (and entries this Searcher
 // resolves are rejected once the cache moves past it). Attach before the
 // Searcher is shared. Returns s for chaining.
@@ -244,27 +209,6 @@ func (s *Searcher) WithSnapshotEpoch(epoch uint64) *Searcher {
 // stamped — the epoch of a freshly built cache).
 func (s *Searcher) SnapshotEpoch() uint64 { return s.epoch }
 
-// AdoptFrontierPool shares prev's memoized frontier pool with s instead
-// of a fresh one. For a non-structural publish (pure text mutations: the
-// node set, arcs and prestige are unchanged) the pooled iterators remain
-// valid — their expansions are over an identical graph — so s adopts the
-// pool at its current generation and replays stay warm. For a structural
-// publish the pool's generation is bumped, which empties it and makes
-// in-flight old-snapshot queries' late checkins no-ops. No-op when prev
-// has no pool. Returns s for chaining.
-func (s *Searcher) AdoptFrontierPool(prev *Searcher, structural bool) *Searcher {
-	if prev == nil || prev.frontiers == nil {
-		return s
-	}
-	s.frontiers = prev.frontiers
-	if structural {
-		s.frontierGen = s.frontiers.bumpGen()
-	} else {
-		s.frontierGen = prev.frontierGen
-	}
-	return s
-}
-
 // WithFaultMeter attaches a cumulative byte counter of store faults
 // (typically store.Store.FaultedBytes). The executor samples it at query
 // start and end to report Stats.BytesFaulted and to enforce
@@ -274,10 +218,6 @@ func (s *Searcher) WithFaultMeter(fn func() int64) *Searcher {
 	s.fault = fn
 	return s
 }
-
-// FrontierReuses reports how many origins (across all queries so far) were
-// served warm from the frontier pool; 0 when pooling is disabled.
-func (s *Searcher) FrontierReuses() int64 { return s.frontiers.reuses() }
 
 // acquireArena checks a per-query arena out of the pool; releaseArena puts
 // it back after wiping its per-query state.
@@ -329,14 +269,14 @@ func (s *Searcher) excludedTables(ar *searchArena, o *Options) map[int32]bool {
 	return excluded
 }
 
-// matchTerm resolves one term to its node set through the strategy's
-// resolver, expanding metadata matches to whole tables subject to
+// matchTerm resolves one term to its node set through the match cache,
+// expanding metadata matches to whole tables subject to
 // MetadataNodeLimit. The limit budgets actually admitted metadata nodes,
 // so duplicate index postings and data/metadata overlap cannot inflate it.
 // The set is accumulated onto dst (typically one of the arena's reusable
 // per-term buffers) and the extended slice returned.
-func (s *Searcher) matchTerm(ar *searchArena, res termResolver, term string, o *Options, stats *Stats, dst []graph.NodeID) []graph.NodeID {
-	m := res.lookup(term)
+func (s *Searcher) matchTerm(ar *searchArena, term string, o *Options, stats *Stats, dst []graph.NodeID) []graph.NodeID {
+	m := s.cache.Lookup(s.ix, s.epoch, term)
 	gen := ar.bumpMark()
 	set := dst[:0]
 	for _, n := range m.Nodes {

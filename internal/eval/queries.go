@@ -59,8 +59,8 @@ func isSingleNode(n graph.NodeID) func(*core.Answer, graph.View) bool {
 // datagen.BuildTPCD: part-name words, part-plus-metadata and single-term
 // queries over the order catalog. TPC-D has no hand-picked ideal answers
 // in the paper, so these queries carry none — they exist for cross-
-// strategy and cross-build parity checks, which compare full ranked
-// answer lists rather than error scores.
+// backend and cross-build parity checks, which compare full ranked answer
+// lists rather than error scores.
 func TPCDSuite() []Query {
 	return []Query{
 		{Name: "part-words", Terms: []string{"steel", "widget"}},

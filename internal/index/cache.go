@@ -196,14 +196,12 @@ const (
 )
 
 // normalizeTerm is the normalization every cached lookup applies before
-// keying; the FlightGroup's admission path shares it so coalescing keys
-// always match cache keys.
+// keying.
 func normalizeTerm(s string) string { return strings.ToLower(strings.TrimSpace(s)) }
 
 // peekExact probes the cache for an already-normalized token, counting a
-// hit. It is the single place the exact-lookup key scheme lives; Lookup
-// and the FlightGroup both go through it. epoch is the reader's snapshot
-// epoch. Safe on nil (always a miss, uncounted).
+// hit. It is the single place the exact-lookup key scheme lives. epoch is
+// the reader's snapshot epoch. Safe on nil (always a miss, uncounted).
 func (c *MatchCache) peekExact(tok string, epoch uint64) (Match, bool) {
 	if c == nil {
 		return Match{}, false

@@ -11,8 +11,8 @@ import (
 // serve it with identical results: the eager *Index (Build/ReadFrom), the
 // store-opened lazy *Index (OpenLazy), and *Overlay — an immutable base
 // composed with an in-memory delta of live posting changes. The search
-// core, match cache and single-flight group all resolve terms through a
-// View, so engines compose without touching the lookup path.
+// core and match cache both resolve terms through a View, so engines
+// compose without touching the lookup path.
 type View interface {
 	// Lookup returns the match set for one term (case-insensitive exact
 	// token match). Nodes are sorted ascending and deduplicated.

@@ -28,7 +28,7 @@ type Door struct {
 // Request describes one search to Do.
 type Request struct {
 	Query    string // the query text as received (slow-query log)
-	Strategy string // effective execution strategy (histogram label)
+	Strategy string // the backend's search: backward or distributed (histogram label)
 	Class    string // ClassOf the request: picks the gate and the histogram
 	// Timeout is the deadline the client chose (0: none, the door's
 	// DefaultTimeout applies). Expiry of a client-chosen deadline is the

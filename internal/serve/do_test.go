@@ -84,7 +84,19 @@ func TestDoStatus(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			if tc.cancel {
-				time.AfterFunc(5*time.Millisecond, cancel)
+				// Cancel once the request is where the case says it is —
+				// queued behind the occupied slot, or admitted — not on a
+				// timer that can fire before it gets there.
+				go func() {
+					deadline := time.Now().Add(5 * time.Second)
+					for time.Now().Before(deadline) {
+						if st := d.Gate.Stats(); (tc.occupied && st.Queued > 0) || (!tc.occupied && st.InFlight > 0) {
+							break
+						}
+						time.Sleep(time.Millisecond)
+					}
+					cancel()
+				}()
 			}
 			letGo := make(chan struct{})
 			ran := make(chan struct{}, 1)
@@ -157,6 +169,9 @@ func TestDoStatus(t *testing.T) {
 			if d.Gate != nil {
 				if a := d.Gate.Stats().Admitted; a != held+wantObserved {
 					t.Errorf("gate admitted %d, want %d", a, held+wantObserved)
+				}
+				if c := d.Gate.Stats().Canceled; tc.cancel && tc.occupied && c != 1 {
+					t.Errorf("gate counted %d cancellations while queued, want 1", c)
 				}
 			}
 		})

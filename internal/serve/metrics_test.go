@@ -147,7 +147,7 @@ func TestClassOfAndQueryLabel(t *testing.T) {
 	if got := QueryLabel("", "2term"); got != "query_latency_backward_2term" {
 		t.Errorf("QueryLabel = %q", got)
 	}
-	if got := QueryLabel("batched", "1term"); got != "query_latency_batched_1term" {
+	if got := QueryLabel("distributed", "1term"); got != "query_latency_distributed_1term" {
 		t.Errorf("QueryLabel = %q", got)
 	}
 }

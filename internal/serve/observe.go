@@ -49,7 +49,7 @@ func (m *Metrics) SlowQueries() []SlowQuery {
 // QueryOutcome describes one finished query for ObserveQuery.
 type QueryOutcome struct {
 	Query    string // the query text as received
-	Strategy string // effective execution strategy ("" = backward)
+	Strategy string // the backend's search: backward or distributed ("" = backward)
 	Class    string // ClassOf the request
 	Elapsed  time.Duration
 	Err      error // nil on success
@@ -71,7 +71,7 @@ func (m *Metrics) ObserveQuery(o QueryOutcome) {
 		return
 	}
 	if o.Strategy == "" {
-		o.Strategy = "backward" // the engine's default; QueryLabel does the same
+		o.Strategy = "backward" // QueryLabel does the same
 	}
 	m.reg.Histogram(QueryLabel(o.Strategy, o.Class)).Observe(o.Elapsed)
 	m.reg.Counter("queries_total").Inc()

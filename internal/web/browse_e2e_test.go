@@ -126,8 +126,8 @@ func TestSearchFailsLoudlyOnEngineError(t *testing.T) {
 	}
 	cfg := engineConfig(t, db, nil)
 	search := cfg.Search
-	cfg.Search = func(ctx context.Context, terms []string, strategy string) (Result, error) {
-		res, _ := search(ctx, terms, strategy)
+	cfg.Search = func(ctx context.Context, terms []string) (Result, error) {
+		res, _ := search(ctx, terms)
 		return res, errors.New("arcs segment checksum mismatch")
 	}
 	ts := httptest.NewServer(NewServer(cfg))

@@ -12,7 +12,6 @@ import (
 	"html/template"
 	"math"
 	"net/http"
-	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -39,9 +38,8 @@ type Result struct {
 }
 
 // SearchFunc runs one keyword search for the door. terms are already
-// tokenized; strategy is the request's validated choice ("" selects the
-// backend's default).
-type SearchFunc func(ctx context.Context, terms []string, strategy string) (Result, error)
+// tokenized.
+type SearchFunc func(ctx context.Context, terms []string) (Result, error)
 
 // Config is everything a Server is built from.
 type Config struct {
@@ -51,11 +49,10 @@ type Config struct {
 	// Search is the backend behind /search: a single engine or a
 	// scatter-gather cluster.
 	Search SearchFunc
-	// Strategy labels searches whose request named no strategy;
-	// Strategies lists what the backend can run — the form's choices,
-	// and the only names a request may select.
-	Strategy   string
-	Strategies []string
+	// Strategy names how the backend searches ("backward" for one engine,
+	// "distributed" for a cluster); it labels the per-(strategy, class)
+	// latency histograms and the slow-query log.
+	Strategy string
 	// Door is the overload policy in front of /search. With Door.Metrics
 	// set the server also mounts /debug and /debug/vars.
 	Door serve.Door
@@ -124,26 +121,12 @@ func (s *Server) renderError(w http.ResponseWriter, status int, err error) {
 	}{Title: "Error", Body: template.HTML("<p>" + template.HTMLEscapeString(err.Error()) + "</p>")})
 }
 
-// searchFormHTML renders the search form: keywords, an optional per-query
-// timeout (empty = none), and the execution strategy (empty = the
-// backend's default).
-func (s *Server) searchFormHTML(q, timeout, strategy string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, `<form action="/search"><input name="q" size="40" placeholder="keywords..." value="%s"> `,
-		template.HTMLEscapeString(q))
-	fmt.Fprintf(&b, `timeout <input name="timeout" size="6" placeholder="none" value="%s"> `,
-		template.HTMLEscapeString(timeout))
-	b.WriteString(`strategy <select name="strategy"><option value="">default</option>`)
-	for _, name := range s.cfg.Strategies {
-		sel := ""
-		if name == strategy {
-			sel = " selected"
-		}
-		fmt.Fprintf(&b, `<option value="%s"%s>%s</option>`,
-			template.HTMLEscapeString(name), sel, template.HTMLEscapeString(name))
-	}
-	b.WriteString(`</select> <input type="submit" value="Search"></form>`)
-	return b.String()
+// searchFormHTML renders the search form: keywords and an optional
+// per-query timeout (empty = none).
+func searchFormHTML(q, timeout string) string {
+	return fmt.Sprintf(`<form action="/search"><input name="q" size="40" placeholder="keywords..." value="%s"> `+
+		`timeout <input name="timeout" size="6" placeholder="none" value="%s"> <input type="submit" value="Search"></form>`,
+		template.HTMLEscapeString(q), template.HTMLEscapeString(timeout))
 }
 
 func (s *Server) handleHome(w http.ResponseWriter, r *http.Request) {
@@ -152,7 +135,7 @@ func (s *Server) handleHome(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var b strings.Builder
-	b.WriteString(s.searchFormHTML("", "", ""))
+	b.WriteString(searchFormHTML("", ""))
 	b.WriteString("<h2>Relations</h2><ul>")
 	s.db.RLock()
 	for _, name := range s.db.TableNames() {
@@ -216,9 +199,8 @@ func (s *Server) tupleHTML(ref cluster.Ref, matched bool) string {
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query().Get("q")
 	timeoutParam := r.URL.Query().Get("timeout")
-	strategy := r.URL.Query().Get("strategy")
 	if strings.TrimSpace(q) == "" {
-		s.render(w, "Search", template.HTML(s.searchFormHTML("", timeoutParam, strategy)))
+		s.render(w, "Search", template.HTML(searchFormHTML("", timeoutParam)))
 		return
 	}
 	// The same tokenization System.Query and Cluster.Query apply, so
@@ -238,23 +220,14 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		}
 		timeout = d
 	}
-	label := s.cfg.Strategy
-	if strategy != "" {
-		if !slices.Contains(s.cfg.Strategies, strategy) {
-			s.renderError(w, http.StatusBadRequest, fmt.Errorf("unsupported strategy %q (this server runs %s)",
-				strategy, strings.Join(s.cfg.Strategies, ", ")))
-			return
-		}
-		label = strategy
-	}
 
 	res, st := serve.Do(r.Context(), &s.cfg.Door, serve.Request{
 		Query:    q,
-		Strategy: label,
+		Strategy: s.cfg.Strategy,
 		Class:    serve.ClassOf(len(terms), false, false),
 		Timeout:  timeout,
 	}, func(ctx context.Context) (Result, serve.Outcome, error) {
-		res, err := s.cfg.Search(ctx, terms, strategy)
+		res, err := s.cfg.Search(ctx, terms)
 		return res, serve.Outcome{BudgetExhausted: res.BudgetExhausted, Detail: res.Detail}, err
 	})
 	if st.Code == 0 {
@@ -271,7 +244,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var b strings.Builder
-	b.WriteString(s.searchFormHTML(q, timeoutParam, strategy))
+	b.WriteString(searchFormHTML(q, timeoutParam))
 	if res.BudgetExhausted {
 		fmt.Fprintf(&b, `<p class="score">Partial results: the query exhausted its %s budget.</p>`,
 			template.HTMLEscapeString(res.BudgetReason))

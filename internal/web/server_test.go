@@ -39,12 +39,9 @@ func engineConfig(t *testing.T, db *sqldb.Database, opts *core.Options) Config {
 		opts = core.DefaultOptions()
 	}
 	return Config{
-		DB:         db,
-		Strategies: core.Strategies(),
-		Search: func(ctx context.Context, terms []string, strategy string) (Result, error) {
-			o := *opts
-			o.Strategy = strategy
-			answers, st, err := searcher.Query(ctx, core.Request{Terms: terms}, &o, nil)
+		DB: db,
+		Search: func(ctx context.Context, terms []string) (Result, error) {
+			answers, st, err := searcher.Query(ctx, core.Request{Terms: terms}, opts, nil)
 			res := Result{BudgetExhausted: st.BudgetExhausted, BudgetReason: st.BudgetReason, Detail: st}
 			for _, a := range answers {
 				res.Answers = append(res.Answers, cluster.AnswerToWire(g, a))
@@ -298,31 +295,25 @@ func min(a, b int) int {
 	return b
 }
 
+// TestSearchStrategyParam: there is one search path, so a strategy
+// parameter — a name the engine once ran or any other — is ignored like
+// every unknown parameter: the page is the one served without it, and the
+// form offers no strategy to pick.
 func TestSearchStrategyParam(t *testing.T) {
 	_, ts := newTestServer(t)
-	// Both built-in strategies must serve identical result pages.
-	var bodies []string
-	for _, strat := range []string{core.StrategyBackward, core.StrategyBatched} {
-		code, body := get(t, ts, "/search?q="+url.QueryEscape("sudarshan aditya")+"&strategy="+strat)
-		if code != 200 {
-			t.Fatalf("strategy %s: status = %d", strat, code)
-		}
-		if !strings.Contains(body, "Sudarshan") {
-			t.Errorf("strategy %s: results missing matched entities", strat)
-		}
-		// Everything after the form (which echoes the selected strategy)
-		// must coincide.
-		if i := strings.Index(body, "</form>"); i >= 0 {
-			bodies = append(bodies, body[i:])
-		}
+	q := "/search?q=" + url.QueryEscape("sudarshan aditya")
+	code, want := get(t, ts, q)
+	if code != 200 || !strings.Contains(want, "Sudarshan") {
+		t.Fatalf("plain search: status = %d", code)
 	}
-	if len(bodies) == 2 && bodies[0] != bodies[1] {
-		t.Error("backward and batched strategies rendered different results")
+	if strings.Contains(want, "strategy") {
+		t.Error("the search form still offers a strategy")
 	}
-	// Unknown strategies are a client error, not a crash.
-	code, body := get(t, ts, "/search?q=aditya&strategy=bogus")
-	if code != http.StatusBadRequest {
-		t.Errorf("bogus strategy: status = %d, body = %s", code, body)
+	for _, strat := range []string{"backward", "batched", "distributed", "bogus"} {
+		code, body := get(t, ts, q+"&strategy="+strat)
+		if code != 200 || body != want {
+			t.Errorf("strategy=%s: status %d, page differs from the plain search: %v", strat, code, body != want)
+		}
 	}
 }
 
@@ -336,9 +327,9 @@ func TestSearchRejectsBeforeAdmission(t *testing.T) {
 	cfg := engineConfig(t, db, nil)
 	search := cfg.Search
 	calls := 0
-	cfg.Search = func(ctx context.Context, terms []string, strategy string) (Result, error) {
+	cfg.Search = func(ctx context.Context, terms []string) (Result, error) {
 		calls++
-		return search(ctx, terms, strategy)
+		return search(ctx, terms)
 	}
 	ts := httptest.NewServer(NewServer(cfg))
 	t.Cleanup(ts.Close)
@@ -346,8 +337,6 @@ func TestSearchRejectsBeforeAdmission(t *testing.T) {
 		"/search?q=" + url.QueryEscape(", - !"), // characters but no keywords
 		"/search?q=aditya&timeout=banana",
 		"/search?q=aditya&timeout=-5s",
-		"/search?q=aditya&strategy=bogus",
-		"/search?q=aditya&strategy=distributed", // known elsewhere, not run here
 	} {
 		if code, body := get(t, ts, path); code != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400; body = %s", path, code, body)

@@ -17,7 +17,7 @@ import (
 //	    if enough { break } // cancels the search cleanly
 //	}
 //
-// A search failure (bad query, canceled context, unknown strategy) is
+// A search failure (bad query, canceled context) is
 // delivered as a final (nil, err) pair; breaking out of the loop is not
 // an error and yields nothing further. The search runs synchronously
 // inside the loop — no goroutine to leak, nothing to close.

@@ -136,12 +136,12 @@ func (s *System) Apply(ctx context.Context, muts []Mutation) (*ApplyResult, erro
 	if err := s.validateResolved(wmuts); err != nil {
 		return nil, err
 	}
-	seq, rids, eff, err := s.applyResolved(wmuts, 0)
+	seq, rids, touched, err := s.applyResolved(wmuts, 0)
 	if err != nil {
 		return nil, err
 	}
 	s.appliedSeq = seq
-	s.publishLocked(seq, eff.touched, eff.structural)
+	s.publishLocked(seq, touched)
 	return &ApplyResult{Seq: seq, RIDs: rids}, nil
 }
 
@@ -270,11 +270,9 @@ func (s *System) Compact() error {
 	switch {
 	case carry:
 		// The compacted base keeps the exact node numbering the serving
-		// snapshot reads (identity remap, no tail), so the warm state
-		// carries over whole. The frontier pool is still reset
-		// (structural=true): its memoized iterators reference the
-		// pre-compaction view.
-		eng = newEngineFrom(prev, g1, ix1, s.opts, nil, true)
+		// snapshot reads (identity remap, no tail), so the match cache
+		// carries over whole.
+		eng = newEngineFrom(prev, g1, ix1, s.opts, nil)
 		s.warmPublishes.Add(1)
 	case tailEmpty:
 		eng = newEngine(g1, ix1, s.opts)
@@ -320,25 +318,23 @@ func (s *System) PendingMutations() int {
 // openWAL opens (creating if absent) the configured WAL and replays its
 // tail beyond afterSeq: into the database only (bootstrap before the
 // initial build) or additionally into the live deltas (withDeltas, the
-// store-backed recovery path). It returns the accumulated effects of the
-// replayed batches, for the caller's single publish. No-op without
-// WALPath.
-func (s *System) openWAL(afterSeq uint64, withDeltas bool) (batchEffects, error) {
-	var eff batchEffects
+// store-backed recovery path). It returns the terms the replayed batches
+// touched, for the caller's single publish. No-op without WALPath.
+func (s *System) openWAL(afterSeq uint64, withDeltas bool) ([]string, error) {
+	var touched []string
 	if s.opts.WALPath == "" {
-		return eff, nil
+		return nil, nil
 	}
 	if s.opts.PrestigeDamping != 0 {
-		return eff, errors.New("banks: live mutations (WALPath) cannot maintain PageRank-style prestige (PrestigeDamping) incrementally; choose one")
+		return nil, errors.New("banks: live mutations (WALPath) cannot maintain PageRank-style prestige (PrestigeDamping) incrementally; choose one")
 	}
 	l, err := wal.Open(s.opts.WALPath, afterSeq, func(b wal.Batch) error {
 		if withDeltas {
-			_, _, be, err := s.applyResolved(b.Muts, b.Seq)
+			_, _, bt, err := s.applyResolved(b.Muts, b.Seq)
 			if err != nil {
 				return err
 			}
-			eff.touched = append(eff.touched, be.touched...)
-			eff.structural = eff.structural || be.structural
+			touched = append(touched, bt...)
 		} else if err := s.replayToDB(b); err != nil {
 			return err
 		}
@@ -346,10 +342,10 @@ func (s *System) openWAL(afterSeq uint64, withDeltas bool) (batchEffects, error)
 		return nil
 	})
 	if err != nil {
-		return eff, fmt.Errorf("banks: opening WAL: %w", err)
+		return nil, fmt.Errorf("banks: opening WAL: %w", err)
 	}
 	s.wal = l
-	return eff, nil
+	return touched, nil
 }
 
 // attachLiveMutations wires the WAL onto a store-opened system: the live
@@ -368,12 +364,12 @@ func (s *System) attachLiveMutations(st *store.Store) error {
 	s.gd = graph.NewDelta(st.Graph(), s.db.inner, !s.opts.DisableBackEdgeScaling)
 	s.id = index.NewDelta(st.Index())
 	s.appliedSeq = after
-	eff, err := s.openWAL(after, true)
+	touched, err := s.openWAL(after, true)
 	if err != nil {
 		return err
 	}
 	if s.appliedSeq > after {
-		s.publishLocked(s.appliedSeq, eff.touched, eff.structural)
+		s.publishLocked(s.appliedSeq, touched)
 	}
 	// Nothing replayed: the store engine installed by the caller already
 	// carries the store's sequence stamp (installStoreEngine sets walSeq
@@ -416,19 +412,17 @@ func (s *System) replayToDB(b wal.Batch) error {
 }
 
 // publishLocked snapshots the live deltas and swaps in the next engine
-// over them, carrying the previous snapshot's warm state forward:
+// over them, carrying the previous snapshot's match cache forward:
 // touched lists the terms whose match sets the batch changed (they and
 // their covering prefix entries are invalidated under a new epoch;
-// everything else stays hot), and structural reports whether the batch
-// moved any node or edge (a structural publish bumps the frontier pool
-// generation; a pure text update keeps the memoized frontiers too).
-// Overlay publishes only ever append node ids, so the carried entries
-// always name valid nodes of the new snapshot.
-func (s *System) publishLocked(seq uint64, touched []string, structural bool) {
+// everything else stays hot). Overlay publishes only ever append node
+// ids, so the carried entries always name valid nodes of the new
+// snapshot.
+func (s *System) publishLocked(seq uint64, touched []string) {
 	gSnap := s.gd.Snapshot()
 	ixSnap := s.id.Snapshot(gSnap.NumNodes())
 	prev := s.eng.Load()
-	eng := newEngineFrom(prev, gSnap, ixSnap, s.opts, touched, structural)
+	eng := newEngineFrom(prev, gSnap, ixSnap, s.opts, touched)
 	eng.st = s.store
 	if s.store != nil {
 		eng.searcher.WithFaultMeter(s.store.FaultedBytes)
@@ -437,9 +431,6 @@ func (s *System) publishLocked(seq uint64, touched []string, structural bool) {
 	s.eng.Store(eng)
 	if prev != nil {
 		s.warmPublishes.Add(1)
-		if !structural {
-			s.frontierCarries.Add(1)
-		}
 	}
 }
 
@@ -700,25 +691,18 @@ func checkFKs(sch *sqldb.TableSchema, vals map[string]sqldb.Value,
 	return nil
 }
 
-// batchEffects reports what one applied batch changed, for the warm
-// publish: the terms whose match sets moved, and whether any node or
-// edge did.
-type batchEffects struct {
-	touched    []string // tokens added to or removed from any node
-	structural bool     // the batch inserted/deleted rows or rewired edges
-}
-
 // applyResolved runs one validated batch through the database, the
-// journal and the live deltas. replaySeq is 0 on the Apply path (the
+// journal and the live deltas, and returns the batch's sequence, the rids
+// it addressed and the tokens it added to or removed from any node (for
+// the warm publish). replaySeq is 0 on the Apply path (the
 // batch is appended to the WAL) and the journaled sequence during replay
 // (insert rids are asserted against the journal instead). Callers hold
 // s.mu (or own the System exclusively, during open). While a Compact is
 // building aside (s.tail non-nil), the pre-batch state of every
 // first-touched row is additionally recorded for the tail fold.
-func (s *System) applyResolved(wmuts []wal.Mutation, replaySeq uint64) (uint64, []int64, batchEffects, error) {
+func (s *System) applyResolved(wmuts []wal.Mutation, replaySeq uint64) (uint64, []int64, []string, error) {
 	db := s.db.inner
 	preView := s.gd.Snapshot()
-	var eff batchEffects
 
 	// First-touch capture per row: the token set and node before the
 	// batch, so one diff per row covers chains like update-then-delete.
@@ -770,11 +754,11 @@ func (s *System) applyResolved(wmuts []wal.Mutation, replaySeq uint64) (uint64, 
 		case wal.OpInsert:
 			rid, err := db.InsertMap(m.Table, colMap(m))
 			if err != nil {
-				return 0, nil, eff, fail(i, err)
+				return 0, nil, nil, fail(i, err)
 			}
 			if replaySeq > 0 {
 				if int64(rid) != m.RID {
-					return 0, nil, eff, fmt.Errorf("banks: WAL replay diverged at seq %d: insert into %s assigned rid %d, journal recorded %d — the database does not match the journal's base state",
+					return 0, nil, nil, fmt.Errorf("banks: WAL replay diverged at seq %d: insert into %s assigned rid %d, journal recorded %d — the database does not match the journal's base state",
 						replaySeq, m.Table, rid, m.RID)
 				}
 			} else {
@@ -792,14 +776,14 @@ func (s *System) applyResolved(wmuts []wal.Mutation, replaySeq uint64) (uint64, 
 			if relevant {
 				var err error
 				if oldT, err = s.gd.Targets(m.Table, rid); err != nil {
-					return 0, nil, eff, fail(i, err)
+					return 0, nil, nil, fail(i, err)
 				}
 				if s.tail != nil {
 					s.tail.noteTargets(simKey{strings.ToLower(m.Table), rid}, oldT)
 				}
 			}
 			if err := db.Update(m.Table, rid, colMap(m)); err != nil {
-				return 0, nil, eff, fail(i, err)
+				return 0, nil, nil, fail(i, err)
 			}
 			// A change to non-key, non-FK columns cannot move edges or
 			// prestige; only the index diff below applies.
@@ -813,19 +797,19 @@ func (s *System) applyResolved(wmuts []wal.Mutation, replaySeq uint64) (uint64, 
 			touch(m.Table, rid, true)
 			oldT, err := s.gd.Targets(m.Table, rid)
 			if err != nil {
-				return 0, nil, eff, fail(i, err)
+				return 0, nil, nil, fail(i, err)
 			}
 			if s.tail != nil {
 				s.tail.noteTargets(simKey{strings.ToLower(m.Table), rid}, oldT)
 			}
 			if err := db.Delete(m.Table, rid); err != nil {
-				return 0, nil, eff, fail(i, err)
+				return 0, nil, nil, fail(i, err)
 			}
 			changes = append(changes, graph.RowChange{Op: graph.RowDelete, Table: m.Table, RID: rid, OldTargets: oldT})
 			rids[i] = m.RID
 
 		default:
-			return 0, nil, eff, fail(i, fmt.Errorf("unknown op %d", m.Op))
+			return 0, nil, nil, fail(i, fmt.Errorf("unknown op %d", m.Op))
 		}
 	}
 
@@ -834,19 +818,18 @@ func (s *System) applyResolved(wmuts []wal.Mutation, replaySeq uint64) (uint64, 
 		var err error
 		if seq, err = s.wal.Append(wmuts); err != nil {
 			s.mutErr = fmt.Errorf("banks: batch reached the database but journaling failed (%v); Refresh or Compact to resynchronize", err)
-			return 0, nil, eff, s.mutErr
+			return 0, nil, nil, s.mutErr
 		}
 	}
 
 	if len(changes) > 0 {
 		if err := s.gd.Apply(changes); err != nil {
 			if replaySeq > 0 {
-				return 0, nil, eff, fmt.Errorf("banks: WAL replay (seq %d): folding into graph delta: %w", replaySeq, err)
+				return 0, nil, nil, fmt.Errorf("banks: WAL replay (seq %d): folding into graph delta: %w", replaySeq, err)
 			}
 			s.mutErr = fmt.Errorf("banks: batch reached the database but the graph delta rejected it (%v); Refresh or Compact to resynchronize", err)
-			return 0, nil, eff, s.mutErr
+			return 0, nil, nil, s.mutErr
 		}
-		eff.structural = true
 	}
 	gSnap := s.gd.Snapshot()
 	tokSet := map[string]bool{}
@@ -872,13 +855,11 @@ func (s *System) applyResolved(wmuts []wal.Mutation, replaySeq uint64) (uint64, 
 			}
 		}
 	}
-	if len(tokSet) > 0 {
-		eff.touched = make([]string, 0, len(tokSet))
-		for tok := range tokSet {
-			eff.touched = append(eff.touched, tok)
-		}
+	var touchedToks []string
+	for tok := range tokSet {
+		touchedToks = append(touchedToks, tok)
 	}
-	return seq, rids, eff, nil
+	return seq, rids, touchedToks, nil
 }
 
 // tailLog records the batches Apply folds while a Compact builds its

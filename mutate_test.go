@@ -3,9 +3,8 @@ package banks
 // Live mutations must be invisible at the query level: a system serving
 // base + WAL-backed delta overlays has to answer exactly like a system
 // rebuilt from scratch over the same rows. These tests pin that parity on
-// randomized mutation batches over both generators and both execution
-// strategies, plus the crash-recovery, validation and lifecycle contracts
-// around it.
+// randomized mutation batches over both generators, plus the
+// crash-recovery, validation and lifecycle contracts around it.
 
 import (
 	"bytes"
@@ -235,9 +234,8 @@ func randomTPCDBatch(rng *rand.Rand, db *Database, serial *int) []Mutation {
 }
 
 // checkQueryParity runs the query set on the live system and on a fresh
-// from-scratch rebuild over the same rows, under both execution
-// strategies, twice each (cold, then cache-warm), and requires identical
-// canonical answers.
+// from-scratch rebuild over the same rows, twice each (cold, then
+// cache-warm), and requires identical canonical answers.
 func checkQueryParity(t *testing.T, live *System, queries []string, label string) {
 	t.Helper()
 	ref, err := NewSystem(live.Database(), &SystemOptions{
@@ -248,23 +246,21 @@ func checkQueryParity(t *testing.T, live *System, queries []string, label string
 	}
 	const topK = 10
 	ctx := context.Background()
-	for _, strategy := range []string{StrategyBackward, StrategyBatched} {
-		for _, text := range queries {
-			q := Query{Text: text, Strategy: strategy}
-			for _, pass := range []string{"cold", "warm"} {
-				got, err := live.Query(ctx, q)
-				if err != nil {
-					t.Fatalf("%s: live query %q (%s, %s): %v", label, text, strategy, pass, err)
-				}
-				want, err := ref.Query(ctx, q)
-				if err != nil {
-					t.Fatalf("%s: reference query %q: %v", label, text, err)
-				}
-				gotK, wantK := canonicalAnswers(got, topK), canonicalAnswers(want, topK)
-				if fmt.Sprint(gotK) != fmt.Sprint(wantK) {
-					t.Fatalf("%s: query %q (%s, %s) diverged from rebuild:\nlive:    %v\nrebuild: %v",
-						label, text, strategy, pass, gotK, wantK)
-				}
+	for _, text := range queries {
+		q := Query{Text: text}
+		for _, pass := range []string{"cold", "warm"} {
+			got, err := live.Query(ctx, q)
+			if err != nil {
+				t.Fatalf("%s: live query %q (%s): %v", label, text, pass, err)
+			}
+			want, err := ref.Query(ctx, q)
+			if err != nil {
+				t.Fatalf("%s: reference query %q: %v", label, text, err)
+			}
+			gotK, wantK := canonicalAnswers(got, topK), canonicalAnswers(want, topK)
+			if fmt.Sprint(gotK) != fmt.Sprint(wantK) {
+				t.Fatalf("%s: query %q (%s) diverged from rebuild:\nlive:    %v\nrebuild: %v",
+					label, text, pass, gotK, wantK)
 			}
 		}
 	}
@@ -668,7 +664,7 @@ func TestCloseLifecycle(t *testing.T) {
 	}
 }
 
-// TestMutationChurnRace interleaves Apply, queries under both strategies,
+// TestMutationChurnRace interleaves Apply, two querying goroutines,
 // Refresh, Compact and a final Close under the race detector: writers
 // serialize, queries pin their snapshot, and whatever begins after Close
 // fails with ErrClosed instead of tearing.
@@ -700,9 +696,9 @@ func TestMutationChurnRace(t *testing.T) {
 			}
 		}
 	}()
-	for _, strategy := range []string{StrategyBackward, StrategyBatched} {
+	for i := 0; i < 2; i++ {
 		wg.Add(1)
-		go func(strategy string) { // querier
+		go func() { // querier
 			defer wg.Done()
 			for {
 				select {
@@ -710,13 +706,13 @@ func TestMutationChurnRace(t *testing.T) {
 					return
 				default:
 				}
-				_, err := sys.Query(ctx, Query{Text: "sunita soumen", Strategy: strategy})
+				_, err := sys.Query(ctx, Query{Text: "sunita soumen"})
 				if err != nil && !errors.Is(err, ErrClosed) {
-					t.Errorf("query (%s): %v", strategy, err)
+					t.Errorf("query: %v", err)
 					return
 				}
 			}
-		}(strategy)
+		}()
 	}
 	wg.Add(1)
 	go func() { // maintenance: alternate Refresh and Compact

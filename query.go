@@ -37,10 +37,6 @@ type Query struct {
 	// GroupByShape additionally populates Results.Groups, partitioning
 	// the answers by their tree structure over the schema.
 	GroupByShape bool
-	// Strategy overrides the system's default execution strategy for
-	// this query ("" keeps the system default; see StrategyBackward and
-	// StrategyBatched). Unknown names make Query return an error.
-	Strategy string
 	// Options tunes ranking and limits; nil uses the paper's defaults.
 	Options *SearchOptions
 }
@@ -199,10 +195,6 @@ func (s *System) run(ctx context.Context, q Query, fn func(*Answer) bool) (*Resu
 		DB:        s.db.inner,
 	}
 	copts := q.Options.toCore()
-	copts.Strategy = q.Strategy
-	if copts.Strategy == "" {
-		copts.Strategy = s.opts.Strategy
-	}
 
 	// Convert each answer exactly once, at emission time, against the
 	// pinned engine; byCore lets the final list and grouping reuse the

@@ -62,18 +62,16 @@ type ServeOptions struct {
 // and the display templates — behind the production front door: admission
 // control with load shedding on /search, per-query latency histograms and
 // outcome counters, a slow-query log, and the /debug + /debug/vars
-// observability surface wired to the live engine (match cache, flight
-// group, frontier pool, store residency, pending mutations).
+// observability surface wired to the live engine (match cache, store
+// residency, pending mutations).
 //
 // Each search pins the engine snapshot current at its start and honours
 // the request's context, so the handler is safe to serve concurrently
-// with Refresh and Apply. The system's default execution strategy
-// (SystemOptions.Strategy) applies unless a request's strategy form field
-// overrides it, and the form's timeout field puts a per-query deadline on
-// the search.
+// with Refresh and Apply. The form's timeout field puts a per-query
+// deadline on the search.
 //
-// Status mapping: a malformed request (no keywords, a bad timeout, an
-// unknown strategy) gets 400 before admission; a shed or queue-timed-out
+// Status mapping: a malformed request (no keywords, a bad timeout) gets
+// 400 before admission; a shed or queue-timed-out
 // request gets 503 with a Retry-After hint; a search that exceeds the
 // server's DefaultTimeout also gets 503 + Retry-After; a search that
 // exceeds a client-chosen timeout parameter gets 408; a search that fails
@@ -83,10 +81,9 @@ func (s *System) ServeHandler(opts *ServeOptions) http.Handler {
 		opts = &ServeOptions{}
 	}
 	return newFrontDoor(opts, web.Config{
-		DB:         s.db.inner,
-		Search:     s.doorSearch(opts.Search),
-		Strategy:   s.opts.Strategy,
-		Strategies: core.Strategies(),
+		DB:       s.db.inner,
+		Search:   s.doorSearch(opts.Search),
+		Strategy: "backward",
 	}, s.bindEngineGauges)
 }
 
@@ -133,15 +130,8 @@ func newFrontDoor(opts *ServeOptions, cfg web.Config, bindGauges func(*serve.Met
 // the whole run, and hands back its answers mapped through that pinned
 // graph view, so a concurrent Refresh or Close cannot tear the rendering.
 func (s *System) doorSearch(sopts *SearchOptions) web.SearchFunc {
-	base := sopts.toCore()
-	base.Strategy = s.opts.Strategy
-	return func(ctx context.Context, terms []string, strategy string) (web.Result, error) {
-		opts := base
-		if strategy != "" {
-			o := *base
-			o.Strategy = strategy
-			opts = &o
-		}
+	opts := sopts.toCore()
+	return func(ctx context.Context, terms []string) (web.Result, error) {
 		eng := s.engine()
 		if eng.st != nil {
 			if !eng.st.Acquire() {
@@ -175,12 +165,9 @@ func (s *System) bindEngineGauges(m *serve.Metrics) {
 	reg.Gauge("cache_misses", func() int64 { return s.CacheStats().Misses })
 	reg.Gauge("cache_entries", func() int64 { return int64(s.CacheStats().Entries) })
 	reg.Gauge("cache_bytes", func() int64 { return s.CacheStats().Bytes })
-	reg.Gauge("cache_single_flight", func() int64 { return s.CacheStats().SingleFlight })
-	reg.Gauge("frontier_reuses", func() int64 { return s.CacheStats().FrontierReuses })
 	reg.Gauge("cache_epoch", func() int64 { return int64(s.CacheStats().Epoch) })
 	reg.Gauge("cache_invalidated", func() int64 { return s.CacheStats().Invalidated })
 	reg.Gauge("warm_publishes", func() int64 { return s.CacheStats().WarmPublishes })
-	reg.Gauge("frontier_carries", func() int64 { return s.CacheStats().FrontierCarries })
 	reg.Gauge("graph_nodes", func() int64 { return int64(s.GraphStats().Nodes) })
 	reg.Gauge("graph_arcs", func() int64 { return int64(s.GraphStats().Arcs) })
 	reg.Gauge("pending_mutations", func() int64 { return int64(s.PendingMutations()) })

@@ -84,68 +84,61 @@ func newHeavyTPCDSystem(t *testing.T) *System {
 
 // TestServeBudgetExhaustionTPCD pins the budget-kill contract on a heavy
 // TPC-D query through the public API: a pops budget below the query's
-// full cost truncates it with BudgetExhausted/"pops", the truncation
-// point and the partial answers are deterministic across repeated runs,
-// and both execution strategies honour the budget.
+// full cost truncates it with BudgetExhausted/"pops", and the truncation
+// point and the partial answers are deterministic across repeated runs.
 func TestServeBudgetExhaustionTPCD(t *testing.T) {
 	sys := newHeavyTPCDSystem(t) // shared; not closed here
 	ctx := context.Background()
 
-	heavy := func(strategy string, budget int) Query {
-		return Query{
-			Text:     "part orders lineitem",
-			Strategy: strategy,
-			Options: &SearchOptions{
-				TopK: 1 << 20, HeapSize: 1 << 10,
-				Budget: Budget{MaxPops: budget},
-			},
+	const budget = 5000
+	heavy := Query{
+		Text: "part orders lineitem",
+		Options: &SearchOptions{
+			TopK: 1 << 20, HeapSize: 1 << 10,
+			Budget: Budget{MaxPops: budget},
+		},
+	}
+	sig := func(r *Results) []string {
+		var s []string
+		for _, a := range r.Answers {
+			s = append(s, fmt.Sprintf("%s/%d:%.6f", a.Root.Table, a.Root.RID, a.Score))
+		}
+		return s
+	}
+	first, err := sys.Query(ctx, heavy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !first.Stats.BudgetExhausted || first.Stats.BudgetReason != "pops" {
+		t.Fatalf("exhausted=%v reason=%q, want pops", first.Stats.BudgetExhausted, first.Stats.BudgetReason)
+	}
+	if first.Stats.Pops > budget {
+		t.Errorf("pops = %d, exceeds budget %d", first.Stats.Pops, budget)
+	}
+	// Partial answers come out ranked.
+	for i, a := range first.Answers {
+		if a.Rank != i+1 {
+			t.Errorf("rank %d at position %d", a.Rank, i)
 		}
 	}
-
-	for _, strategy := range []string{StrategyBackward, StrategyBatched} {
-		const budget = 5000
-		sig := func(r *Results) []string {
-			var s []string
-			for _, a := range r.Answers {
-				s = append(s, fmt.Sprintf("%s/%d:%.6f", a.Root.Table, a.Root.RID, a.Score))
-			}
-			return s
-		}
-		first, err := sys.Query(ctx, heavy(strategy, budget))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !first.Stats.BudgetExhausted || first.Stats.BudgetReason != "pops" {
-			t.Fatalf("%s: exhausted=%v reason=%q, want pops",
-				strategy, first.Stats.BudgetExhausted, first.Stats.BudgetReason)
-		}
-		if first.Stats.Pops > budget {
-			t.Errorf("%s: pops = %d, exceeds budget %d", strategy, first.Stats.Pops, budget)
-		}
-		// Partial answers come out ranked.
-		for i, a := range first.Answers {
-			if a.Rank != i+1 {
-				t.Errorf("%s: rank %d at position %d", strategy, a.Rank, i)
-			}
-		}
-		// The truncation point is deterministic: an identical re-run (warm
-		// caches and all) stops at the same pops/arcs with the same answers.
-		second, err := sys.Query(ctx, heavy(strategy, budget))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if first.Stats.Pops != second.Stats.Pops || first.Stats.ArcsScanned != second.Stats.ArcsScanned {
-			t.Errorf("%s: truncation moved: pops %d->%d arcs %d->%d", strategy,
-				first.Stats.Pops, second.Stats.Pops, first.Stats.ArcsScanned, second.Stats.ArcsScanned)
-		}
-		s1, s2 := sig(first), sig(second)
-		if len(s1) != len(s2) {
-			t.Fatalf("%s: answer count changed: %d vs %d", strategy, len(s1), len(s2))
-		}
-		for i := range s1 {
-			if s1[i] != s2[i] {
-				t.Errorf("%s: answer %d diverged: %s vs %s", strategy, i, s1[i], s2[i])
-			}
+	// The truncation point is deterministic: an identical re-run (warm
+	// caches and recycled arenas) stops at the same pops/arcs with the same
+	// answers.
+	second, err := sys.Query(ctx, heavy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Stats.Pops != second.Stats.Pops || first.Stats.ArcsScanned != second.Stats.ArcsScanned {
+		t.Errorf("truncation moved: pops %d->%d arcs %d->%d",
+			first.Stats.Pops, second.Stats.Pops, first.Stats.ArcsScanned, second.Stats.ArcsScanned)
+	}
+	s1, s2 := sig(first), sig(second)
+	if len(s1) != len(s2) {
+		t.Fatalf("answer count changed: %d vs %d", len(s1), len(s2))
+	}
+	for i := range s1 {
+		if s1[i] != s2[i] {
+			t.Errorf("answer %d diverged: %s vs %s", i, s1[i], s2[i])
 		}
 	}
 }

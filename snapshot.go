@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"github.com/banksdb/banks/internal/core"
 	"github.com/banksdb/banks/internal/store"
 )
 
@@ -86,9 +85,6 @@ func OpenSystem(path string, db *Database, opts *SystemOptions) (*System, error)
 	s := &System{db: db}
 	if opts != nil {
 		s.opts = *opts
-	}
-	if err := core.ValidateStrategy(s.opts.Strategy); err != nil {
-		return nil, fmt.Errorf("banks: %w", err)
 	}
 	st, err := store.Open(path, store.Options{BudgetBytes: s.opts.StoreBudgetBytes})
 	if err != nil {

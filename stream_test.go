@@ -154,12 +154,14 @@ func TestQueryIterDeliversErrors(t *testing.T) {
 	if got == nil {
 		t.Fatal("empty query yielded no error")
 	}
-	// Unknown strategy surfaces the same way.
+	// A canceled context surfaces the same way.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
 	got = nil
-	for _, err := range sys.QueryIter(context.Background(), Query{Text: "sunita", Strategy: "nope"}) {
+	for _, err := range sys.QueryIter(ctx, Query{Text: "sunita"}) {
 		got = err
 	}
-	if got == nil {
-		t.Fatal("unknown strategy yielded no error")
+	if !errors.Is(got, context.Canceled) {
+		t.Fatalf("canceled query yielded %v, want context.Canceled", got)
 	}
 }

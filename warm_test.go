@@ -1,10 +1,9 @@
 package banks
 
 // Warm-state carryover across snapshot publishes. Apply must not reset
-// the serving caches: a publish carries the previous snapshot's match
-// cache and single-flight group, invalidating only the batch's touched
-// terms, and keeps the batched strategy's memoized frontier pool across
-// non-structural batches. Compact must not stall Apply for the duration
+// the serving cache: a publish carries the previous snapshot's match
+// cache, invalidating only the batch's touched terms. Compact must not
+// stall Apply for the duration
 // of the rebuild: the base is materialized aside and only the tail fold
 // and swap run under the writer lock. These tests pin both behaviours,
 // their correctness boundary (a term mutated is never served stale), and
@@ -65,7 +64,7 @@ func paperRIDs(res *Results) map[int64]bool {
 func TestWarmCarryoverKeepsUntouchedTerms(t *testing.T) {
 	sys := newMutableDBLP(t)
 	ctx := context.Background()
-	q := Query{Text: "mohan transaction", Strategy: StrategyBatched}
+	q := Query{Text: "mohan transaction"}
 
 	if _, err := sys.Query(ctx, q); err != nil {
 		t.Fatal(err)
@@ -111,58 +110,53 @@ func TestWarmCarryoverKeepsUntouchedTerms(t *testing.T) {
 
 // TestInvalidationNeverServesStale: a query that begins after Apply
 // returns must see the batch — the touched terms (and their covering
-// prefixes) are invalidated, under both strategies.
+// prefixes) are invalidated.
 func TestInvalidationNeverServesStale(t *testing.T) {
-	for _, strategy := range []string{StrategyBackward, StrategyBatched} {
-		t.Run(strategy, func(t *testing.T) {
-			sys := newMutableDBLP(t)
-			ctx := context.Background()
-			q := Query{Text: "xylograph", Strategy: strategy}
+	// The one search path is backward expanding search.
+	t.Run("backward", func(t *testing.T) {
+		sys := newMutableDBLP(t)
+		ctx := context.Background()
 
-			res, err := sys.Apply(ctx, []Mutation{
-				Insert("Paper", map[string]interface{}{"PaperId": "StaleA", "PaperName": "xylograph alpha", "Year": 2001}),
-				Insert("Paper", map[string]interface{}{"PaperId": "StaleB", "PaperName": "plain beta", "Year": 2001}),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ridA, ridB := res.RIDs[0], res.RIDs[1]
-
-			got, err := sys.Query(ctx, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rids := paperRIDs(got); !rids[ridA] || rids[ridB] {
-				t.Fatalf("before rotation: matches %v, want {%d}", rids, ridA)
-			}
-			// Cache the prefix path too, then rotate the token to the other
-			// row in one batch.
-			if _, err := sys.Query(ctx, Query{Text: "xylo", Prefix: true, Strategy: strategy}); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := sys.Apply(ctx, []Mutation{
-				Update("Paper", ridA, map[string]interface{}{"PaperName": "plain alpha"}),
-				Update("Paper", ridB, map[string]interface{}{"PaperName": "xylograph beta"}),
-			}); err != nil {
-				t.Fatal(err)
-			}
-			for _, q := range []Query{
-				{Text: "xylograph", Strategy: strategy},
-				{Text: "xylo", Prefix: true, Strategy: strategy},
-			} {
-				got, err = sys.Query(ctx, q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if rids := paperRIDs(got); !rids[ridB] || rids[ridA] {
-					t.Fatalf("after rotation, query %q: matches %v, want {%d}", q.Text, rids, ridB)
-				}
-			}
-			if st := sys.CacheStats(); st.Invalidated == 0 {
-				t.Fatalf("rotation invalidated no cache entries: %+v", st)
-			}
+		res, err := sys.Apply(ctx, []Mutation{
+			Insert("Paper", map[string]interface{}{"PaperId": "StaleA", "PaperName": "xylograph alpha", "Year": 2001}),
+			Insert("Paper", map[string]interface{}{"PaperId": "StaleB", "PaperName": "plain beta", "Year": 2001}),
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		ridA, ridB := res.RIDs[0], res.RIDs[1]
+
+		got, err := sys.Query(ctx, Query{Text: "xylograph"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rids := paperRIDs(got); !rids[ridA] || rids[ridB] {
+			t.Fatalf("before rotation: matches %v, want {%d}", rids, ridA)
+		}
+		// Cache the prefix path too, then rotate the token to the other row in
+		// one batch.
+		if _, err := sys.Query(ctx, Query{Text: "xylo", Prefix: true}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.Apply(ctx, []Mutation{
+			Update("Paper", ridA, map[string]interface{}{"PaperName": "plain alpha"}),
+			Update("Paper", ridB, map[string]interface{}{"PaperName": "xylograph beta"}),
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range []Query{{Text: "xylograph"}, {Text: "xylo", Prefix: true}} {
+			got, err = sys.Query(ctx, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rids := paperRIDs(got); !rids[ridB] || rids[ridA] {
+				t.Fatalf("after rotation, query %q: matches %v, want {%d}", q.Text, rids, ridB)
+			}
+		}
+		if st := sys.CacheStats(); st.Invalidated == 0 {
+			t.Fatalf("rotation invalidated no cache entries: %+v", st)
+		}
+	})
 }
 
 // TestCompactFoldsConcurrentTail drives Apply batches deterministically
@@ -243,7 +237,7 @@ func TestCompactFoldsConcurrentTail(t *testing.T) {
 func TestCompactCarriesWarmStateWhenUnchanged(t *testing.T) {
 	sys := newMutableDBLP(t)
 	ctx := context.Background()
-	q := Query{Text: "mohan transaction", Strategy: StrategyBatched}
+	q := Query{Text: "mohan transaction"}
 
 	// Text-only update: an index delta but no graph delta.
 	paper := liveRIDs(sys.Database(), "Paper")[0]
@@ -320,7 +314,7 @@ func TestCompactWithCachingDisabledAndStore(t *testing.T) {
 // never served stale to a query that starts after the Apply returned,
 // every publish carries warm state, and the run leaks no goroutines.
 func TestWarmChurnRace(t *testing.T) {
-	sys := newMutableDBLPOpts(t, SystemOptions{Strategy: StrategyBatched})
+	sys := newMutableDBLP(t)
 	ctx := context.Background()
 
 	res, err := sys.Apply(ctx, []Mutation{
@@ -388,10 +382,6 @@ func TestWarmChurnRace(t *testing.T) {
 	if st.WarmPublishes-startStats.WarmPublishes < publishes {
 		t.Fatalf("not every publish carried warm state: %d of %d",
 			st.WarmPublishes-startStats.WarmPublishes, publishes)
-	}
-	if st.FrontierCarries-startStats.FrontierCarries < publishes {
-		t.Fatalf("non-structural batches dropped the frontier pool: %d of %d",
-			st.FrontierCarries-startStats.FrontierCarries, publishes)
 	}
 	// The first Compact renumbers (the setup inserts are delta nodes) and
 	// legitimately restarts the cache; every Apply after it bumps the
