@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
@@ -283,6 +284,28 @@ func TestMergeAnswersDeterministic(t *testing.T) {
 	got := MergeAnswers(tids, [][]Answer{nil, odd, nil}, 0)
 	if got[0].Root != odd[0].Root || got[1].Root != odd[1].Root {
 		t.Fatalf("single-list merge reordered: %v", got)
+	}
+}
+
+// TestRetiredStatsTravelAndSum: the count of retired iterators survives the
+// wire form in both directions (JSON included) and sums across legs, so a
+// cluster query's stats say when its legs ended early.
+func TestRetiredStatsTravelAndSum(t *testing.T) {
+	b, err := json.Marshal(StatsFromCore(&core.Stats{Pops: 7, Retired: 3}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Stats
+	if err := json.Unmarshal(b, &back); err != nil {
+		t.Fatal(err)
+	}
+	if got := back.ToCore().Retired; got != 3 {
+		t.Fatalf("retired = %d after the round trip, want 3", got)
+	}
+	terms := []string{"a", "b"}
+	merged := MergeStats([]Stats{{Terms: terms, Retired: 3}, {Terms: terms, Retired: 4}, {Terms: terms}}, terms)
+	if merged.Retired != 7 {
+		t.Fatalf("merged retired = %d, want 7", merged.Retired)
 	}
 }
 

@@ -139,6 +139,7 @@ func MergeStats(results []Stats, cleanTerms []string) Stats {
 		out.TermsDropped += st.TermsDropped
 		out.ArcsScanned += st.ArcsScanned
 		out.BytesFaulted += st.BytesFaulted
+		out.Retired += st.Retired
 		if st.BudgetExhausted && !out.BudgetExhausted {
 			out.BudgetExhausted = true
 			out.BudgetReason = st.BudgetReason

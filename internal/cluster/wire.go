@@ -129,6 +129,7 @@ type Stats struct {
 	BytesFaulted      int64    `json:"bytes_faulted,omitempty"`
 	BudgetExhausted   bool     `json:"budget_exhausted,omitempty"`
 	BudgetReason      string   `json:"budget_reason,omitempty"`
+	Retired           int      `json:"retired,omitempty"`
 
 	PartitionsTotal     int  `json:"partitions_total,omitempty"`
 	PartitionsRouted    int  `json:"partitions_routed,omitempty"`
@@ -156,6 +157,7 @@ func StatsFromCore(st *core.Stats) Stats {
 		BytesFaulted:        st.BytesFaulted,
 		BudgetExhausted:     st.BudgetExhausted,
 		BudgetReason:        st.BudgetReason,
+		Retired:             st.Retired,
 		PartitionsTotal:     st.PartitionsTotal,
 		PartitionsRouted:    st.PartitionsRouted,
 		PartitionsPruned:    st.PartitionsPruned,
@@ -180,6 +182,7 @@ func (st Stats) ToCore() core.Stats {
 		BytesFaulted:        st.BytesFaulted,
 		BudgetExhausted:     st.BudgetExhausted,
 		BudgetReason:        st.BudgetReason,
+		Retired:             st.Retired,
 		PartitionsTotal:     st.PartitionsTotal,
 		PartitionsRouted:    st.PartitionsRouted,
 		PartitionsPruned:    st.PartitionsPruned,

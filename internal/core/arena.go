@@ -49,6 +49,12 @@ type searchArena struct {
 	masks     []uint64
 	maskWords int
 
+	// live counts, per term, the origins whose iterator is still in the
+	// iterator heap; finished is the worklist of terms whose count reached
+	// zero, waiting for the retirement rule (see exec.iteratorDone).
+	live     []int32
+	finished []int
+
 	// termLists is the backing store for the per-visited-node term lists
 	// (v.L_i in the Figure 3 pseudocode), chunked nTerms slots per visited
 	// node. Inner slices keep their capacity across queries.
@@ -279,6 +285,11 @@ func (a *searchArena) beginOrigins(nTerms int) {
 	a.origins = a.origins[:0]
 	a.masks = a.masks[:0]
 	a.maskWords = (nTerms + 63) / 64
+	if cap(a.live) < nTerms {
+		a.live = make([]int32, nTerms)
+	}
+	a.live = a.live[:nTerms]
+	clear(a.live)
 }
 
 // originIndex returns the origin slot of node n, or -1.
@@ -332,6 +343,15 @@ func (a *searchArena) nodeLists(v graph.NodeID, nTerms int) []([]graph.NodeID) {
 		a.listsUsed = need
 	}
 	return a.termLists[int(vi)*nTerms : need]
+}
+
+// reached reports whether some iterator of term t has settled node v,
+// i.e. whether v's list L_t is non-empty.
+func (a *searchArena) reached(v graph.NodeID, t, nTerms int) bool {
+	if a.visitStamp[v] != a.visitGen {
+		return false
+	}
+	return len(a.termLists[int(a.visitIdx[v])*nTerms+t]) > 0
 }
 
 // newIterator hands out a recycled (or fresh) shortest-path iterator rooted

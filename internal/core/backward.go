@@ -52,13 +52,16 @@ func searchSingleTerm(ctx context.Context, ex *exec) ([]*Answer, error) {
 // emission time and may cancel the search. The expansion loop polls ctx
 // every cancelCheckMask+1 iterator pops so a canceled context or an
 // expired deadline stops a long-running expansion promptly; the context's
-// error is then returned and no answers are.
+// error is then returned and no answers are. Unlike Figure 3, the loop also
+// ends when no answer is possible any more: iteratorDone retires iterators
+// that cannot contribute.
 func runExpansion(ctx context.Context, ex *exec) ([]*Answer, error) {
 	s, ar, o, stats := ex.s, ex.ar, ex.o, ex.stats
 	n := len(ex.sets)
 
 	// A node may match several terms; it gets one iterator and one origin
-	// slot whose bitmask records the terms it matched.
+	// slot whose bitmask records the terms it matched, and counts once
+	// toward the live iterators of each.
 	ar.beginOrigins(n)
 	for ti, set := range ex.sets {
 		for _, node := range set {
@@ -66,7 +69,11 @@ func runExpansion(ctx context.Context, ex *exec) ([]*Answer, error) {
 			if oi < 0 {
 				oi = ar.addOrigin(node)
 			}
-			ar.originTerms(oi)[ti/64] |= 1 << uint(ti%64)
+			w, bit := &ar.originTerms(oi)[ti/64], uint64(1)<<uint(ti%64)
+			if *w&bit == 0 {
+				*w |= bit
+				ar.live[ti]++
+			}
 		}
 	}
 	ih := ar.ih[:0]
@@ -136,32 +143,104 @@ func runExpansion(ctx context.Context, ex *exec) ([]*Answer, error) {
 			}
 		}
 		entry := &ih[0]
-		v, _, ok := entry.it.Next()
+		it := entry.it
+		oi := ar.originIndex(it.origin)
+		v, _, ok := it.Next()
 		if !ok {
 			ih.popTop()
+			ih = ex.iteratorDone(ih, oi)
 			continue
 		}
 		stats.Pops++
-		stats.ArcsScanned += entry.it.lastArcs
-		originNode := entry.it.origin
-		if _, d, more := entry.it.Peek(); more {
+		stats.ArcsScanned += it.lastArcs
+		_, d, more := it.Peek()
+		if more {
 			entry.next = d
 			ih.siftDown(0)
 		} else {
 			ih.popTop()
 		}
-		oi := ar.originIndex(originNode)
 		for wi, word := range ar.originTerms(oi) {
 			for word != 0 {
 				ti := wi*64 + bits.TrailingZeros64(word)
 				word &= word - 1
-				gs.generate(v, originNode, ti)
+				gs.generate(v, it.origin, ti)
 			}
+		}
+		if !more {
+			// After generate: v's lists must include this last pop before
+			// the retirement rule reads them.
+			ih = ex.iteratorDone(ih, oi)
 		}
 	}
 	em.drain()
 	ar.ih = ih
 	return em.finish(), nil
+}
+
+// iteratorDone accounts for origin oi's iterator leaving the heap and
+// applies the retirement rule to every term left without a live iterator.
+// It returns the filtered heap.
+//
+// A term t with no live iterator is finished: its lists L_t never grow
+// again, so every later answer is rooted at a node some t-iterator already
+// settled. Every FK link yields both arcs (graph.View), so reachability is
+// symmetric and an iterator settles only its origin's connected component —
+// all of it, if it exhausts. Call a component complete when every term has
+// an origin in it; only complete components hold answers. No iterator of a
+// complete component C is ever retired: t has an origin in C whose iterator
+// (not retired, by induction) exhausted, settling all of C, every origin in
+// it included. So a live iterator whose origin no t-iterator reached sits
+// in an incomplete component, nothing it settles can root an answer, and
+// it is retired. The argument holds when t was emptied by retirement
+// rather than by exhaustion: the iterators it lost were all in incomplete
+// components. The survivors' settle order, the answers and every Stats
+// field but Pops, ArcsScanned and Retired are as without the rule; once
+// only useless iterators remain, the heap empties and the loop stops.
+//
+// Cost: one O(|heap|) filter and re-heapify per finished term.
+func (ex *exec) iteratorDone(ih iterHeap, oi int32) iterHeap {
+	if ex.s.noRetire {
+		return ih
+	}
+	ar, n := ex.ar, len(ex.sets)
+	fin := ex.dropLive(ar.finished[:0], oi)
+	for len(fin) > 0 {
+		t := fin[len(fin)-1]
+		fin = fin[:len(fin)-1]
+		k := 0
+		for _, e := range ih {
+			if ar.reached(e.it.origin, t, n) {
+				ih[k] = e
+				k++
+				continue
+			}
+			ex.stats.Retired++
+			fin = ex.dropLive(fin, ar.originIndex(e.it.origin))
+		}
+		if k < len(ih) {
+			ih = ih[:k]
+			ih.init()
+		}
+	}
+	ar.finished = fin
+	return ih
+}
+
+// dropLive removes origin oi's iterator from its terms' live counts and
+// appends to fin every term whose count reaches zero.
+func (ex *exec) dropLive(fin []int, oi int32) []int {
+	live := ex.ar.live
+	for wi, word := range ex.ar.originTerms(oi) {
+		for word != 0 {
+			ti := wi*64 + bits.TrailingZeros64(word)
+			word &= word - 1
+			if live[ti]--; live[ti] == 0 {
+				fin = append(fin, ti)
+			}
+		}
+	}
+	return fin
 }
 
 // genState is the arena-resident frame of the cross-product generator

@@ -125,6 +125,44 @@ func TestBudgetTruncationDeterministicColdVsWarm(t *testing.T) {
 	}
 }
 
+// TestBudgetNotSpentOnRetiredIterators: "ahuja" matches only Mohan Ahuja,
+// whose component (his one paper) does not hold C. Mohan, the other match
+// of "mohan". Once Ahuja's iterator exhausts, C. Mohan's is retired, so a
+// pops budget just big enough for the useful work no longer truncates the
+// query: it ends unflagged with the unbudgeted answers, where the
+// run-to-exhaustion loop spent the same budget sweeping C. Mohan's
+// component and was cut off.
+func TestBudgetNotSpentOnRetiredIterators(t *testing.T) {
+	f := newBibFixture(t)
+	ref := NewSearcher(f.g, f.ix)
+	ref.noRetire = true
+	terms := []string{"ahuja", "mohan"}
+	o := defaultBibOptions()
+	full, fullStats, err := f.s.SearchStats(terms, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(full) == 0 || fullStats.Retired == 0 {
+		t.Fatalf("%d answers, %d retired: want answers and a retirement", len(full), fullStats.Retired)
+	}
+
+	o.Budget.MaxPops = fullStats.Pops
+	answers, stats, err := f.s.SearchStats(terms, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.BudgetExhausted || renderAnswers(answers) != renderAnswers(full) {
+		t.Errorf("budget %d: exhausted=%v, answers\n%s\nwant unbudgeted\n%s", o.Budget.MaxPops, stats.BudgetExhausted, renderAnswers(answers), renderAnswers(full))
+	}
+	_, refStats, err := ref.SearchStats(terms, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !refStats.BudgetExhausted || refStats.BudgetReason != "pops" {
+		t.Errorf("budget %d without retirement: exhausted=%v reason=%q, want a pops cut", o.Budget.MaxPops, refStats.BudgetExhausted, refStats.BudgetReason)
+	}
+}
+
 // TestBudgetBytesFaulted drives the bytes axis through a fake fault
 // meter: resolution-time exhaustion stops before expansion, and the
 // meter's delta is reported in Stats.

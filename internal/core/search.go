@@ -33,7 +33,9 @@ type Options struct {
 	// performance problem (§7); the cap is reported in Stats.
 	MetadataNodeLimit int
 	// MaxPops bounds total Dijkstra iterator pops as a safety valve for
-	// disconnected keywords (default 2,000,000). It is the legacy spelling
+	// long expansions (default 2,000,000). Disconnected keywords rarely
+	// reach it: iterators that cannot reach an answer are retired
+	// (backward.go). It is the legacy spelling
 	// of Budget.MaxPops: when Budget.MaxPops is zero it seeds it.
 	MaxPops int
 	// Budget is the per-query cost budget. Exhausting any axis stops the
@@ -53,6 +55,9 @@ type Options struct {
 // a partial answer. Budgets turn pathological queries (huge match sets,
 // disconnected keywords, cold stores) from latency outliers into fast,
 // flagged truncations — the serving tier's per-query cost control.
+// Iterators that can no longer reach any answer are retired before they
+// spend the budget (Stats.Retired), so a query whose remaining work was all
+// such iterators ends unflagged with the answers an unbudgeted run returns.
 type Budget struct {
 	// MaxPops bounds Dijkstra iterator pops (0: Options.MaxPops). Pops and
 	// arcs are deterministic per (snapshot, query), so truncation under
@@ -133,6 +138,7 @@ type Stats struct {
 	BytesFaulted      int64    // store bytes faulted during the query (fault meter attached)
 	BudgetExhausted   bool     // the query was truncated by its cost budget
 	BudgetReason      string   // which axis cut it off: "pops", "arcs" or "bytes"
+	Retired           int      // iterators retired because no answer could use them (backward.go)
 
 	// Distributed execution (internal/cluster). Zero on single-engine
 	// queries.
@@ -163,6 +169,10 @@ type Searcher struct {
 	// threaded through every cache lookup so a cache carried over from a
 	// previous snapshot is consulted safely.
 	epoch uint64
+	// noRetire turns off iterator retirement (backward.go), restoring the
+	// paper's run-to-exhaustion loop. Only tests set it, as the reference
+	// the retirement rule is checked against.
+	noRetire bool
 }
 
 // NewSearcher returns a Searcher over g and ix (built from the same

@@ -9,6 +9,12 @@ import "github.com/banksdb/banks/internal/sqldb"
 // rendering and the web UI all run against a View, so an engine can be
 // swapped between batch-built, disk-resident and base+delta forms without
 // touching the read path.
+//
+// Every form keeps arcs symmetric: each FK link yields a forward arc u->v
+// and a backward arc v->u (weights may differ), and In mirrors Out. So a
+// node's backward-reachable set is its connected component, which the
+// search's iterator retirement relies on (internal/core, iteratorDone).
+// TestArcsAreSymmetricInEveryForm pins the invariant.
 type View interface {
 	// NumNodes returns the node-id space size: dense ids in [0, NumNodes).
 	// An overlay may contain tombstoned ids inside the range; they are
