@@ -5,6 +5,7 @@ package core
 // iterator from the query's arena, per query.
 
 import (
+	"cmp"
 	"context"
 	"math/bits"
 	"slices"
@@ -90,7 +91,7 @@ func runExpansion(ctx context.Context, ex *exec) ([]*Answer, error) {
 		it := ar.newIterator(s.g, ar.origins[i].node)
 		ar.origins[i].it = it
 		if _, d, ok := it.Peek(); ok {
-			ih = append(ih, iterEntry{it: it, next: d, key: nodeKey(s.g, ar.origins[i].node)})
+			ih = append(ih, iterEntry{it: it, next: d, key: ex.keys.Of(ar.origins[i].node)})
 		}
 	}
 	ih.init()
@@ -252,10 +253,12 @@ type genState struct {
 	n     int
 	combo []graph.NodeID
 
-	// per-generate-call state
+	// per-generate-call state. rootExcluded is looked up only once a
+	// combination completes (rootChecked): most calls complete none.
 	v            graph.NodeID
 	ti           int
 	l            [][]graph.NodeID
+	rootChecked  bool
 	rootExcluded bool
 	produced     int
 }
@@ -265,7 +268,7 @@ func (gs *genState) generate(v graph.NodeID, origin graph.NodeID, ti int) {
 	gs.v = v
 	gs.ti = ti
 	gs.l = ex.ar.nodeLists(v, gs.n)
-	gs.rootExcluded = ex.excluded[ex.s.g.TableOf(v)]
+	gs.rootChecked = false
 	gs.produced = 0
 	gs.combo[ti] = origin
 	gs.rec(0)
@@ -282,11 +285,15 @@ func (gs *genState) rec(term int) bool {
 		}
 		gs.produced++
 		ex.stats.Generated++
+		if !gs.rootChecked {
+			gs.rootExcluded = ex.excluded[ex.s.g.TableOf(gs.v)]
+			gs.rootChecked = true
+		}
 		if gs.rootExcluded {
 			ex.stats.ExcludedRoots++
 			return true
 		}
-		if a := ex.s.buildAnswer(ex.ar, gs.v, gs.combo, ex.o, ex.stats); a != nil {
+		if a := ex.buildAnswer(gs.v, gs.combo); a != nil {
 			gs.em.offer(a)
 		}
 		return true
@@ -314,7 +321,8 @@ func (gs *genState) rec(term int) bool {
 // the root is reused and the walk continues from that node. Every leaf
 // stays reachable from the root and the result is a genuine tree. Returns
 // nil for trees pruned by the single-child-root rule.
-func (s *Searcher) buildAnswer(ar *searchArena, v graph.NodeID, combo []graph.NodeID, o *Options, stats *Stats) *Answer {
+func (ex *exec) buildAnswer(v graph.NodeID, combo []graph.NodeID) *Answer {
+	ar := ex.ar
 	gen := ar.bumpMark()
 	ar.mark[v] = gen
 	edges := ar.edgeBuf[:0]
@@ -338,28 +346,18 @@ func (s *Searcher) buildAnswer(ar *searchArena, v graph.NodeID, combo []graph.No
 	ar.scratchEdges = scratch[:0]
 	ar.edgeBuf = edges
 	if len(edges) > 0 && rootChildren(ar, v, edges) == 1 {
-		stats.SingleChildRoots++
+		ex.stats.SingleChildRoots++
 		return nil
 	}
 	// Canonical (table, rid) edge order: sibling order in rendered trees
 	// and the FP summation order of the weight — hence the exact score —
 	// come out identical under any node numbering.
+	keys := &ex.keys
 	slices.SortFunc(edges, func(x, y TreeEdge) int {
-		kxf, kyf := nodeKey(s.g, x.From), nodeKey(s.g, y.From)
-		if kxf != kyf {
-			if kxf < kyf {
-				return -1
-			}
-			return 1
+		if c := cmp.Compare(keys.Of(x.From), keys.Of(y.From)); c != 0 {
+			return c
 		}
-		kxt, kyt := nodeKey(s.g, x.To), nodeKey(s.g, y.To)
-		switch {
-		case kxt < kyt:
-			return -1
-		case kxt > kyt:
-			return 1
-		}
-		return 0
+		return cmp.Compare(keys.Of(x.To), keys.Of(y.To))
 	})
 	a := ar.newAnswer()
 	a.Root = v
@@ -368,7 +366,7 @@ func (s *Searcher) buildAnswer(ar *searchArena, v graph.NodeID, combo []graph.No
 	for _, e := range edges {
 		a.Weight += e.W
 	}
-	scoreAnswer(a, s.g, o.Score)
+	scoreAnswer(a, ex.s.g, ex.o.Score)
 	return a
 }
 

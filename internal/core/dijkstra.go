@@ -1,6 +1,11 @@
 package core
 
 import (
+	"cmp"
+	"math"
+	"math/bits"
+	"slices"
+
 	"github.com/banksdb/banks/internal/graph"
 )
 
@@ -22,9 +27,16 @@ import (
 // and relaxation runs the direct-indexed loop from then on — the far-apart
 // queries that sweep half the graph per origin. The regime is tested once
 // per pop, never per arc. Both regimes stamp slots with gen, so re-rooting
-// an iterator costs a generation bump, not a clear; the settling order is
-// a total order on (distance, node key), so the regime changes nothing
-// observable. Iterators are recycled through the searchArena.
+// an iterator costs a generation bump, not a clear. Iterators are recycled
+// through the searchArena.
+//
+// The frontier is a monotone radix heap (distHeap) on (distance, node
+// key), where a node's key is its (table, rid) identity read from the
+// view's graph.Keys table — one slice lookup, no View call. Keys are read
+// only to order distance ties: within the heap's minimum bucket, and
+// between equal-cost parents. So the settling order and the chosen
+// shortest-path tree are canonical in (table, rid) terms, identical under
+// any node numbering and in either regime.
 type sspIterator struct {
 	g      graph.View
 	origin graph.NodeID
@@ -47,10 +59,12 @@ type sspIterator struct {
 	dense *denseBlock
 	ar    *searchArena
 
-	// cleaned records that pq[0] is known live (clean ran and nothing was
-	// settled since), and in the sparse regime top is its node's slot: the
-	// Peek that follows every Next pays the one probe the next Next needs.
+	// cleaned records that the heap minimum topNode is known live (clean
+	// ran and nothing was settled since), and in the sparse regime top is
+	// its slot: the Peek that follows every Next pays the one probe the
+	// next Next needs.
 	cleaned bool
+	topNode graph.NodeID
 	top     int
 
 	// lastArcs is how many reverse arcs the last Next() relaxed — the
@@ -98,75 +112,153 @@ func newDenseBlock(n int) *denseBlock {
 	}
 }
 
+// distHeap is the iterator's priority queue: a monotone radix heap
+// (Ahuja, Mehlhorn, Orlin and Tarjan, 1990) on (distance, node key).
+// Arc weights are finite and strictly positive (graph.View), so Dijkstra
+// never pushes a distance below the last one it popped, and an entry's
+// place is fixed by the highest bit in which its distance's float64 bits
+// (monotone in the value for d >= 0) differ from last, the current
+// minimum: bucket i holds the entries with bits.Len64(bits(d)^last) == i.
+// Pops empty zero, the entries at exactly last; refill then takes the
+// lowest non-empty bucket, makes its minimum the new last and relinks its
+// entries, every one into zero or a strictly lower bucket. So an entry
+// moves at most 63 times, and no comparison is made outside the bucket
+// being emptied.
+//
+// Only zero needs the (table, rid) tie-break: it is sorted by key once,
+// when a refill forms it, so the pop order is the same total order on
+// (distance, key) a comparison heap gives, and two numberings of one
+// logical graph settle identically. Distance ties are common — with
+// integer-valued weights most pops share their distance with another
+// entry — but a lone minimum needs no key at all.
+//
+// Buckets are singly linked lists threaded through one entry pool with a
+// free list, so an iterator's heap is one slice that grows to its most
+// live entries, however they spread over the 64 buckets.
+type distHeap struct {
+	keys graph.Keys
+	last uint64 // math.Float64bits of the minimum distance; no entry is below it
+	// zero holds the entries at distance last by descending key: the
+	// minimum pops off the end. A lone entry's key is not looked up.
+	zero []keyedNode
+	// nonEmpty has bit i set iff bucket i holds entries, head[i] its first
+	// (i >= 1; a non-negative distance never sets the sign bit, so i <= 63).
+	nonEmpty uint64
+	head     [64]int32
+	ent      []distEntry
+	free     int32 // first free entry of ent, -1 if none
+}
+
+// distEntry is a pooled bucket entry.
 type distEntry struct {
-	node graph.NodeID
 	d    float64
-	key  uint64 // stable (table, rid) identity of node; see nodeKey
+	node graph.NodeID
+	next int32 // next entry of the same list, -1 at its end
 }
 
-// nodeKey packs a node's (table, rid) identity into one comparable word.
-// Ties are broken on this key rather than on the NodeID so that two
-// engines holding the same logical graph under different node numberings
-// — a delta overlay with appended nodes versus a from-scratch rebuild
-// that renumbers them into their table blocks — settle tied nodes and
-// choose tied shortest-path parents identically.
-func nodeKey(g graph.View, n graph.NodeID) uint64 {
-	return uint64(g.TableOf(n))<<48 | uint64(g.RIDOf(n))&(1<<48-1)
+type keyedNode struct {
+	key  uint64
+	node graph.NodeID
 }
 
-// less orders entries by (distance, stable identity): the total order that
-// makes the settling sequence independent of node numbering.
-func (e distEntry) less(o distEntry) bool {
-	return e.d < o.d || (e.d == o.d && e.key < o.key)
+// reset empties the heap, keeping its capacity, and sets last to 0.
+func (h *distHeap) reset(keys graph.Keys) {
+	h.keys = keys
+	h.last = 0
+	h.zero = h.zero[:0]
+	h.nonEmpty = 0
+	h.ent = h.ent[:0]
+	h.free = -1
 }
 
-// distHeap is a hand-rolled binary min-heap on (d, key). container/heap
-// would box every distEntry pushed through its interface{} parameters — on
-// the hot path that is one allocation per relaxation.
-type distHeap []distEntry
-
-func (h *distHeap) push(e distEntry) {
-	*h = append(*h, e)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !s[i].less(s[p]) {
-			break
-		}
-		s[p], s[i] = s[i], s[p]
-		i = p
+// push adds node n at distance d, which must not be below the last
+// minimum.
+func (h *distHeap) push(n graph.NodeID, d float64) {
+	x := math.Float64bits(d) ^ h.last
+	if x == 0 {
+		h.pushZero(n)
+		return
 	}
-}
-
-func (h *distHeap) pop() distEntry {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	*h = s[:n]
-	if n > 1 {
-		s[:n].siftDown(0)
+	k := h.free
+	if k >= 0 {
+		h.free = h.ent[k].next
+	} else {
+		k = int32(len(h.ent))
+		h.ent = append(h.ent, distEntry{})
 	}
-	return top
+	h.ent[k] = distEntry{d: d, node: n}
+	h.link(k, bits.Len64(x))
 }
 
-func (h distHeap) siftDown(i int) {
-	n := len(h)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
+// link makes entry k the head of bucket i.
+func (h *distHeap) link(k int32, i int) {
+	if h.nonEmpty&(1<<i) == 0 {
+		h.ent[k].next = -1
+		h.nonEmpty |= 1 << i
+	} else {
+		h.ent[k].next = h.head[i]
+	}
+	h.head[i] = k
+}
+
+// pushZero inserts n at distance last into zero, in key order. Only a
+// weight lost to rounding (d + w == d) lands here outside a refill.
+func (h *distHeap) pushZero(n graph.NodeID) {
+	k := h.keys.Of(n)
+	if len(h.zero) == 1 {
+		h.zero[0].key = h.keys.Of(h.zero[0].node)
+	}
+	i, _ := slices.BinarySearchFunc(h.zero, k, func(e keyedNode, k uint64) int {
+		return cmp.Compare(k, e.key) // descending
+	})
+	h.zero = slices.Insert(h.zero, i, keyedNode{key: k, node: n})
+}
+
+// min returns the minimum entry's node, or false when the heap is empty.
+// Its distance is dist().
+func (h *distHeap) min() (graph.NodeID, bool) {
+	if len(h.zero) == 0 {
+		if h.nonEmpty == 0 {
+			return graph.NoNode, false
 		}
-		m := l
-		if r := l + 1; r < n && h[r].less(h[l]) {
-			m = r
+		h.refill()
+	}
+	return h.zero[len(h.zero)-1].node, true
+}
+
+// dist returns the minimum distance.
+func (h *distHeap) dist() float64 { return math.Float64frombits(h.last) }
+
+// pop removes the minimum entry; min must have reported it.
+func (h *distHeap) pop() { h.zero = h.zero[:len(h.zero)-1] }
+
+// refill forms zero from the lowest non-empty bucket: its minimum becomes
+// last, the entries at last go to zero and the rest to lower buckets.
+func (h *distHeap) refill() {
+	i := bits.TrailingZeros64(h.nonEmpty)
+	h.nonEmpty &^= 1 << i
+	m := uint64(math.MaxUint64)
+	for k := h.head[i]; k >= 0; k = h.ent[k].next {
+		m = min(m, math.Float64bits(h.ent[k].d))
+	}
+	h.last = m
+	for k := h.head[i]; k >= 0; {
+		e := &h.ent[k]
+		next := e.next
+		if x := math.Float64bits(e.d) ^ m; x != 0 {
+			h.link(k, bits.Len64(x)) // < i: e and m agree on every bit from i-1 up
+		} else {
+			h.zero = append(h.zero, keyedNode{node: e.node})
+			e.next = h.free
+			h.free = k
 		}
-		if !h[m].less(h[i]) {
-			return
+		k = next
+	}
+	if len(h.zero) > 1 {
+		for k := range h.zero {
+			h.zero[k].key = h.keys.Of(h.zero[k].node)
 		}
-		h[i], h[m] = h[m], h[i]
-		i = m
+		slices.SortFunc(h.zero, func(a, b keyedNode) int { return cmp.Compare(b.key, a.key) })
 	}
 }
 
@@ -192,11 +284,11 @@ func (it *sspIterator) reset(g graph.View, origin graph.NodeID) {
 	it.live = 0
 	it.promoteAt = g.NumNodes() / densePromoteDiv
 	it.cleaned = false
-	it.pq = it.pq[:0]
+	it.pq.reset(g.Keys())
 	it.lastArcs = 0
 	i, _ := it.probe(origin)
 	it.tab[i] = sparseSlot{node: origin, stamp: it.gen}
-	it.pq.push(distEntry{node: origin, d: 0, key: nodeKey(g, origin)})
+	it.pq.push(origin, 0)
 	it.claimed()
 }
 
@@ -262,51 +354,57 @@ func (it *sspIterator) promote() {
 	it.dense = b
 }
 
-// clean drops stale heap entries (lazy deletion), leaving pq[0] live.
-func (it *sspIterator) clean() {
+// clean drops stale heap entries (lazy deletion), leaving the minimum
+// live, and returns it (NoNode when the heap is empty).
+func (it *sspIterator) clean() graph.NodeID {
 	if it.cleaned {
-		return
+		return it.topNode
 	}
 	settled := it.gen + 1
+	n, ok := it.pq.min()
 	if b := it.dense; b != nil {
-		for len(it.pq) > 0 && b.visit[it.pq[0].node] == settled {
+		for ok && b.visit[n] == settled {
 			it.pq.pop()
+			n, ok = it.pq.min()
 		}
 	} else {
-		for len(it.pq) > 0 {
+		for ok {
 			// Every heap entry's node was claimed when it was pushed.
-			i, _ := it.probe(it.pq[0].node)
+			i, _ := it.probe(n)
 			if it.tab[i].stamp != settled {
 				it.top = i
 				break
 			}
 			it.pq.pop()
+			n, ok = it.pq.min()
 		}
 	}
 	it.cleaned = true
+	it.topNode = n
+	return n
 }
 
 // Peek returns the next node and distance without consuming it.
 func (it *sspIterator) Peek() (graph.NodeID, float64, bool) {
-	it.clean()
-	if len(it.pq) == 0 {
+	n := it.clean()
+	if n == graph.NoNode {
 		return graph.NoNode, 0, false
 	}
-	return it.pq[0].node, it.pq[0].d, true
+	return n, it.pq.dist(), true
 }
 
 // Next settles and returns the closest unsettled node. After settling v it
 // relaxes the reverse edges into v: every forward arc u->v extends the
 // forward path u -> v -> ... -> origin.
 func (it *sspIterator) Next() (graph.NodeID, float64, bool) {
-	it.clean()
-	if len(it.pq) == 0 {
+	v := it.clean()
+	if v == graph.NoNode {
 		it.lastArcs = 0
 		return graph.NoNode, 0, false
 	}
-	top := it.pq.pop()
+	d := it.pq.dist()
+	it.pq.pop()
 	it.cleaned = false
-	v, d := top.node, top.d
 	if b := it.dense; b != nil {
 		b.dist[v] = d
 		b.visit[v] = it.gen + 1
@@ -315,14 +413,13 @@ func (it *sspIterator) Next() (graph.NodeID, float64, bool) {
 		s.dist = d
 		s.stamp = it.gen + 1
 	}
-	vkey := nodeKey(it.g, v)
 	in := it.g.In(v)
 	it.lastArcs = len(in)
 	if it.dense == nil {
-		in = it.relaxSparse(v, d, vkey, in)
+		in = it.relaxSparse(v, d, in)
 	}
 	if it.dense != nil {
-		it.relaxDense(v, d, vkey, in)
+		it.relaxDense(v, d, in)
 	}
 	return v, d, true
 }
@@ -330,7 +427,8 @@ func (it *sspIterator) Next() (graph.NodeID, float64, bool) {
 // relaxSparse relaxes the arcs in into the just-settled v against the
 // table. If claiming a node promotes the iterator it stops there and
 // returns the arcs not yet relaxed, for relaxDense to finish.
-func (it *sspIterator) relaxSparse(v graph.NodeID, d float64, vkey uint64, in []graph.Edge) []graph.Edge {
+func (it *sspIterator) relaxSparse(v graph.NodeID, d float64, in []graph.Edge) []graph.Edge {
+	keys := &it.pq.keys
 	for k, e := range in {
 		u, w := e.To, e.W
 		nd := d + w
@@ -338,7 +436,7 @@ func (it *sspIterator) relaxSparse(v graph.NodeID, d float64, vkey uint64, in []
 		s := &it.tab[i]
 		if !ok {
 			*s = sparseSlot{node: u, stamp: it.gen, dist: nd, parent: v, pweight: w}
-			it.pq.push(distEntry{node: u, d: nd, key: nodeKey(it.g, u)})
+			it.pq.push(u, nd)
 			if it.claimed() {
 				return in[k+1:]
 			}
@@ -351,8 +449,8 @@ func (it *sspIterator) relaxSparse(v graph.NodeID, d float64, vkey uint64, in []
 			s.dist = nd
 			s.parent = v
 			s.pweight = w
-			it.pq.push(distEntry{node: u, d: nd, key: nodeKey(it.g, u)})
-		} else if nd == s.dist && vkey < nodeKey(it.g, s.parent) {
+			it.pq.push(u, nd)
+		} else if nd == s.dist && keys.Of(v) < keys.Of(s.parent) {
 			// Equal-cost path through a smaller-identity parent; see relaxDense.
 			s.parent = v
 			s.pweight = w
@@ -362,7 +460,8 @@ func (it *sspIterator) relaxSparse(v graph.NodeID, d float64, vkey uint64, in []
 }
 
 // relaxDense is relaxSparse over the direct-indexed arrays.
-func (it *sspIterator) relaxDense(v graph.NodeID, d float64, vkey uint64, in []graph.Edge) {
+func (it *sspIterator) relaxDense(v graph.NodeID, d float64, in []graph.Edge) {
+	keys := &it.pq.keys
 	b := it.dense
 	dist, parent, pweight, visit := b.dist, b.parent, b.pweight, b.visit
 	gen := it.gen
@@ -378,8 +477,8 @@ func (it *sspIterator) relaxDense(v graph.NodeID, d float64, vkey uint64, in []g
 			visit[u] = gen
 			parent[u] = v
 			pweight[u] = w
-			it.pq.push(distEntry{node: u, d: nd, key: nodeKey(it.g, u)})
-		} else if nd == dist[u] && vkey < nodeKey(it.g, parent[u]) {
+			it.pq.push(u, nd)
+		} else if nd == dist[u] && keys.Of(v) < keys.Of(parent[u]) {
 			// Equal-cost path through a smaller-identity parent: adopt it,
 			// so the chosen shortest-path tree is canonical in (table, rid)
 			// terms and identical across node numberings. Every candidate

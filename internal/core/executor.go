@@ -9,6 +9,7 @@ package core
 // (backward.go).
 
 import (
+	"cmp"
 	"container/heap"
 	"context"
 	"errors"
@@ -26,6 +27,7 @@ type exec struct {
 	o        *Options
 	stats    *Stats
 	sets     [][]graph.NodeID
+	keys     graph.Keys
 	excluded map[int32]bool
 	cb       func(*Answer) bool
 	// faultBase is the fault meter's reading at query start; bytesFaulted
@@ -125,17 +127,18 @@ func (s *Searcher) runStages(ctx context.Context, req Request, o *Options, cb fu
 	}
 
 	// Stage 2: locate S_i for each term (§3 step 1).
+	keys := s.g.Keys()
 	sets := ar.setsBuf
 	active := ar.activeBuf
 	for _, term := range clean {
 		var set []graph.NodeID
 		if qual, bare, ok := parseQualifiedTerm(term); req.Qualified && ok {
 			set = s.matchQualified(ar, req.DB, qual, bare, o, stats)
-			canonicalizeSet(s.g, set)
+			canonicalizeSet(&keys, set)
 		} else {
 			buf := ar.termSet(len(sets))
 			buf = s.matchTerm(ar, term, o, stats, buf)
-			canonicalizeSet(s.g, buf)
+			canonicalizeSet(&keys, buf)
 			ar.termSets[len(sets)] = buf // retain any growth
 			set = buf
 			if len(set) == 0 && req.Prefix {
@@ -180,6 +183,7 @@ func (s *Searcher) runStages(ctx context.Context, req Request, o *Options, cb fu
 		o:         o,
 		stats:     stats,
 		sets:      sets,
+		keys:      keys,
 		excluded:  s.excludedTables(ar, o),
 		cb:        cb,
 		faultBase: faultBase,
@@ -300,8 +304,6 @@ func (em *emitter) finish() []*Answer {
 	return em.emitted
 }
 
-// iterEntry is one shortest-path iterator in the iterator heap, keyed by
-// the distance of the next node it will output.
 // canonicalizeSet orders a term's match set by stable (table, rid)
 // identity. Posting lists arrive in node-id order, which coincides with
 // canonical order under the default layout but not under a build-time
@@ -311,26 +313,19 @@ func (em *emitter) finish() []*Answer {
 // which of several equal-scored answers survive the output heap —
 // independent of node numbering. The sortedness pre-check keeps the
 // common already-canonical case at a linear scan.
-func canonicalizeSet(g graph.View, set []graph.NodeID) {
-	cmp := func(a, b graph.NodeID) int {
-		ka, kb := nodeKey(g, a), nodeKey(g, b)
-		switch {
-		case ka < kb:
-			return -1
-		case ka > kb:
-			return 1
-		}
-		return 0
-	}
-	if !slices.IsSortedFunc(set, cmp) {
-		slices.SortFunc(set, cmp)
+func canonicalizeSet(keys *graph.Keys, set []graph.NodeID) {
+	byKey := func(a, b graph.NodeID) int { return cmp.Compare(keys.Of(a), keys.Of(b)) }
+	if !slices.IsSortedFunc(set, byKey) {
+		slices.SortFunc(set, byKey)
 	}
 }
 
+// iterEntry is one shortest-path iterator in the iterator heap, keyed by
+// the distance of the next node it will output.
 type iterEntry struct {
 	it   *sspIterator
 	next float64
-	key  uint64 // stable (table, rid) identity of the origin; see nodeKey
+	key  uint64 // stable (table, rid) identity of the origin; see graph.Keys
 }
 
 // before orders entries by (next distance, stable origin identity): with

@@ -15,6 +15,7 @@ package graph
 import (
 	"fmt"
 	"runtime"
+	"sync"
 
 	"github.com/banksdb/banks/internal/sqldb"
 )
@@ -56,6 +57,10 @@ type Graph struct {
 	minEdge float64 // minimum arc weight (w_min in §2.3), 1 if no arcs
 	maxNode float64 // maximum node weight (w_max in §2.3), 0 if no references
 	numArcs int
+
+	// keys is the node-key table, built by the first Keys call.
+	keysOnce sync.Once
+	keys     []uint64
 
 	// lazy is non-nil for store-opened graphs (OpenLazy): the adjacency
 	// and node-metadata arrays above are loaded from their segments on
@@ -113,6 +118,20 @@ func (g *Graph) NodeOf(table string, rid sqldb.RID) NodeID {
 // NodesOfTable returns the (contiguous) node range [lo, hi) of table id t.
 func (g *Graph) NodesOfTable(t int32) (lo, hi NodeID) {
 	return g.tableStart[t], g.tableStart[t+1]
+}
+
+// Keys returns the node-key table, building it on the first call: one
+// word per node, from the node-metadata arrays of a store-opened graph.
+func (g *Graph) Keys() Keys {
+	g.keysOnce.Do(func() {
+		g.ensureNodeMeta()
+		keys := make([]uint64, len(g.tableOf))
+		for n, t := range g.tableOf {
+			keys[n] = Key(t, g.ridOf[n])
+		}
+		g.keys = keys
+	})
+	return NewKeys(g.keys)
 }
 
 // Out returns the out-edges of n. Callers must not mutate the slice.

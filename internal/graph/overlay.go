@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"github.com/banksdb/banks/internal/sqldb"
 )
@@ -97,6 +98,15 @@ type Overlay struct {
 	numArcs int
 	minEdge float64
 	maxNode float64
+
+	// keys is this snapshot's node-key table, built by the first Keys call.
+	keys *overlayKeys
+}
+
+// overlayKeys holds an overlay's lazily built key table.
+type overlayKeys struct {
+	once sync.Once
+	keys Keys
 }
 
 var _ View = (*Overlay)(nil)
@@ -255,6 +265,21 @@ func (o *Overlay) MemoryFootprint() int64 {
 // LazyErr reports the base's first deferred-load failure.
 func (o *Overlay) LazyErr() error { return o.base.LazyErr() }
 
+// Keys returns the node-key table: the base's table, shared, plus keys for
+// the appended nodes, built on the first call in O(appended nodes).
+func (o *Overlay) Keys() Keys {
+	o.keys.once.Do(func() {
+		bk := o.base.Keys()
+		app := make([]uint64, len(bk.app), len(bk.app)+len(o.dTable))
+		copy(app, bk.app)
+		for i, t := range o.dTable {
+			app = append(app, Key(t, o.dRID[i]))
+		}
+		o.keys.keys = Keys{base: bk.base, app: app}
+	})
+	return o.keys.keys
+}
+
 // Base returns the view this overlay composes over.
 func (o *Overlay) Base() View { return o.base }
 
@@ -364,6 +389,7 @@ func (d *Delta) Snapshot() *Overlay {
 	for k, v := range d.cur.patchPrestige {
 		o.patchPrestige[k] = v
 	}
+	o.keys = new(overlayKeys)
 	return &o
 }
 

@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 	"sync"
 
 	"github.com/banksdb/banks/internal/sqldb"
@@ -325,7 +326,7 @@ func (g *Graph) decodeArcs(data []byte) error {
 		p = p[obPad+arcRecordSize*narcs:]
 		return off, edges
 	}
-	validateCSR := func(off []int32, edges []Edge) error {
+	validateCSR := func(dir string, off []int32, edges []Edge) error {
 		if off[0] != 0 || off[nn] != int32(narcs) {
 			return fmt.Errorf("CSR offsets span [%d, %d), want [0, %d)", off[0], off[nn], narcs)
 		}
@@ -338,15 +339,20 @@ func (g *Graph) decodeArcs(data []byte) error {
 			if uint32(e.To) >= uint32(nn) {
 				return fmt.Errorf("arc %d targets node %d of %d", i, e.To, nn)
 			}
+			// Shortest-path search needs finite, strictly positive weights.
+			if !(e.W > 0 && e.W <= math.MaxFloat64) {
+				n := sort.Search(nn, func(n int) bool { return off[n+1] > int32(i) })
+				return fmt.Errorf("%s arc %d (node %d, neighbour %d) has weight %v, want finite and > 0", dir, i, n, e.To, e.W)
+			}
 		}
 		return nil
 	}
 	fwdOff, fwdEdges := takeCSR()
 	revOff, revEdges := takeCSR()
-	if err := validateCSR(fwdOff, fwdEdges); err != nil {
+	if err := validateCSR("forward", fwdOff, fwdEdges); err != nil {
 		return err
 	}
-	if err := validateCSR(revOff, revEdges); err != nil {
+	if err := validateCSR("reverse", revOff, revEdges); err != nil {
 		return err
 	}
 	g.fwdOff, g.fwdEdges = fwdOff, fwdEdges

@@ -2,7 +2,9 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -155,6 +157,23 @@ func TestDecodeRejectsCorruptSegments(t *testing.T) {
 		s.arcs[off+2] = 0xFF
 		s.arcs[off+3] = 0x7F
 	})
+	// Weights: the first forward arc's record follows the header and the
+	// 8-aligned forward offsets; its weight is the record's second word.
+	weightAt := arcsHeaderSize + (4*(g.NumNodes()+1)+7)&^7 + 8
+	for _, w := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		s := &memSource{arcs: append([]byte(nil), src.arcs...), nodeMeta: src.nodeMeta}
+		binary.LittleEndian.PutUint64(s.arcs[weightAt:], math.Float64bits(w))
+		lg, err := OpenLazy(meta, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(lg.Out(0)) != 0 {
+			t.Errorf("weight %v: arcs served after a rejected segment", w)
+		}
+		if err := lg.LazyErr(); err == nil || !strings.Contains(err.Error(), "forward arc 0 (node 0,") {
+			t.Errorf("weight %v: LazyErr = %v, want the arc named", w, err)
+		}
+	}
 	corrupt("truncated node meta", func(s *memSource) { s.nodeMeta = s.nodeMeta[:7] })
 	corrupt("huge rid", func(s *memSource) {
 		for i := 4; i < 12; i++ {

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"github.com/banksdb/banks/internal/sqldb"
@@ -42,32 +43,67 @@ func requireSymmetric(t *testing.T, v View, label string) {
 	}
 }
 
-// TestArcsAreSymmetricInEveryForm runs requireSymmetric on each engine
-// form: built, store-opened lazy, degree-renumbered, an overlay after
-// inserts, updates and deletes, that overlay materialized (what Compact
-// writes), and the restricted partitions of a built graph and of the
-// overlay.
-func TestArcsAreSymmetricInEveryForm(t *testing.T) {
+// requirePositiveWeights checks the View invariant the shortest-path
+// iterator's radix heap rests on: every arc weight, on both sides of the
+// adjacency, is finite and strictly positive.
+func requirePositiveWeights(t *testing.T, v View, label string) {
+	t.Helper()
+	arcs := 0
+	for u := NodeID(0); int(u) < v.NumNodes(); u++ {
+		for _, dir := range []struct {
+			name string
+			es   []Edge
+		}{{"out", v.Out(u)}, {"in", v.In(u)}} {
+			for _, e := range dir.es {
+				arcs++
+				if !(e.W > 0 && !math.IsInf(e.W, 1)) {
+					t.Fatalf("%s: %s-arc %s/%s has weight %v", label, dir.name, rowName(v, u), rowName(v, e.To), e.W)
+				}
+			}
+		}
+	}
+	if arcs == 0 {
+		t.Fatalf("%s: no arcs to check", label)
+	}
+}
+
+// requireKeys checks a view's key table against its (table, rid) identity
+// for every node id, tombstones included.
+func requireKeys(t *testing.T, v View, label string) {
+	t.Helper()
+	keys := v.Keys()
+	for n := NodeID(0); int(n) < v.NumNodes(); n++ {
+		if got, want := keys.Of(n), Key(v.TableOf(n), v.RIDOf(n)); got != want {
+			t.Fatalf("%s: key of node %d (%s) = %#x, want %#x", label, n, rowName(v, n), got, want)
+		}
+	}
+}
+
+// eachForm runs check on each engine form: built, store-opened lazy,
+// degree-renumbered, an overlay after inserts, updates and deletes, that
+// overlay materialized (what Compact writes), and the restricted
+// partitions of a built graph and of the overlay.
+func eachForm(t *testing.T, check func(t *testing.T, v View, label string)) {
 	for _, scale := range []bool{true, false} {
 		t.Run(fmt.Sprintf("scale=%v", scale), func(t *testing.T) {
 			db := newMutDB(t)
 			g := mustBuild(t, db, &BuildOptions{ScaleBackEdges: scale})
-			requireSymmetric(t, g, "built")
+			check(t, g, "built")
 
 			meta, src := encodeSegments(t, g)
 			lazy, err := OpenLazy(meta, src)
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireSymmetric(t, lazy, "lazy")
+			check(t, lazy, "lazy")
 
-			requireSymmetric(t, mustBuild(t, db, &BuildOptions{ScaleBackEdges: scale, LayoutOrder: LayoutDegree}), "degree layout")
+			check(t, mustBuild(t, db, &BuildOptions{ScaleBackEdges: scale, LayoutOrder: LayoutDegree}), "degree layout")
 
 			even := func(n NodeID) bool { return n%2 == 0 }
 			odd := func(n NodeID) bool { return n%2 == 1 }
 			for i, keep := range []func(NodeID) bool{even, odd} {
 				part, _ := Restrict(g, keep)
-				requireSymmetric(t, part, fmt.Sprintf("built partition %d", i))
+				check(t, part, fmt.Sprintf("built partition %d", i))
 			}
 
 			m := newMutator(t, db, scale)
@@ -80,15 +116,44 @@ func TestArcsAreSymmetricInEveryForm(t *testing.T) {
 			m.apply(m.update("writes", 2, map[string]sqldb.Value{"pid": sqldb.Text("p3")}))
 			m.apply(m.del("writes", 1), m.del("cites", 2))
 			ov := m.d.Snapshot()
-			requireSymmetric(t, ov, "overlay")
+			check(t, ov, "overlay")
 
 			mat, _ := Materialize(ov)
-			requireSymmetric(t, mat, "materialized overlay")
+			check(t, mat, "materialized overlay")
 
 			for i, keep := range []func(NodeID) bool{even, odd} {
 				part, _ := Restrict(ov, keep)
-				requireSymmetric(t, part, fmt.Sprintf("overlay partition %d", i))
+				check(t, part, fmt.Sprintf("overlay partition %d", i))
 			}
 		})
 	}
+}
+
+func TestArcsAreSymmetricInEveryForm(t *testing.T) { eachForm(t, requireSymmetric) }
+
+func TestArcWeightsPositiveInEveryForm(t *testing.T) { eachForm(t, requirePositiveWeights) }
+
+func TestKeysMatchIdentityInEveryForm(t *testing.T) { eachForm(t, requireKeys) }
+
+// TestOverlayKeysShareBase: an overlay's key table reuses its base's slice
+// and holds only the appended nodes of its own, so a publish never copies
+// the base table; a later snapshot extends, and leaves the earlier alone.
+func TestOverlayKeysShareBase(t *testing.T) {
+	db := newMutDB(t)
+	m := newMutator(t, db, true)
+	base := m.d.cur.base.Keys()
+	m.apply(m.insert("author", sqldb.Text("a9"), sqldb.Text("Fresh Author")))
+	first := m.d.Snapshot()
+	m.apply(m.insert("writes", sqldb.Text("a9"), sqldb.Text("p0")))
+	second := m.d.Snapshot()
+
+	k1, k2 := first.Keys(), second.Keys()
+	if &k1.base[0] != &base.base[0] || &k2.base[0] != &base.base[0] {
+		t.Fatal("overlay copied its base's key table")
+	}
+	if len(k1.app) != 1 || len(k2.app) != 2 {
+		t.Fatalf("appended keys: %d and %d, want 1 and 2", len(k1.app), len(k2.app))
+	}
+	requireKeys(t, first, "first snapshot")
+	requireKeys(t, second, "second snapshot")
 }

@@ -14,7 +14,9 @@ import "github.com/banksdb/banks/internal/sqldb"
 // and a backward arc v->u (weights may differ), and In mirrors Out. So a
 // node's backward-reachable set is its connected component, which the
 // search's iterator retirement relies on (internal/core, iteratorDone).
-// TestArcsAreSymmetricInEveryForm pins the invariant.
+// TestArcsAreSymmetricInEveryForm pins the invariant. Every arc weight is
+// also finite and strictly positive, which the search's shortest-path
+// iterator needs to settle nodes in order (TestArcWeightsPositiveInEveryForm).
 type View interface {
 	// NumNodes returns the node-id space size: dense ids in [0, NumNodes).
 	// An overlay may contain tombstoned ids inside the range; they are
@@ -58,6 +60,41 @@ type View interface {
 	// LazyErr reports the first deferred-load failure, or nil. Views with
 	// no deferred state always return nil.
 	LazyErr() error
+	// Keys returns the view's node-key table. It is built on the first
+	// call, never at open, and shared by every later call.
+	Keys() Keys
+}
+
+// Keys is a view's node-key table: the stable (table, rid) identity of
+// every node id, packed into one comparable word (see Key). Search breaks
+// distance ties on it rather than on the NodeID, so that two engines
+// holding the same logical graph under different node numberings — a
+// delta overlay with appended nodes versus a from-scratch rebuild that
+// renumbers them into their table blocks — settle tied nodes, choose tied
+// parents and order answers identically.
+//
+// The table is a base slice plus an appended-nodes slice, so an overlay
+// shares its base's table and adds only its own appended nodes.
+type Keys struct {
+	base []uint64 // keys of ids [0, len(base))
+	app  []uint64 // keys of ids [len(base), len(base)+len(app))
+}
+
+// Key packs a node identity into the word Keys holds: table id in the top
+// 16 bits, rid in the low 48.
+func Key(table int32, rid sqldb.RID) uint64 {
+	return uint64(table)<<48 | uint64(rid)&(1<<48-1)
+}
+
+// NewKeys wraps a key table indexed by node id.
+func NewKeys(keys []uint64) Keys { return Keys{base: keys} }
+
+// Of returns node n's key.
+func (k *Keys) Of(n NodeID) uint64 {
+	if int(n) < len(k.base) {
+		return k.base[n]
+	}
+	return k.app[int(n)-len(k.base)]
 }
 
 var _ View = (*Graph)(nil)

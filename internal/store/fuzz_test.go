@@ -9,7 +9,10 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
+	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -86,6 +89,10 @@ func FuzzStoreOpen(f *testing.F) {
 		}
 	}
 
+	// A zero arc weight behind valid checksums: only the graph's own arc
+	// validation stands between it and the shortest-path search.
+	f.Add(withArcWeight(f, seed, 0))
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Both byte-source implementations must reject/serve identical
 		// inputs identically: the copy path (plain io.ReaderAt) and the
@@ -125,6 +132,60 @@ func fuzzProbe(st *Store, err error) error {
 	_ = st.Err()
 	_ = st.Stats()
 	return nil
+}
+
+// withArcWeight returns a copy of a valid store whose first forward arc
+// weighs w, with the arcs segment's checksum, the directory and the
+// footer's directory checksum redone so every framing check still passes.
+func withArcWeight(tb testing.TB, data []byte, w float64) []byte {
+	tb.Helper()
+	out := append([]byte(nil), data...)
+	foot := out[len(out)-footerSize:]
+	dirOff := binary.BigEndian.Uint64(foot)
+	dirLen := binary.BigEndian.Uint64(foot[8:])
+	entries, err := decodeDirectory(out[dirOff : dirOff+dirLen])
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i, e := range entries {
+		if e.kind != kindGraphArcs {
+			continue
+		}
+		seg := out[e.off : e.off+e.length]
+		// Header (16 bytes), the 8-aligned forward offsets, then 16-byte
+		// arc records whose second word is the weight.
+		nn := int(binary.LittleEndian.Uint32(seg))
+		binary.LittleEndian.PutUint64(seg[16+(4*(nn+1)+7)&^7+8:], math.Float64bits(w))
+		entries[i].crc = checksum(seg)
+		copy(out[dirOff:], encodeDirectory(entries))
+		binary.BigEndian.PutUint32(foot[16:], checksum(out[dirOff:dirOff+dirLen]))
+		return out
+	}
+	tb.Fatal("store has no arcs segment")
+	return nil
+}
+
+// TestOpenRejectsNonPositiveArcWeight: a store whose framing is intact but
+// whose arcs segment carries a zero, negative, NaN or infinite weight
+// opens (arcs load lazily), serves no arcs, and reports the bad arc.
+func TestOpenRejectsNonPositiveArcWeight(t *testing.T) {
+	seed, err := fuzzSeed()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []float64{0, -2, math.NaN(), math.Inf(1)} {
+		st, err := OpenReaderAt(Mem(withArcWeight(t, seed, w)), int64(len(seed)), Options{})
+		if err != nil {
+			t.Fatalf("weight %v: open failed before any arc was read: %v", w, err)
+		}
+		if n := len(st.Graph().Out(0)); n != 0 {
+			t.Errorf("weight %v: node 0 has %d arcs after a rejected segment", w, n)
+		}
+		if err := st.Err(); err == nil || !strings.Contains(err.Error(), "forward arc 0 (node 0, neighbour") {
+			t.Errorf("weight %v: Err = %v, want the bad arc named", w, err)
+		}
+		st.Close()
+	}
 }
 
 // FuzzStoreRoundTrip mutates warm-key lists and re-serializes: for any
