@@ -1,27 +1,37 @@
 package core
 
 import (
+	"sync"
+
 	"github.com/banksdb/banks/internal/graph"
 )
 
 // searchArena is the scratch state for one query. The per-query maps
 // (membership marks, origin slots, visit slots) are flat NodeID-indexed
-// slices sized to the graph's node count — 20 bytes/node, once per arena —
-// invalidated in O(1) between queries by bumping a generation stamp instead
-// of clearing. Per-iterator state is not sized to the graph: an iterator
-// holds a table proportional to the nodes it touched and borrows a dense
-// 24 bytes/node block from freeDense only once it has swept a real
-// fraction of the graph (see sspIterator), so a query's scratch bytes are
-// bounded by the arcs it relaxed — the bounded search-time footprint
-// EMBANKS argues for. Arenas are recycled through the Searcher's sync.Pool,
-// so the steady-state allocation cost of a query is just its answers, which
-// is also what keeps one Searcher cheap to share between many concurrent
-// queries.
+// slices — 20 bytes/node — invalidated in O(1) between queries by bumping
+// a generation stamp instead of clearing. Per-iterator state is not sized
+// to the graph: an iterator holds a table proportional to the nodes it
+// touched and borrows a dense 24 bytes/node block from freeDense only once
+// it has swept a real fraction of the graph (see sspIterator), so a
+// query's scratch bytes are bounded by the arcs it relaxed — the bounded
+// search-time footprint EMBANKS argues for.
+//
+// Arenas are recycled through one process-wide pool (arenaPool), not one
+// per Searcher, so a snapshot publish — a new Searcher per Apply, Compact
+// or Refresh — does not start the next query on a cold arena, and the
+// steady-state allocation cost of a query is just its answers. Sharing is
+// safe because an arena holds nothing that belongs to a snapshot: its
+// node-indexed maps are invalidated by generation bumps, a released
+// iterator drops its view and key table, and excluded-table sets are
+// re-resolved every query. All an arena needs from a view is maps at least
+// as wide as its NumNodes(); acquireArena widens them, with headroom, when
+// a bigger view draws a narrower arena, and a smaller view (a cluster
+// partition) runs on a wider arena as is.
 //
 // An arena is owned by exactly one search from acquire to release; none of
 // its state is safe for concurrent use.
 type searchArena struct {
-	n int // graph.NumNodes() the arena was sized for
+	n int // width of the node-indexed maps: the widest view served, plus headroom
 
 	// mark is a stamped membership set used by short-lived phases that
 	// never overlap: matchTerm's per-term dedup and buildAnswer's in-tree
@@ -63,9 +73,9 @@ type searchArena struct {
 
 	// freeIters are recycled shortest-path iterators; each keeps its sparse
 	// table and heap, reused via generation bumps. freeDense are the dense
-	// blocks (sized to n) promoted iterators borrow for one query: the list
-	// grows to the most iterators that went deep in a single query, not to
-	// every iterator that ever did.
+	// blocks promoted iterators borrow for one query, each sized to the view
+	// it last served (see takeDense): the list grows to the most iterators
+	// that went deep in a single query, not to every iterator that ever did.
 	freeIters []*sspIterator
 	freeDense []*denseBlock
 
@@ -247,17 +257,52 @@ type originRec struct {
 	it   *sspIterator
 }
 
-func newSearchArena(n int) *searchArena {
-	return &searchArena{
-		n:           n,
-		mark:        make([]uint32, n),
-		originIdx:   make([]int32, n),
-		originStamp: make([]uint32, n),
-		visitIdx:    make([]int32, n),
-		visitStamp:  make([]uint32, n),
-		inHeap:      make(map[uint64]*resultItem),
-		outSig:      make(map[uint64]bool),
+// arenaPool recycles searchArenas across every Searcher in the process;
+// acquireArena and releaseArena are its only users.
+var arenaPool sync.Pool
+
+// acquireArena checks an arena out of the pool (or makes one) wide enough
+// for g; releaseArena puts it back after wiping its per-query state.
+func acquireArena(g graph.View) *searchArena {
+	a, _ := arenaPool.Get().(*searchArena)
+	if a == nil {
+		return newSearchArena(g.NumNodes())
 	}
+	a.fit(g.NumNodes())
+	return a
+}
+
+func releaseArena(a *searchArena) {
+	a.release()
+	arenaPool.Put(a)
+}
+
+// newSearchArena returns a fresh arena wide enough for an n-node view.
+func newSearchArena(n int) *searchArena {
+	a := &searchArena{
+		inHeap: make(map[uint64]*resultItem),
+		outSig: make(map[uint64]bool),
+	}
+	a.fit(n)
+	return a
+}
+
+// fit widens the node-indexed maps to serve an n-node view. It
+// reallocates only when n exceeds the current width, and then with n/8
+// headroom, so the nodes an overlay appends between Compacts do not force
+// a regrow per publish. The new maps start zeroed, which every generation
+// counter (always >= 1 once bumped) reads as unset.
+func (a *searchArena) fit(n int) {
+	if n <= a.n {
+		return
+	}
+	n += n / 8
+	a.n = n
+	a.mark = make([]uint32, n)
+	a.originIdx = make([]int32, n)
+	a.originStamp = make([]uint32, n)
+	a.visitIdx = make([]int32, n)
+	a.visitStamp = make([]uint32, n)
 }
 
 // bumpGen advances a generation counter, zeroing the stamp array on the
@@ -369,16 +414,32 @@ func (a *searchArena) newIterator(g graph.View, origin graph.NodeID) *sspIterato
 	return it
 }
 
-// takeDense hands a promoting iterator a dense block with every node
-// untouched: recycled from freeDense, or fresh.
-func (a *searchArena) takeDense() *denseBlock {
-	k := len(a.freeDense)
-	if k == 0 {
-		return newDenseBlock(a.n)
+// takeDense hands an iterator promoting on an n-node view a dense block
+// of length n with every node untouched. It recycles a free block whose
+// capacity covers n, clearing only visit[:n], so a small view (a cluster
+// partition) drawing an arena that once served a big one clears and holds
+// no more than it needs. Only when no free block fits does it allocate one,
+// with n/8 headroom for overlay appends, and then it drops one free block
+// that did not fit, so the arena never owns more blocks than the most that
+// went deep in one query.
+func (a *searchArena) takeDense(n int) *denseBlock {
+	for i := len(a.freeDense) - 1; i >= 0; i-- {
+		if b := a.freeDense[i]; cap(b.visit) >= n {
+			last := len(a.freeDense) - 1
+			a.freeDense[i] = a.freeDense[last]
+			a.freeDense[last] = nil
+			a.freeDense = a.freeDense[:last]
+			b.resize(n)
+			clear(b.visit)
+			return b
+		}
 	}
-	b := a.freeDense[k-1]
-	a.freeDense = a.freeDense[:k-1]
-	clear(b.visit)
+	if k := len(a.freeDense); k > 0 {
+		a.freeDense[k-1] = nil
+		a.freeDense = a.freeDense[:k-1]
+	}
+	b := newDenseBlock(n + n/8)
+	b.resize(n)
 	return b
 }
 
@@ -388,7 +449,10 @@ func (a *searchArena) takeDense() *denseBlock {
 func (a *searchArena) release() {
 	for i := range a.origins {
 		if it := a.origins[i].it; it != nil {
+			// Drop the view and its key table: a pooled arena outlives
+			// the snapshot it last served and must not pin it.
 			it.g = nil
+			it.pq.keys = graph.Keys{}
 			if it.dense != nil {
 				a.freeDense = append(a.freeDense, it.dense)
 				it.dense = nil
@@ -406,4 +470,9 @@ func (a *searchArena) release() {
 	a.ih = a.ih[:0]
 	clear(a.inHeap)
 	clear(a.outSig)
+	// The pipeline frames point at the Searcher, its key table and match
+	// sets of the last query, which may be a retired snapshot's.
+	a.exBuf = exec{}
+	a.emBuf = emitter{}
+	clear(a.setsBuf[:cap(a.setsBuf)])
 }

@@ -130,7 +130,7 @@ func TestDenseBlockOwnership(t *testing.T) {
 	if len(a.freeDense) != 1 || a.freeDense[0] != blk {
 		t.Fatalf("arena free list = %v, want the promoted block back", a.freeDense)
 	}
-	if again := a.takeDense(); again != blk {
+	if again := a.takeDense(f.g.NumNodes()); again != blk {
 		t.Error("takeDense did not recycle the returned block")
 	} else {
 		for n, st := range again.visit {

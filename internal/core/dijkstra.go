@@ -112,6 +112,14 @@ func newDenseBlock(n int) *denseBlock {
 	}
 }
 
+// resize reslices the block's arrays to length n, within their capacity.
+func (b *denseBlock) resize(n int) {
+	b.dist = b.dist[:n]
+	b.parent = b.parent[:n]
+	b.pweight = b.pweight[:n]
+	b.visit = b.visit[:n]
+}
+
 // distHeap is the iterator's priority queue: a monotone radix heap
 // (Ahuja, Mehlhorn, Orlin and Tarjan, 1990) on (distance, node key).
 // Arc weights are finite and strictly positive (graph.View), so Dijkstra
@@ -342,7 +350,7 @@ func (it *sspIterator) grow() {
 // node's state into a block from the owning arena. The table is kept for
 // the next reset.
 func (it *sspIterator) promote() {
-	b := it.ar.takeDense()
+	b := it.ar.takeDense(it.g.NumNodes())
 	for k := range it.tab {
 		if s := &it.tab[k]; s.stamp-it.gen <= 1 {
 			b.dist[s.node] = s.dist

@@ -72,8 +72,8 @@ func (s *Searcher) SearchStats(terms []string, opts *Options) ([]*Answer, *Stats
 // deadline passes, the expansion loop stops within a few hundred iterator
 // pops and Query returns ctx's error.
 func (s *Searcher) Query(ctx context.Context, req Request, opts *Options, cb func(*Answer) bool) ([]*Answer, *Stats, error) {
-	ar := s.acquireArena()
-	defer s.releaseArena(ar)
+	ar := acquireArena(s.g)
+	defer releaseArena(ar)
 	answers, stats, err := s.queryInArena(ctx, req, opts, cb, ar)
 	// The arena goes back to the pool on return, so everything the caller
 	// keeps must be copied off it. The answers themselves are heap-built

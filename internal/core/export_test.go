@@ -1,0 +1,19 @@
+package core
+
+import "runtime"
+
+// drainArenaPool empties the process-wide arena pool, so the next query
+// runs on a cold arena rather than one another test warmed. Two GC cycles
+// clear a sync.Pool (the first moves its items to the victim cache, the
+// second drops them); a pool user running concurrently would defeat
+// that, so it panics if an arena survives.
+func drainArenaPool() {
+	runtime.GC()
+	runtime.GC()
+	if arenaPool.Get() != nil {
+		panic("core: arena pool not empty after two GC cycles")
+	}
+}
+
+// DrainArenaPool is drainArenaPool for the package's external tests.
+var DrainArenaPool = drainArenaPool

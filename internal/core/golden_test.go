@@ -140,6 +140,7 @@ func TestGoldenBackwardDBLP(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, _, s := buildGoldenFixture(t, db)
+	core.DrainArenaPool()
 	got := runGoldenSuite(t, db, s, dblpGoldenQueries(), dblpGoldenOptions())
 	checkGolden(t, "golden_backward_dblp.txt", got)
 }
@@ -151,15 +152,18 @@ func TestGoldenBackwardTPCD(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, _, s := buildGoldenFixture(t, db)
+	core.DrainArenaPool()
 	got := runGoldenSuite(t, db, s, tpcdGoldenQueries(), core.DefaultOptions())
 	checkGolden(t, "golden_backward_tpcd.txt", got)
 }
 
 // TestGoldenRecycledDBLP runs the DBLP suite twice on one Searcher with a
 // match cache attached, checking both passes against the same golden. The
-// second pass resolves every term from the cache and runs on pooled arenas
-// whose iterators carry the first pass's stale sparse slots and whose dense
-// blocks come off the free list.
+// first pass starts on a cold arena; the second resolves every term from
+// the cache and runs on pooled arenas whose iterators carry the first
+// pass's stale sparse slots and whose dense blocks come off the free list.
+// The golden tests above start cold too: the arena pool is process-wide,
+// so each drains it rather than inherit an arena another test warmed.
 func TestGoldenRecycledDBLP(t *testing.T) {
 	db, err := datagen.BuildDBLP(datagen.SmallDBLP())
 	if err != nil {
@@ -167,6 +171,7 @@ func TestGoldenRecycledDBLP(t *testing.T) {
 	}
 	_, _, s := buildGoldenFixture(t, db)
 	s.WithMatchCache(index.NewMatchCache(4 << 20))
+	core.DrainArenaPool()
 	for pass := 0; pass < 2; pass++ {
 		checkGolden(t, "golden_backward_dblp.txt", runGoldenSuite(t, db, s, dblpGoldenQueries(), dblpGoldenOptions()))
 	}
@@ -180,6 +185,7 @@ func TestGoldenRecycledTPCD(t *testing.T) {
 	}
 	_, _, s := buildGoldenFixture(t, db)
 	s.WithMatchCache(index.NewMatchCache(4 << 20))
+	core.DrainArenaPool()
 	for pass := 0; pass < 2; pass++ {
 		checkGolden(t, "golden_backward_tpcd.txt", runGoldenSuite(t, db, s, tpcdGoldenQueries(), core.DefaultOptions()))
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"github.com/banksdb/banks/internal/graph"
 	"github.com/banksdb/banks/internal/index"
@@ -156,15 +155,18 @@ type Stats struct {
 // Searcher answers keyword queries over a graph + keyword index pair —
 // any graph.View/index.View implementations (built, store-backed lazy, or
 // base+delta overlay). It is safe for concurrent use: each Search call
-// checks a searchArena — the per-query scratch state — out of an
-// internal pool, so concurrent queries never share mutable state while
-// steady-state searches allocate almost nothing.
+// checks a searchArena — the per-query scratch state — out of the
+// process-wide arena pool, so concurrent queries never share mutable
+// state while steady-state searches allocate almost nothing. The pool is
+// shared by every Searcher, not owned by one: a Searcher is cheap to
+// build per snapshot, and the first query on a new one (after a publish,
+// a Compact or a Refresh, or on another cluster partition) runs on a warm
+// arena, widened only if its view has more nodes than the arena covers.
 type Searcher struct {
-	g      graph.View
-	ix     index.View
-	cache  *index.MatchCache // optional; nil disables match-set caching
-	fault  func() int64      // optional; cumulative store bytes faulted
-	arenas sync.Pool         // of *searchArena sized to g.NumNodes()
+	g     graph.View
+	ix    index.View
+	cache *index.MatchCache // optional; nil disables match-set caching
+	fault func() int64      // optional; cumulative store bytes faulted
 	// epoch is the snapshot epoch this Searcher's g/ix pair belongs to,
 	// threaded through every cache lookup so a cache carried over from a
 	// previous snapshot is consulted safely.
@@ -178,10 +180,7 @@ type Searcher struct {
 // NewSearcher returns a Searcher over g and ix (built from the same
 // database snapshot).
 func NewSearcher(g graph.View, ix index.View) *Searcher {
-	s := &Searcher{g: g, ix: ix}
-	n := g.NumNodes()
-	s.arenas.New = func() interface{} { return newSearchArena(n) }
-	return s
+	return &Searcher{g: g, ix: ix}
 }
 
 // Graph returns the underlying data graph view.
@@ -227,15 +226,6 @@ func (s *Searcher) SnapshotEpoch() uint64 { return s.epoch }
 func (s *Searcher) WithFaultMeter(fn func() int64) *Searcher {
 	s.fault = fn
 	return s
-}
-
-// acquireArena checks a per-query arena out of the pool; releaseArena puts
-// it back after wiping its per-query state.
-func (s *Searcher) acquireArena() *searchArena { return s.arenas.Get().(*searchArena) }
-
-func (s *Searcher) releaseArena(a *searchArena) {
-	a.release()
-	s.arenas.Put(a)
 }
 
 // Request describes one keyword query for Query — the unified,

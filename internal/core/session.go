@@ -21,12 +21,13 @@ type Session struct {
 	ar *searchArena
 }
 
-// NewSession checks a dedicated arena out of the Searcher's pool and
+// NewSession checks a dedicated arena out of the process-wide pool every
+// Searcher shares, widened to the Searcher's view if it is narrower, and
 // returns a Session bound to it. Close returns the arena; an unclosed
 // Session simply keeps its arena out of circulation (it is collected with
 // the Session, so forgetting Close wastes memory, not correctness).
 func (s *Searcher) NewSession() *Session {
-	ar := s.acquireArena()
+	ar := acquireArena(s.g)
 	ar.borrow = true
 	return &Session{s: s, ar: ar}
 }
@@ -44,15 +45,16 @@ func (ss *Session) Search(terms []string, opts *Options) ([]*Answer, error) {
 	return answers, err
 }
 
-// Close returns the Session's arena to the Searcher's pool. The Session
-// must not be used afterwards; outstanding borrowed results are
-// invalidated.
+// Close returns the Session's arena to the process-wide pool, where any
+// Searcher's next query may draw it: release drops everything that
+// belonged to this Searcher's snapshot first. The Session must not be used
+// afterwards; outstanding borrowed results are invalidated.
 func (ss *Session) Close() {
 	if ss.ar == nil {
 		return
 	}
 	ss.ar.borrow = false
-	ss.s.releaseArena(ss.ar)
+	releaseArena(ss.ar)
 	ss.ar = nil
 	ss.s = nil
 }
