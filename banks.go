@@ -309,22 +309,6 @@ func (e *engine) concrete() (*graph.Graph, *index.Index, bool) {
 	return g, ix, okG && okI
 }
 
-// storeErr reports the first lazy-load failure of a store-backed engine;
-// always nil for built engines. A store-backed engine degrades lazy-load
-// failures to empty match sets so the search machinery never panics
-// mid-expansion; every search (Query and the front door alike) checks
-// this at its boundary so disk corruption or I/O loss fails the query
-// loudly instead of shrinking its results.
-func (e *engine) storeErr() error {
-	if e.st == nil {
-		return nil
-	}
-	if err := e.st.Err(); err != nil {
-		return fmt.Errorf("banks: disk-resident engine: %w", err)
-	}
-	return nil
-}
-
 // newEngine assembles one immutable snapshot: graph, index, a fresh
 // match-set cache scoped to the pair, and the searcher over all of them.
 func newEngine(g graph.View, ix index.View, opts SystemOptions) *engine {

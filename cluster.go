@@ -4,11 +4,9 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"strings"
 	"sync/atomic"
 
 	"github.com/banksdb/banks/internal/cluster"
-	"github.com/banksdb/banks/internal/index"
 	"github.com/banksdb/banks/internal/serve"
 	"github.com/banksdb/banks/internal/web"
 )
@@ -136,42 +134,23 @@ func (c *Cluster) Stats() ClusterStats {
 // the broker routes to the partitions whose term statistics can match,
 // each routed partition runs the paper's backward expanding search
 // locally, and the results merge into the global top-k under the
-// engine's canonical (table, rid) tie-break. GroupByShape is not
-// supported on a cluster.
+// engine's canonical (table, rid) tie-break. Grouping by shape and the
+// per-query Budget work as on a System. Partitions hold no rows, so a
+// Qualified term may name a relation ("author:sunita") but not an
+// attribute: a qualifier that is not one of the cluster's relations is
+// rejected with an error naming the term.
 func (c *Cluster) Query(ctx context.Context, q Query) (*Results, error) {
+	return run(ctx, c.db.inner, c.search, q, nil)
+}
+
+// search is Cluster's backend: the coordinator's scatter-gather. A
+// cluster merges the legs' lists before any answer is final, so it never
+// streams; it is called with a nil cb.
+func (c *Cluster) search(ctx context.Context, req *cluster.Request, _ func(*cluster.Answer) bool) (*cluster.Result, error) {
 	if c.closed.Load() {
 		return nil, ErrClosed
 	}
-	if q.GroupByShape {
-		return nil, fmt.Errorf("banks: GroupByShape is not supported on a cluster")
-	}
-
-	var terms []string
-	if q.Qualified {
-		terms = strings.Fields(q.Text)
-	} else {
-		terms = index.Tokenize(q.Text)
-	}
-	if len(terms) == 0 {
-		return nil, fmt.Errorf("banks: empty query")
-	}
-
-	req := cluster.RequestFromOptions(terms, q.Qualified, q.Prefix, q.Options.toCore())
-	res, err := c.coord.Query(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	out := &Results{Stats: statsFromWire(res.Stats)}
-	for i := range res.Answers {
-		out.Answers = append(out.Answers, answerFromRefs(c.db.inner, &res.Answers[i]))
-	}
-	return out, nil
-}
-
-// statsFromWire converts merged cluster statistics to the public form.
-func statsFromWire(st cluster.Stats) Stats {
-	cs := st.ToCore()
-	return statsFromCore(&cs)
+	return c.coord.Query(ctx, *req)
 }
 
 // ServeHandler returns the same front door System.ServeHandler does —
@@ -188,27 +167,9 @@ func (c *Cluster) ServeHandler(opts *ServeOptions) http.Handler {
 	}
 	return newFrontDoor(opts, web.Config{
 		DB:       c.db.inner,
-		Search:   c.doorSearch(opts.Search),
+		Search:   doorSearch(c.search, opts.Search),
 		Strategy: "distributed",
 	}, c.bindClusterGauges)
-}
-
-// doorSearch is the cluster behind the front door: the coordinator's
-// merged answers are already (table, rid) trees and pass through.
-func (c *Cluster) doorSearch(sopts *SearchOptions) web.SearchFunc {
-	copts := sopts.toCore()
-	return func(ctx context.Context, terms []string) (web.Result, error) {
-		res, err := c.coord.Query(ctx, cluster.RequestFromOptions(terms, false, false, copts))
-		if err != nil {
-			return web.Result{}, err
-		}
-		return web.Result{
-			Answers:         res.Answers,
-			BudgetExhausted: res.Stats.BudgetExhausted,
-			BudgetReason:    res.Stats.BudgetReason,
-			Detail:          res.Stats,
-		}, nil
-	}
 }
 
 // bindClusterGauges registers the routing counters and one gauge set per

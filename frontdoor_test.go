@@ -356,7 +356,7 @@ func TestFrontDoorRendersDeletedRow(t *testing.T) {
 	for _, name := range []string{"System", "Cluster"} {
 		t.Run(name, func(t *testing.T) {
 			sys, cl := quickstartDoors(t)
-			cfg, gauges := web.Config{DB: sys.db.inner, Search: sys.doorSearch(sopts)}, sys.bindEngineGauges
+			cfg, gauges := web.Config{DB: sys.db.inner, Search: doorSearch(sys.search, sopts)}, sys.bindEngineGauges
 			remove := func() error {
 				_, err := sys.Apply(context.Background(), []Mutation{Delete("writes", victim)})
 				return err
@@ -364,11 +364,11 @@ func TestFrontDoorRendersDeletedRow(t *testing.T) {
 			if name == "Cluster" {
 				// The partitions keep serving the row; only the database
 				// the page renders from loses it.
-				cfg, gauges = web.Config{DB: cl.db.inner, Search: cl.doorSearch(sopts)}, cl.bindClusterGauges
+				cfg, gauges = web.Config{DB: cl.db.inner, Search: doorSearch(cl.search, sopts)}, cl.bindClusterGauges
 				remove = func() error { return cl.db.inner.Delete("writes", victim) }
 			}
 			search := cfg.Search
-			cfg.Search = func(ctx context.Context, terms []string) (web.Result, error) {
+			cfg.Search = func(ctx context.Context, terms []string) (*cluster.Result, error) {
 				res, err := search(ctx, terms)
 				if derr := remove(); derr != nil {
 					t.Errorf("deleting the row: %v", derr)

@@ -31,6 +31,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"github.com/banksdb/banks/internal/core"
 )
 
 // Coordinator is the scatter-gather front: it owns the partitions, the
@@ -123,8 +125,11 @@ func (c *Coordinator) Routing() RoutingStats {
 
 // Query scatters req to the routed partitions, gathers, and merges. Any
 // partition error fails the query (partial fan-in is not served as a
-// complete answer). The merged Stats carry the routing decision and, on
-// multi-partition clusters, the partition-local completeness bound.
+// complete answer). A qualified term whose qualifier is not one of the
+// cluster's relations is rejected before any leg runs: partitions hold no
+// rows, so they cannot check an attribute qualifier. The merged Stats
+// carry the routing decision and, on multi-partition clusters, the
+// partition-local completeness bound.
 func (c *Coordinator) Query(ctx context.Context, req Request) (*Result, error) {
 	clean := make([]string, 0, len(req.Terms))
 	for _, t := range req.Terms {
@@ -135,6 +140,18 @@ func (c *Coordinator) Query(ctx context.Context, req Request) (*Result, error) {
 	}
 	if len(clean) == 0 {
 		return nil, errors.New("cluster: empty query")
+	}
+	if req.Qualified {
+		// Partitions hold no rows, so a partition can check a relation
+		// qualifier but not an attribute one: reject the latter here,
+		// once, rather than let every leg silently match nothing.
+		for _, t := range clean {
+			if qual, _, ok := core.ParseQualifiedTerm(t); ok {
+				if _, isTable := c.tids[qual]; !isTable {
+					return nil, fmt.Errorf("cluster: qualified term %q: %q names no relation, and partitions hold no rows to check an attribute against", t, qual)
+				}
+			}
+		}
 	}
 
 	scatterAll := req.Qualified || req.Prefix

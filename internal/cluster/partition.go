@@ -14,6 +14,7 @@ import (
 	"github.com/banksdb/banks/internal/core"
 	"github.com/banksdb/banks/internal/graph"
 	"github.com/banksdb/banks/internal/index"
+	"github.com/banksdb/banks/internal/sqldb"
 	"github.com/banksdb/banks/internal/store"
 )
 
@@ -94,8 +95,8 @@ func (l *Local) Meta(ctx context.Context) (Meta, error) {
 	return m, nil
 }
 
-// Query implements Partition: the plain backward expanding search over
-// the partition-local engine, pinned against a concurrent Close.
+// Query implements Partition: the backward expanding search over the
+// partition-local engine, pinned against a concurrent Close.
 func (l *Local) Query(ctx context.Context, req Request) (*Result, error) {
 	if l.st != nil {
 		if !l.st.Acquire() {
@@ -103,22 +104,69 @@ func (l *Local) Query(ctx context.Context, req Request) (*Result, error) {
 		}
 		defer l.st.Release()
 	}
-	answers, stats, err := l.s.Query(ctx, core.Request{
+	return Search(ctx, l.s, l.st, nil, &req, nil)
+}
+
+// Search runs req on one local engine — a partition's, or the snapshot a
+// single-engine System pinned — and returns its answers in wire form. It
+// is the one place a search runs on a local engine. st is the store the
+// engine reads from (nil for a built engine): the caller holds it pinned,
+// and a lazy-load failure during the search fails the query instead of
+// silently shrinking its results. db resolves attribute qualifiers; a
+// partition holds no rows and passes nil. cb, when non-nil, sees each
+// answer in wire form the moment the output heap emits it, and returning
+// false stops the search with the answers emitted so far. A search that
+// fails still returns the statistics of the work it did.
+func Search(ctx context.Context, s *core.Searcher, st *store.Store, db *sqldb.Database, req *Request, cb func(*Answer) bool) (*Result, error) {
+	g := s.Graph()
+	// emitted is allocated only for a streaming caller, so the plain
+	// search path stays as cheap as a direct core query.
+	var emitted *[]Answer
+	var emit func(*core.Answer) bool
+	if cb != nil {
+		emitted = new([]Answer)
+		emit = func(a *core.Answer) bool {
+			w := AnswerToWire(g, a)
+			*emitted = append(*emitted, w)
+			return cb(&w)
+		}
+	}
+	answers, stats, err := s.Query(ctx, core.Request{
 		Terms:     req.Terms,
 		Qualified: req.Qualified,
 		Prefix:    req.Prefix,
-	}, req.CoreOptions(), nil)
+		DB:        db,
+	}, req.CoreOptions(), emit)
+	return wireResult(g, st, answers, stats, emitted, err)
+}
+
+// wireResult finishes Search. It is a function of its own so that its
+// temporaries are not part of Search's frame, which sits on the stack
+// under the whole core search: the front door runs each search on a
+// fresh goroutine, and a few hundred more bytes there force a stack
+// growth on every request.
+func wireResult(g graph.View, st *store.Store, answers []*core.Answer, stats *core.Stats, emitted *[]Answer, err error) (*Result, error) {
+	res := &Result{Stats: StatsFromCore(stats)}
 	if err != nil {
-		return nil, err
+		return res, err
 	}
-	if l.st != nil {
-		if serr := l.st.Err(); serr != nil {
-			return nil, fmt.Errorf("cluster: partition %s: %w", l.name, serr)
+	if st != nil {
+		if serr := st.Err(); serr != nil {
+			return res, fmt.Errorf("cluster: disk-resident engine: %w", serr)
 		}
 	}
-	res := &Result{Stats: StatsFromCore(stats)}
-	for _, a := range answers {
-		res.Answers = append(res.Answers, AnswerToWire(l.g, a))
+	if emitted != nil {
+		// The core trims the output heap's overshoot (a visit can emit an
+		// answer or two beyond TopK) after emission, so its list is a
+		// prefix of the emission order: reuse those conversions.
+		res.Answers = (*emitted)[:len(answers)]
+		return res, nil
+	}
+	if len(answers) > 0 {
+		res.Answers = make([]Answer, len(answers))
+		for i, a := range answers {
+			res.Answers[i] = AnswerToWire(g, a)
+		}
 	}
 	return res, nil
 }

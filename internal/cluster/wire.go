@@ -49,7 +49,7 @@ func RequestFromOptions(terms []string, qualified, prefix bool, o *core.Options)
 		Multiplicative:     o.Score.Combine == core.Multiplicative,
 		ExcludedRootTables: o.ExcludedRootTables,
 		MetadataNodeLimit:  o.MetadataNodeLimit,
-		MaxPops:            o.MaxPops,
+		MaxPops:            o.Budget.MaxPops,
 		MaxArcsScanned:     o.Budget.MaxArcsScanned,
 		MaxBytesFaulted:    o.Budget.MaxBytesFaulted,
 		MaxCombosPerVisit:  o.MaxCombosPerVisit,
@@ -57,9 +57,7 @@ func RequestFromOptions(terms []string, qualified, prefix bool, o *core.Options)
 	}
 }
 
-// CoreOptions reconstructs the partition-side core options: every
-// partition runs the backward expanding search over its partition-local
-// engine.
+// CoreOptions reconstructs the core options the request froze.
 func (r *Request) CoreOptions() *core.Options {
 	o := core.DefaultOptions()
 	o.TopK = r.TopK
@@ -74,7 +72,6 @@ func (r *Request) CoreOptions() *core.Options {
 	}
 	o.ExcludedRootTables = r.ExcludedRootTables
 	o.MetadataNodeLimit = r.MetadataNodeLimit
-	o.MaxPops = r.MaxPops
 	o.Budget = core.Budget{
 		MaxPops:         r.MaxPops,
 		MaxArcsScanned:  r.MaxArcsScanned,
@@ -113,7 +110,8 @@ type Answer struct {
 	TermNodes []Ref   `json:"term_nodes"`
 }
 
-// Stats mirrors core.Stats field-by-field in wire form.
+// Stats is core.Stats in wire form, plus the routing decision a
+// coordinator adds to its merge.
 type Stats struct {
 	Terms             []string `json:"terms,omitempty"`
 	MatchedNodes      []int    `json:"matched_nodes,omitempty"`
@@ -143,50 +141,21 @@ func StatsFromCore(st *core.Stats) Stats {
 		return Stats{}
 	}
 	return Stats{
-		Terms:               st.Terms,
-		MatchedNodes:        st.MatchedNodes,
-		Pops:                st.Pops,
-		Generated:           st.Generated,
-		Duplicates:          st.Duplicates,
-		SingleChildRoots:    st.SingleChildRoots,
-		ExcludedRoots:       st.ExcludedRoots,
-		MetadataTruncated:   st.MetadataTruncated,
-		CombosTruncated:     st.CombosTruncated,
-		TermsDropped:        st.TermsDropped,
-		ArcsScanned:         st.ArcsScanned,
-		BytesFaulted:        st.BytesFaulted,
-		BudgetExhausted:     st.BudgetExhausted,
-		BudgetReason:        st.BudgetReason,
-		Retired:             st.Retired,
-		PartitionsTotal:     st.PartitionsTotal,
-		PartitionsRouted:    st.PartitionsRouted,
-		PartitionsPruned:    st.PartitionsPruned,
-		PartitionLocalBound: st.PartitionLocalBound,
-	}
-}
-
-// ToCore converts wire statistics back to engine form.
-func (st Stats) ToCore() core.Stats {
-	return core.Stats{
-		Terms:               st.Terms,
-		MatchedNodes:        st.MatchedNodes,
-		Pops:                st.Pops,
-		Generated:           st.Generated,
-		Duplicates:          st.Duplicates,
-		SingleChildRoots:    st.SingleChildRoots,
-		ExcludedRoots:       st.ExcludedRoots,
-		MetadataTruncated:   st.MetadataTruncated,
-		CombosTruncated:     st.CombosTruncated,
-		TermsDropped:        st.TermsDropped,
-		ArcsScanned:         st.ArcsScanned,
-		BytesFaulted:        st.BytesFaulted,
-		BudgetExhausted:     st.BudgetExhausted,
-		BudgetReason:        st.BudgetReason,
-		Retired:             st.Retired,
-		PartitionsTotal:     st.PartitionsTotal,
-		PartitionsRouted:    st.PartitionsRouted,
-		PartitionsPruned:    st.PartitionsPruned,
-		PartitionLocalBound: st.PartitionLocalBound,
+		Terms:             st.Terms,
+		MatchedNodes:      st.MatchedNodes,
+		Pops:              st.Pops,
+		Generated:         st.Generated,
+		Duplicates:        st.Duplicates,
+		SingleChildRoots:  st.SingleChildRoots,
+		ExcludedRoots:     st.ExcludedRoots,
+		MetadataTruncated: st.MetadataTruncated,
+		CombosTruncated:   st.CombosTruncated,
+		TermsDropped:      st.TermsDropped,
+		ArcsScanned:       st.ArcsScanned,
+		BytesFaulted:      st.BytesFaulted,
+		BudgetExhausted:   st.BudgetExhausted,
+		BudgetReason:      st.BudgetReason,
+		Retired:           st.Retired,
 	}
 }
 

@@ -31,18 +31,25 @@ func TestBudgetPopsExhaustion(t *testing.T) {
 	}
 }
 
-// TestBudgetLegacyMaxPopsSetsFlag: the pre-Budget MaxPops spelling now
-// also reports truncation through the budget flag.
-func TestBudgetLegacyMaxPopsSetsFlag(t *testing.T) {
+// TestBudgetMaxPopsDefault: Budget.MaxPops is the only pop bound. Left at
+// zero, normalization applies the 2,000,000 default; set, it cuts the
+// search and reports the truncation through the budget flag.
+func TestBudgetMaxPopsDefault(t *testing.T) {
+	if got := (&Options{}).withDefaultsInto(new(Options)).Budget.MaxPops; got != 2_000_000 {
+		t.Errorf("default pop bound = %d, want 2000000", got)
+	}
+	if got := DefaultOptions().Budget.MaxPops; got != 2_000_000 {
+		t.Errorf("DefaultOptions pop bound = %d, want 2000000", got)
+	}
 	f := newBibFixture(t)
 	o := defaultBibOptions()
-	o.MaxPops = 5
+	o.Budget.MaxPops = 5
 	_, stats, err := f.s.SearchStats([]string{"soumen", "sunita"}, o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !stats.BudgetExhausted || stats.BudgetReason != "pops" {
-		t.Errorf("legacy MaxPops truncation not flagged: %+v", stats)
+		t.Errorf("MaxPops truncation not flagged: %+v", stats)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -87,7 +88,7 @@ func TestConcurrentStreamAndBatch(t *testing.T) {
 			for r := 0; r < 10; r++ {
 				if (gi+r)%2 == 0 {
 					count := 0
-					_ = f.s.SearchStream([]string{"soumen", "sunita"}, o, func(*Answer) bool {
+					_, _, _ = f.s.Query(context.Background(), Request{Terms: []string{"soumen", "sunita"}}, o, func(*Answer) bool {
 						count++
 						return count < 1 // cancel after the first answer
 					})

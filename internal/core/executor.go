@@ -132,7 +132,7 @@ func (s *Searcher) runStages(ctx context.Context, req Request, o *Options, cb fu
 	active := ar.activeBuf
 	for _, term := range clean {
 		var set []graph.NodeID
-		if qual, bare, ok := parseQualifiedTerm(term); req.Qualified && ok {
+		if qual, bare, ok := ParseQualifiedTerm(term); req.Qualified && ok {
 			set = s.matchQualified(ar, req.DB, qual, bare, o, stats)
 			canonicalizeSet(&keys, set)
 		} else {

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-	"sort"
 	"strings"
 
 	"github.com/banksdb/banks/internal/graph"
@@ -10,17 +8,15 @@ import (
 	"github.com/banksdb/banks/internal/sqldb"
 )
 
-// This file implements the extensions Section 7 of the paper plans:
-//
-//   - attribute-qualified terms such as "author:levy", restricting a
-//     keyword to tuples of a named relation or to a named attribute;
-//   - approximate (prefix) keyword matching;
-//   - answer summarization: grouping results that share the same tree
-//     structure over the schema.
+// This file implements the matching side of the extensions Section 7 of
+// the paper plans: attribute-qualified terms such as "author:levy",
+// restricting a keyword to tuples of a named relation or to a named
+// attribute. Prefix fallback lives in the executor; grouping answers by
+// tree shape works on wire answers, outside the core.
 
-// parseQualifiedTerm splits "qual:term" into its parts; ok is false for
+// ParseQualifiedTerm splits "qual:term" into its parts; ok is false for
 // plain terms.
-func parseQualifiedTerm(term string) (qual, bare string, ok bool) {
+func ParseQualifiedTerm(term string) (qual, bare string, ok bool) {
 	i := strings.IndexByte(term, ':')
 	if i <= 0 || i == len(term)-1 {
 		return "", term, false
@@ -78,69 +74,4 @@ func (s *Searcher) matchQualified(ar *searchArena, db *sqldb.Database, qual, ter
 		}
 	}
 	return out
-}
-
-// SearchQualified is Search with support for attribute-qualified terms
-// ("author:levy") and, when prefix is true, approximate prefix matching
-// of unqualified terms. db is needed to check attribute qualifiers; pass
-// the database the graph was built from.
-func (s *Searcher) SearchQualified(db *sqldb.Database, terms []string, prefix bool, opts *Options) ([]*Answer, error) {
-	answers, _, err := s.Query(context.Background(),
-		Request{Terms: terms, Qualified: true, Prefix: prefix, DB: db}, opts, nil)
-	return answers, err
-}
-
-// AnswerGroup is a set of answers sharing the same tree structure over the
-// schema — the §7 "summarize the output" extension. Shape is a canonical
-// rendering of the structure (table names along the tree).
-type AnswerGroup struct {
-	Shape   string
-	Answers []*Answer
-}
-
-// GroupAnswers partitions answers by structural shape, preserving rank
-// order within and across groups (groups ordered by their best-ranked
-// member). Users can then "look for further answers with a particular tree
-// structure".
-func GroupAnswers(g graph.View, answers []*Answer) []AnswerGroup {
-	byShape := make(map[string]*AnswerGroup)
-	var order []string
-	for _, a := range answers {
-		shape := answerShape(g, a)
-		grp, ok := byShape[shape]
-		if !ok {
-			grp = &AnswerGroup{Shape: shape}
-			byShape[shape] = grp
-			order = append(order, shape)
-		}
-		grp.Answers = append(grp.Answers, a)
-	}
-	out := make([]AnswerGroup, 0, len(order))
-	for _, shape := range order {
-		out = append(out, *byShape[shape])
-	}
-	return out
-}
-
-// answerShape renders the canonical structure of an answer: the root's
-// table and, recursively, the sorted shapes of its subtrees.
-func answerShape(g graph.View, a *Answer) string {
-	children := make(map[graph.NodeID][]TreeEdge)
-	for _, e := range a.Edges {
-		children[e.From] = append(children[e.From], e)
-	}
-	var shape func(n graph.NodeID) string
-	shape = func(n graph.NodeID) string {
-		kids := children[n]
-		if len(kids) == 0 {
-			return g.TableNameOf(n)
-		}
-		parts := make([]string, len(kids))
-		for i, e := range kids {
-			parts[i] = shape(e.To)
-		}
-		sort.Strings(parts)
-		return g.TableNameOf(n) + "(" + strings.Join(parts, ",") + ")"
-	}
-	return shape(a.Root)
 }

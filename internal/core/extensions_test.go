@@ -1,10 +1,8 @@
 package core
 
 import (
-	"strings"
+	"context"
 	"testing"
-
-	"github.com/banksdb/banks/internal/graph"
 )
 
 func TestParseQualifiedTerm(t *testing.T) {
@@ -20,9 +18,9 @@ func TestParseQualifiedTerm(t *testing.T) {
 		{"a:b:c", "a", "b:c", true},
 	}
 	for _, c := range cases {
-		q, bare, ok := parseQualifiedTerm(c.in)
+		q, bare, ok := ParseQualifiedTerm(c.in)
 		if q != c.qual || bare != c.bare || ok != c.ok {
-			t.Errorf("parseQualifiedTerm(%q) = %q, %q, %v", c.in, q, bare, ok)
+			t.Errorf("ParseQualifiedTerm(%q) = %q, %q, %v", c.in, q, bare, ok)
 		}
 	}
 }
@@ -32,7 +30,7 @@ func TestSearchQualifiedByRelation(t *testing.T) {
 	// "mohan" matches only authors anyway, but "paper:aries" restricts the
 	// aries matches to the Paper relation (writes tuples contain the token
 	// in their FK text too, if ids collide; here it filters cleanly).
-	answers, err := f.s.SearchQualified(f.db, []string{"paper:aries"}, false, defaultBibOptions())
+	answers, _, err := f.s.Query(context.Background(), Request{Terms: []string{"paper:aries"}, Qualified: true, DB: f.db}, defaultBibOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +47,7 @@ func TestSearchQualifiedByRelation(t *testing.T) {
 func TestSearchQualifiedByAttribute(t *testing.T) {
 	f := newBibFixture(t)
 	// authorname:mohan — the §7 "author:Levy" style query.
-	answers, err := f.s.SearchQualified(f.db, []string{"authorname:mohan"}, false, defaultBibOptions())
+	answers, _, err := f.s.Query(context.Background(), Request{Terms: []string{"authorname:mohan"}, Qualified: true, DB: f.db}, defaultBibOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +55,7 @@ func TestSearchQualifiedByAttribute(t *testing.T) {
 		t.Fatalf("answers = %d, want 2 Mohans", len(answers))
 	}
 	// A qualifier matching nothing yields no answers.
-	answers, err = f.s.SearchQualified(f.db, []string{"bogus:mohan"}, false, defaultBibOptions())
+	answers, _, err = f.s.Query(context.Background(), Request{Terms: []string{"bogus:mohan"}, Qualified: true, DB: f.db}, defaultBibOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +66,7 @@ func TestSearchQualifiedByAttribute(t *testing.T) {
 
 func TestSearchQualifiedMultiTerm(t *testing.T) {
 	f := newBibFixture(t)
-	answers, err := f.s.SearchQualified(f.db, []string{"author:soumen", "author:sunita"}, false, defaultBibOptions())
+	answers, _, err := f.s.Query(context.Background(), Request{Terms: []string{"author:soumen", "author:sunita"}, Qualified: true, DB: f.db}, defaultBibOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +83,7 @@ func TestSearchQualifiedMultiTerm(t *testing.T) {
 func TestSearchPrefixMatching(t *testing.T) {
 	f := newBibFixture(t)
 	// "surpris" is not a token; prefix matching finds "surprising".
-	answers, err := f.s.SearchQualified(f.db, []string{"surpris"}, true, defaultBibOptions())
+	answers, _, err := f.s.Query(context.Background(), Request{Terms: []string{"surpris"}, Qualified: true, Prefix: true, DB: f.db}, defaultBibOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,84 +91,11 @@ func TestSearchPrefixMatching(t *testing.T) {
 		t.Fatal("prefix match found nothing")
 	}
 	// Without prefix matching the same term finds nothing.
-	none, err := f.s.SearchQualified(f.db, []string{"surpris"}, false, defaultBibOptions())
+	none, _, err := f.s.Query(context.Background(), Request{Terms: []string{"surpris"}, Qualified: true, DB: f.db}, defaultBibOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(none) != 0 {
 		t.Error("exact match should find nothing for a prefix")
-	}
-}
-
-func TestGroupAnswers(t *testing.T) {
-	f := newBibFixture(t)
-	o := defaultBibOptions()
-	o.HeapSize = 100
-	answers, err := f.s.Search([]string{"soumen", "sunita"}, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(answers) < 2 {
-		t.Skip("need several answers")
-	}
-	groups := GroupAnswers(f.g, answers)
-	total := 0
-	for _, g := range groups {
-		total += len(g.Answers)
-		if g.Shape == "" {
-			t.Error("empty shape")
-		}
-		// All members share the shape.
-		for _, a := range g.Answers {
-			if answerShape(f.g, a) != g.Shape {
-				t.Error("group member has different shape")
-			}
-		}
-	}
-	if total != len(answers) {
-		t.Errorf("grouped %d of %d answers", total, len(answers))
-	}
-	// The two coauthored-paper answers share one structural shape:
-	// Paper(Writes(Author),Writes(Author)).
-	want := "Paper(Writes(Author),Writes(Author))"
-	found := false
-	for _, g := range groups {
-		if g.Shape == want && len(g.Answers) >= 2 {
-			found = true
-		}
-	}
-	if !found {
-		var shapes []string
-		for _, g := range groups {
-			shapes = append(shapes, g.Shape)
-		}
-		t.Errorf("expected shape %q with >= 2 members; shapes = %s", want, strings.Join(shapes, "; "))
-	}
-}
-
-func TestAnswerShapeCanonical(t *testing.T) {
-	f := newBibFixture(t)
-	// Shape must not depend on child order: build two answers with
-	// mirrored edges.
-	p := f.node(t, "Paper", "ChakrabartiSD98")
-	w1 := graph.NodeID(-1)
-	w2 := graph.NodeID(-1)
-	// Find two writes nodes pointing at the paper.
-	for _, e := range f.g.In(p) {
-		if f.g.TableNameOf(e.To) == "Writes" {
-			if w1 == graph.NoNode {
-				w1 = e.To
-			} else if w2 == graph.NoNode {
-				w2 = e.To
-			}
-		}
-	}
-	if w1 == graph.NoNode || w2 == graph.NoNode {
-		t.Fatal("missing writes nodes")
-	}
-	a1 := &Answer{Root: p, Edges: []TreeEdge{{From: p, To: w1}, {From: p, To: w2}}}
-	a2 := &Answer{Root: p, Edges: []TreeEdge{{From: p, To: w2}, {From: p, To: w1}}}
-	if answerShape(f.g, a1) != answerShape(f.g, a2) {
-		t.Error("shape depends on edge order")
 	}
 }

@@ -12,7 +12,7 @@ import (
 func TestMaxPopsTermination(t *testing.T) {
 	f := newBibFixture(t)
 	o := defaultBibOptions()
-	o.MaxPops = 5 // absurdly small: the search must still terminate cleanly
+	o.Budget.MaxPops = 5 // absurdly small: the search must still terminate cleanly
 	answers, stats, err := f.s.SearchStats([]string{"soumen", "sunita"}, o)
 	if err != nil {
 		t.Fatal(err)
@@ -173,7 +173,7 @@ func TestStopsAfterTopKEmitted(t *testing.T) {
 func TestWithDefaultsDoesNotMutateCaller(t *testing.T) {
 	o := &Options{TopK: 5}
 	_ = o.withDefaultsInto(new(Options))
-	if o.HeapSize != 0 || o.MaxPops != 0 {
+	if o.HeapSize != 0 || o.Budget.MaxPops != 0 {
 		t.Errorf("caller options mutated: %+v", o)
 	}
 }

@@ -31,12 +31,6 @@ type Options struct {
 	// notes metadata keywords matching huge node sets as an open
 	// performance problem (§7); the cap is reported in Stats.
 	MetadataNodeLimit int
-	// MaxPops bounds total Dijkstra iterator pops as a safety valve for
-	// long expansions (default 2,000,000). Disconnected keywords rarely
-	// reach it: iterators that cannot reach an answer are retired
-	// (backward.go). It is the legacy spelling
-	// of Budget.MaxPops: when Budget.MaxPops is zero it seeds it.
-	MaxPops int
 	// Budget is the per-query cost budget. Exhausting any axis stops the
 	// expansion cleanly: answers emitted so far are returned and
 	// Stats.BudgetExhausted/BudgetReason report the truncation.
@@ -58,9 +52,11 @@ type Options struct {
 // spend the budget (Stats.Retired), so a query whose remaining work was all
 // such iterators ends unflagged with the answers an unbudgeted run returns.
 type Budget struct {
-	// MaxPops bounds Dijkstra iterator pops (0: Options.MaxPops). Pops and
-	// arcs are deterministic per (snapshot, query), so truncation under
-	// these two axes is reproducible.
+	// MaxPops bounds Dijkstra iterator pops, a safety valve for long
+	// expansions (0: the default of 2,000,000). Disconnected keywords
+	// rarely reach it: iterators that cannot reach an answer are retired
+	// (backward.go). Pops and arcs are deterministic per (snapshot,
+	// query), so truncation under these two axes is reproducible.
 	MaxPops int
 	// MaxArcsScanned bounds reverse arcs relaxed during expansion
 	// (0: unlimited). Arc cost tracks the real work of dense hub nodes,
@@ -81,7 +77,7 @@ var defaultOpts = Options{
 	HeapSize:          20,
 	Score:             DefaultScoreOptions(),
 	MetadataNodeLimit: 1000,
-	MaxPops:           2_000_000,
+	Budget:            Budget{MaxPops: 2_000_000},
 	MaxCombosPerVisit: 10_000,
 	RequireAllTerms:   true,
 }
@@ -98,7 +94,6 @@ func DefaultOptions() *Options {
 func (o *Options) withDefaultsInto(dst *Options) *Options {
 	if o == nil {
 		*dst = defaultOpts
-		dst.Budget.MaxPops = dst.MaxPops
 		return dst
 	}
 	*dst = *o
@@ -108,11 +103,8 @@ func (o *Options) withDefaultsInto(dst *Options) *Options {
 	if dst.HeapSize <= 0 {
 		dst.HeapSize = defaultOpts.HeapSize
 	}
-	if dst.MaxPops <= 0 {
-		dst.MaxPops = defaultOpts.MaxPops
-	}
 	if dst.Budget.MaxPops <= 0 {
-		dst.Budget.MaxPops = dst.MaxPops
+		dst.Budget.MaxPops = defaultOpts.Budget.MaxPops
 	}
 	if dst.MaxCombosPerVisit <= 0 {
 		dst.MaxCombosPerVisit = defaultOpts.MaxCombosPerVisit
@@ -138,18 +130,6 @@ type Stats struct {
 	BudgetExhausted   bool     // the query was truncated by its cost budget
 	BudgetReason      string   // which axis cut it off: "pops", "arcs" or "bytes"
 	Retired           int      // iterators retired because no answer could use them (backward.go)
-
-	// Distributed execution (internal/cluster). Zero on single-engine
-	// queries.
-	PartitionsTotal  int // partitions in the cluster
-	PartitionsRouted int // partitions the broker scattered the query to
-	PartitionsPruned int // partitions pruned by term-statistics routing
-	// PartitionLocalBound reports the distributed completeness bound: every
-	// answer whose connection tree lies entirely within one partition was
-	// found with its exact single-engine score, but trees crossing partition
-	// boundaries were not searched (boundary-arc stitching is deferred).
-	// Always true for distributed queries over more than one partition.
-	PartitionLocalBound bool
 }
 
 // Searcher answers keyword queries over a graph + keyword index pair —
@@ -229,8 +209,8 @@ func (s *Searcher) WithFaultMeter(fn func() int64) *Searcher {
 }
 
 // Request describes one keyword query for Query — the unified,
-// context-aware entry point the specialised helpers (Search, SearchStats,
-// SearchStream, SearchQualified) are thin wrappers over.
+// context-aware entry point the Search and SearchStats helpers are thin
+// wrappers over.
 type Request struct {
 	// Terms are the (already split) query terms. Terms are trimmed and
 	// lowercased; empty terms are dropped.

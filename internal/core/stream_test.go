@@ -1,7 +1,7 @@
 package core
 
 import (
-	"errors"
+	"context"
 	"testing"
 
 	"github.com/banksdb/banks/internal/graph"
@@ -16,7 +16,7 @@ func TestSearchStreamMatchesBatchOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	var streamed []*Answer
-	err = f.s.SearchStream([]string{"soumen", "sunita"}, o, func(a *Answer) bool {
+	_, _, err = f.s.Query(context.Background(), Request{Terms: []string{"soumen", "sunita"}}, o, func(a *Answer) bool {
 		streamed = append(streamed, a)
 		return true
 	})
@@ -40,12 +40,17 @@ func TestSearchStreamEarlyCancel(t *testing.T) {
 	f := newBibFixture(t)
 	o := defaultBibOptions()
 	count := 0
-	err := f.s.SearchStream([]string{"soumen", "sunita"}, o, func(a *Answer) bool {
+	answers, _, err := f.s.Query(context.Background(), Request{Terms: []string{"soumen", "sunita"}}, o, func(a *Answer) bool {
 		count++
 		return false // cancel after the first answer
 	})
-	if !errors.Is(err, ErrStopped) {
-		t.Errorf("err = %v, want ErrStopped", err)
+	// A callback's cancellation is not a failure: the search stops cleanly
+	// with the answers emitted so far.
+	if err != nil {
+		t.Errorf("err = %v, want a clean stop", err)
+	}
+	if len(answers) != 1 {
+		t.Errorf("stopped search returned %d answers, want the 1 emitted", len(answers))
 	}
 	if count != 1 {
 		t.Errorf("callback ran %d times, want 1", count)
@@ -55,7 +60,7 @@ func TestSearchStreamEarlyCancel(t *testing.T) {
 func TestSearchStreamSingleTerm(t *testing.T) {
 	f := newBibFixture(t)
 	var got []*Answer
-	err := f.s.SearchStream([]string{"mohan"}, defaultBibOptions(), func(a *Answer) bool {
+	_, _, err := f.s.Query(context.Background(), Request{Terms: []string{"mohan"}}, defaultBibOptions(), func(a *Answer) bool {
 		got = append(got, a)
 		return true
 	})
@@ -137,7 +142,7 @@ func TestSearchStreamSingleTermHeapContract(t *testing.T) {
 		o := DefaultOptions()
 		o.HeapSize = heapSize
 		var roots []graph.NodeID
-		if err := f.s.SearchStream([]string{"smith"}, o, func(a *Answer) bool {
+		if _, _, err := f.s.Query(context.Background(), Request{Terms: []string{"smith"}}, o, func(a *Answer) bool {
 			roots = append(roots, a.Root)
 			return true
 		}); err != nil {
@@ -173,7 +178,7 @@ func TestSearchStreamSingleTermMatchesBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		var streamed []*Answer
-		if err := f.s.SearchStream([]string{"smith"}, o, func(a *Answer) bool {
+		if _, _, err := f.s.Query(context.Background(), Request{Terms: []string{"smith"}}, o, func(a *Answer) bool {
 			streamed = append(streamed, a)
 			return true
 		}); err != nil {
@@ -193,12 +198,12 @@ func TestSearchStreamSingleTermMatchesBatch(t *testing.T) {
 
 func TestSearchStreamErrors(t *testing.T) {
 	f := newBibFixture(t)
-	if err := f.s.SearchStream(nil, nil, func(*Answer) bool { return true }); err == nil {
+	if _, _, err := f.s.Query(context.Background(), Request{}, nil, func(*Answer) bool { return true }); err == nil {
 		t.Error("empty query should error")
 	}
 	// No matches: no callback, no error.
 	calls := 0
-	if err := f.s.SearchStream([]string{"xyzzy"}, nil, func(*Answer) bool { calls++; return true }); err != nil {
+	if _, _, err := f.s.Query(context.Background(), Request{Terms: []string{"xyzzy"}}, nil, func(*Answer) bool { calls++; return true }); err != nil {
 		t.Errorf("no-match stream errored: %v", err)
 	}
 	if calls != 0 {

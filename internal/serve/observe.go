@@ -53,13 +53,13 @@ type QueryOutcome struct {
 	Class    string // ClassOf the request
 	Elapsed  time.Duration
 	Err      error // nil on success
-	// BudgetExhausted mirrors core.Stats.BudgetExhausted: the query was
-	// truncated by its cost budget.
+	// BudgetExhausted mirrors the search's Stats.BudgetExhausted: the
+	// query was truncated by its cost budget.
 	BudgetExhausted bool
 	// TimedOut reports a context deadline ending the query.
 	TimedOut bool
 	// Detail carries the engine's execution statistics into the
-	// slow-query log (typically a *core.Stats).
+	// slow-query log (the web door's is a *cluster.Stats).
 	Detail any
 }
 

@@ -6,8 +6,9 @@ import (
 )
 
 // SlowQuery is one entry of the slow-query log: the request as the user
-// typed it, where it ran, how long it took, and the engine's execution
-// statistics (a core.Stats value, carried as any so this package stays
+// typed it, where it ran, how long it took, and the search's execution
+// statistics (the web door records a *cluster.Stats for a single
+// engine and a cluster alike, carried as any so this package stays
 // engine-agnostic) — enough to diagnose why it was slow without
 // re-running it.
 type SlowQuery struct {

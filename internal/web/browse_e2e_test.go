@@ -15,6 +15,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/banksdb/banks/internal/cluster"
 	"github.com/banksdb/banks/internal/core"
 	"github.com/banksdb/banks/internal/datagen"
 )
@@ -126,7 +127,7 @@ func TestSearchFailsLoudlyOnEngineError(t *testing.T) {
 	}
 	cfg := engineConfig(t, db, nil)
 	search := cfg.Search
-	cfg.Search = func(ctx context.Context, terms []string) (Result, error) {
+	cfg.Search = func(ctx context.Context, terms []string) (*cluster.Result, error) {
 		res, _ := search(ctx, terms)
 		return res, errors.New("arcs segment checksum mismatch")
 	}

@@ -24,22 +24,13 @@ import (
 	"github.com/banksdb/banks/internal/sqlexec"
 )
 
-// Result is what a search hands the door: the answers as (table, rid)
-// trees — the identity every canonical tie-break is defined over, valid
-// for a single engine and across partitions alike — plus the budget
-// verdict and the execution statistics for the slow-query log. The
-// budget fields and Detail are meaningful on error too (a timed-out
-// search still reports what it did).
-type Result struct {
-	Answers         []cluster.Answer
-	BudgetExhausted bool
-	BudgetReason    string // the exhausted axis: "pops", "arcs" or "bytes"
-	Detail          any
-}
-
 // SearchFunc runs one keyword search for the door. terms are already
-// tokenized.
-type SearchFunc func(ctx context.Context, terms []string) (Result, error)
+// tokenized. The result carries the answers as (table, rid) trees — the
+// identity every canonical tie-break is defined over, valid for a single
+// engine and across partitions alike — and the execution statistics, whose
+// budget verdict the page reports and which the slow-query log records. A
+// failed search may still return its statistics with the error.
+type SearchFunc func(ctx context.Context, terms []string) (*cluster.Result, error)
 
 // Config is everything a Server is built from.
 type Config struct {
@@ -226,9 +217,12 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		Strategy: s.cfg.Strategy,
 		Class:    serve.ClassOf(len(terms), false, false),
 		Timeout:  timeout,
-	}, func(ctx context.Context) (Result, serve.Outcome, error) {
+	}, func(ctx context.Context) (*cluster.Result, serve.Outcome, error) {
 		res, err := s.cfg.Search(ctx, terms)
-		return res, serve.Outcome{BudgetExhausted: res.BudgetExhausted, Detail: res.Detail}, err
+		if res == nil {
+			return nil, serve.Outcome{}, err
+		}
+		return res, serve.Outcome{BudgetExhausted: res.Stats.BudgetExhausted, Detail: &res.Stats}, err
 	})
 	if st.Code == 0 {
 		return // client disconnected; nobody is listening
@@ -245,9 +239,9 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 
 	var b strings.Builder
 	b.WriteString(searchFormHTML(q, timeoutParam))
-	if res.BudgetExhausted {
+	if res.Stats.BudgetExhausted {
 		fmt.Fprintf(&b, `<p class="score">Partial results: the query exhausted its %s budget.</p>`,
-			template.HTMLEscapeString(res.BudgetReason))
+			template.HTMLEscapeString(res.Stats.BudgetReason))
 	}
 	if len(res.Answers) == 0 {
 		b.WriteString("<p>No results.</p>")

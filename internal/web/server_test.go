@@ -40,13 +40,9 @@ func engineConfig(t *testing.T, db *sqldb.Database, opts *core.Options) Config {
 	}
 	return Config{
 		DB: db,
-		Search: func(ctx context.Context, terms []string) (Result, error) {
-			answers, st, err := searcher.Query(ctx, core.Request{Terms: terms}, opts, nil)
-			res := Result{BudgetExhausted: st.BudgetExhausted, BudgetReason: st.BudgetReason, Detail: st}
-			for _, a := range answers {
-				res.Answers = append(res.Answers, cluster.AnswerToWire(g, a))
-			}
-			return res, err
+		Search: func(ctx context.Context, terms []string) (*cluster.Result, error) {
+			req := cluster.RequestFromOptions(terms, false, false, opts)
+			return cluster.Search(ctx, searcher, nil, db, &req, nil)
 		},
 	}
 }
@@ -327,7 +323,7 @@ func TestSearchRejectsBeforeAdmission(t *testing.T) {
 	cfg := engineConfig(t, db, nil)
 	search := cfg.Search
 	calls := 0
-	cfg.Search = func(ctx context.Context, terms []string) (Result, error) {
+	cfg.Search = func(ctx context.Context, terms []string) (*cluster.Result, error) {
 		calls++
 		return search(ctx, terms)
 	}

@@ -4,11 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"strings"
 
 	"github.com/banksdb/banks/internal/cluster"
-	"github.com/banksdb/banks/internal/core"
 	"github.com/banksdb/banks/internal/index"
+	"github.com/banksdb/banks/internal/sqldb"
 )
 
 // ErrStopped is returned by QueryStream (and QueryIter internally) when
@@ -99,10 +100,9 @@ type Stats struct {
 	PartitionLocalBound bool
 }
 
-func statsFromCore(st *core.Stats) Stats {
-	if st == nil {
-		return Stats{}
-	}
+// statsFromWire converts a search's wire statistics — one engine's or a
+// cluster's merge — to the public form.
+func statsFromWire(st cluster.Stats) Stats {
 	return Stats{
 		Terms:             st.Terms,
 		MatchedNodes:      st.MatchedNodes,
@@ -145,7 +145,7 @@ type Results struct {
 // context's error. A Refresh concurrent with Query is safe — the query
 // finishes against the snapshot it started on.
 func (s *System) Query(ctx context.Context, q Query) (*Results, error) {
-	return s.run(ctx, q, nil)
+	return run(ctx, s.db.inner, s.search, q, nil)
 }
 
 // QueryStream is Query with incremental delivery: fn sees each answer the
@@ -157,27 +157,42 @@ func (s *System) QueryStream(ctx context.Context, q Query, fn func(*Answer) bool
 	if fn == nil {
 		return nil, fmt.Errorf("banks: QueryStream requires a callback")
 	}
-	return s.run(ctx, q, fn)
+	return run(ctx, s.db.inner, s.search, q, fn)
 }
 
-// run is the shared driver behind Query and QueryStream: it pins the
-// engine snapshot once, resolves the request, runs the context-aware core
-// search, and materializes answers against the pinned snapshot.
-func (s *System) run(ctx context.Context, q Query, fn func(*Answer) bool) (*Results, error) {
+// backend runs one resolved request and returns its answers as (table,
+// rid) trees: System.search on the pinned local engine, Cluster.search by
+// scatter-gather. cb, when non-nil, sees each answer as it is emitted and
+// may stop the search; only System.QueryStream passes one, since a
+// cluster has no answer to emit before its merge. req goes by pointer:
+// the front door runs each search on a fresh goroutine, and copies of the
+// wide Request in every frame above the core search cost it a stack
+// growth per request.
+type backend func(ctx context.Context, req *cluster.Request, cb func(*cluster.Answer) bool) (*cluster.Result, error)
+
+// search is System's backend. It pins one engine snapshot — and, for a
+// store-backed one, its byte source: Close unmaps the file only after
+// every holder drains, so a search never faults on memory yanked out
+// from under it — and maps the answers through that pinned graph, so a
+// concurrent Refresh or Apply cannot tear them.
+func (s *System) search(ctx context.Context, req *cluster.Request, cb func(*cluster.Answer) bool) (*cluster.Result, error) {
 	if s.closed.Load() {
 		return nil, ErrClosed
 	}
 	eng := s.engine()
-	// Pin the byte source of a store-backed snapshot for the whole query:
-	// Close unmaps the file only after every holder drains, so a search
-	// can never fault on memory yanked out from under it.
 	if eng.st != nil {
 		if !eng.st.Acquire() {
 			return nil, ErrClosed
 		}
 		defer eng.st.Release()
 	}
+	return cluster.Search(ctx, eng.searcher, eng.st, s.db.inner, req, cb)
+}
 
+// run is the one query path behind System and Cluster: it tokenizes q,
+// runs it on search, and materializes the answers, groups and stats
+// against db.
+func run(ctx context.Context, db *sqldb.Database, search backend, q Query, fn func(*Answer) bool) (*Results, error) {
 	var terms []string
 	if q.Qualified {
 		terms = strings.Fields(q.Text)
@@ -187,60 +202,85 @@ func (s *System) run(ctx context.Context, q Query, fn func(*Answer) bool) (*Resu
 	if len(terms) == 0 {
 		return nil, fmt.Errorf("banks: empty query")
 	}
+	req := cluster.RequestFromOptions(terms, q.Qualified, q.Prefix, q.Options.toCore())
 
-	req := core.Request{
-		Terms:     terms,
-		Qualified: q.Qualified,
-		Prefix:    q.Prefix,
-		DB:        s.db.inner,
-	}
-	copts := q.Options.toCore()
-
-	// Convert each answer exactly once, at emission time, against the
-	// pinned engine; byCore lets the final list and grouping reuse the
-	// same conversions.
-	byCore := make(map[*core.Answer]*Answer)
+	// A streamed answer is materialized once, when it is emitted. The
+	// search trims the output heap's overshoot after emission, so its
+	// final list is a prefix of the emitted ones.
+	var emitted []*Answer
+	var cb func(*cluster.Answer) bool
 	stopped := false
-	cb := func(a *core.Answer) bool {
-		wire := cluster.AnswerToWire(eng.g, a)
-		pa := answerFromRefs(s.db.inner, &wire)
-		byCore[a] = pa
-		if fn != nil && !fn(pa) {
-			stopped = true
-			return false
+	if fn != nil {
+		cb = func(w *cluster.Answer) bool {
+			a := answerFromRefs(db, w)
+			emitted = append(emitted, a)
+			if !fn(a) {
+				stopped = true
+				return false
+			}
+			return true
 		}
-		return true
 	}
-
-	answers, st, err := eng.searcher.Query(ctx, req, copts, cb)
+	res, err := search(ctx, &req, cb)
 	if err != nil {
 		return nil, err
 	}
-	if serr := eng.storeErr(); serr != nil {
-		return nil, serr
-	}
-
-	// The core trims heap-overflow overshoot (a visit can emit an answer
-	// or two beyond TopK) after emission, so the returned list — not the
-	// raw emission stream pub — is the ranked result set. Every returned
-	// answer was emitted, so byCore covers it.
-	var final []*Answer
-	for _, a := range answers {
-		final = append(final, byCore[a])
-	}
-
-	res := &Results{Answers: final, Stats: statsFromCore(st)}
-	if q.GroupByShape {
-		for _, g := range core.GroupAnswers(eng.g, answers) {
-			grp := AnswerGroup{Shape: g.Shape}
-			for _, a := range g.Answers {
-				grp.Answers = append(grp.Answers, byCore[a])
-			}
-			res.Groups = append(res.Groups, grp)
+	out := &Results{Stats: statsFromWire(res.Stats)}
+	if fn != nil {
+		out.Answers = emitted[:len(res.Answers)]
+	} else {
+		for i := range res.Answers {
+			out.Answers = append(out.Answers, answerFromRefs(db, &res.Answers[i]))
 		}
 	}
-	if stopped {
-		return res, ErrStopped
+	if q.GroupByShape {
+		out.Groups = groupByShape(res.Answers, out.Answers)
 	}
-	return res, nil
+	if stopped {
+		return out, ErrStopped
+	}
+	return out, nil
+}
+
+// groupByShape partitions answers by their tree structure over the
+// schema, preserving rank order within and across groups (groups ordered
+// by their best-ranked member), so users can "look for further answers
+// with a particular tree structure". wire[i] is answers[i] by reference.
+func groupByShape(wire []cluster.Answer, answers []*Answer) []AnswerGroup {
+	var groups []AnswerGroup
+	at := make(map[string]int)
+	for i := range wire {
+		shape := shapeOf(&wire[i])
+		g, ok := at[shape]
+		if !ok {
+			g = len(groups)
+			at[shape] = g
+			groups = append(groups, AnswerGroup{Shape: shape})
+		}
+		groups[g].Answers = append(groups[g].Answers, answers[i])
+	}
+	return groups
+}
+
+// shapeOf renders the canonical structure of an answer: the root's table
+// and, recursively, the sorted shapes of its subtrees.
+func shapeOf(a *cluster.Answer) string {
+	children := make(map[cluster.Ref][]cluster.Ref)
+	for _, e := range a.Edges {
+		children[e.From] = append(children[e.From], e.To)
+	}
+	var shape func(r cluster.Ref) string
+	shape = func(r cluster.Ref) string {
+		kids := children[r]
+		if len(kids) == 0 {
+			return r.Table
+		}
+		parts := make([]string, len(kids))
+		for i, k := range kids {
+			parts[i] = shape(k)
+		}
+		sort.Strings(parts)
+		return r.Table + "(" + strings.Join(parts, ",") + ")"
+	}
+	return shape(a.Root)
 }

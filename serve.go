@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/banksdb/banks/internal/cluster"
-	"github.com/banksdb/banks/internal/core"
 	"github.com/banksdb/banks/internal/serve"
 	"github.com/banksdb/banks/internal/store"
 	"github.com/banksdb/banks/internal/web"
@@ -82,7 +81,7 @@ func (s *System) ServeHandler(opts *ServeOptions) http.Handler {
 	}
 	return newFrontDoor(opts, web.Config{
 		DB:       s.db.inner,
-		Search:   s.doorSearch(opts.Search),
+		Search:   doorSearch(s.search, opts.Search),
 		Strategy: "backward",
 	}, s.bindEngineGauges)
 }
@@ -125,33 +124,15 @@ func newFrontDoor(opts *ServeOptions, cfg web.Config, bindGauges func(*serve.Met
 	return web.NewServer(cfg)
 }
 
-// doorSearch is the single engine behind the front door. Each search pins
-// one engine snapshot — and, for a store-backed one, its byte source — for
-// the whole run, and hands back its answers mapped through that pinned
-// graph view, so a concurrent Refresh or Close cannot tear the rendering.
-func (s *System) doorSearch(sopts *SearchOptions) web.SearchFunc {
-	opts := sopts.toCore()
-	return func(ctx context.Context, terms []string) (web.Result, error) {
-		eng := s.engine()
-		if eng.st != nil {
-			if !eng.st.Acquire() {
-				return web.Result{}, ErrClosed
-			}
-			defer eng.st.Release()
-		}
-		answers, st, err := eng.searcher.Query(ctx, core.Request{Terms: terms}, opts, nil)
-		res := web.Result{BudgetExhausted: st.BudgetExhausted, BudgetReason: st.BudgetReason, Detail: st}
-		if err != nil {
-			return res, err
-		}
-		if serr := eng.storeErr(); serr != nil {
-			return res, serr
-		}
-		res.Answers = make([]cluster.Answer, len(answers))
-		for i, a := range answers {
-			res.Answers[i] = cluster.AnswerToWire(eng.g, a)
-		}
-		return res, nil
+// doorSearch is the search behind the front door, over either backend.
+// The door renders the wire answers itself, so nothing here converts on
+// emission or builds public Answers.
+func doorSearch(search backend, sopts *SearchOptions) web.SearchFunc {
+	base := cluster.RequestFromOptions(nil, false, false, sopts.toCore())
+	return func(ctx context.Context, terms []string) (*cluster.Result, error) {
+		req := base
+		req.Terms = terms
+		return search(ctx, &req, nil)
 	}
 }
 
