@@ -226,8 +226,10 @@ func TestDistributedMultiPartitionBound(t *testing.T) {
 
 // TestDistributedScatterBurst hammers the cluster front door from many
 // goroutines (run under -race in CI): concurrent scatter-gather must
-// stay correct — every 200 carries answers, every reply is well-formed —
-// and the routing counters must account for every query.
+// stay correct — every reply is a well-formed 200 — and the routing
+// counters must account for every query. Eight clients never exceed the
+// default gate's eight slots or the heavy gate's four slots plus queue,
+// so the door must not shed.
 func TestDistributedScatterBurst(t *testing.T) {
 	inner, err := datagen.BuildDBLP(datagen.SmallDBLP())
 	if err != nil {
@@ -253,10 +255,8 @@ func TestDistributedScatterBurst(t *testing.T) {
 				q := queries[(w+i)%len(queries)]
 				rec := httptest.NewRecorder()
 				handler.ServeHTTP(rec, httptest.NewRequest("GET", "/search?q="+url.QueryEscape(q), nil))
-				switch rec.Code {
-				case http.StatusOK, http.StatusServiceUnavailable:
-				default:
-					errs <- fmt.Sprintf("%q: unexpected status %d: %s", q, rec.Code, rec.Body.String())
+				if rec.Code != http.StatusOK {
+					errs <- fmt.Sprintf("%q: status %d below the gate's capacity: %s", q, rec.Code, rec.Body.String())
 				}
 			}
 		}(w)

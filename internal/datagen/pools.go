@@ -110,8 +110,8 @@ func TitleWords() []string { return titleWords }
 
 // ZipfTerms returns an n-draw Zipf(s=1.3) term stream over the
 // single-token title vocabulary — the shared skewed workload behind the
-// match-cache benchmarks and banks-eval's -buildbench experiment, defined
-// once so BENCH_build.json and CI always measure the same distribution.
+// match-cache benchmark and the store's budgeted-cache test, defined once
+// so both always measure the same distribution.
 // Multi-token vocabulary words ("on-line") are excluded: as single search
 // terms their prefixes match nothing.
 func ZipfTerms(n int, seed int64) []string {

@@ -206,6 +206,12 @@ func TestSweepFullCoversEightCombinations(t *testing.T) {
 	}
 	discarded := 0
 	for _, p := range points {
+		combine := "additive"
+		if p.Mult {
+			combine = "multiplicative"
+		}
+		t.Logf("lambda=%.1f edgeLog=%v nodeLog=%v combine=%s error=%.1f discarded=%v",
+			p.Lambda, p.EdgeLog, p.NodeLog, combine, p.Scaled, p.Discarded())
 		if p.Discarded() {
 			discarded++
 		}

@@ -55,34 +55,3 @@ func (m *mmapSource) Close() error {
 	}
 	return syscall.Munmap(data)
 }
-
-// Prefault asks the kernel to read the whole mapping ahead
-// (madvise(WILLNEED)) and then touches every page so the cost of demand
-// paging is paid up front rather than inside the first queries.
-func (m *mmapSource) Prefault() error {
-	if len(m.data) == 0 {
-		return nil
-	}
-	if err := syscall.Madvise(m.data, syscall.MADV_WILLNEED); err != nil {
-		return fmt.Errorf("store: madvise: %w", err)
-	}
-	var sink byte
-	for i := 0; i < len(m.data); i += pageSize {
-		sink += m.data[i]
-	}
-	_ = sink
-	return nil
-}
-
-// Mlock pins the mapping in physical memory (no major faults ever after).
-func (m *mmapSource) Mlock() error {
-	if len(m.data) == 0 {
-		return nil
-	}
-	if err := syscall.Mlock(m.data); err != nil {
-		return fmt.Errorf("store: mlock: %w", err)
-	}
-	return nil
-}
-
-const pageSize = 4096

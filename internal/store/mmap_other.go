@@ -19,5 +19,3 @@ func mapFile(f *os.File, size int64) (*mmapSource, error) { return nil, errNoMma
 func (m *mmapSource) ReadAt(p []byte, off int64) (int, error) { return 0, errNoMmap }
 func (m *mmapSource) ViewAt(off, n int64) ([]byte, bool)      { return nil, false }
 func (m *mmapSource) Close() error                            { return nil }
-func (m *mmapSource) Prefault() error                         { return errNoMmap }
-func (m *mmapSource) Mlock() error                            { return errNoMmap }

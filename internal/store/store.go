@@ -393,42 +393,6 @@ func (s *Store) teardown() {
 // (memory-mapped file or in-memory source) rather than heap copies.
 func (s *Store) Mapped() bool { return s.v != nil }
 
-// adviser is the residency-control extension of the mmap byte source.
-type adviser interface {
-	Prefault() error
-	Mlock() error
-}
-
-// Prefault warms the entire store into the page cache up front — an
-// madvise(WILLNEED) sweep plus a page-touch pass on a mapped store, a
-// sequential read-through otherwise — so first queries pay no demand
-// paging.
-func (s *Store) Prefault() error {
-	if a, ok := s.r.(adviser); ok {
-		return a.Prefault()
-	}
-	buf := make([]byte, 1<<20)
-	for off := int64(0); off < s.size; off += int64(len(buf)) {
-		n := int64(len(buf))
-		if rem := s.size - off; rem < n {
-			n = rem
-		}
-		if _, err := s.r.ReadAt(buf[:n], off); err != nil {
-			return fmt.Errorf("store: prefault read: %w", err)
-		}
-	}
-	return nil
-}
-
-// Mlock pins the mapping in physical memory; it errors on stores that are
-// not memory-mapped.
-func (s *Store) Mlock() error {
-	if a, ok := s.r.(adviser); ok {
-		return a.Mlock()
-	}
-	return errors.New("store: Mlock requires a memory-mapped store")
-}
-
 // Err reports the first I/O, checksum or decode failure hit by any lazy
 // load since Open — the graph's, the index's or the store's own. Lazy
 // reads degrade to empty results on failure, so callers that must fail

@@ -147,7 +147,9 @@ func TestServeBudgetExhaustionTPCD(t *testing.T) {
 // the engine churns underneath it — concurrent searches through the
 // handler, live Apply batches, and Refresh swaps — then checks the books
 // balance: gate counters account for every request, the admitted count
-// equals the observed query count, and the gate is fully drained.
+// equals the observed query count, and the gate is fully drained. Four
+// clients never exceed the gate's four slots, so churn must not make the
+// door shed: every request is a 200.
 func TestServeMetricsConsistencyUnderChurn(t *testing.T) {
 	db := NewDatabase()
 	if err := db.ExecScript(`
@@ -188,7 +190,7 @@ func TestServeMetricsConsistencyUnderChurn(t *testing.T) {
 				rec := httptest.NewRecorder()
 				handler.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
 				requests.Add(1)
-				if rec.Code != http.StatusOK && rec.Code != http.StatusServiceUnavailable {
+				if rec.Code != http.StatusOK {
 					failed.Add(1)
 				}
 			}
@@ -227,9 +229,12 @@ func TestServeMetricsConsistencyUnderChurn(t *testing.T) {
 	wg.Wait()
 
 	if failed.Load() != 0 {
-		t.Errorf("%d requests failed with unexpected statuses", failed.Load())
+		t.Errorf("%d requests got a status other than 200", failed.Load())
 	}
 	counters, gauges := waitGateDrained(t, handler)
+	if shed := gauges["gate_shed_total"] + gauges["gate_queue_timeout_total"]; shed != 0 {
+		t.Errorf("gate shed %d requests below its capacity", shed)
+	}
 	admitted := gauges["gate_admitted_total"]
 	total := admitted + gauges["gate_shed_total"] + gauges["gate_queue_timeout_total"] + gauges["gate_canceled_total"]
 	if total != requests.Load() {
