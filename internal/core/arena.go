@@ -78,6 +78,8 @@ type searchArena struct {
 	// that went deep in a single query, not to every iterator that ever did.
 	freeIters []*sspIterator
 	freeDense []*denseBlock
+	// tie is the scratch every iterator's heap sorts a tie bucket with.
+	tie tieScratch
 
 	// Result-heap dedup state, keyed by hashed tree signature.
 	inHeap map[uint64]*resultItem

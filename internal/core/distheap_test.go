@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"cmp"
 	"math/rand"
 	"slices"
@@ -36,7 +37,7 @@ func scrambledKeys(n int) graph.Keys {
 func runDistHeap(t *testing.T, h *distHeap, ops []byte) {
 	t.Helper()
 	keys := scrambledKeys(len(ops))
-	h.reset(keys)
+	h.reset(keys, new(tieScratch))
 	type entry struct {
 		d    float64
 		node graph.NodeID
@@ -97,6 +98,9 @@ func FuzzDistHeap(f *testing.F) {
 	f.Add([]byte{0, 4, 8, 2, 3, 3, 3})
 	f.Add([]byte{0, 0, 0, 0, 3, 0, 0, 3, 3, 3, 3})                    // all ties, pushes at the minimum
 	f.Add([]byte{0xe0 | 8, 4, 0x20 | 24, 28, 3, 1, 5, 3, 2, 3, 3, 3}) // scaled, non-dyadic steps
+	// More ties at one distance than radixMin, so the first min radix-sorts
+	// the bucket; then pushes at the minimum into the radix-ordered bucket.
+	f.Add(append(bytes.Repeat([]byte{4}, radixMin+6), 2, 3, 0, 3, 0, 4, 3, 0))
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		runDistHeap(t, new(distHeap), ops)
 	})
@@ -124,6 +128,137 @@ func TestDistHeapMatchesSortedOrder(t *testing.T) {
 			ops[i] = b
 		}
 		runDistHeap(t, h, ops)
+	}
+}
+
+// tieKeyPatterns build the key tables TestDistHeapRadixTieBuckets fills
+// tie buckets from: n unique keys, node id i's key at index i, in an
+// order unrelated to id order (rng scrambles it).
+var tieKeyPatterns = []struct {
+	name string
+	keys func(rng *rand.Rand, n int) []uint64
+}{
+	{"table bits only", func(rng *rand.Rand, n int) []uint64 {
+		keys := make([]uint64, n)
+		for i, t := range rng.Perm(n) {
+			keys[i] = graph.Key(int32(t), 0x2a2a2a)
+		}
+		return keys
+	}},
+	// Up to 256 keys differ only in one byte, rid bits 40-47, so a sort
+	// makes a single pass in the middle of the word; past 256 the table
+	// bits differ too.
+	{"rid bits 40-47", func(rng *rand.Rand, n int) []uint64 {
+		keys := make([]uint64, n)
+		for i, v := range rng.Perm(n) {
+			keys[i] = graph.Key(int32(3+v>>8), 0x1234_5678|sqldb.RID(v&0xff)<<40)
+		}
+		return keys
+	}},
+	{"every byte", func(rng *rand.Rand, n int) []uint64 {
+		keys := make([]uint64, 0, n)
+		seen := map[uint64]bool{}
+		for len(keys) < n {
+			if k := rng.Uint64(); !seen[k] {
+				seen[k] = true
+				keys = append(keys, k)
+			}
+		}
+		return keys
+	}},
+	// An overlay numbers a table's inserted rows after every base node, and
+	// their rids continue past the table's base rows: the first half of the
+	// ids are base rows of three tables, the second half appended ones.
+	{"overlay appends", func(rng *rand.Rand, n int) []uint64 {
+		keys := make([]uint64, n)
+		base := n / 2
+		perm := rng.Perm(base)
+		for i := range keys {
+			if i < base {
+				keys[i] = graph.Key(int32(perm[i]%3), sqldb.RID(perm[i]/3))
+			} else {
+				j := i - base
+				keys[i] = graph.Key(int32(j%3), sqldb.RID((base+2)/3+j/3))
+			}
+		}
+		return keys
+	}},
+}
+
+// TestDistHeapRadixTieBuckets drives sortZero's radix path on purpose:
+// tie buckets just below, at and above radixMin and far above it, over
+// keys that differ in a single byte or in all of them. n nodes at
+// distance 1 form the bucket the first min sorts, n/2 more at distance 2
+// the next one, sorted on the same scratch. While the first drains, n/4
+// held-back nodes are pushed one per pop, by ascending key: at the
+// minimum (pushZero, the rounding case) when the key is above the last
+// one popped, so the binary insert lands inside the order the sort left,
+// else at distance 2. The pop sequence must equal slices.SortFunc's order
+// on (distance, key).
+func TestDistHeapRadixTieBuckets(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	h, tie := new(distHeap), new(tieScratch)
+	for _, p := range tieKeyPatterns {
+		for _, n := range []int{radixMin - 1, radixMin, radixMin + 1, 1000, 5000} {
+			m, n2 := n/4, n/2
+			keys := graph.NewKeys(p.keys(rng, n+m+n2))
+			h.reset(keys, tie)
+			type entry struct {
+				d    float64
+				node graph.NodeID
+			}
+			var pushed, popped []entry
+			push := func(u graph.NodeID, d float64) {
+				h.push(u, d)
+				pushed = append(pushed, entry{d, u})
+			}
+			for i := 0; i < n; i++ {
+				push(graph.NodeID(i), 1)
+			}
+			for i := n + m; i < n+m+n2; i++ {
+				push(graph.NodeID(i), 2)
+			}
+			if _, ok := h.min(); !ok || len(h.zero) != n {
+				t.Fatalf("%s, n=%d: the first refill formed a bucket of %d", p.name, n, len(h.zero))
+			}
+			held := make([]graph.NodeID, m)
+			for i := range held {
+				held[i] = graph.NodeID(n + i)
+			}
+			slices.SortFunc(held, func(a, b graph.NodeID) int { return cmp.Compare(keys.Of(a), keys.Of(b)) })
+			var lastKey uint64
+			atMin := 0
+			for {
+				u, ok := h.min()
+				if !ok {
+					break
+				}
+				popped = append(popped, entry{h.dist(), u})
+				lastKey = keys.Of(u)
+				h.pop()
+				if len(held) > 0 && h.dist() == 1 {
+					if u := held[0]; keys.Of(u) > lastKey {
+						push(u, 1)
+						atMin++
+					} else {
+						push(u, 2)
+					}
+					held = held[1:]
+				}
+			}
+			if len(held) > 0 || atMin == 0 {
+				t.Fatalf("%s, n=%d: %d held-back nodes left, %d pushed at the minimum", p.name, n, len(held), atMin)
+			}
+			slices.SortFunc(pushed, func(a, b entry) int {
+				if c := cmp.Compare(a.d, b.d); c != 0 {
+					return c
+				}
+				return cmp.Compare(keys.Of(a.node), keys.Of(b.node))
+			})
+			if !slices.Equal(popped, pushed) {
+				t.Fatalf("%s, n=%d: pop order differs from the sort on (distance, key)", p.name, n)
+			}
+		}
 	}
 }
 
