@@ -11,7 +11,7 @@ import (
 // slices — 20 bytes/node — invalidated in O(1) between queries by bumping
 // a generation stamp instead of clearing. Per-iterator state is not sized
 // to the graph: an iterator holds a table proportional to the nodes it
-// touched and borrows a dense 24 bytes/node block from freeDense only once
+// touched and borrows a dense 28 bytes/node block from freeDense only once
 // it has swept a real fraction of the graph (see sspIterator), so a
 // query's scratch bytes are bounded by the arcs it relaxed — the bounded
 // search-time footprint EMBANKS argues for.
@@ -39,18 +39,16 @@ type searchArena struct {
 	mark    []uint32
 	markGen uint32
 
-	// originIdx maps a keyword node to its slot in origins for the whole
-	// query; valid iff originStamp[n] == originGen.
-	originIdx   []int32
-	originStamp []uint32
-	originGen   uint32
+	// originSlot maps a keyword node to its slot in origins for the whole
+	// query: originSlot[n].idx, valid iff originSlot[n].stamp == originGen.
+	originSlot []stampedIdx
+	originGen  uint32
 
-	// visitIdx maps a visited node to its slot in the chunked termLists
-	// storage; valid iff visitStamp[n] == visitGen.
-	visitIdx   []int32
-	visitStamp []uint32
-	visitGen   uint32
-	visited    int
+	// visitSlot maps a visited node to its slot in the chunked termLists
+	// storage: visitSlot[n].idx, valid iff visitSlot[n].stamp == visitGen.
+	visitSlot []stampedIdx
+	visitGen  uint32
+	visited   int
 
 	// origins are the keyword nodes of the current query, each with its
 	// shortest-path iterator; masks holds per-origin term-membership
@@ -72,11 +70,14 @@ type searchArena struct {
 	listsUsed int
 
 	// freeIters are recycled shortest-path iterators; each keeps its sparse
-	// table and heap, reused via generation bumps. freeDense are the dense
+	// table's backing and its heap, reused via generation bumps. growBuf is
+	// the scratch a table growing within its backing moves its live slots
+	// through (see sspIterator.grow). freeDense are the dense
 	// blocks promoted iterators borrow for one query, each sized to the view
 	// it last served (see takeDense): the list grows to the most iterators
 	// that went deep in a single query, not to every iterator that ever did.
 	freeIters []*sspIterator
+	growBuf   []sparseSlot
 	freeDense []*denseBlock
 	// tie is the scratch every iterator's heap sorts a tie bucket with.
 	tie tieScratch
@@ -253,6 +254,14 @@ func (a *searchArena) matchVisitor() func(graph.NodeID) bool {
 	return a.matchFn
 }
 
+// stampedIdx is one node's entry in a query-wide NodeID-indexed map: the
+// stamp and the index it guards share 8 bytes, so a lookup reads one
+// cache line.
+type stampedIdx struct {
+	stamp uint32
+	idx   int32
+}
+
 // originRec is one keyword node of the current query.
 type originRec struct {
 	node graph.NodeID
@@ -301,21 +310,17 @@ func (a *searchArena) fit(n int) {
 	n += n / 8
 	a.n = n
 	a.mark = make([]uint32, n)
-	a.originIdx = make([]int32, n)
-	a.originStamp = make([]uint32, n)
-	a.visitIdx = make([]int32, n)
-	a.visitStamp = make([]uint32, n)
+	a.originSlot = make([]stampedIdx, n)
+	a.visitSlot = make([]stampedIdx, n)
 }
 
-// bumpGen advances a generation counter, zeroing the stamp array on the
+// bumpGen advances a generation counter, zeroing the stamped map on the
 // (roughly once per 4 billion queries) wraparound so stale stamps can never
 // alias the new generation.
-func bumpGen(gen *uint32, stamps []uint32) uint32 {
+func bumpGen[E uint32 | stampedIdx](gen *uint32, stamps []E) uint32 {
 	*gen++
 	if *gen == 0 {
-		for i := range stamps {
-			stamps[i] = 0
-		}
+		clear(stamps)
 		*gen = 1
 	}
 	return *gen
@@ -328,7 +333,7 @@ func (a *searchArena) bumpMark() uint32 { return bumpGen(&a.markGen, a.mark) }
 // beginOrigins resets the node -> origin-slot mapping for a new query with
 // nTerms search terms.
 func (a *searchArena) beginOrigins(nTerms int) {
-	bumpGen(&a.originGen, a.originStamp)
+	bumpGen(&a.originGen, a.originSlot)
 	a.origins = a.origins[:0]
 	a.masks = a.masks[:0]
 	a.maskWords = (nTerms + 63) / 64
@@ -341,8 +346,8 @@ func (a *searchArena) beginOrigins(nTerms int) {
 
 // originIndex returns the origin slot of node n, or -1.
 func (a *searchArena) originIndex(n graph.NodeID) int32 {
-	if a.originStamp[n] == a.originGen {
-		return a.originIdx[n]
+	if s := a.originSlot[n]; s.stamp == a.originGen {
+		return s.idx
 	}
 	return -1
 }
@@ -354,8 +359,7 @@ func (a *searchArena) addOrigin(n graph.NodeID) int32 {
 	for k := 0; k < a.maskWords; k++ {
 		a.masks = append(a.masks, 0)
 	}
-	a.originStamp[n] = a.originGen
-	a.originIdx[n] = i
+	a.originSlot[n] = stampedIdx{stamp: a.originGen, idx: i}
 	return i
 }
 
@@ -366,22 +370,19 @@ func (a *searchArena) originTerms(i int32) []uint64 {
 
 // beginVisits resets the node -> visit-slot mapping.
 func (a *searchArena) beginVisits() {
-	bumpGen(&a.visitGen, a.visitStamp)
+	bumpGen(&a.visitGen, a.visitSlot)
 	a.visited = 0
 }
 
 // nodeLists returns the nTerms per-term lists of visited node v, creating
 // its slot on first use. Inner slices retain capacity across queries.
 func (a *searchArena) nodeLists(v graph.NodeID, nTerms int) []([]graph.NodeID) {
-	var vi int32
-	if a.visitStamp[v] == a.visitGen {
-		vi = a.visitIdx[v]
-	} else {
-		vi = int32(a.visited)
+	s := &a.visitSlot[v]
+	if s.stamp != a.visitGen {
+		*s = stampedIdx{stamp: a.visitGen, idx: int32(a.visited)}
 		a.visited++
-		a.visitStamp[v] = a.visitGen
-		a.visitIdx[v] = vi
 	}
+	vi := s.idx
 	need := (int(vi) + 1) * nTerms
 	for len(a.termLists) < need {
 		a.termLists = append(a.termLists, nil)
@@ -395,10 +396,11 @@ func (a *searchArena) nodeLists(v graph.NodeID, nTerms int) []([]graph.NodeID) {
 // reached reports whether some iterator of term t has settled node v,
 // i.e. whether v's list L_t is non-empty.
 func (a *searchArena) reached(v graph.NodeID, t, nTerms int) bool {
-	if a.visitStamp[v] != a.visitGen {
+	s := a.visitSlot[v]
+	if s.stamp != a.visitGen {
 		return false
 	}
-	return len(a.termLists[int(a.visitIdx[v])*nTerms+t]) > 0
+	return len(a.termLists[int(s.idx)*nTerms+t]) > 0
 }
 
 // newIterator hands out a recycled (or fresh) shortest-path iterator rooted

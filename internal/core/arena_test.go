@@ -300,7 +300,7 @@ func TestTakeDenseSizesToView(t *testing.T) {
 	}
 	a.freeDense = append(a.freeDense, big)
 	small := a.takeDense(250)
-	if small != big || len(small.visit) != 250 || len(small.dist) != 250 {
+	if small != big || len(small.visit) != 250 || len(small.rec) != 250 {
 		t.Fatalf("a 250-node view got a block of length %d (recycled: %v)", len(small.visit), small == big)
 	}
 	a.freeDense = append(a.freeDense, small)
@@ -310,4 +310,113 @@ func TestTakeDenseSizesToView(t *testing.T) {
 	if len(a.freeDense) != 0 {
 		t.Errorf("the block that fit no view was kept: %d free", len(a.freeDense))
 	}
+}
+
+// starsDB is one table of stars, every leaf referencing its hub: an
+// "alpha" hub with fan leaves, one of them "omega"; stars "hub" rows with
+// leaves leaves each, labelled "bob" and "carol" in turn; and filler
+// isolated rows that only widen the graph.
+func starsDB(t *testing.T, fan, stars, leaves, filler int) *fixture {
+	t.Helper()
+	db := sqldb.NewDatabase()
+	if _, err := db.CreateTable(&sqldb.TableSchema{
+		Name: "t",
+		Columns: []sqldb.Column{
+			{Name: "id", Type: sqldb.TypeInt, NotNull: true},
+			{Name: "hub", Type: sqldb.TypeInt},
+			{Name: "label", Type: sqldb.TypeText},
+		},
+		PrimaryKey:  []string{"id"},
+		ForeignKeys: []sqldb.ForeignKey{{Column: "hub", RefTable: "t"}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	id := 0
+	row := func(hub int, label string) int {
+		id++
+		up := sqldb.Null()
+		if hub > 0 {
+			up = sqldb.Int(int64(hub))
+		}
+		if _, err := db.Insert("t", []sqldb.Value{sqldb.Int(int64(id)), up, sqldb.Text(label)}); err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	star := func(hubLabel string, n int, leaf func(int) string) {
+		hub := row(0, hubLabel)
+		for l := 0; l < n; l++ {
+			row(hub, leaf(l))
+		}
+	}
+	star("alpha", fan, func(l int) string { return [2]string{"omega", "link"}[min(l, 1)] })
+	for s := 0; s < stars; s++ {
+		star("hub", leaves, func(l int) string { return [2]string{"bob", "carol"}[l%2] })
+	}
+	for f := 0; f < filler; f++ {
+		row(0, "filler")
+	}
+	return newFixture(t, db)
+}
+
+// TestRecycledTablesRestartNarrow: a recycled iterator hands the next
+// query its table's backing, not its width. In the first query the alpha
+// hub's iterator claims its 3 000 leaves on its first pop, growing its
+// table past 4 096 slots; a name query on the same arena then draws that
+// iterator back, and every table starts sparseInitSlots wide and ends no
+// wider than its own nodes need. An iterator that kept its width would
+// send a few-dozen-node run's probes across 256 KB.
+func TestRecycledTablesRestartNarrow(t *testing.T) {
+	// promoteAt = NumNodes/32 must exceed 2 048, or the hub's iterator
+	// promotes before its table passes 4 096 slots.
+	f := starsDB(t, 3000, 40, 8, 64_000)
+	a := newSearchArena(f.g.NumNodes())
+	ctx := context.Background()
+	if _, _, err := f.s.queryInArena(ctx, Request{Terms: []string{"alpha", "omega"}}, nil, nil, a); err != nil {
+		t.Fatal(err)
+	}
+	widest := 0
+	for _, o := range a.origins {
+		widest = max(widest, len(o.it.tab))
+	}
+	if widest <= 4096 {
+		t.Fatalf("the first query's widest table is %d slots, want more than 4096", widest)
+	}
+	a.release()
+
+	hub := f.g.NodeOf("t", 0)
+	for i, it := range a.freeIters {
+		c := cap(it.tab)
+		it.reset(f.g, hub)
+		if len(it.tab) != sparseInitSlots || cap(it.tab) != c {
+			t.Errorf("free iterator %d reset to %d slots of a %d-slot backing, want %d of %d",
+				i, len(it.tab), cap(it.tab), sparseInitSlots, c)
+		}
+	}
+
+	answers, _, err := f.s.queryInArena(ctx, Request{Terms: []string{"bob", "carol"}}, nil, nil, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(answers) == 0 {
+		t.Fatal("the name query found no answer")
+	}
+	recycled := 0
+	for _, o := range a.origins {
+		it := o.it
+		if cap(it.tab) > 4096 {
+			recycled++
+		}
+		bound := sparseInitSlots
+		for bound < 2*it.live {
+			bound *= 2
+		}
+		if len(it.tab) > bound {
+			t.Errorf("origin %d: %d live nodes in a %d-slot table, want at most %d", o.node, it.live, len(it.tab), bound)
+		}
+	}
+	if recycled == 0 {
+		t.Error("the name query drew none of the first query's wide tables")
+	}
+	a.release()
 }

@@ -23,12 +23,15 @@ import (
 // sparseInitSlots wide, doubling at half load — a name query opens hundreds
 // of iterators that each touch a few dozen nodes. Once it has touched more
 // than NumNodes/densePromoteDiv nodes it promotes: the table is scattered
-// into a denseBlock of NodeID-indexed arrays taken from the owning arena,
-// and relaxation runs the direct-indexed loop from then on — the far-apart
-// queries that sweep half the graph per origin. The regime is tested once
-// per pop, never per arc. Both regimes stamp slots with gen, so re-rooting
-// an iterator costs a generation bump, not a clear. Iterators are recycled
-// through the searchArena.
+// into a denseBlock taken from the owning arena, and relaxation runs the
+// direct-indexed loop from then on — the far-apart queries that sweep half
+// the graph per origin. The regime is tested once per pop, never per arc.
+// Both regimes stamp slots with gen, so re-rooting an iterator costs a
+// generation bump, not a clear. Iterators are recycled through the
+// searchArena, and a recycled table restarts sparseInitSlots wide on the
+// backing it grew before: an iterator that once swept thousands of nodes
+// does not hand its width to the few-dozen-node runs that draw it next,
+// whose probes then stay in a table sized to their own run.
 //
 // The frontier is a monotone radix heap (distHeap) on (distance, node
 // key), where a node's key is its (table, rid) identity read from the
@@ -49,8 +52,10 @@ type sspIterator struct {
 
 	// Sparse regime: tab is the open-addressed table (linear probing, no
 	// deletion within a generation), hashed by the top bits of a
-	// multiplicative hash, shift = 32 - log2(len(tab)). live counts the
-	// nodes touched this generation; crossing promoteAt promotes.
+	// multiplicative hash, shift = 32 - log2(len(tab)). Its capacity is the
+	// widest it ever grew to; only the prefix tab holds this generation's
+	// slots. live counts the nodes touched this generation; crossing
+	// promoteAt promotes.
 	tab       []sparseSlot
 	shift     uint
 	live      int
@@ -81,8 +86,9 @@ const (
 	sparseInitSlots = 1 << sparseInitBits
 	// densePromoteDiv sets the promotion point: an iterator that has touched
 	// more than NumNodes/densePromoteDiv nodes moves to dense arrays. At 32
-	// the largest table (under 4 × NumNodes/32 slots of 32 bytes) stays a
-	// sixth of the 24 bytes/node block that replaces it.
+	// the largest table (under 4 × NumNodes/32 slots of 32 bytes: 4 bytes
+	// per graph node) stays a seventh of the 28 bytes/node block that
+	// replaces it.
 	densePromoteDiv = 32
 )
 
@@ -96,31 +102,31 @@ type sparseSlot struct {
 	pweight float64      // weight of the arc node -> parent
 }
 
-// denseBlock is the dense regime's state: four NodeID-indexed arrays kept
-// apart (not one record per node) so the 4 bytes/node visit array, which
-// every relaxed arc reads, stays cache-resident on its own.
+// denseBlock is the dense regime's state, two NodeID-indexed arrays: the
+// 4 bytes/node visit stamps, which every relaxed arc reads and which stay
+// cache-resident on their own, and one 24-byte record per node for the
+// rest, so a relaxation that improves a node writes one cache line, not
+// three. 28 bytes/node.
 type denseBlock struct {
-	dist    []float64
-	parent  []graph.NodeID
-	pweight []float64
-	visit   []uint32
+	visit []uint32
+	rec   []denseRec
+}
+
+// denseRec is a touched node's distance and next hop in the dense regime.
+type denseRec struct {
+	dist    float64
+	pweight float64      // weight of the arc node -> parent
+	parent  graph.NodeID // next hop from node toward origin (forward direction)
 }
 
 func newDenseBlock(n int) *denseBlock {
-	return &denseBlock{
-		dist:    make([]float64, n),
-		parent:  make([]graph.NodeID, n),
-		pweight: make([]float64, n),
-		visit:   make([]uint32, n),
-	}
+	return &denseBlock{visit: make([]uint32, n), rec: make([]denseRec, n)}
 }
 
 // resize reslices the block's arrays to length n, within their capacity.
 func (b *denseBlock) resize(n int) {
-	b.dist = b.dist[:n]
-	b.parent = b.parent[:n]
-	b.pweight = b.pweight[:n]
 	b.visit = b.visit[:n]
+	b.rec = b.rec[:n]
 }
 
 // distHeap is the iterator's priority queue: a monotone radix heap
@@ -360,22 +366,26 @@ func (h *distHeap) sortZero() {
 }
 
 // reset re-roots a (possibly recycled) iterator at origin, in the sparse
-// regime. The generation bump invalidates every slot of the previous run
-// in O(1) — the table keeps whatever width it grew to — and the stamps are
-// zeroed only on uint32 wraparound.
+// regime. The table restarts sparseInitSlots wide on its old backing, and
+// the generation bump invalidates every slot of the previous run in O(1).
+// The stamps are zeroed only on uint32 wraparound, and then across the
+// whole backing: grow reuses the slots past the prefix, so a stamp left
+// there by the first generations would read as current again.
 func (it *sspIterator) reset(g graph.View, origin graph.NodeID) {
 	it.g = g
 	it.origin = origin
-	it.gen += 2
-	if it.gen < 2 { // wrapped
-		for i := range it.tab {
-			it.tab[i].stamp = 0
-		}
-		it.gen = 2
-	}
 	if it.tab == nil {
 		it.tab = make([]sparseSlot, sparseInitSlots)
-		it.shift = 32 - sparseInitBits
+	}
+	it.tab = it.tab[:sparseInitSlots]
+	it.shift = 32 - sparseInitBits
+	it.gen += 2
+	if it.gen < 2 { // wrapped
+		all := it.tab[:cap(it.tab)]
+		for i := range all {
+			all[i].stamp = 0
+		}
+		it.gen = 2
 	}
 	it.dense = nil
 	it.live = 0
@@ -423,9 +433,29 @@ func (it *sspIterator) claimed() bool {
 }
 
 // grow doubles the table and rehashes this generation's slots into it.
+// Within the backing's capacity it allocates nothing: the live slots move
+// to the arena's scratch, their stamps in the prefix are zeroed (free in
+// any generation), and the table widens in place. The slots past the old
+// prefix hold only earlier generations' stamps, so they read as free.
 func (it *sspIterator) grow() {
 	old := it.tab
-	it.tab = make([]sparseSlot, 2*len(old))
+	if n := 2 * len(old); n <= cap(old) {
+		if len(it.ar.growBuf) < it.live {
+			it.ar.growBuf = make([]sparseSlot, len(old))
+		}
+		buf, j := it.ar.growBuf, 0
+		for k := range old {
+			if s := &old[k]; s.stamp-it.gen <= 1 {
+				buf[j] = *s
+				j++
+				s.stamp = 0
+			}
+		}
+		old = buf[:j]
+		it.tab = it.tab[:n]
+	} else {
+		it.tab = make([]sparseSlot, n)
+	}
 	it.shift--
 	for k := range old {
 		if s := &old[k]; s.stamp-it.gen <= 1 {
@@ -442,10 +472,8 @@ func (it *sspIterator) promote() {
 	b := it.ar.takeDense(it.g.NumNodes())
 	for k := range it.tab {
 		if s := &it.tab[k]; s.stamp-it.gen <= 1 {
-			b.dist[s.node] = s.dist
-			b.parent[s.node] = s.parent
-			b.pweight[s.node] = s.pweight
 			b.visit[s.node] = s.stamp
+			b.rec[s.node] = denseRec{dist: s.dist, pweight: s.pweight, parent: s.parent}
 		}
 	}
 	it.dense = b
@@ -503,7 +531,7 @@ func (it *sspIterator) Next() (graph.NodeID, float64, bool) {
 	it.pq.pop()
 	it.cleaned = false
 	if b := it.dense; b != nil {
-		b.dist[v] = d
+		b.rec[v].dist = d
 		b.visit[v] = it.gen + 1
 	} else {
 		s := &it.tab[it.top]
@@ -560,7 +588,7 @@ func (it *sspIterator) relaxSparse(v graph.NodeID, d float64, in []graph.Edge) [
 func (it *sspIterator) relaxDense(v graph.NodeID, d float64, in []graph.Edge) {
 	keys := &it.pq.keys
 	b := it.dense
-	dist, parent, pweight, visit := b.dist, b.parent, b.pweight, b.visit
+	visit, rec := b.visit, b.rec
 	gen := it.gen
 	for _, e := range in {
 		u, w := e.To, e.W
@@ -569,21 +597,20 @@ func (it *sspIterator) relaxDense(v graph.NodeID, d float64, in []graph.Edge) {
 			continue // settled
 		}
 		nd := d + w
-		if st != gen || nd < dist[u] {
-			dist[u] = nd
+		r := &rec[u]
+		if st != gen || nd < r.dist {
+			*r = denseRec{dist: nd, pweight: w, parent: v}
 			visit[u] = gen
-			parent[u] = v
-			pweight[u] = w
 			it.pq.push(u, nd)
-		} else if nd == dist[u] && keys.Of(v) < keys.Of(parent[u]) {
+		} else if nd == r.dist && keys.Of(v) < keys.Of(r.parent) {
 			// Equal-cost path through a smaller-identity parent: adopt it,
 			// so the chosen shortest-path tree is canonical in (table, rid)
 			// terms and identical across node numberings. Every candidate
 			// parent settles (strictly positive weights) before u pops, so
 			// the final choice is order-independent. No push: u's tentative
 			// distance is unchanged.
-			parent[u] = v
-			pweight[u] = w
+			r.parent = v
+			r.pweight = w
 		}
 	}
 }
@@ -594,7 +621,7 @@ func (it *sspIterator) Dist(v graph.NodeID) (float64, bool) {
 		if b.visit[v] != it.gen+1 {
 			return 0, false
 		}
-		return b.dist[v], true
+		return b.rec[v].dist, true
 	}
 	i, _ := it.probe(v)
 	if s := &it.tab[i]; s.stamp == it.gen+1 { // a free slot's stamp is never current
@@ -612,9 +639,9 @@ func (it *sspIterator) PathEdges(v graph.NodeID, dst []TreeEdge) []TreeEdge {
 			if b.visit[v] != settled {
 				return dst // origin unreachable; cannot happen for settled v
 			}
-			p := b.parent[v]
-			dst = append(dst, TreeEdge{From: v, To: p, W: b.pweight[v]})
-			v = p
+			r := &b.rec[v]
+			dst = append(dst, TreeEdge{From: v, To: r.parent, W: r.pweight})
+			v = r.parent
 		}
 		return dst
 	}

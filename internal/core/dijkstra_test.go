@@ -394,11 +394,12 @@ func TestSSPIteratorRegimesAgree(t *testing.T) {
 
 // TestSSPIteratorTableGrowsAtHalfLoad pins the growth rule: the table
 // holds exactly half its width without growing, the next claim doubles it,
-// and every slot survives the rehash.
+// and every slot survives the rehash, with no stale copy left behind. The
+// second round runs on the same iterator recycled, whose table restarts
+// narrow and grows within the backing the first round allocated.
 func TestSSPIteratorTableGrowsAtHalfLoad(t *testing.T) {
 	f := lineDB(t, 3*sparseInitSlots)
 	it := newSSPIterator(f.g, 0)
-	it.promoteAt = neverPromote
 	claim := func(n graph.NodeID) {
 		i, ok := it.probe(n)
 		if ok {
@@ -415,44 +416,71 @@ func TestSSPIteratorTableGrowsAtHalfLoad(t *testing.T) {
 				t.Fatalf("node %d lost in a %d-slot table: %+v (found %v)", n, len(it.tab), s, ok)
 			}
 		}
+		current := 0
+		for _, s := range it.tab[:cap(it.tab)] {
+			if s.stamp-it.gen <= 1 {
+				current++
+			}
+		}
+		if current != it.live {
+			t.Fatalf("%d slots of the backing hold this generation, want the %d live", current, it.live)
+		}
 	}
-	for n := graph.NodeID(1); int(n) < sparseInitSlots/2; n++ { // the origin is claim one
-		claim(n)
+	for round := 0; round < 2; round++ {
+		if round == 1 {
+			backing := cap(it.tab)
+			it.reset(f.g, 0)
+			if len(it.tab) != sparseInitSlots || cap(it.tab) != backing {
+				t.Fatalf("recycled: %d slots of a %d-slot backing, want %d of %d", len(it.tab), cap(it.tab), sparseInitSlots, backing)
+			}
+		}
+		it.promoteAt = neverPromote
+		for n := graph.NodeID(1); int(n) < sparseInitSlots/2; n++ { // the origin is claim one
+			claim(n)
+		}
+		if it.live != sparseInitSlots/2 || len(it.tab) != sparseInitSlots {
+			t.Fatalf("at half load: %d live in %d slots, want %d in %d", it.live, len(it.tab), sparseInitSlots/2, sparseInitSlots)
+		}
+		check()
+		claim(sparseInitSlots / 2)
+		if len(it.tab) != 2*sparseInitSlots {
+			t.Fatalf("one past half load: %d slots, want %d", len(it.tab), 2*sparseInitSlots)
+		}
+		check()
+		for n := graph.NodeID(sparseInitSlots/2 + 1); int(n) <= sparseInitSlots; n++ {
+			claim(n)
+		}
+		if len(it.tab) != 4*sparseInitSlots {
+			t.Fatalf("second doubling: %d slots, want %d", len(it.tab), 4*sparseInitSlots)
+		}
+		check()
 	}
-	if it.live != sparseInitSlots/2 || len(it.tab) != sparseInitSlots {
-		t.Fatalf("at half load: %d live in %d slots, want %d in %d", it.live, len(it.tab), sparseInitSlots/2, sparseInitSlots)
-	}
-	check()
-	claim(sparseInitSlots / 2)
-	if len(it.tab) != 2*sparseInitSlots {
-		t.Fatalf("one past half load: %d slots, want %d", len(it.tab), 2*sparseInitSlots)
-	}
-	check()
-	for n := graph.NodeID(sparseInitSlots/2 + 1); int(n) <= sparseInitSlots; n++ {
-		claim(n)
-	}
-	if len(it.tab) != 4*sparseInitSlots {
-		t.Fatalf("second doubling: %d slots, want %d", len(it.tab), 4*sparseInitSlots)
-	}
-	check()
 }
 
 // TestSSPIteratorGenWraparound: stamps left by the first generations must
-// not read as current once gen wraps back onto them.
+// not read as current once gen wraps back onto them. The recycled table
+// restarts narrow on a wider backing and grows back into it, so the wrap
+// must clear the whole backing, not just the prefix reset leaves.
 func TestSSPIteratorGenWraparound(t *testing.T) {
 	f := randomFKDB(t, rand.New(rand.NewSource(11)), 200)
 	a, b := graph.NodeID(3), graph.NodeID(150)
 	it := newSSPIterator(f.g, a)
 	it.promoteAt = neverPromote
 	drain(t, it, nil) // the table now holds gen-2 stamps: 2 and 3
+	wide := len(it.tab)
 	it.gen = ^uint32(0) - 1
 	it.reset(f.g, b) // wraps back to gen 2
 	it.promoteAt = neverPromote
-	if it.gen != 2 {
-		t.Fatalf("gen after wrap = %d, want 2", it.gen)
+	if it.gen != 2 || len(it.tab) != sparseInitSlots || cap(it.tab) != wide || wide <= sparseInitSlots {
+		t.Fatalf("after wrap: gen %d, %d slots of a %d-slot backing; want gen 2, %d slots of %d (> %d)",
+			it.gen, len(it.tab), cap(it.tab), sparseInitSlots, wide, sparseInitSlots)
 	}
 	fresh := newSSPIterator(f.g, b)
 	fresh.promoteAt = neverPromote
 	want := drain(t, fresh, nil)
-	sameRun(t, "after wraparound", want, drain(t, it, nil), fresh, it)
+	got := drain(t, it, nil)
+	if len(it.tab) <= sparseInitSlots {
+		t.Fatalf("the table never grew past its %d-slot prefix", sparseInitSlots)
+	}
+	sameRun(t, "after wraparound", want, got, fresh, it)
 }
