@@ -221,13 +221,6 @@ type SystemOptions struct {
 	// cache belongs to the immutable engine snapshot, so Refresh
 	// invalidates it for free by swapping in a fresh one.
 	MatchCacheBytes int64
-	// StoreBudgetBytes bounds the resident posting blocks of a
-	// store-opened engine (OpenSystem/LoadSystem of a segmented store):
-	// decoded blocks beyond the budget are evicted LRU — the EMBANKS
-	// memory-bound serving mode. 0 keeps every touched block resident;
-	// negative disables block caching. Ignored by NewSystem (a built
-	// engine is fully resident by construction).
-	StoreBudgetBytes int64
 	// StorePath, when set, makes every Refresh (including the initial
 	// build in NewSystem) persist the freshly built engine to this path
 	// in the segmented store format before swapping it in —
@@ -352,7 +345,7 @@ type System struct {
 	db    *Database
 	eng   atomic.Pointer[engine]
 	opts  SystemOptions
-	store *store.Store // the store backing OpenSystem/LoadSystem, for Close
+	store *store.Store // the store backing OpenSystem, for Close
 
 	// closed is checked lock-free at every query boundary; the fields
 	// below it are guarded by mu, which serializes the writers: Apply,
@@ -482,8 +475,8 @@ func (s *System) rebuildLocked() error {
 }
 
 // Close releases the resources behind the System: the write-ahead log of
-// a live-mutation system and the disk store backing OpenSystem (or
-// LoadSystem of a segmented snapshot); it is a no-op for plain built
+// a live-mutation system and the disk store backing OpenSystem; it is a
+// no-op for plain built
 // systems. Close is idempotent — the first call decides the error and
 // later calls return it — and safe to race with queries, Apply, Refresh
 // and Compact: operations that begin after Close fail with ErrClosed,

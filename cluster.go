@@ -37,19 +37,14 @@ type Cluster struct {
 // OpenCluster opens the partition stores at paths (the output of
 // banks-shard, conventionally base.p0 … base.pN-1; see
 // ClusterPartitionPaths) as in-process partitions over db and performs
-// the cluster handshake. opts contributes StoreBudgetBytes (the
-// per-partition resident-block budget); other system options do not
-// apply to partitioned serving.
+// the cluster handshake. No system option applies to partitioned serving;
+// opts is ignored.
 func OpenCluster(db *Database, paths []string, opts *SystemOptions) (*Cluster, error) {
 	if db == nil {
 		return nil, fmt.Errorf("banks: OpenCluster requires a database")
 	}
 	if len(paths) == 0 {
 		return nil, fmt.Errorf("banks: OpenCluster requires at least one partition store")
-	}
-	var budget int64
-	if opts != nil {
-		budget = opts.StoreBudgetBytes
 	}
 	parts := make([]cluster.Partition, 0, len(paths))
 	fail := func(err error) (*Cluster, error) {
@@ -59,7 +54,7 @@ func OpenCluster(db *Database, paths []string, opts *SystemOptions) (*Cluster, e
 		return nil, err
 	}
 	for i, path := range paths {
-		p, err := cluster.OpenLocal(fmt.Sprintf("p%d", i), path, budget)
+		p, err := cluster.OpenLocal(fmt.Sprintf("p%d", i), path, 0)
 		if err != nil {
 			return fail(fmt.Errorf("banks: opening partition %d: %w", i, err))
 		}
@@ -193,8 +188,8 @@ func (c *Cluster) bindClusterGauges(m *serve.Metrics) {
 // cluster: open it in a partition process and mount the returned
 // handler, then point OpenClusterRemotes (or banks-shard's coordinator
 // mode) at it.
-func PartitionHandler(path string, budgetBytes int64) (http.Handler, func() error, error) {
-	p, err := cluster.OpenLocal("partition", path, budgetBytes)
+func PartitionHandler(path string) (http.Handler, func() error, error) {
+	p, err := cluster.OpenLocal("partition", path, 0)
 	if err != nil {
 		return nil, nil, err
 	}

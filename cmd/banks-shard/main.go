@@ -5,7 +5,7 @@
 // Usage:
 //
 //	banks-shard -in store.banks -n 4 [-out BASE]
-//	banks-shard -serve :9001 -store store.banks.p1 [-storebudget BYTES]
+//	banks-shard -serve :9001 -store store.banks.p1
 //
 // The split writes BASE.p0 … BASE.pN-1 (BASE defaults to -in). Every
 // partition holds every table (each table's rows shard into contiguous
@@ -35,7 +35,6 @@ func main() {
 	n := flag.Int("n", 2, "number of partitions")
 	serveAddr := flag.String("serve", "", "serve one partition store over HTTP at this address instead of splitting")
 	servePath := flag.String("store", "", "partition store to serve with -serve")
-	storeBudget := flag.Int64("storebudget", 0, "resident posting-block budget with -serve (bytes; 0 = unbounded)")
 	flag.Parse()
 
 	switch {
@@ -44,7 +43,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "banks-shard: -serve requires -store PATH")
 			os.Exit(2)
 		}
-		servePartition(*serveAddr, *servePath, *storeBudget)
+		servePartition(*serveAddr, *servePath)
 	case *in != "":
 		base := *out
 		if base == "" {
@@ -74,8 +73,8 @@ func main() {
 	}
 }
 
-func servePartition(addr, path string, budget int64) {
-	p, err := cluster.OpenLocal(path, path, budget)
+func servePartition(addr, path string) {
+	p, err := cluster.OpenLocal(path, path, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

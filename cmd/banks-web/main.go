@@ -6,7 +6,7 @@
 // Usage:
 //
 //	banks-web [-data dblp|thesis|tpcd] [-scale small|paper] [-addr :8080]
-//	          [-store PATH] [-storebudget BYTES] [-partitions N]
+//	          [-store PATH] [-partitions N]
 //	          [-maxinflight N] [-maxqueue N] [-queuetimeout D]
 //	          [-timeout D] [-slowquery D]
 //
@@ -51,7 +51,6 @@ func main() {
 	scale := flag.String("scale", "small", "dataset scale: small or paper")
 	addr := flag.String("addr", ":8080", "listen address")
 	storePath := flag.String("store", "", "serve the engine from this disk store (built+saved on first run)")
-	storeBudget := flag.Int64("storebudget", 0, "resident posting-block budget with -store (bytes; 0 = unbounded)")
 	partitions := flag.Int("partitions", 0, "with -store: split into N partitions and serve the same UI over the scatter-gather cluster")
 	maxInFlight := flag.Int("maxinflight", 32, "max concurrently executing searches (0 = no admission control)")
 	maxQueue := flag.Int("maxqueue", 64, "max searches waiting for a worker slot before shedding")
@@ -86,9 +85,9 @@ func main() {
 			fmt.Fprintln(os.Stderr, "banks-web: -partitions requires -store PATH")
 			os.Exit(2)
 		}
-		backend, err = openCluster(db, *data, *scale, *storePath, *storeBudget, *partitions)
+		backend, err = openCluster(db, *data, *scale, *storePath, *partitions)
 	} else {
-		backend, err = openSystem(db, *data, *scale, *storePath, *storeBudget, excluded)
+		backend, err = openSystem(db, *data, *scale, *storePath, excluded)
 	}
 	if err != nil {
 		log.Fatal(err)
@@ -145,12 +144,11 @@ func main() {
 // n partition stores along the (table, row-range) cut when the
 // partition files are missing, and opens every partition behind one
 // scatter-gather coordinator.
-func openCluster(db *sqldb.Database, data, scale, storePath string, budget int64, n int) (*banks.Cluster, error) {
+func openCluster(db *sqldb.Database, data, scale, storePath string, n int) (*banks.Cluster, error) {
 	wdb := banks.WrapDatabase(db)
-	opts := &banks.SystemOptions{StoreBudgetBytes: budget}
 	if _, err := os.Stat(storePath); os.IsNotExist(err) {
 		start := time.Now()
-		sys, err := banks.NewSystem(wdb, opts)
+		sys, err := banks.NewSystem(wdb, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -170,7 +168,7 @@ func openCluster(db *sqldb.Database, data, scale, storePath string, budget int64
 		log.Printf("split %s into %d partitions in %v", storePath, n, time.Since(start))
 	}
 	start := time.Now()
-	cl, err := banks.OpenCluster(wdb, paths, opts)
+	cl, err := banks.OpenCluster(wdb, paths, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -182,12 +180,11 @@ func openCluster(db *sqldb.Database, data, scale, storePath string, budget int64
 // openSystem produces the serving System: a fresh in-memory build by
 // default; with a store path, a lazy zero-rebuild open of the saved store
 // (building and persisting it first if absent).
-func openSystem(db *sqldb.Database, data, scale, storePath string, budget int64, excluded []string) (*banks.System, error) {
+func openSystem(db *sqldb.Database, data, scale, storePath string, excluded []string) (*banks.System, error) {
 	wdb := banks.WrapDatabase(db)
-	opts := &banks.SystemOptions{StoreBudgetBytes: budget}
 	if storePath == "" {
 		start := time.Now()
-		sys, err := banks.NewSystem(wdb, opts)
+		sys, err := banks.NewSystem(wdb, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -196,7 +193,7 @@ func openSystem(db *sqldb.Database, data, scale, storePath string, budget int64,
 	}
 	if _, err := os.Stat(storePath); os.IsNotExist(err) {
 		start := time.Now()
-		sys, err := banks.NewSystem(wdb, opts)
+		sys, err := banks.NewSystem(wdb, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -208,7 +205,7 @@ func openSystem(db *sqldb.Database, data, scale, storePath string, budget int64,
 		return sys, nil
 	}
 	start := time.Now()
-	sys, err := banks.OpenSystem(storePath, wdb, opts)
+	sys, err := banks.OpenSystem(storePath, wdb, nil)
 	if err != nil {
 		return nil, err
 	}

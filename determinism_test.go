@@ -2,7 +2,7 @@ package banks
 
 // The parallel engine build must be invisible: building the graph and
 // keyword index with any shard count has to produce byte-identical
-// serialized artifacts (WriteTo) and identical top-k answers. These golden
+// stores (store.Write) and identical top-k answers. These golden
 // tests pin that contract on both generators, so the parallel build can be
 // the default without a correctness/perf trade-off.
 
@@ -17,15 +17,15 @@ import (
 	"github.com/banksdb/banks/internal/graph"
 	"github.com/banksdb/banks/internal/index"
 	"github.com/banksdb/banks/internal/sqldb"
+	"github.com/banksdb/banks/internal/store"
 )
 
-// buildEngineBytes builds graph+index at the given shard count and returns
-// their serialized forms.
-func buildEngineBytes(t *testing.T, db *sqldb.Database, shards int) (gBytes, ixBytes []byte) {
+// buildEngineBytes builds graph+index with the given build options and
+// shard count and returns the store they write.
+func buildEngineBytes(t *testing.T, db *sqldb.Database, opts graph.BuildOptions, shards int) []byte {
 	t.Helper()
-	bo := graph.DefaultBuildOptions()
-	bo.Shards = shards
-	g, err := graph.Build(db, bo)
+	opts.Shards = shards
+	g, err := graph.Build(db, &opts)
 	if err != nil {
 		t.Fatalf("graph.Build(shards=%d): %v", shards, err)
 	}
@@ -33,14 +33,11 @@ func buildEngineBytes(t *testing.T, db *sqldb.Database, shards int) (gBytes, ixB
 	if err != nil {
 		t.Fatalf("index.Build(shards=%d): %v", shards, err)
 	}
-	var gb, ib bytes.Buffer
-	if _, err := g.WriteTo(&gb); err != nil {
+	var b bytes.Buffer
+	if err := store.Write(&b, store.Engine{Graph: g, Index: ix}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ix.WriteTo(&ib); err != nil {
-		t.Fatal(err)
-	}
-	return gb.Bytes(), ib.Bytes()
+	return b.Bytes()
 }
 
 func TestParallelBuildBitIdentical(t *testing.T) {
@@ -70,17 +67,10 @@ func TestParallelBuildBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			serialG, serialIx := buildEngineBytes(t, db, 1)
-			if len(serialG) == 0 || len(serialIx) == 0 {
-				t.Fatal("serial build produced empty artifacts")
-			}
+			serial := buildEngineBytes(t, db, *graph.DefaultBuildOptions(), 1)
 			for _, shards := range []int{2, 4, 8} {
-				gb, ib := buildEngineBytes(t, db, shards)
-				if !bytes.Equal(serialG, gb) {
-					t.Errorf("graph bytes differ: serial %d bytes vs %d shards %d bytes", len(serialG), shards, len(gb))
-				}
-				if !bytes.Equal(serialIx, ib) {
-					t.Errorf("index bytes differ: serial %d bytes vs %d shards %d bytes", len(serialIx), shards, len(ib))
+				if got := buildEngineBytes(t, db, *graph.DefaultBuildOptions(), shards); !bytes.Equal(serial, got) {
+					t.Errorf("store bytes differ: serial %d bytes vs %d shards %d bytes", len(serial), shards, len(got))
 				}
 			}
 		})
@@ -100,29 +90,10 @@ func TestParallelBuildPrestigeModesBitIdentical(t *testing.T) {
 		{ScaleBackEdges: false},
 		{ScaleBackEdges: true, PrestigeDamping: 0.85, PrestigeIters: 15},
 	} {
-		serial := opts
-		serial.Shards = 1
-		gs, err := graph.Build(db, &serial)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var want bytes.Buffer
-		if _, err := gs.WriteTo(&want); err != nil {
-			t.Fatal(err)
-		}
+		want := buildEngineBytes(t, db, opts, 1)
 		for _, shards := range []int{3, 8} {
-			par := opts
-			par.Shards = shards
-			gp, err := graph.Build(db, &par)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var got bytes.Buffer
-			if _, err := gp.WriteTo(&got); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(want.Bytes(), got.Bytes()) {
-				t.Errorf("opts %+v: %d-shard graph differs from serial", opts, shards)
+			if got := buildEngineBytes(t, db, opts, shards); !bytes.Equal(want, got) {
+				t.Errorf("opts %+v: %d-shard engine differs from serial", opts, shards)
 			}
 		}
 	}

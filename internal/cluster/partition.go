@@ -44,9 +44,11 @@ type Local struct {
 }
 
 // OpenLocal opens the partition store at path as an in-process partition.
-// budgetBytes bounds the store's decoded-block cache (0: unbounded).
-func OpenLocal(name, path string, budgetBytes int64) (*Local, error) {
-	st, err := store.Open(path, store.Options{BudgetBytes: budgetBytes})
+// The third argument is ignored: only the benchmark harness under bench/,
+// which compiles against OpenLocal(name, path, 0), keeps it; the next
+// benchmark revision drops it.
+func OpenLocal(name, path string, _ int64) (*Local, error) {
+	st, err := store.Open(path, store.Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"bytes"
 	"testing"
 
 	"github.com/banksdb/banks/internal/sqldb"
@@ -147,20 +146,13 @@ func TestRestrictEmptyTableRanges(t *testing.T) {
 	}
 }
 
-// TestRestrictNormalizersSurviveSerialization: the graph serializer must
+// TestRestrictNormalizersSurviveSerialization: the store's segments must
 // round-trip the overridden normalizers verbatim, or the partition-store
 // guarantee breaks at open time.
 func TestRestrictNormalizersSurviveSerialization(t *testing.T) {
 	g, keep := restrictFixture(t)
 	gp, _ := Restrict(g, keep)
-	var buf bytes.Buffer
-	if _, err := gp.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadGraph(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	back := reopen(t, gp)
 	if back.MinEdgeWeight() != g.MinEdgeWeight() || back.MaxNodeWeight() != g.MaxNodeWeight() {
 		t.Errorf("round-tripped normalizers (%g, %g), want the source's (%g, %g)",
 			back.MinEdgeWeight(), back.MaxNodeWeight(), g.MinEdgeWeight(), g.MaxNodeWeight())

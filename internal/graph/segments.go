@@ -1,8 +1,8 @@
 package graph
 
 // Segment (de)serialization for the disk-resident engine store
-// (internal/store). Where WriteTo/ReadGraph persist the whole graph as one
-// stream, the store splits it into three independent segments:
+// (internal/store), the graph's one persisted form. The store splits the
+// graph into three independent segments:
 //
 //   - meta: table names, node ranges, counts and score normalizers — a few
 //     hundred bytes, parsed eagerly at open so NumNodes/TableID/TableOf

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"bytes"
 	"testing"
 
 	"github.com/banksdb/banks/internal/sqldb"
@@ -10,18 +9,7 @@ import (
 func TestGraphSerializationRoundTrip(t *testing.T) {
 	db := newUniversityDB(t, 9)
 	g := mustBuild(t, db, nil)
-	var buf bytes.Buffer
-	n, err := g.WriteTo(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != int64(buf.Len()) {
-		t.Errorf("WriteTo reported %d, wrote %d", n, buf.Len())
-	}
-	back, err := ReadGraph(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	back := reopen(t, g)
 	if back.NumNodes() != g.NumNodes() || back.NumArcs() != g.NumArcs() || back.NumTables() != g.NumTables() {
 		t.Fatalf("shape mismatch: %s vs %s", back, g)
 	}
@@ -52,6 +40,7 @@ func TestGraphSerializationRoundTrip(t *testing.T) {
 	if back.NodeOf("student", 3) != g.NodeOf("student", 3) {
 		t.Error("NodeOf mismatch for student")
 	}
+	requireSameSegments(t, g, back)
 }
 
 func TestGraphSerializationWithTombstones(t *testing.T) {
@@ -59,15 +48,7 @@ func TestGraphSerializationWithTombstones(t *testing.T) {
 	if err := db.Delete("student", 2); err != nil {
 		t.Fatal(err)
 	}
-	g := mustBuild(t, db, nil)
-	var buf bytes.Buffer
-	if _, err := g.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadGraph(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	back := reopen(t, mustBuild(t, db, nil))
 	if back.NodeOf("student", 2) != NoNode {
 		t.Error("tombstoned rid mapped to a node after round trip")
 	}
@@ -76,29 +57,14 @@ func TestGraphSerializationWithTombstones(t *testing.T) {
 	}
 }
 
-func TestReadGraphBadInput(t *testing.T) {
-	if _, err := ReadGraph(bytes.NewReader([]byte("NOTAGRAPH"))); err == nil {
-		t.Error("bad magic should fail")
-	}
-	if _, err := ReadGraph(bytes.NewReader(nil)); err == nil {
-		t.Error("empty input should fail")
-	}
-	if _, err := ReadGraph(bytes.NewReader([]byte(graphMagic))); err == nil {
-		t.Error("truncated input should fail")
-	}
-}
-
 func TestGraphSerializationEmpty(t *testing.T) {
 	g := mustBuild(t, sqldb.NewDatabase(), nil)
-	var buf bytes.Buffer
-	if _, err := g.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadGraph(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	back := reopen(t, g)
 	if back.NumNodes() != 0 || back.NumArcs() != 0 {
 		t.Errorf("empty round trip: %s", back)
+	}
+	requireSameSegments(t, g, back)
+	if err := back.LazyErr(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -1,14 +1,13 @@
 package index
 
-// Fuzz coverage for the two attack surfaces of this package: Tokenize
-// (rune boundaries, mixed scripts, invalid UTF-8) and the WriteTo/ReadFrom
-// binary format (corrupt postings must be rejected with an error, never a
-// panic or an unbounded allocation). Seed corpora live under
-// testdata/fuzz/ so `go test` replays them on every run; `go test -fuzz`
-// explores further.
+// Fuzz coverage for Tokenize (rune boundaries, mixed scripts, invalid
+// UTF-8) and for the lazy round trip every store-opened index takes (a
+// sweep served back through a LazySource must answer like the index it
+// came from). Seed corpora live under testdata/fuzz/ so `go test` replays
+// them on every run; `go test -fuzz` explores further.
 
 import (
-	"bytes"
+	"sort"
 	"strings"
 	"testing"
 	"unicode"
@@ -56,65 +55,73 @@ func FuzzTokenize(f *testing.F) {
 	})
 }
 
-// fuzzSeedIndexBytes serializes a small real index for the round-trip
-// corpus.
-func fuzzSeedIndexBytes(f *testing.F) []byte {
-	f.Helper()
-	ix := NewFromPostings(16,
-		map[string][]graph.NodeID{
-			"alpha": {0, 1, 3, 7},
-			"beta":  {2},
-			"gamma": {0, 15},
-		},
-		map[string][]int32{"part": {0}, "name": {0, 1}},
-	)
-	var buf bytes.Buffer
-	if _, err := ix.WriteTo(&buf); err != nil {
-		f.Fatal(err)
+// fuzzIndex shapes an eager index from arbitrary bytes: the j-th token
+// of Tokenize(data) posts node j mod nodes, and each distinct token is
+// also metadata for table len(token) mod 4. Postings come out sorted and
+// deduplicated, as Build leaves them.
+func fuzzIndex(data []byte) *Index {
+	nodes := 1
+	if len(data) > 0 {
+		nodes += int(data[0])
 	}
-	return buf.Bytes()
+	sets := map[string]map[graph.NodeID]bool{}
+	meta := map[string][]int32{}
+	for j, tok := range Tokenize(string(data)) {
+		if sets[tok] == nil {
+			sets[tok] = map[graph.NodeID]bool{}
+			meta[tok] = []int32{int32(len(tok) % 4)}
+		}
+		sets[tok][graph.NodeID(j%nodes)] = true
+	}
+	terms := make(map[string][]graph.NodeID, len(sets))
+	for tok, set := range sets {
+		for n := range set {
+			terms[tok] = append(terms[tok], n)
+		}
+		sort.Slice(terms[tok], func(a, b int) bool { return terms[tok][a] < terms[tok][b] })
+	}
+	return NewFromPostings(nodes, terms, meta)
 }
 
-// FuzzIndexRoundTrip feeds arbitrary bytes to ReadFrom. Whatever parses
-// must re-serialize to a stable fixed point (write→read→write is
-// byte-identical); everything else must fail with an error — no panics,
-// no postings outside the declared node range, no huge allocations from
-// corrupt counts.
+// FuzzIndexRoundTrip round-trips a fuzz-shaped index through its sweep
+// (ForEachTermSorted + MetaTables, what the store encodes) into a lazy
+// index. The lazy index must hold the same contents and answer every
+// exact and prefix lookup like the eager one, and a second round trip
+// must be a fixed point.
 func FuzzIndexRoundTrip(f *testing.F) {
-	valid := fuzzSeedIndexBytes(f)
-	f.Add(valid)
-	f.Add([]byte(magic))
-	f.Add([]byte("NOTANINDEX"))
-	f.Add(append(append([]byte{}, valid...), 0xff, 0x07))  // trailing garbage
-	f.Add(valid[:len(valid)-3])                            // truncated postings
-	f.Add([]byte(magic + "\x05\xff\xff\xff\xff\xff\x0f"))  // absurd term count
-	f.Add([]byte(magic + "\x02\x01\x01a\xff\xff\xff\x0f")) // absurd posting count
+	for _, seed := range []string{
+		"alpha beta gamma alpha",
+		"",
+		"NOTANINDEX",
+		"vldb 1998 vldb 1999 vldb",
+		"Ünïcode café café CAFÉ",
+		"a b c d e f g h a b",
+		"\xff\x07 trailing garbage",
+	} {
+		f.Add([]byte(seed))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ix, err := ReadFrom(bytes.NewReader(data))
-		if err != nil {
-			return // rejected: that's the contract for corrupt input
+		eager := fuzzIndex(data)
+		lazy := reopenLazy(t, eager)
+		want := contents(t, eager)
+		if got := contents(t, lazy); got != want {
+			t.Fatalf("lazy round trip changed the index:\n got %s\nwant %s", got, want)
 		}
-		for _, m := range ix.terms {
-			for _, n := range m {
-				if int(n) < 0 || int(n) >= ix.nodes {
-					t.Fatalf("accepted posting %d outside node range %d", n, ix.nodes)
-				}
+		if got := contents(t, reopenLazy(t, lazy)); got != want {
+			t.Fatalf("second round trip is not a fixed point:\n got %s\nwant %s", got, want)
+		}
+		for tok := range eager.terms {
+			a, b := eager.Lookup(tok), lazy.Lookup(tok)
+			if !equalNodes(a.Nodes, b.Nodes) || !equalTables(a.Tables, b.Tables) {
+				t.Fatalf("Lookup(%q): lazy %+v, eager %+v", tok, b, a)
+			}
+			pfx := string([]rune(tok)[:1])
+			if !equalNodes(eager.LookupPrefix(pfx), lazy.LookupPrefix(pfx)) {
+				t.Fatalf("LookupPrefix(%q) differs", pfx)
 			}
 		}
-		var first bytes.Buffer
-		if _, err := ix.WriteTo(&first); err != nil {
-			t.Fatalf("re-serializing accepted index: %v", err)
-		}
-		back, err := ReadFrom(bytes.NewReader(first.Bytes()))
-		if err != nil {
-			t.Fatalf("re-reading own output: %v", err)
-		}
-		var second bytes.Buffer
-		if _, err := back.WriteTo(&second); err != nil {
+		if err := lazy.LazyErr(); err != nil {
 			t.Fatal(err)
-		}
-		if !bytes.Equal(first.Bytes(), second.Bytes()) {
-			t.Fatalf("write→read→write not a fixed point: %d vs %d bytes", first.Len(), second.Len())
 		}
 	})
 }

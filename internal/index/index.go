@@ -5,17 +5,12 @@
 // columns ("all tuples belonging to a relation named AUTHOR would be
 // regarded as relevant to the keyword 'author'").
 //
-// The paper keeps this index disk-resident; WriteTo/ReadFrom provide a
-// compact binary serialization for the same purpose.
+// The paper keeps this index disk-resident; internal/store persists it
+// and serves it back lazily (OpenLazy).
 package index
 
 import (
-	"bufio"
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"io"
-	"math"
 	"runtime"
 	"sort"
 	"strings"
@@ -62,7 +57,7 @@ type Match struct {
 func (m Match) Empty() bool { return len(m.Nodes) == 0 && len(m.Tables) == 0 }
 
 // Index is the inverted keyword index over a data graph. An Index is
-// either eager (Build / NewFromPostings / ReadFrom: every posting list
+// either eager (Build / NewFromPostings: every posting list
 // resident in terms) or lazy (OpenLazy: only the term dictionary resident,
 // postings fetched from a LazySource on first lookup); both serve the same
 // read interface with identical results.
@@ -306,86 +301,31 @@ func (ix *Index) NumPostings() int {
 // NumNodes returns the node count of the graph the index was built for.
 func (ix *Index) NumNodes() int { return ix.nodes }
 
-const magic = "BANKSIX1"
-
-// WriteTo serializes the index (the paper's "disk resident" mode). A lazy
-// index streams every posting list through its source, so re-saving a
-// store-opened engine works without materializing the whole index at once.
-func (ix *Index) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	cw := &countWriter{w: bw}
-	if _, err := cw.Write([]byte(magic)); err != nil {
-		return cw.n, err
-	}
-	writeUvarint(cw, uint64(ix.nodes))
-	writeUvarint(cw, uint64(ix.NumTerms()))
-	if err := ix.ForEachTermSorted(func(tok string, ns []graph.NodeID) {
-		writeString(cw, tok)
-		writeUvarint(cw, uint64(len(ns)))
-		prev := graph.NodeID(0)
-		for _, n := range ns {
-			writeUvarint(cw, uint64(n-prev)) // delta coding: postings are sorted
-			prev = n
-		}
-	}); err != nil {
-		return cw.n, err
-	}
-	meta := ix.MetaTables()
-	writeUvarint(cw, uint64(len(meta)))
-	mtoks := make([]string, 0, len(meta))
-	for tok := range meta {
-		mtoks = append(mtoks, tok)
-	}
-	sort.Strings(mtoks)
-	for _, tok := range mtoks {
-		writeString(cw, tok)
-		ts := meta[tok]
-		writeUvarint(cw, uint64(len(ts)))
-		for _, t := range ts {
-			writeUvarint(cw, uint64(t))
-		}
-	}
-	if cw.err != nil {
-		return cw.n, cw.err
-	}
-	return cw.n, bw.Flush()
-}
-
 // ForEachTermSorted visits every indexed token in ascending order with
-// its posting list — the iteration order WriteTo and the store”s postings
-// segment share. Lazy indexes fetch each list through their source and
-// return the first fetch error. Visited slices must not be mutated and
-// are only valid for the duration of the callback (a lazy sweep decodes
-// every term into one reused buffer).
+// its posting list — the order of the store's postings segment. Lazy
+// indexes fetch each list through their source and return the first
+// fetch error. Visited slices must not be mutated and are only valid for
+// the duration of the callback (a lazy sweep decodes every term into one
+// reused buffer).
 func (ix *Index) ForEachTermSorted(fn func(tok string, ns []graph.NodeID)) error {
 	if ix.lazy != nil {
 		d := ix.ensureDict()
 		if err := ix.LazyErr(); err != nil {
 			return err
 		}
-		// Prefer the source's sequential path when it has one: a full
-		// sweep must stream blocks through, not admit every decoded
-		// block into the source's cache (which would pin the whole
-		// postings set resident on an unbounded budget). With an
-		// append-capable source the whole sweep shares one buffer.
-		if seq, ok := ix.lazy.src.(sequentialAppendSource); ok {
-			var buf []graph.NodeID
-			for i, tok := range d.Toks {
-				ns, err := seq.PostingsSequentialAppend(i, tok, buf[:0])
-				if err != nil {
-					return fmt.Errorf("index: loading postings for %q: %w", tok, err)
-				}
-				buf = ns
-				fn(tok, ns)
-			}
-			return nil
-		}
-		fetch := ix.lazy.src.Postings
-		if seq, ok := ix.lazy.src.(sequentialSource); ok {
-			fetch = seq.PostingsSequential
-		}
+		// With an append-capable source the whole sweep shares one
+		// buffer.
+		app, canAppend := ix.lazy.src.(appendSource)
+		var buf []graph.NodeID
 		for i, tok := range d.Toks {
-			ns, err := fetch(i, tok)
+			var ns []graph.NodeID
+			var err error
+			if canAppend {
+				ns, err = app.PostingsAppend(i, tok, buf[:0])
+				buf = ns
+			} else {
+				ns, err = ix.lazy.src.Postings(i, tok)
+			}
 			if err != nil {
 				return fmt.Errorf("index: loading postings for %q: %w", tok, err)
 			}
@@ -412,138 +352,4 @@ func (ix *Index) MetaTables() map[string][]int32 {
 		return ix.ensureDict().Meta
 	}
 	return ix.meta
-}
-
-// readPrealloc caps the slice capacity trusted from a length prefix: a
-// corrupted count cannot drive a huge allocation because slices grow by
-// appending as the postings actually arrive, so a bogus count fails at
-// the truncated stream instead of exhausting memory.
-const readPrealloc = 1 << 16
-
-// ReadFrom deserializes an index written by WriteTo. Corrupt input —
-// counts or node ids outside the graph the index claims to cover, or a
-// truncated stream — is rejected with an error rather than panicking or
-// allocating unboundedly; the fuzz harness locks this contract down.
-func ReadFrom(r io.Reader) (*Index, error) {
-	br := bufio.NewReader(r)
-	head := make([]byte, len(magic))
-	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, err
-	}
-	if string(head) != magic {
-		return nil, errors.New("index: bad magic")
-	}
-	ix := &Index{terms: make(map[string][]graph.NodeID), meta: make(map[string][]int32)}
-	nodes, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	if nodes > math.MaxInt32 {
-		return nil, fmt.Errorf("index: node count %d out of range", nodes)
-	}
-	ix.nodes = int(nodes)
-	nterms, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < nterms; i++ {
-		tok, err := readString(br)
-		if err != nil {
-			return nil, err
-		}
-		cnt, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		if cnt > math.MaxInt32 {
-			return nil, fmt.Errorf("index: term %q claims %d postings", tok, cnt)
-		}
-		ns := make([]graph.NodeID, 0, min(cnt, readPrealloc))
-		prev := uint64(0)
-		for j := uint64(0); j < cnt; j++ {
-			d, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, err
-			}
-			prev += d
-			if prev >= nodes {
-				return nil, fmt.Errorf("index: term %q posting %d references node %d of %d", tok, j, prev, nodes)
-			}
-			ns = append(ns, graph.NodeID(prev))
-		}
-		ix.terms[tok] = ns
-		ix.posts += len(ns)
-	}
-	nmeta, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < nmeta; i++ {
-		tok, err := readString(br)
-		if err != nil {
-			return nil, err
-		}
-		cnt, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		if cnt > math.MaxInt32 {
-			return nil, fmt.Errorf("index: metadata term %q claims %d tables", tok, cnt)
-		}
-		ts := make([]int32, 0, min(cnt, readPrealloc))
-		for j := uint64(0); j < cnt; j++ {
-			v, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, err
-			}
-			if v > math.MaxInt32 {
-				return nil, fmt.Errorf("index: metadata term %q references table %d", tok, v)
-			}
-			ts = append(ts, int32(v))
-		}
-		ix.meta[tok] = ts
-	}
-	return ix, nil
-}
-
-type countWriter struct {
-	w   io.Writer
-	n   int64
-	err error
-}
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	if c.err != nil {
-		return 0, c.err
-	}
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	c.err = err
-	return n, err
-}
-
-func writeUvarint(w io.Writer, v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	w.Write(buf[:n])
-}
-
-func writeString(w io.Writer, s string) {
-	writeUvarint(w, uint64(len(s)))
-	io.WriteString(w, s)
-}
-
-func readString(br *bufio.Reader) (string, error) {
-	n, err := binary.ReadUvarint(br)
-	if err != nil {
-		return "", err
-	}
-	if n > 1<<20 {
-		return "", errors.New("index: token too long")
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(br, buf); err != nil {
-		return "", err
-	}
-	return string(buf), nil
 }

@@ -4,9 +4,8 @@ package index
 // EMBANKS pushes the whole engine that way. A lazy Index keeps only the
 // term dictionary resident (sorted tokens, posting counts and the small
 // metadata map) and fetches each term's posting list from a LazySource on
-// first lookup — the source (internal/store) decides caching and eviction,
-// so the EMBANKS memory-bounded mode is a source policy, not an index
-// concern. Lookup results are identical to the eager index built from the
+// first lookup — where those bytes live (internal/store serves them from
+// a mapped file) is the source's concern, not the index's. Lookup results are identical to the eager index built from the
 // same data: postings arrive sorted and deduplicated, exactly as Build
 // leaves them.
 
@@ -38,27 +37,12 @@ type LazySource interface {
 	Postings(i int, tok string) ([]graph.NodeID, error)
 }
 
-// sequentialSource is the optional cache-bypassing read path a LazySource
-// may provide for full-index sweeps (ForEachTermSorted / WriteTo): same
-// contract as Postings, but the source should not retain the decoded
-// block afterwards.
-type sequentialSource interface {
-	PostingsSequential(i int, tok string) ([]graph.NodeID, error)
-}
-
 // appendSource is the optional buffer-reuse read path: decode dictionary
 // entry i's postings appending onto dst and return the extended slice.
 // Prefix lookups use it to fill one output buffer across a term range
 // instead of allocating a slice per term.
 type appendSource interface {
 	PostingsAppend(i int, tok string, dst []graph.NodeID) ([]graph.NodeID, error)
-}
-
-// sequentialAppendSource combines both: cache-bypassing decode into a
-// reused buffer, so a full sweep (WriteTo, re-save) touches one buffer
-// instead of allocating per term.
-type sequentialAppendSource interface {
-	PostingsSequentialAppend(i int, tok string, dst []graph.NodeID) ([]graph.NodeID, error)
 }
 
 // lazyIndex is the deferred state of a store-opened Index.
@@ -80,7 +64,7 @@ func (l *lazyIndex) setErr(err error) {
 
 // OpenLazy returns an Index over a graph of numNodes nodes whose term
 // dictionary and postings load from src on first use. The returned Index
-// supports the full read interface (Lookup, LookupPrefix, WriteTo, the
+// supports the full read interface (Lookup, LookupPrefix, ForEachTermSorted, the
 // counters); on a source failure lookups degrade to empty matches and the
 // first error is reported by LazyErr.
 func OpenLazy(numNodes int, src LazySource) *Index {

@@ -8,7 +8,7 @@ import (
 )
 
 // View is the read interface of the keyword index. Three implementations
-// serve it with identical results: the eager *Index (Build/ReadFrom), the
+// serve it with identical results: the eager *Index (Build), the
 // store-opened lazy *Index (OpenLazy), and *Overlay — an immutable base
 // composed with an in-memory delta of live posting changes. The search
 // core and match cache both resolve terms through a View, so engines

@@ -3,8 +3,8 @@
 // graph + keyword index + match-cache warmup terms), written by Write and
 // opened by Open with zero rebuild work. EMBANKS ("Towards Disk Based
 // Algorithms For Keyword-Search In Structured Databases") motivates the
-// design: very large engines should load lazily and run under a memory
-// bound instead of paying a full SQL→graph→index rebuild at every start.
+// design: very large engines should load lazily and run in bounded memory
+// instead of paying a full SQL→graph→index rebuild at every start.
 //
 // File layout:
 //
@@ -27,13 +27,13 @@
 //	+--------------------------------------------------------------+
 //
 // The directory lives at the tail (located via the fixed-size footer) so
-// the file streams out through one io.Writer pass — no seeking — while
-// Open random-accesses it through io.ReaderAt. Opening verifies only the
-// header, footer, directory and the small graph-meta segment; every other
-// segment is fetched, checksummed and decoded on first touch through the
-// graph/index lazy-read interfaces, and decoded posting blocks live in an
-// LRU cache bounded by Options.BudgetBytes (the EMBANKS memory-bound
-// serving mode).
+// the file streams out through one io.Writer pass — no seeking. Open maps
+// the file (or, off unix, reads it whole) and serves every segment as a
+// sub-slice of those bytes. Opening verifies only the header, footer,
+// directory and the small graph-meta segment; every other segment is
+// checksummed and decoded on first touch through the graph/index
+// lazy-read interfaces. The kernel's page cache over the mapping bounds
+// what stays resident (the EMBANKS memory-bound serving mode).
 package store
 
 import (
@@ -43,9 +43,7 @@ import (
 )
 
 const (
-	// Magic opens every store file; it is distinct from the legacy
-	// monolithic snapshot magic ("BANKSNAP") so both formats are
-	// sniffable from the first 8 bytes.
+	// Magic opens every store file.
 	Magic       = "BANKSST1"
 	footerMagic = "BANKSEND"
 

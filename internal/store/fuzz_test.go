@@ -1,7 +1,7 @@
 package store
 
-// Fuzz coverage for the store's attack surface, in the style of the
-// index.ReadFrom hardening: arbitrary bytes handed to OpenReaderAt must be
+// Fuzz coverage for the store's attack surface: arbitrary bytes handed to
+// openBytes — the one byte source behind Open, mapped or read — must be
 // cleanly rejected or yield an engine whose full materialization neither
 // panics nor allocates unboundedly. Seeds cover the valid format plus
 // truncations and targeted corruptions of every region (header, segments,
@@ -94,29 +94,21 @@ func FuzzStoreOpen(f *testing.F) {
 	f.Add(withArcWeight(f, seed, 0))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Both byte-source implementations must reject/serve identical
-		// inputs identically: the copy path (plain io.ReaderAt) and the
-		// zero-copy view path (Mem, the in-memory stand-in for the mmap
-		// fast path — same viewer interface, same aliasing decode).
-		copyErr := fuzzProbe(OpenReaderAt(bytes.NewReader(data), int64(len(data)), Options{BudgetBytes: 1 << 16}))
-		viewErr := fuzzProbe(OpenReaderAt(Mem(data), int64(len(data)), Options{BudgetBytes: 1 << 16}))
-		if (copyErr == nil) != (viewErr == nil) {
-			t.Fatalf("byte sources disagree on acceptance: copy=%v view=%v", copyErr, viewErr)
-		}
+		fuzzProbe(openBytes(data, nil))
 	})
 }
 
 // fuzzProbe forces every lazy path of an opened store: full graph + index
-// materialization, lookups (exact, prefix, metadata), warm keys and the
-// eager verification pass. None of it may panic; errors are fine.
-func fuzzProbe(st *Store, err error) error {
+// materialization (a re-save encodes every segment), lookups (exact,
+// prefix, metadata), warm keys and the eager verification pass. None of
+// it may panic; errors are fine.
+func fuzzProbe(st *Store, err error) {
 	if err != nil {
-		return err // rejected cleanly
+		return // rejected cleanly
 	}
 	defer st.Close()
 	g, ix := st.Graph(), st.Index()
-	_, _ = g.WriteTo(io.Discard)
-	_, _ = ix.WriteTo(io.Discard)
+	_ = Write(io.Discard, Engine{Graph: g, Index: ix})
 	for _, term := range []string{"sunita", "mining", "paper", "zzz"} {
 		ix.Lookup(term)
 		ix.LookupPrefix(term[:1])
@@ -131,7 +123,6 @@ func fuzzProbe(st *Store, err error) error {
 	_ = st.Verify()
 	_ = st.Err()
 	_ = st.Stats()
-	return nil
 }
 
 // withArcWeight returns a copy of a valid store whose first forward arc
@@ -174,7 +165,7 @@ func TestOpenRejectsNonPositiveArcWeight(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, w := range []float64{0, -2, math.NaN(), math.Inf(1)} {
-		st, err := OpenReaderAt(Mem(withArcWeight(t, seed, w)), int64(len(seed)), Options{})
+		st, err := openBytes(withArcWeight(t, seed, w), nil)
 		if err != nil {
 			t.Fatalf("weight %v: open failed before any arc was read: %v", w, err)
 		}
@@ -198,10 +189,11 @@ func FuzzStoreRoundTrip(f *testing.F) {
 	}
 	f.Add(seed)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		st, err := OpenReaderAt(bytes.NewReader(data), int64(len(data)), Options{})
+		st, err := openBytes(data, nil)
 		if err != nil {
 			return
 		}
+		defer st.Close()
 		warm, err := st.WarmKeys()
 		if err != nil {
 			return

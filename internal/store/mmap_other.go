@@ -1,21 +1,15 @@
-//go:build !linux
+//go:build !unix
 
 package store
 
-import (
-	"errors"
-	"os"
-)
+import "errors"
 
-// mmapSource is unavailable off Linux: Open falls back to serving the
-// store through plain file reads (the copy path), which is functionally
-// identical — zero-copy views then come only from in-memory sources (Mem).
-type mmapSource struct{}
+// mapFile is unavailable off unix: Open then reads the whole store onto
+// the heap (openRead) and serves it the same way.
+func mapFile(path string) ([]byte, func() error, error) {
+	return nil, nil, errors.New("store: memory mapping not supported on this platform")
+}
 
-var errNoMmap = errors.New("store: memory mapping not supported on this platform")
-
-func mapFile(f *os.File, size int64) (*mmapSource, error) { return nil, errNoMmap }
-
-func (m *mmapSource) ReadAt(p []byte, off int64) (int, error) { return 0, errNoMmap }
-func (m *mmapSource) ViewAt(off, n int64) ([]byte, bool)      { return nil, false }
-func (m *mmapSource) Close() error                            { return nil }
+// syncDir is a no-op off unix, where a directory cannot be opened for
+// syncing; a rename's durability is left to the file system.
+func syncDir(path string) error { return nil }

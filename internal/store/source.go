@@ -1,35 +1,17 @@
 package store
 
-import "fmt"
+import (
+	"fmt"
+	"os"
+)
 
-// viewer is the optional byte-source extension behind the zero-copy open
-// path: ViewAt returns a stable read-only sub-slice of the source covering
-// [off, off+n), or ok=false when it cannot (the store then falls back to
-// ReadAt copies). Views must stay valid until the store is torn down —
-// graph and index structures alias them directly.
-type viewer interface {
-	ViewAt(off, n int64) ([]byte, bool)
-}
-
-// Mem is an in-memory store image served zero-copy: OpenReaderAt over a
-// Mem aliases segments straight out of the buffer instead of copying them.
-// The caller must not mutate the buffer while the store is open.
-type Mem []byte
-
-func (m Mem) ReadAt(p []byte, off int64) (int, error) {
-	if off < 0 || off > int64(len(m)) {
-		return 0, fmt.Errorf("store: read at %d outside buffer of %d bytes", off, len(m))
+// openRead is Open without the mapping: the whole file is read onto the
+// heap and served by the same code. Open falls back to it where the
+// platform has no mmap or mapping fails.
+func openRead(path string) (*Store, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
 	}
-	n := copy(p, m[off:])
-	if n < len(p) {
-		return n, fmt.Errorf("store: read [%d, %d) overruns buffer of %d bytes", off, off+int64(len(p)), len(m))
-	}
-	return n, nil
-}
-
-func (m Mem) ViewAt(off, n int64) ([]byte, bool) {
-	if off < 0 || n < 0 || off+n > int64(len(m)) {
-		return nil, false
-	}
-	return m[off : off+n : off+n], true
+	return openBytes(data, nil)
 }

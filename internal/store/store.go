@@ -1,13 +1,10 @@
 package store
 
 import (
-	"container/list"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
-	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -17,64 +14,50 @@ import (
 	"github.com/banksdb/banks/internal/index"
 )
 
-// Options tune an opened store's serving mode.
-type Options struct {
-	// BudgetBytes caps the resident bytes of lazily-loaded posting blocks
-	// (encoded block bytes), evicted LRU — the EMBANKS memory-bound serving
-	// mode. 0 keeps every touched block resident (no bound); negative
-	// disables block caching entirely (every lookup re-reads its block).
-	// Structural segments (arcs, node metadata, term dictionary) are
-	// loaded at most once each and are reported, not evicted; see
-	// Stats.StructuralBytes. A zero-copy store (memory-mapped or opened
-	// over Mem) ignores the budget: blocks are served as views of the
-	// mapping, whose residency the kernel already bounds.
-	BudgetBytes int64
-}
+// Options is empty: the store has no serving knobs. Only the benchmark
+// harness under bench/, which compiles against store.Open(path,
+// store.Options{}), keeps it; the next benchmark revision drops it.
+type Options struct{}
 
 // Store is an opened disk-resident engine. Graph and Index return lazy
 // views that fault their segments in on first touch; all methods are safe
 // for concurrent use.
 //
-// When the byte source supports zero-copy views (Open memory-maps the file
-// on Linux; Mem serves an in-memory image), every segment is served as a
-// sub-slice of the mapping — checksummed on first touch, then trusted —
-// and the graph's CSR arrays alias the mapping directly. Because queries
+// The store has one byte source: the whole file as one []byte, memory-
+// mapped read-only where the platform allows (mmap_unix.go) and read onto
+// the heap otherwise. Every segment and posting block is a sub-slice of
+// it — checksummed on first touch, then trusted — and the graph's CSR
+// arrays and the dictionary's tokens alias it directly. Because queries
 // then read mapped memory, the mapping must outlive them: callers that
 // race queries against Close hold a reference via Acquire/Release, and
 // Close blocks until the last reference is released before unmapping.
 type Store struct {
-	r      io.ReaderAt
-	v      viewer // non-nil when r serves stable zero-copy views
-	closer io.Closer
-	size   int64
-	segs   map[kind]dirEntry
-	opts   Options
+	data    []byte
+	unmap   func() error // nil when data is a heap copy
+	segs    map[kind]dirEntry
+	postSeg []byte // the postings segment, the base of every block ref
 
 	g  *graph.Graph
 	ix *index.Index
 
 	// states memoizes the structural segments (arcs, node metadata, term
-	// dictionary): fetched, checksummed and accounted exactly once each,
-	// however many goroutines race the first touch.
+	// dictionary): checksummed and accounted exactly once each, however
+	// many goroutines race the first touch.
 	states map[kind]*segState
 
 	blocksMu      sync.Mutex
 	blocks        []blockRef // per-term postings refs, set when the dict loads
 	blockVerified []atomic.Uint32
-	cache         *blockCache
 
 	// refs counts the open handle (1) plus outstanding Acquire holders;
-	// teardown (unmap + close) runs when it reaches 0.
+	// teardown (unmap) runs when it reaches 0.
 	refs     atomic.Int64
 	closed   atomic.Bool
 	done     chan struct{}
 	closeErr error
 
-	structural atomic.Int64 // heap-copied structural segment bytes
-	mapped     atomic.Int64 // structural segment bytes served as views (not heap)
-	faulted    atomic.Int64 // cumulative bytes ever faulted from disk
-	hits       atomic.Int64
-	misses     atomic.Int64
+	mapped  atomic.Int64 // structural segment bytes touched
+	faulted atomic.Int64 // cumulative bytes ever faulted from disk
 
 	errMu sync.Mutex
 	err   error
@@ -96,50 +79,34 @@ type blockRef struct {
 
 // Open opens the store file at path. Work is directory-read plus
 // header/footer/checksum verification — segments stay on disk until a
-// query touches them, which is what makes cold open rebuild-free. On
-// Linux the file is memory-mapped read-only and served zero-copy; where
-// mapping is unavailable the store falls back to plain file reads.
-func Open(path string, opts Options) (*Store, error) {
-	f, err := os.Open(path)
+// query touches them, which is what makes cold open rebuild-free. The
+// file is memory-mapped read-only; where the platform has no mmap, or
+// mapping fails, it is read whole onto the heap (openRead) and served the
+// same way.
+func Open(path string, _ Options) (*Store, error) {
+	data, unmap, err := mapFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
+		return openRead(path)
 	}
-	fi, err := f.Stat()
+	s, err := openBytes(data, unmap)
 	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	if m, merr := mapFile(f, fi.Size()); merr == nil {
-		f.Close() // the mapping holds the pages; the fd is no longer needed
-		s, err := OpenReaderAt(m, fi.Size(), opts)
-		if err != nil {
-			m.Close()
-			return nil, err
-		}
-		s.closer = m
-		return s, nil
-	}
-	s, err := OpenReaderAt(f, fi.Size(), opts)
-	if err != nil {
-		f.Close()
+		unmap()
 		return nil, err
 	}
-	s.closer = f
 	return s, nil
 }
 
-// OpenReaderAt is Open over any random-access byte source (an os.File, a
-// bytes.Reader over an in-memory snapshot, a Mem, an mmap). size is the
-// total store length in bytes. Sources that also implement the zero-copy
-// view extension (Mem, the internal mmap source) are served without
-// segment copies.
-func OpenReaderAt(r io.ReaderAt, size int64, opts Options) (*Store, error) {
-	s := &Store{r: r, size: size, opts: opts, cache: newBlockCache(opts.BudgetBytes), done: make(chan struct{})}
-	s.v, _ = r.(viewer)
+// openBytes serves a store from data, the whole file. unmap, when
+// non-nil, releases data once the store is closed and every Acquire
+// holder has released it. data must not change while the store is open.
+func openBytes(data []byte, unmap func() error) (*Store, error) {
+	s := &Store{data: data, unmap: unmap, done: make(chan struct{})}
 	s.refs.Store(1)
 	if err := s.readLayout(); err != nil {
 		return nil, err
 	}
+	e := s.segs[kindPostings]
+	s.postSeg = data[e.off : e.off+e.length : e.off+e.length]
 	s.states = map[kind]*segState{
 		kindNodeMeta:  {},
 		kindGraphArcs: {},
@@ -163,36 +130,28 @@ func OpenReaderAt(r io.ReaderAt, size int64, opts Options) (*Store, error) {
 // segAlign and zero-filled — every byte of the file is then either
 // checksummed or pinned to zero, and re-serialization is byte-exact.
 func (s *Store) readLayout() error {
-	if s.size < headerSize+footerSize {
-		return fmt.Errorf("store: file is %d bytes; not a BANKS store", s.size)
+	size := uint64(len(s.data))
+	if size < headerSize+footerSize {
+		return fmt.Errorf("store: file is %d bytes; not a BANKS store", size)
 	}
-	var hdr [headerSize]byte
-	if _, err := s.r.ReadAt(hdr[:], 0); err != nil {
-		return fmt.Errorf("store: reading header: %w", err)
-	}
+	hdr := s.data[:headerSize]
 	if string(hdr[:8]) != Magic {
 		return fmt.Errorf("store: not a BANKS store (bad magic %q)", hdr[:8])
 	}
 	if v := binary.BigEndian.Uint32(hdr[8:]); v != Version {
 		return fmt.Errorf("store: unsupported store version %d (want %d)", v, Version)
 	}
-	var foot [footerSize]byte
-	if _, err := s.r.ReadAt(foot[:], s.size-footerSize); err != nil {
-		return fmt.Errorf("store: reading footer: %w", err)
-	}
+	foot := s.data[size-footerSize:]
 	if string(foot[20:]) != footerMagic {
 		return fmt.Errorf("store: truncated or torn store (bad footer magic %q)", foot[20:])
 	}
 	dirOff := binary.BigEndian.Uint64(foot[0:])
 	dirLen := binary.BigEndian.Uint64(foot[8:])
 	dirCRC := binary.BigEndian.Uint32(foot[16:])
-	if dirOff < headerSize || dirLen > uint64(s.size) || dirOff+dirLen != uint64(s.size-footerSize) {
+	if dirLen > size-footerSize-headerSize || dirOff != size-footerSize-dirLen {
 		return fmt.Errorf("store: directory [%d, %d) does not fit the file", dirOff, dirOff+dirLen)
 	}
-	dir := make([]byte, dirLen)
-	if _, err := s.r.ReadAt(dir, int64(dirOff)); err != nil {
-		return fmt.Errorf("store: reading directory: %w", err)
-	}
+	dir := s.data[dirOff : dirOff+dirLen]
 	if checksum(dir) != dirCRC {
 		return errors.New("store: directory checksum mismatch")
 	}
@@ -203,7 +162,7 @@ func (s *Store) readLayout() error {
 	s.segs = make(map[kind]dirEntry, len(entries))
 	spans := make([][2]uint64, 0, len(entries)+1)
 	for _, e := range entries {
-		if e.off < headerSize || e.length > uint64(s.size) || e.off+e.length > dirOff {
+		if e.off < headerSize || e.off > dirOff || e.length > dirOff-e.off {
 			return fmt.Errorf("store: %s segment [%d, %d) overruns the directory", e.kind, e.off, e.off+e.length)
 		}
 		if _, dup := s.segs[e.kind]; dup {
@@ -228,11 +187,7 @@ func (s *Store) readLayout() error {
 			if gap >= segAlign {
 				return fmt.Errorf("store: %d-byte gap before offset %d", gap, sp[0])
 			}
-			var pad [segAlign]byte
-			if _, err := s.r.ReadAt(pad[:gap], int64(at)); err != nil {
-				return fmt.Errorf("store: reading segment padding: %w", err)
-			}
-			for _, b := range pad[:gap] {
+			for _, b := range s.data[at:sp[0]] {
 				if b != 0 {
 					return fmt.Errorf("store: nonzero padding at offset %d", at)
 				}
@@ -243,72 +198,35 @@ func (s *Store) readLayout() error {
 	return nil
 }
 
-// viewAt returns a zero-copy view of [off, off+n), or nil when the byte
-// source cannot serve one.
-func (s *Store) viewAt(off, n int64) []byte {
-	if s.v == nil {
-		return nil
-	}
-	b, ok := s.v.ViewAt(off, n)
-	if !ok {
-		return nil
-	}
-	return b
-}
-
-// fetchSegment fetches and checksums one whole segment — as a view when
-// the source supports it, as a heap copy otherwise. No memoization, no
-// accounting; segmentBytes adds both for the structural kinds.
+// fetchSegment checksums one whole segment and returns it as a sub-slice
+// of the store's bytes. No memoization, no accounting; segmentBytes adds
+// both for the structural kinds.
 func (s *Store) fetchSegment(k kind) ([]byte, error) {
 	e, ok := s.segs[k]
 	if !ok {
 		return nil, fmt.Errorf("store: missing %s segment", k)
 	}
-	if b := s.viewAt(int64(e.off), int64(e.length)); b != nil {
-		if checksum(b) != e.crc {
-			return nil, fmt.Errorf("store: %s segment checksum mismatch", k)
-		}
-		return b, nil
-	}
-	data := make([]byte, e.length)
-	if _, err := s.r.ReadAt(data, int64(e.off)); err != nil {
-		return nil, fmt.Errorf("store: reading %s segment: %w", k, err)
-	}
-	if checksum(data) != e.crc {
+	b := s.data[e.off : e.off+e.length : e.off+e.length]
+	if checksum(b) != e.crc {
 		return nil, fmt.Errorf("store: %s segment checksum mismatch", k)
 	}
-	return data, nil
+	return b, nil
 }
 
 // segmentBytes returns the verified bytes of a structural segment,
-// fetching (and accounting) exactly once however many goroutines race the
-// first touch: a zero-copy view counts toward MappedBytes, a heap copy
-// toward StructuralBytes, and either counts toward FaultedBytes once.
+// checksumming (and accounting toward MappedBytes and FaultedBytes)
+// exactly once however many goroutines race the first touch.
 func (s *Store) segmentBytes(k kind) ([]byte, error) {
 	st, ok := s.states[k]
 	if !ok {
 		return s.fetchSegment(k)
 	}
 	st.once.Do(func() {
-		e := s.segs[k]
-		if b := s.viewAt(int64(e.off), int64(e.length)); b != nil {
-			if checksum(b) != e.crc {
-				st.err = fmt.Errorf("store: %s segment checksum mismatch", k)
-				return
-			}
-			st.data = b
-			s.mapped.Add(int64(e.length))
-			s.faulted.Add(int64(e.length))
-			return
+		st.data, st.err = s.fetchSegment(k)
+		if st.err == nil {
+			s.mapped.Add(int64(len(st.data)))
+			s.faulted.Add(int64(len(st.data)))
 		}
-		data, err := s.fetchSegment(k)
-		if err != nil {
-			st.err = err
-			return
-		}
-		st.data = data
-		s.structural.Add(int64(len(data)))
-		s.faulted.Add(int64(len(data)))
 	})
 	return st.data, st.err
 }
@@ -383,15 +301,11 @@ func (s *Store) Close() error {
 }
 
 func (s *Store) teardown() {
-	if s.closer != nil {
-		s.closeErr = s.closer.Close()
+	if s.unmap != nil {
+		s.closeErr = s.unmap()
 	}
 	close(s.done)
 }
-
-// Mapped reports whether the store serves segments as zero-copy views
-// (memory-mapped file or in-memory source) rather than heap copies.
-func (s *Store) Mapped() bool { return s.v != nil }
 
 // Err reports the first I/O, checksum or decode failure hit by any lazy
 // load since Open — the graph's, the index's or the store's own. Lazy
@@ -448,8 +362,8 @@ const maxWarmKeys = 1 << 20
 
 // TermStats returns the term-statistics sketch recorded at save time, or
 // nil when the segment is absent. The payload is opaque to the store;
-// internal/cluster owns the encoding. The returned bytes are a fresh or
-// mapped copy — callers must not mutate them.
+// internal/cluster owns the encoding. The returned bytes alias the
+// store's — callers must not mutate them.
 func (s *Store) TermStats() ([]byte, error) {
 	if _, ok := s.segs[kindTermStats]; !ok {
 		return nil, nil
@@ -457,10 +371,9 @@ func (s *Store) TermStats() ([]byte, error) {
 	return s.fetchSegment(kindTermStats)
 }
 
-// ArcsSegment implements graph.SegmentSource. On a zero-copy store the
-// returned bytes are a view of the mapping, which the graph aliases its
-// CSR arrays over — Dijkstra's neighbor scan then reads mapped memory
-// directly.
+// ArcsSegment implements graph.SegmentSource. The returned bytes are a
+// sub-slice of the store's, which the graph aliases its CSR arrays over —
+// Dijkstra's neighbor scan then reads mapped memory directly.
 func (s *Store) ArcsSegment() ([]byte, error) {
 	data, err := s.segmentBytes(kindGraphArcs)
 	if err != nil {
@@ -508,9 +421,8 @@ func (s *Store) Dict() (*index.LazyDict, error) {
 	dict.Counts = make([]int, 0, nalloc)
 	blocks := make([]blockRef, 0, nalloc)
 	for i := uint64(0); i < nterms && d.err == nil; i++ {
-		// Tokens alias the segment buffer (mapping view or the store's
-		// one-shot heap copy — both immutable and store-lifetime, same
-		// contract the CSR arrays already rely on).
+		// Tokens alias the segment, which is immutable and lives as
+		// long as the store — the contract the CSR arrays rely on.
 		tok := d.strAlias()
 		count := d.uvarint()
 		off := d.uvarint()
@@ -599,99 +511,34 @@ func (s *Store) markBlockSeen(i int) bool {
 }
 
 // Postings implements index.LazySource: resolve dictionary entry i into a
-// fresh decoded posting list. On a zero-copy store the encoded block is a
-// view of the mapping, checksummed on first touch and trusted after; on a
-// copy store the encoded block lives in the budget-bounded LRU cache.
+// fresh decoded posting list. The encoded block is a sub-slice of the
+// store's bytes, checksummed on first touch and trusted after.
 func (s *Store) Postings(i int, tok string) ([]graph.NodeID, error) {
-	return s.postings(i, tok, nil, true)
+	return s.PostingsAppend(i, tok, nil)
 }
 
-// PostingsAppend is Postings decoding into dst (extended and returned) —
-// the buffer-reuse path for callers that own their result, like prefix
-// sweeps appending into one per-query buffer.
+// PostingsAppend is Postings decoding into dst (extended and returned;
+// nil allocates fresh) — the buffer-reuse path for callers that own
+// their result, like prefix sweeps appending into one per-query buffer.
 func (s *Store) PostingsAppend(i int, tok string, dst []graph.NodeID) ([]graph.NodeID, error) {
-	return s.postings(i, tok, dst, true)
-}
-
-// PostingsSequential implements index's sequential-scan source: the same
-// block read, but bypassing cache admission (and the hit/miss counters)
-// so a full-index sweep — WriteTo, re-Save — streams through without
-// pinning every block resident.
-func (s *Store) PostingsSequential(i int, tok string) ([]graph.NodeID, error) {
-	return s.postings(i, tok, nil, false)
-}
-
-// PostingsSequentialAppend is PostingsSequential into a reused buffer; a
-// full sweep over the dictionary then decodes every block with a single
-// allocation.
-func (s *Store) PostingsSequentialAppend(i int, tok string, dst []graph.NodeID) ([]graph.NodeID, error) {
-	return s.postings(i, tok, dst, false)
-}
-
-// postings is the shared block resolve: locate the ref, obtain verified
-// encoded bytes (view, cache or disk read), decode appending to dst (nil
-// allocates fresh). interactive selects cache admission and the hit/miss
-// counters.
-func (s *Store) postings(i int, tok string, dst []graph.NodeID, interactive bool) ([]graph.NodeID, error) {
 	ref, ok := s.blockRefFor(i)
 	if !ok {
 		err := fmt.Errorf("store: postings request %d outside the dictionary", i)
 		s.setErr(err)
 		return nil, err
 	}
-	e := s.segs[kindPostings]
-	if seg := s.viewAt(int64(e.off), int64(e.length)); seg != nil {
-		block := seg[ref.off : ref.off+ref.length]
-		if s.blockSeen(i) {
-			if interactive {
-				s.hits.Add(1)
-			}
-		} else {
-			if checksum(block) != ref.crc {
-				err := fmt.Errorf("store: postings block for %q fails its checksum", tok)
-				s.setErr(err)
-				return nil, err
-			}
-			if s.markBlockSeen(i) {
-				s.faulted.Add(int64(ref.length))
-				if interactive {
-					s.misses.Add(1)
-				}
-			} else if interactive {
-				s.hits.Add(1)
-			}
+	block := s.postSeg[ref.off : ref.off+ref.length]
+	if !s.blockSeen(i) {
+		if checksum(block) != ref.crc {
+			err := fmt.Errorf("store: postings block for %q fails its checksum", tok)
+			s.setErr(err)
+			return nil, err
 		}
-		return s.decodeBlock(block, ref, tok, dst)
-	}
-	if enc, ok := s.cache.get(i); ok {
-		if interactive {
-			s.hits.Add(1)
+		if s.markBlockSeen(i) {
+			s.faulted.Add(int64(ref.length))
 		}
-		return s.decodeBlock(enc, ref, tok, dst)
 	}
-	if interactive {
-		s.misses.Add(1)
-	}
-	block := make([]byte, ref.length)
-	if _, err := s.r.ReadAt(block, int64(e.off+ref.off)); err != nil {
-		err = fmt.Errorf("store: reading postings block for %q: %w", tok, err)
-		s.setErr(err)
-		return nil, err
-	}
-	if checksum(block) != ref.crc {
-		err := fmt.Errorf("store: postings block for %q fails its checksum", tok)
-		s.setErr(err)
-		return nil, err
-	}
-	s.faulted.Add(int64(ref.length))
-	ns, err := s.decodeBlock(block, ref, tok, dst)
-	if err != nil {
-		return nil, err
-	}
-	if interactive {
-		s.cache.put(i, block)
-	}
-	return ns, nil
+	return s.decodeBlock(block, ref, tok, dst)
 }
 
 // decodeBlock decodes one verified encoded block, appending to dst (nil
@@ -742,9 +589,8 @@ func decodePostingsBlock(block []byte, count, numNodes int) ([]graph.NodeID, err
 }
 
 // Verify reads every segment end to end and checks all checksums — the
-// eager integrity pass lazy opening deliberately skips. It does not
-// populate caches or residency counters; on a mapped store it checksums
-// the views in place without copying.
+// eager integrity pass lazy opening deliberately skips. It checksums the
+// segments in place and leaves the residency counters alone.
 func (s *Store) Verify() error {
 	for k := range s.segs {
 		if _, err := s.fetchSegment(k); err != nil {
@@ -756,138 +602,27 @@ func (s *Store) Verify() error {
 
 // Stats is a point-in-time summary of an opened store's residency.
 type Stats struct {
-	// StructuralBytes counts bytes of structural segments (arcs, node
-	// metadata, term dictionary) copied onto the heap; they load at most
-	// once each and are never evicted. Zero on a zero-copy store — see
-	// MappedBytes.
-	StructuralBytes int64
-	// MappedBytes counts bytes of structural segments served as zero-copy
-	// views over the byte source (mmap / in-memory image): resident via
-	// the kernel page cache, shared between processes, and invisible to
-	// the Go GC.
+	// MappedBytes counts bytes of structural segments (arcs, node
+	// metadata, term dictionary) touched so far. They are served in place
+	// from the store's bytes: resident via the kernel page cache and
+	// shared between processes when the file is mapped, and part of the
+	// one heap copy where it could not be.
 	MappedBytes int64
-	// BlockBytes / BlockEntries describe the encoded posting-block cache,
-	// the part BudgetBytes bounds (unused on a zero-copy store).
-	BlockBytes   int64
-	BlockEntries int
-	// BudgetBytes echoes Options.BudgetBytes.
-	BudgetBytes int64
-	// Hits / Misses count posting-block probes: against the LRU cache on
-	// a copy store, against the verified-block set on a zero-copy store.
-	Hits, Misses int64
 	// FaultedBytes counts cumulative bytes ever faulted from disk
-	// (structural segments once each, plus posting-block reads); unlike
-	// residency it never decreases.
+	// (structural segments once each, plus each posting block's first
+	// read); it never decreases.
 	FaultedBytes int64
 }
 
 // Stats returns current residency counters.
 func (s *Store) Stats() Stats {
-	st := Stats{
-		StructuralBytes: s.structural.Load(),
-		MappedBytes:     s.mapped.Load(),
-		BudgetBytes:     s.opts.BudgetBytes,
-		Hits:            s.hits.Load(),
-		Misses:          s.misses.Load(),
-		FaultedBytes:    s.faulted.Load(),
-	}
-	st.BlockBytes, st.BlockEntries = s.cache.usage()
-	return st
+	return Stats{MappedBytes: s.mapped.Load(), FaultedBytes: s.faulted.Load()}
 }
 
 // FaultedBytes returns the cumulative bytes ever faulted from disk — the
 // monotone meter per-query byte budgets are charged against (see
 // core.Searcher.WithFaultMeter).
 func (s *Store) FaultedBytes() int64 { return s.faulted.Load() }
-
-// ResidentBytes returns the total lazily-loaded bytes resident on the Go
-// heap (mapped views are excluded; see Stats.MappedBytes).
-func (s *Store) ResidentBytes() int64 {
-	b, _ := s.cache.usage()
-	return s.structural.Load() + b
-}
-
-// blockCache is the LRU over encoded posting blocks (the compact on-disk
-// bytes, not decoded slices — a hit re-decodes, keeping the cache dense).
-// max == 0 means unbounded; max < 0 disables caching.
-type blockCache struct {
-	mu    sync.Mutex
-	max   int64
-	bytes int64
-	items map[int]*list.Element
-	lru   list.List
-}
-
-// blockOverhead approximates the fixed per-entry cost charged on top of
-// the encoded payload.
-const blockOverhead = 64
-
-type blockCacheEntry struct {
-	key  int
-	enc  []byte
-	size int64
-}
-
-func newBlockCache(max int64) *blockCache {
-	c := &blockCache{max: max}
-	if max >= 0 {
-		c.items = make(map[int]*list.Element)
-	}
-	return c
-}
-
-func (c *blockCache) get(key int) ([]byte, bool) {
-	if c.max < 0 {
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return nil, false
-	}
-	c.lru.MoveToFront(el)
-	return el.Value.(*blockCacheEntry).enc, true
-}
-
-func (c *blockCache) put(key int, enc []byte) {
-	if c.max < 0 {
-		return
-	}
-	size := int64(len(enc)) + blockOverhead
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.max > 0 && size > c.max {
-		return // larger than the whole budget: serve uncached
-	}
-	if el, ok := c.items[key]; ok {
-		e := el.Value.(*blockCacheEntry)
-		c.bytes += size - e.size
-		e.enc, e.size = enc, size
-		c.lru.MoveToFront(el)
-	} else {
-		c.items[key] = c.lru.PushFront(&blockCacheEntry{key: key, enc: enc, size: size})
-		c.bytes += size
-	}
-	if c.max == 0 {
-		return
-	}
-	for c.bytes > c.max {
-		back := c.lru.Back()
-		if back == nil {
-			break
-		}
-		e := c.lru.Remove(back).(*blockCacheEntry)
-		delete(c.items, e.key)
-		c.bytes -= e.size
-	}
-}
-
-func (c *blockCache) usage() (bytes int64, entries int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bytes, len(c.items)
-}
 
 // cursor is a varint decoder with sticky errors, shared by the dictionary
 // and warm-segment parsers.
@@ -925,10 +660,9 @@ func (d *cursor) str() string {
 
 // strAlias is str without the copy: the returned string aliases the
 // cursor's backing bytes. Safe for segment buffers, which are immutable
-// for the life of whatever holds the string — a mapping view or a private
-// heap copy, never rewritten — and it turns the dictionary parse (one
-// string per term) from the dominant first-touch allocator into pointer
-// arithmetic.
+// for the life of whatever holds the string — the store's bytes are never
+// rewritten — and it turns the dictionary parse (one string per term) from
+// the dominant first-touch allocator into pointer arithmetic.
 func (d *cursor) strAlias() string {
 	n := d.uvarint()
 	if d.err != nil {

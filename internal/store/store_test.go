@@ -61,30 +61,6 @@ func saveFixture(t *testing.T, warm []string) string {
 	return path
 }
 
-// openCopy opens path through the plain file-read (copy) path, bypassing
-// the mmap fast path Open prefers. The block cache and the heap-residency
-// accounting only operate on this path — on a mapped store the mapping
-// itself is the cache.
-func openCopy(t *testing.T, path string, opts Options) *Store {
-	t.Helper()
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fi, err := f.Stat()
-	if err != nil {
-		f.Close()
-		t.Fatal(err)
-	}
-	st, err := OpenReaderAt(f, fi.Size(), opts)
-	if err != nil {
-		f.Close()
-		t.Fatal(err)
-	}
-	st.closer = f
-	return st
-}
-
 var parityQueries = [][]string{
 	{"mohan"},
 	{"transaction"},
@@ -137,26 +113,17 @@ func TestStoreRoundTripQueryParity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The opened engine serializes byte-identically to the built one —
-	// graph and index are equivalent in full, not just on these queries.
-	var wantG, gotG, wantIx, gotIx bytes.Buffer
-	if _, err := g.WriteTo(&wantG); err != nil {
+	// The opened engine writes byte-identically to the built one — graph
+	// and index are equivalent in full, not just on these queries.
+	var built, opened bytes.Buffer
+	if err := Write(&built, Engine{Graph: g, Index: ix}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Graph().WriteTo(&gotG); err != nil {
+	if err := Write(&opened, Engine{Graph: st.Graph(), Index: st.Index()}); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(wantG.Bytes(), gotG.Bytes()) {
-		t.Error("store graph serializes differently from the built graph")
-	}
-	if _, err := ix.WriteTo(&wantIx); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Index().WriteTo(&gotIx); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(wantIx.Bytes(), gotIx.Bytes()) {
-		t.Error("store index serializes differently from the built index")
+	if !bytes.Equal(built.Bytes(), opened.Bytes()) {
+		t.Error("store engine writes differently from the built engine")
 	}
 }
 
@@ -167,25 +134,19 @@ func TestOpenIsLazy(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if got := st.ResidentBytes(); got != 0 {
-		t.Fatalf("open made %d bytes resident before any query", got)
+	if s := st.Stats(); s != (Stats{}) {
+		t.Fatalf("open touched segments before any query: %+v", s)
 	}
 	_, g, _ := dblpEngine(t)
 	if st.Graph().NumNodes() != g.NumNodes() || st.Graph().NumArcs() != g.NumArcs() {
 		t.Fatal("meta facts wrong before segment loads")
 	}
-	if got := st.ResidentBytes(); got != 0 {
-		t.Fatalf("meta queries loaded %d bytes", got)
+	if s := st.Stats(); s != (Stats{}) {
+		t.Fatalf("meta queries touched segments: %+v", s)
 	}
 	st.Index().Lookup("transaction")
-	if s := st.Stats(); s.StructuralBytes+s.MappedBytes == 0 {
-		t.Fatal("a lookup should have loaded the term dictionary")
-	}
-	if st.Mapped() {
-		// On a mapped store the dictionary is a view, not a heap copy.
-		if s := st.Stats(); s.StructuralBytes != 0 || s.MappedBytes == 0 {
-			t.Fatalf("mapped store made heap copies: %+v", s)
-		}
+	if s := st.Stats(); s.MappedBytes == 0 || s.FaultedBytes <= s.MappedBytes {
+		t.Fatalf("a lookup should have loaded the term dictionary and one block: %+v", s)
 	}
 }
 
@@ -258,13 +219,22 @@ func TestOverwriteGuard(t *testing.T) {
 		t.Fatal("foreign file was modified")
 	}
 
-	// Overwriting a previous store, a legacy snapshot, an empty file or a
-	// missing path is allowed.
+	// So must a file in the retired monolithic snapshot format: nothing
+	// reads it any more, so it is not ours to replace.
+	legacy := filepath.Join(dir, "old.snap")
+	if err := os.WriteFile(legacy, []byte("BANKSNAP\x00\x00\x00\x01"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFile(legacy, eng); err == nil || !strings.Contains(err.Error(), "refusing to overwrite") {
+		t.Fatalf("WriteFile over a BANKSNAP file: err = %v, want a refusal", err)
+	}
+
+	// Overwriting a previous store, an empty file or a missing path is
+	// allowed.
 	ours := filepath.Join(dir, "engine.bstore")
 	for _, setup := range []func() error{
 		func() error { return nil }, // missing
 		func() error { return os.WriteFile(ours, nil, 0o644) },
-		func() error { return os.WriteFile(ours, []byte(legacySnapshotMagic+"rest"), 0o644) },
 		func() error { return WriteFile(ours, eng) },
 	} {
 		if err := setup(); err != nil {
@@ -276,6 +246,29 @@ func TestOverwriteGuard(t *testing.T) {
 	}
 }
 
+// TestRenameSync: the rename lands and the directory sync that follows it
+// succeeds; a missing source fails. Whether the rename survives a crash
+// before a WAL truncate cannot be observed in-process.
+func TestRenameSync(t *testing.T) {
+	dir := t.TempDir()
+	from, to := filepath.Join(dir, "new"), filepath.Join(dir, "installed")
+	if err := os.WriteFile(from, []byte("payload"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := RenameSync(from, to); err != nil {
+		t.Fatal(err)
+	}
+	if data, err := os.ReadFile(to); err != nil || string(data) != "payload" {
+		t.Fatalf("installed file = %q, %v", data, err)
+	}
+	if _, err := os.Stat(from); !os.IsNotExist(err) {
+		t.Fatalf("source still present after rename: %v", err)
+	}
+	if err := RenameSync(from, to); err == nil {
+		t.Fatal("renaming a missing file succeeded")
+	}
+}
+
 func TestCorruptStoresRejected(t *testing.T) {
 	path := saveFixture(t, []string{"=transaction"})
 	pristine, err := os.ReadFile(path)
@@ -284,17 +277,14 @@ func TestCorruptStoresRejected(t *testing.T) {
 	}
 
 	// openAndTouch opens corrupted bytes and, if Open succeeds, forces
-	// every lazy load — WriteTo streams every arc, node and posting block —
-	// so either stage must surface an error, never a panic.
+	// every lazy load — a re-save encodes every arc, node and posting
+	// block — so either stage must surface an error, never a panic.
 	openAndTouch := func(data []byte) error {
-		st, err := OpenReaderAt(bytes.NewReader(data), int64(len(data)), Options{})
+		st, err := openBytes(data, nil)
 		if err != nil {
 			return err
 		}
-		if _, err := st.Graph().WriteTo(io.Discard); err != nil {
-			return err
-		}
-		if _, err := st.Index().WriteTo(io.Discard); err != nil {
+		if err := Write(io.Discard, Engine{Graph: st.Graph(), Index: st.Index()}); err != nil {
 			return err
 		}
 		st.Index().Lookup("transaction")
@@ -322,7 +312,7 @@ func TestCorruptStoresRejected(t *testing.T) {
 	}
 	for _, c := range cases {
 		data := c.mutate(append([]byte(nil), pristine...))
-		if _, err := OpenReaderAt(bytes.NewReader(data), int64(len(data)), Options{}); err == nil {
+		if _, err := openBytes(data, nil); err == nil {
 			t.Errorf("%s: Open accepted corrupt store", c.name)
 		}
 	}
@@ -334,7 +324,7 @@ func TestCorruptStoresRejected(t *testing.T) {
 		data := append([]byte(nil), pristine...)
 		pos := headerSize + rng.Intn(len(data)-headerSize-footerSize)
 		data[pos] ^= 0x40
-		st, err := OpenReaderAt(bytes.NewReader(data), int64(len(data)), Options{})
+		st, err := openBytes(data, nil)
 		if err != nil {
 			continue // caught at open
 		}
@@ -344,50 +334,6 @@ func TestCorruptStoresRejected(t *testing.T) {
 		if err := openAndTouch(data); err == nil {
 			t.Errorf("flipped byte at %d survived a full touch", pos)
 		}
-	}
-}
-
-// TestBudgetBoundsResidentBlocks is the EMBANKS memory-bound mode under a
-// skewed workload: a Zipf term stream over a budgeted store must stay
-// under the block budget at all times while still serving mostly from
-// cache.
-func TestBudgetBoundsResidentBlocks(t *testing.T) {
-	path := saveFixture(t, nil)
-	const budget = 16 << 10
-	st := openCopy(t, path, Options{BudgetBytes: budget})
-	defer st.Close()
-
-	stream := datagen.ZipfTerms(20000, 99)
-	for i, term := range stream {
-		st.Index().Lookup(term)
-		if i%512 == 0 {
-			if b := st.Stats().BlockBytes; b > budget {
-				t.Fatalf("after %d lookups resident blocks = %d bytes, budget %d", i+1, b, budget)
-			}
-		}
-	}
-	stats := st.Stats()
-	if stats.BlockBytes > budget {
-		t.Fatalf("final resident blocks = %d bytes, budget %d", stats.BlockBytes, budget)
-	}
-	if stats.BlockEntries == 0 {
-		t.Fatal("budgeted cache held nothing")
-	}
-	if stats.Hits == 0 {
-		t.Fatal("skewed workload never hit the block cache")
-	}
-	if err := st.Err(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Unbounded and uncached modes behave as documented.
-	stU := openCopy(t, path, Options{BudgetBytes: -1})
-	defer stU.Close()
-	stU.Index().Lookup("transaction")
-	stU.Index().Lookup("transaction")
-	us := stU.Stats()
-	if us.BlockBytes != 0 || us.Hits != 0 || us.Misses != 2 {
-		t.Fatalf("uncached mode stats = %+v", us)
 	}
 }
 
@@ -423,7 +369,7 @@ func TestEvalSuiteParityTPCD(t *testing.T) {
 	if err := WriteFile(path, Engine{Graph: g, Index: ix}); err != nil {
 		t.Fatal(err)
 	}
-	st, err := Open(path, Options{BudgetBytes: 32 << 10})
+	st, err := Open(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,12 +405,12 @@ func TestEvalSuiteParityTPCD(t *testing.T) {
 
 // TestConcurrentColdQueries hammers a freshly opened store from many
 // goroutines at once: the first touches of the arcs, node-metadata and
-// dictionary segments race here, so the lazy single-load guards and the
-// block cache must hold under -race with answers identical to the built
-// engine.
+// dictionary segments and of the posting blocks race here, so the lazy
+// single-load guards and the block-verified bits must hold under -race
+// with answers identical to the built engine.
 func TestConcurrentColdQueries(t *testing.T) {
 	_, g, ix := dblpEngine(t)
-	st, err := Open(saveFixture(t, nil), Options{BudgetBytes: 64 << 10})
+	st, err := Open(saveFixture(t, nil), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -519,47 +465,45 @@ func TestConcurrentColdQueries(t *testing.T) {
 	}
 }
 
-// TestFullSweepDoesNotPinBlocks: WriteTo / re-save stream every posting
-// block through the sequential path, so a full sweep must not populate
-// the block cache (which would pin the whole postings set resident on an
-// unbounded budget).
-func TestFullSweepDoesNotPinBlocks(t *testing.T) {
-	st := openCopy(t, saveFixture(t, nil), Options{})
-	defer st.Close()
-	if _, err := st.Index().WriteTo(io.Discard); err != nil {
+// TestReadFileSourceParity: Open's two ways to get the store's bytes —
+// the mapping, and the os.ReadFile fallback used where the platform has no
+// mmap or mapping fails — feed the same openBytes, so one store opened
+// both ways must answer the parity queries identically and report the
+// same Stats and FaultedBytes.
+func TestReadFileSourceParity(t *testing.T) {
+	path := saveFixture(t, nil)
+	mapped, err := Open(path, Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if stats := st.Stats(); stats.BlockBytes != 0 || stats.BlockEntries != 0 {
-		t.Fatalf("full index sweep left %d bytes / %d entries resident", stats.BlockBytes, stats.BlockEntries)
+	defer mapped.Close()
+	read, err := openRead(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// A point lookup afterwards still caches normally.
-	st.Index().Lookup("transaction")
-	if stats := st.Stats(); stats.BlockEntries != 1 {
-		t.Fatalf("point lookup cached %d entries, want 1", stats.BlockEntries)
+	defer read.Close()
+	for pass := 0; pass < 2; pass++ { // cold, then warm
+		want := queryTrace(t, mapped.Graph(), mapped.Index())
+		if got := queryTrace(t, read.Graph(), read.Index()); got != want {
+			t.Fatalf("pass %d: read-file queries diverge:\n got %q\nwant %q", pass, got, want)
+		}
+		if got, want := read.Stats(), mapped.Stats(); got != want {
+			t.Fatalf("pass %d: Stats %+v, mapped store %+v", pass, got, want)
+		}
+		if got, want := read.FaultedBytes(), mapped.FaultedBytes(); got != want || got == 0 {
+			t.Fatalf("pass %d: FaultedBytes %d, mapped store %d", pass, got, want)
+		}
+	}
+	for _, st := range []*Store{mapped, read} {
+		if err := st.Err(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
-// TestCopyPathQueryParity is the heap-copy leg of the three-way golden
-// parity (built vs mmap vs copy): the plain-ReaderAt open, which decodes
-// every segment into heap copies, answers identically to the built engine.
-func TestCopyPathQueryParity(t *testing.T) {
-	_, g, ix := dblpEngine(t)
-	st := openCopy(t, saveFixture(t, nil), Options{})
-	defer st.Close()
-	if st.Mapped() {
-		t.Fatal("openCopy produced a view-backed store")
-	}
-	want := queryTrace(t, g, ix)
-	if got := queryTrace(t, st.Graph(), st.Index()); got != want {
-		t.Fatalf("copy-path queries diverge:\n got %q\nwant %q", got, want)
-	}
-	if err := st.Err(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestVerifyOnMappedStore: Verify must hold on the mmap fast path too —
-// every CRC is computed over the mapping itself, no heap copies involved.
+// TestVerifyOnMappedStore: Verify must hold on the mapping too — every
+// CRC is computed over the mapped bytes in place — and it leaves the
+// residency counters to the lazy loads.
 func TestVerifyOnMappedStore(t *testing.T) {
 	path := saveFixture(t, []string{"=mohan"})
 	st, err := Open(path, Options{})
@@ -567,19 +511,14 @@ func TestVerifyOnMappedStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if !st.Mapped() {
-		t.Skip("mmap unavailable on this platform")
-	}
 	if err := st.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	// Verify sweeps every segment; residency must be all views, no copies.
-	st.Index().Lookup("transaction")
-	stats := st.Stats()
-	if stats.StructuralBytes != 0 {
-		t.Fatalf("mapped store copied %d structural bytes to the heap", stats.StructuralBytes)
+	if s := st.Stats(); s != (Stats{}) {
+		t.Fatalf("Verify moved the residency counters: %+v", s)
 	}
-	if stats.MappedBytes == 0 {
+	st.Index().Lookup("transaction")
+	if st.Stats().MappedBytes == 0 {
 		t.Fatal("mapped store reports no mapped structural bytes")
 	}
 }

@@ -31,10 +31,6 @@ type Engine struct {
 	TermStats []byte
 }
 
-// legacySnapshotMagic is the monolithic pre-store snapshot format; see the
-// overwrite guard in WriteFile.
-const legacySnapshotMagic = "BANKSNAP"
-
 // Write streams eng to w in the segmented store format. The output is
 // deterministic for a given engine and warm-key list. Writing a lazily
 // opened engine re-saves it (segments are materialized as needed).
@@ -129,14 +125,15 @@ func Write(w io.Writer, eng Engine) error {
 	return bw.Flush()
 }
 
-// WriteFile persists eng to path atomically: the store is written to a
-// temp file in the same directory, synced, and renamed over path, so a
-// crash mid-save never leaves a torn store and concurrent readers of the
-// old file are undisturbed.
+// WriteFile persists eng to path atomically and durably: the store is
+// written to a temp file in the same directory, synced, and installed
+// with RenameSync, so a crash mid-save never leaves a torn store, a
+// returned WriteFile survives a crash, and concurrent readers of the old
+// file are undisturbed.
 //
-// Overwrite guard: if path already exists with content that is neither a
-// segmented store nor a legacy snapshot, WriteFile refuses — a mistyped
-// path must not silently destroy an unrelated data file.
+// Overwrite guard: if path already exists with content that is not a
+// BANKS store, WriteFile refuses — a mistyped path must not silently
+// destroy an unrelated data file.
 func WriteFile(path string, eng Engine) error {
 	if err := guardOverwrite(path); err != nil {
 		return err
@@ -165,15 +162,29 @@ func WriteFile(path string, eng Engine) error {
 		return fmt.Errorf("store: closing %s: %w", name, err)
 	}
 	tmp = nil
-	if err := os.Rename(name, path); err != nil {
+	if err := RenameSync(name, path); err != nil {
 		os.Remove(name)
 		return fmt.Errorf("store: installing %s: %w", path, err)
 	}
 	return nil
 }
 
+// RenameSync renames from to to, then syncs to's directory so the rename
+// itself survives a crash. Callers that drop the write-ahead log after
+// installing a store need that order: without the directory sync a crash
+// may bring back the old store beside an already-emptied log.
+func RenameSync(from, to string) error {
+	if err := os.Rename(from, to); err != nil {
+		return err
+	}
+	if err := syncDir(filepath.Dir(to)); err != nil {
+		return fmt.Errorf("syncing the directory of %s: %w", to, err)
+	}
+	return nil
+}
+
 // guardOverwrite refuses to replace an existing non-empty file whose magic
-// identifies neither store format.
+// is not the store's.
 func guardOverwrite(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -191,19 +202,17 @@ func guardOverwrite(path string) error {
 	if err != nil && !errors.Is(err, io.ErrUnexpectedEOF) {
 		return fmt.Errorf("store: checking %s: %w", path, err)
 	}
-	got := string(head[:n])
-	if got == Magic || got == legacySnapshotMagic {
+	if string(head[:n]) == Magic {
 		return nil
 	}
-	return fmt.Errorf("store: refusing to overwrite %s: existing content is not a BANKS store or snapshot (magic %q)", path, head[:n])
+	return fmt.Errorf("store: refusing to overwrite %s: existing content is not a BANKS store (magic %q)", path, head[:n])
 }
 
 // encodePostings renders the term dictionary and postings segments: the
 // postings segment concatenates one delta-varint block per term (ascending
-// token order, the same coding Index.WriteTo uses), and the dictionary
-// maps each token to its count and block {offset, length, crc32c} so a
-// single term resolves with one block read — no neighbouring postings are
-// touched.
+// token order), and the dictionary maps each token to its count and block
+// {offset, length, crc32c} so a single term resolves with one block read —
+// no neighbouring postings are touched.
 func encodePostings(ix *index.Index) (dict, postings []byte, err error) {
 	var blocks []byte
 	type ref struct {

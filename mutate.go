@@ -255,7 +255,9 @@ func (s *System) Compact() error {
 		return s.rebuildLocked()
 	}
 	if tmpStore != "" {
-		if err := os.Rename(tmpStore, s.opts.StorePath); err != nil {
+		// RenameSync makes the install durable before the WAL truncate
+		// below can drop the batches the new store folded in.
+		if err := store.RenameSync(tmpStore, s.opts.StorePath); err != nil {
 			discard()
 			return fmt.Errorf("banks: installing compacted store: %w", err)
 		}

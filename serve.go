@@ -153,10 +153,6 @@ func (s *System) bindEngineGauges(m *serve.Metrics) {
 	reg.Gauge("graph_arcs", func() int64 { return int64(s.GraphStats().Arcs) })
 	reg.Gauge("pending_mutations", func() int64 { return int64(s.PendingMutations()) })
 	if _, ok := s.StoreStats(); ok {
-		reg.Gauge("store_structural_bytes", func() int64 { st, _ := s.StoreStats(); return st.StructuralBytes })
-		reg.Gauge("store_block_bytes", func() int64 { st, _ := s.StoreStats(); return st.BlockBytes })
-		reg.Gauge("store_block_entries", func() int64 { st, _ := s.StoreStats(); return int64(st.BlockEntries) })
-		reg.Gauge("store_budget_bytes", func() int64 { st, _ := s.StoreStats(); return st.BudgetBytes })
 		reg.Gauge("store_faulted_bytes", func() int64 { st, _ := s.StoreStats(); return st.FaultedBytes })
 	}
 }

@@ -42,9 +42,12 @@ func waitGateDrained(t *testing.T, handler http.Handler) (counters, gauges map[s
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		counters, gauges = serveVars(t, handler)
+		_, gauges = serveVars(t, handler)
 		if gauges["gate_inflight"] == 0 && gauges["gate_queued"] == 0 {
-			return counters, gauges
+			// A snapshot reads counters before gauges, so the one that saw
+			// the gate drain may predate the last run's observation (which
+			// lands just before its slot is released). Read again.
+			return serveVars(t, handler)
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("gate not drained: inflight=%d queued=%d",

@@ -7,21 +7,13 @@ import (
 	"github.com/banksdb/banks/internal/store"
 )
 
-// Engine persistence. Two formats exist:
-//
-//   - The segmented store format (internal/store, magic "BANKSST1"): a
-//     versioned, checksummed file of independent segments behind a
-//     directory. Save and SaveSnapshot always write it, Open/OpenSystem
-//     open it lazily — cold start reads the directory and one small
-//     metadata segment; arcs, node metadata and postings fault in on
-//     first touch, optionally under a memory budget (the EMBANKS
-//     disk-based serving mode).
-//
-//   - The legacy monolithic snapshot (magic "BANKSNAP"): the superseded
-//     PR 2 format. Nothing writes or reads it anymore; LoadSystem
-//     recognises the magic only to reject it with a pointed error
-//     (rebuild with NewSystem and re-Save to migrate).
-const legacySnapshotMagic = "BANKSNAP"
+// Engine persistence: one format, the segmented store (internal/store,
+// magic "BANKSST1") — a versioned, checksummed file of independent
+// segments behind a directory. Save writes it; OpenSystem opens it
+// lazily — cold start reads the directory and one small metadata
+// segment; arcs, node metadata and postings fault in on first touch,
+// served from a read-only mapping of the file whose residency the kernel
+// bounds (the EMBANKS disk-based serving mode).
 
 // warmKeyLimit caps how many hot match-cache keys Save records for warmup.
 const warmKeyLimit = 512
@@ -47,8 +39,8 @@ func (e *engine) storeEngine() (store.Engine, error) {
 // Save persists the current engine snapshot to path in the segmented
 // store format, atomically (temp file + rename): a crash mid-save never
 // leaves a torn file, and a reader holding the old store is undisturbed.
-// If path already holds a file that is neither a BANKS store nor a legacy
-// snapshot, Save refuses rather than destroy it.
+// If path already holds a file that is not a BANKS store, Save refuses
+// rather than destroy it.
 //
 // The row data itself is not included; pair the store with the same
 // database contents (for example via Database.DumpSQL replayed through
@@ -64,17 +56,16 @@ func (s *System) Save(path string) error {
 	return nil
 }
 
-// OpenSystem opens a store written by Save (or SaveSnapshot) over db with
+// OpenSystem opens a store written by Save over db with
 // zero rebuild work: the open reads the store's directory and graph
 // metadata, and every other segment — CSR arcs, node metadata, index
 // postings — loads lazily on first touch, so cold start takes
 // milliseconds where NewSystem pays the full SQL→graph→index build.
 //
 // db must hold the same rows the store was built from (tuple rendering
-// reads rows by the RIDs recorded in the store). opts.StoreBudgetBytes
-// bounds the resident posting blocks (the EMBANKS memory-bound mode); if
-// the store records match-cache warmup terms, they are re-resolved in the
-// background so the hot set is cached without delaying the open.
+// reads rows by the RIDs recorded in the store). If the store records
+// match-cache warmup terms, they are re-resolved in the background so the
+// hot set is cached without delaying the open.
 //
 // Close the returned System to release the store file — after in-flight
 // queries have finished.
@@ -86,7 +77,7 @@ func OpenSystem(path string, db *Database, opts *SystemOptions) (*System, error)
 	if opts != nil {
 		s.opts = *opts
 	}
-	st, err := store.Open(path, store.Options{BudgetBytes: s.opts.StoreBudgetBytes})
+	st, err := store.Open(path, store.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("banks: %w", err)
 	}
@@ -128,68 +119,6 @@ func (s *System) installStoreEngine(st *store.Store) error {
 		}()
 	}
 	return nil
-}
-
-// SaveSnapshot writes the engine in the segmented store format to an
-// arbitrary io.Writer — the streaming counterpart of Save for callers
-// that persist somewhere other than a local path. (The name survives from
-// the legacy monolithic snapshot this format supersedes.)
-func (s *System) SaveSnapshot(w io.Writer) error {
-	se, err := s.engine().storeEngine()
-	if err != nil {
-		return fmt.Errorf("banks: %w", err)
-	}
-	if err := store.Write(w, se); err != nil {
-		return fmt.Errorf("banks: %w", err)
-	}
-	return nil
-}
-
-// LoadSystem reconstructs a System from a stream written by SaveSnapshot
-// (or the bytes of a Save file). Only the segmented store format is
-// accepted; the legacy monolithic "BANKSNAP" format is recognised and
-// rejected with a migration hint (rebuild with NewSystem, then Save).
-// The database must hold the same rows the snapshot was built from. A
-// stream that begins with neither magic is rejected outright.
-//
-// Reading from an io.Reader forces the whole stream into memory; prefer
-// OpenSystem for lazy, budgeted serving from a file.
-func LoadSystem(db *Database, r io.Reader, opts *SystemOptions) (*System, error) {
-	var head [8]byte
-	if _, err := io.ReadFull(r, head[:]); err != nil {
-		return nil, fmt.Errorf("banks: reading snapshot header: %w", err)
-	}
-	switch string(head[:]) {
-	case store.Magic:
-		data, err := io.ReadAll(r)
-		if err != nil {
-			return nil, fmt.Errorf("banks: reading snapshot: %w", err)
-		}
-		data = append(head[:], data...)
-		s := &System{db: db}
-		if opts != nil {
-			s.opts = *opts
-		}
-		// store.Mem serves the buffered stream zero-copy: graph and index
-		// structures alias the buffer instead of re-materializing copies.
-		st, err := store.OpenReaderAt(store.Mem(data), int64(len(data)),
-			store.Options{BudgetBytes: s.opts.StoreBudgetBytes})
-		if err != nil {
-			return nil, fmt.Errorf("banks: %w", err)
-		}
-		if err := s.installStoreEngine(st); err != nil {
-			st.Close()
-			return nil, err
-		}
-		if err := s.attachLiveMutations(st); err != nil {
-			st.Close()
-			return nil, err
-		}
-		return s, nil
-	case legacySnapshotMagic:
-		return nil, fmt.Errorf("banks: legacy monolithic snapshots are no longer supported; rebuild with NewSystem and re-Save in the segmented store format")
-	}
-	return nil, fmt.Errorf("banks: not a BANKS snapshot (bad magic %q)", head[:])
 }
 
 // DumpSQL writes the database as a replayable SQL script, referenced

@@ -2,21 +2,35 @@ package banks
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
-func TestSnapshotRoundTrip(t *testing.T) {
-	db, sys := newQuickstartSystem(t)
-	var snap bytes.Buffer
-	if err := sys.SaveSnapshot(&snap); err != nil {
+// openSystemFile writes data to a fresh file and opens it with OpenSystem
+// over db; a System that opens is closed when the test ends.
+func openSystemFile(t *testing.T, db *Database, data []byte) (*System, error) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "engine.bstore")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	sys, err := OpenSystem(path, db, nil)
+	if err == nil {
+		t.Cleanup(func() { sys.Close() })
+	}
+	return sys, err
+}
+
+func TestSnapshotRoundTrip(t *testing.T) {
+	db, sys, path := saveQuickstart(t)
 	// Reconstruct without rebuilding.
-	sys2, err := LoadSystem(db, &snap, nil)
+	sys2, err := OpenSystem(path, db, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer sys2.Close()
 	a1 := searchAnswers(t, sys, "sunita soumen", &SearchOptions{ExcludedRootTables: []string{"writes"}})
 	a2 := searchAnswers(t, sys2, "sunita soumen", &SearchOptions{ExcludedRootTables: []string{"writes"}})
 	if len(a1) != len(a2) {
@@ -33,20 +47,18 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// The TestLoadSystem* cases load a System from a file that is not a
+// valid store; OpenSystem must refuse each one.
+
 func TestLoadSystemBadInput(t *testing.T) {
-	db := NewDatabase()
-	if _, err := LoadSystem(db, bytes.NewReader([]byte("junk")), nil); err == nil {
+	if _, err := openSystemFile(t, NewDatabase(), []byte("junk")); err == nil {
 		t.Error("junk snapshot should fail")
 	}
 }
 
 func TestLoadSystemRejectsBadMagic(t *testing.T) {
-	db := NewDatabase()
-	// A non-snapshot file long enough to reach (and fail) the magic
-	// check; without the header this would be misread as a section
-	// length of ~2^63 bytes.
-	junk := bytes.Repeat([]byte{0xFF}, 64)
-	_, err := LoadSystem(db, bytes.NewReader(junk), nil)
+	// A non-store file long enough to reach (and fail) the magic check.
+	_, err := openSystemFile(t, NewDatabase(), bytes.Repeat([]byte{0xFF}, 64))
 	if err == nil {
 		t.Fatal("bad magic accepted")
 	}
@@ -56,14 +68,13 @@ func TestLoadSystemRejectsBadMagic(t *testing.T) {
 }
 
 func TestLoadSystemRejectsBadVersion(t *testing.T) {
-	db, sys := newQuickstartSystem(t)
-	var snap bytes.Buffer
-	if err := sys.SaveSnapshot(&snap); err != nil {
+	db, _, path := saveQuickstart(t)
+	raw, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	raw := snap.Bytes()
 	raw[8], raw[9], raw[10], raw[11] = 0xDE, 0xAD, 0xBE, 0xEF
-	_, err := LoadSystem(db, bytes.NewReader(raw), nil)
+	_, err = openSystemFile(t, db, raw)
 	if err == nil {
 		t.Fatal("bad version accepted")
 	}
@@ -73,29 +84,22 @@ func TestLoadSystemRejectsBadVersion(t *testing.T) {
 }
 
 func TestLoadSystemRejectsLegacyMagic(t *testing.T) {
-	db := NewDatabase()
-	// The superseded monolithic format is recognised but no longer loaded;
-	// the error must point at the migration path.
-	var b bytes.Buffer
-	b.WriteString(legacySnapshotMagic)
-	b.Write([]byte{0, 0, 0, 1})
-	_, err := LoadSystem(db, &b, nil)
+	// The retired monolithic snapshot format ("BANKSNAP") is not a store:
+	// its magic is refused like any other.
+	_, err := openSystemFile(t, NewDatabase(), []byte("BANKSNAP\x00\x00\x00\x01"+strings.Repeat("\x00", 64)))
 	if err == nil {
 		t.Fatal("legacy snapshot accepted")
 	}
-	if !strings.Contains(err.Error(), "no longer supported") {
-		t.Errorf("err = %v, want a legacy-rejection error", err)
+	if !strings.Contains(err.Error(), "bad magic") {
+		t.Errorf("err = %v, want a bad-magic error", err)
 	}
 }
 
 func TestDumpSQLPlusSnapshotFullRestore(t *testing.T) {
-	// The documented deployment flow: dump SQL + snapshot, restore both.
-	db, sys := newQuickstartSystem(t)
-	var sqlDump, snap bytes.Buffer
+	// The documented deployment flow: dump SQL + Save, restore both.
+	db, _, path := saveQuickstart(t)
+	var sqlDump bytes.Buffer
 	if err := db.DumpSQL(&sqlDump); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.SaveSnapshot(&snap); err != nil {
 		t.Fatal(err)
 	}
 
@@ -103,10 +107,11 @@ func TestDumpSQLPlusSnapshotFullRestore(t *testing.T) {
 	if err := db2.ExecScript(sqlDump.String()); err != nil {
 		t.Fatal(err)
 	}
-	sys2, err := LoadSystem(db2, &snap, nil)
+	sys2, err := OpenSystem(path, db2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer sys2.Close()
 	answers := searchAnswers(t, sys2, "byron", nil)
 	if len(answers) == 0 {
 		t.Fatal("restored system found nothing")

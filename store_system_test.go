@@ -80,24 +80,6 @@ func TestOpenSystemRequiresDatabase(t *testing.T) {
 	}
 }
 
-func TestOpenSystemBudgetedMode(t *testing.T) {
-	db, sys, path := saveQuickstart(t)
-	want := systemTrace(t, sys)
-	opened, err := OpenSystem(path, db, &SystemOptions{
-		StoreBudgetBytes: 4 << 10,
-		MatchCacheBytes:  -1, // force every lookup through the store
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer opened.Close()
-	for i := 0; i < 3; i++ {
-		if got := systemTrace(t, opened); got != want {
-			t.Fatalf("budgeted queries diverge on pass %d", i)
-		}
-	}
-}
-
 func TestSaveRefusesForeignFiles(t *testing.T) {
 	_, sys := newQuickstartSystem(t)
 	path := filepath.Join(t.TempDir(), "notes.txt")
@@ -196,19 +178,20 @@ func TestStoreWarmupPrimesMatchCache(t *testing.T) {
 
 func TestLegacySnapshotRejected(t *testing.T) {
 	db, _ := newQuickstartSystem(t)
-	// A hand-written legacy header must be rejected with the migration
-	// hint, whatever follows the magic+version — the decode path is gone.
+	// A hand-written header in the retired monolithic snapshot format
+	// ("BANKSNAP" + version) must be refused, whatever follows it: nothing
+	// decodes that format any more.
 	var legacy bytes.Buffer
-	legacy.WriteString(legacySnapshotMagic)
+	legacy.WriteString("BANKSNAP")
 	var ver [4]byte
 	binary.BigEndian.PutUint32(ver[:], 1)
 	legacy.Write(ver[:])
 	legacy.Write(make([]byte, 64))
 
-	if _, err := LoadSystem(db, bytes.NewReader(legacy.Bytes()), nil); err == nil {
+	if _, err := openSystemFile(t, db, legacy.Bytes()); err == nil {
 		t.Fatal("legacy snapshot accepted")
-	} else if !strings.Contains(err.Error(), "no longer supported") {
-		t.Fatalf("err = %v, want the legacy-rejection error", err)
+	} else if !strings.Contains(err.Error(), "not a BANKS store") {
+		t.Fatalf("err = %v, want the not-a-store error", err)
 	}
 }
 
