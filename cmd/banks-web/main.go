@@ -87,7 +87,7 @@ func main() {
 		}
 		backend, err = openCluster(db, *data, *scale, *storePath, *partitions)
 	} else {
-		backend, err = openSystem(db, *data, *scale, *storePath, excluded)
+		backend, err = openSystem(db, *data, *scale, *storePath)
 	}
 	if err != nil {
 		log.Fatal(err)
@@ -179,8 +179,9 @@ func openCluster(db *sqldb.Database, data, scale, storePath string, n int) (*ban
 
 // openSystem produces the serving System: a fresh in-memory build by
 // default; with a store path, a lazy zero-rebuild open of the saved store
-// (building and persisting it first if absent).
-func openSystem(db *sqldb.Database, data, scale, storePath string, excluded []string) (*banks.System, error) {
+// (building and persisting it first if absent). Excluded root tables
+// reach the searches through ServeOptions.Search, not the System.
+func openSystem(db *sqldb.Database, data, scale, storePath string) (*banks.System, error) {
 	wdb := banks.WrapDatabase(db)
 	if storePath == "" {
 		start := time.Now()

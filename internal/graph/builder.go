@@ -30,7 +30,8 @@ type BuildOptions struct {
 	// runtime.GOMAXPROCS(0); 1 forces the serial build. Every shard count
 	// produces byte-identical graphs: node ids are assigned by a
 	// deterministic per-range prefix sum, per-shard link lists are merged
-	// in (table, row-range) order, and the arc sort is order-insensitive.
+	// in (table, row-range) order, and the serial CSR fill keeps only the
+	// minimum weight per (from, to) pair, whatever order arcs arrive in.
 	Shards int
 
 	// LayoutOrder selects the node-numbering pass applied before arcs are
@@ -73,8 +74,7 @@ type buildShard struct {
 	liveRows int    // pass A: live rows in range
 	base     NodeID // first node id assigned to this range
 
-	links []link           // pass C: resolved FK links, in scan order
-	in    map[NodeID]int32 // pass C: links into v from this shard's table
+	links []link // pass C: resolved FK links, in scan order
 }
 
 // buildShardSize is the minimum row-range per shard; tables smaller than
@@ -240,17 +240,15 @@ func Build(db *sqldb.Database, opts *BuildOptions) (*Graph, error) {
 		fksOf[i] = fks
 	}
 
-	// Pass C (parallel): resolve FK links into per-shard lists and count,
-	// per referenced node, the links arriving from this shard's relation
-	// (the shard's contribution to IN_{R}(v)). Only reads shared state:
-	// node maps are complete after pass B, and PK lookups are read-only.
+	// Pass C (parallel): resolve FK links into per-shard lists. Only reads
+	// shared state: node maps are complete after pass B, and PK lookups
+	// are read-only.
 	par.Run(len(plan), shards, func(i int) {
 		sh := &plan[i]
 		fks := fksOf[sh.tbl]
 		if len(fks) == 0 {
 			return
 		}
-		sh.in = make(map[NodeID]int32)
 		m := g.nodeOf[sh.tbl]
 		tables[sh.tbl].t.ScanRange(sh.lo, sh.hi, func(rid sqldb.RID, row []sqldb.Value) bool {
 			u := m[rid]
@@ -272,42 +270,38 @@ func Build(db *sqldb.Database, opts *BuildOptions) (*Graph, error) {
 					continue // self-loop carries no proximity information
 				}
 				sh.links = append(sh.links, link{from: u, to: vNode, w: fk.w})
-				sh.in[vNode]++
 			}
 			return true
 		})
 	})
 
 	// Merge (serial, deterministic): concatenating shard link lists in
-	// plan order reproduces the serial scan order exactly; the per-table
-	// indegree counts and prestige are order-insensitive integer sums.
+	// plan order reproduces the serial scan order exactly.
 	nLinks := 0
 	for i := range plan {
 		nLinks += len(plan[i].links)
 	}
 	links := make([]link, 0, nLinks)
-	inByTable := make([]map[NodeID]int32, len(tables))
 	for i := range plan {
-		sh := &plan[i]
-		links = append(links, sh.links...)
-		if len(sh.in) == 0 {
-			continue
-		}
-		agg := inByTable[sh.tbl]
-		if agg == nil {
-			agg = make(map[NodeID]int32, len(sh.in))
-			inByTable[sh.tbl] = agg
-		}
-		for v, c := range sh.in {
-			agg[v] += c
-		}
+		links = append(links, plan[i].links...)
 	}
 	for _, l := range links {
 		g.prestige[l.to]++
 	}
 
-	if err := g.applyLayout(opts.LayoutOrder, links, inByTable); err != nil {
+	if err := g.applyLayout(opts.LayoutOrder, links); err != nil {
 		return nil, err
+	}
+
+	// inByTable[R][v] is IN_R(v), the links into v from tuples of R; it
+	// is allocated only for relations that have foreign keys.
+	inByTable := make([][]int32, len(tables))
+	for _, l := range links {
+		t := g.tableOf[l.from]
+		if inByTable[t] == nil {
+			inByTable[t] = make([]int32, numNodes)
+		}
+		inByTable[t][l.to]++
 	}
 
 	// Materialize arcs: each FK link (u->v) contributes the forward arc
@@ -323,7 +317,7 @@ func Build(db *sqldb.Database, opts *BuildOptions) (*Graph, error) {
 		}
 		arcs = append(arcs, arc{from: l.to, to: l.from, w: bw})
 	}
-	g.finishShards(arcs, shards)
+	g.finish(arcs)
 
 	if opts.PrestigeDamping > 0 && opts.PrestigeDamping < 1 {
 		pairs := make([]pair, len(links))
@@ -337,13 +331,12 @@ func Build(db *sqldb.Database, opts *BuildOptions) (*Graph, error) {
 
 // applyLayout renumbers nodes within each table according to
 // BuildOptions.LayoutOrder, rewriting every old-id-keyed structure the
-// build has produced so far (node maps, RID/prestige arrays, the link list
-// and the per-table indegree counts) before arcs are materialized. The
-// permutation never crosses table boundaries, so tableStart and tableOf
-// are untouched. Sorting by (degree desc, RID asc) is a total order — RIDs
-// are unique within a table — so the result is deterministic at any shard
-// count.
-func (g *Graph) applyLayout(order string, links []link, inByTable []map[NodeID]int32) error {
+// build has produced so far (node maps, RID/prestige arrays and the link
+// list) before arcs are materialized. The permutation never crosses table
+// boundaries, so tableStart and tableOf are untouched. Sorting by (degree
+// desc, RID asc) is a total order — RIDs are unique within a table — so
+// the result is deterministic at any shard count.
+func (g *Graph) applyLayout(order string, links []link) error {
 	switch order {
 	case "", LayoutRID:
 		return nil
@@ -394,16 +387,6 @@ func (g *Graph) applyLayout(order string, links []link, inByTable []map[NodeID]i
 	for i := range links {
 		links[i].from = perm[links[i].from]
 		links[i].to = perm[links[i].to]
-	}
-	for t, m := range inByTable {
-		if m == nil {
-			continue
-		}
-		nm := make(map[NodeID]int32, len(m))
-		for v, c := range m {
-			nm[perm[v]] = c
-		}
-		inByTable[t] = nm
 	}
 	return nil
 }

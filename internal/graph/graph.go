@@ -14,7 +14,7 @@ package graph
 
 import (
 	"fmt"
-	"runtime"
+	"slices"
 	"sync"
 
 	"github.com/banksdb/banks/internal/sqldb"
@@ -212,46 +212,41 @@ type arc struct {
 	w        float64
 }
 
-// finish sorts/merges arcs (parallel arcs keep the minimum weight, Eq. 1 of
-// the paper) and fills adjacency, reverse adjacency, and normalizers.
+// finish fills the adjacency, reverse adjacency and normalizers from an
+// unordered arc list. Two stable counting passes, by target and then by
+// source, group the arcs by (from, to) with targets ascending under each
+// source, in O(arcs + nodes); each group of parallel arcs is merged to its
+// minimum weight (Equation 1 of the paper), and a third pass orders the
+// result by target for the reverse adjacency. Only the per-pair minima
+// reach the output, so it does not depend on the order of arcs.
 func (g *Graph) finish(arcs []arc) {
-	g.finishShards(arcs, runtime.GOMAXPROCS(0))
-}
-
-// finishShards is finish with the arc sort spread over up to `shards`
-// workers. The output is independent of the shard count: arcLess is a
-// total order over (from, to, w), and the duplicate-arc merge keeps the
-// minimum weight whichever sorted run it arrives from.
-func (g *Graph) finishShards(arcs []arc, shards int) {
-	sortArcs(arcs, shards)
+	nn := g.NumNodes()
+	tmp := make([]arc, len(arcs))
+	scatterArcs(tmp, arcs, nn, func(a arc) NodeID { return a.to })
+	scatterArcs(arcs, tmp, nn, func(a arc) NodeID { return a.from })
+	g.fwdOff = make([]int32, nn+1)
 	merged := arcs[:0]
 	for _, a := range arcs {
 		if n := len(merged); n > 0 && merged[n-1].from == a.from && merged[n-1].to == a.to {
-			continue // keep the smaller weight (sorted ascending)
+			if a.w < merged[n-1].w {
+				merged[n-1].w = a.w
+			}
+			continue
 		}
 		merged = append(merged, a)
-	}
-	nn := g.NumNodes()
-	g.fwdOff = make([]int32, nn+1)
-	g.revOff = make([]int32, nn+1)
-	for _, a := range merged {
 		g.fwdOff[a.from+1]++
-		g.revOff[a.to+1]++
 	}
 	for n := 0; n < nn; n++ {
 		g.fwdOff[n+1] += g.fwdOff[n]
-		g.revOff[n+1] += g.revOff[n]
 	}
+	byTo := tmp[:len(merged)]
+	g.revOff = scatterArcs(byTo, merged, nn, func(a arc) NodeID { return a.to })
 	g.fwdEdges = make([]Edge, len(merged))
 	g.revEdges = make([]Edge, len(merged))
-	fc := make([]int32, nn)
-	rc := make([]int32, nn)
 	g.minEdge = 0
-	for _, a := range merged {
-		g.fwdEdges[g.fwdOff[a.from]+fc[a.from]] = Edge{To: a.to, W: a.w}
-		fc[a.from]++
-		g.revEdges[g.revOff[a.to]+rc[a.to]] = Edge{To: a.from, W: a.w}
-		rc[a.to]++
+	for i, a := range merged {
+		g.fwdEdges[i] = Edge{To: a.to, W: a.w}
+		g.revEdges[i] = Edge{To: byTo[i].from, W: byTo[i].w}
 		if g.minEdge == 0 || a.w < g.minEdge {
 			g.minEdge = a.w
 		}
@@ -266,4 +261,24 @@ func (g *Graph) finishShards(arcs []arc, shards int) {
 			g.maxNode = p
 		}
 	}
+}
+
+// scatterArcs is one stable counting-sort pass: it copies src into dst
+// ordered by key, keeping src's order among arcs with equal keys, and
+// returns the offsets of dst: the arcs with key k are dst[off[k]:off[k+1]].
+func scatterArcs(dst, src []arc, nn int, key func(arc) NodeID) []int32 {
+	off := make([]int32, nn+1)
+	for _, a := range src {
+		off[key(a)+1]++
+	}
+	for k := 0; k < nn; k++ {
+		off[k+1] += off[k]
+	}
+	next := slices.Clone(off)
+	for _, a := range src {
+		k := key(a)
+		dst[next[k]] = a
+		next[k]++
+	}
+	return off
 }

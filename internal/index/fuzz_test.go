@@ -15,10 +15,13 @@ import (
 	"github.com/banksdb/banks/internal/graph"
 )
 
-// FuzzTokenize checks Tokenize against an independently-built oracle:
-// strings.FieldsFunc splitting on the same rune classes, lowered the same
-// way. Both decode invalid UTF-8 identically (RuneError is not a letter),
-// so the outputs must match exactly.
+// FuzzTokenize checks both faces of the one tokenizer against an
+// independently-built oracle: strings.FieldsFunc splitting on the same
+// rune classes, lowered by strings.ToLower. Tokenize must return the
+// oracle's tokens, and the buffered tokenScanner the index build drives
+// must yield them too, each from the oracle's span of s, with a buffer
+// left dirty by an earlier string. Both decode invalid UTF-8 identically
+// (RuneError is not a letter), so the outputs must match exactly.
 func FuzzTokenize(f *testing.F) {
 	for _, seed := range []string{
 		"",
@@ -33,6 +36,12 @@ func FuzzTokenize(f *testing.F) {
 		"İstanbul DİACRİTİC",
 		"123 456 789",
 		"a",
+		"Café",
+		"İstanbul",
+		"ǅemal",
+		"naïve Ölçü straße ΣΊΣΥΦΟΣ",
+		"Zürich AZ",
+		"the last token ends the string",
 	} {
 		f.Add(seed)
 	}
@@ -51,6 +60,33 @@ func FuzzTokenize(f *testing.F) {
 			if got[i] == "" {
 				t.Fatalf("Tokenize(%q) produced an empty token", s)
 			}
+		}
+
+		// The buffer comes back dirty from a longer token of another string.
+		dirty := tokenScanner{s: "ÆØÅLONGERTHANMOSTTOKENS"}
+		buf, _ := dirty.next(nil)
+		sc := tokenScanner{s: s}
+		rest := s // s with the tokens matched so far cut off
+		i := 0
+		for tok, ok := sc.next(buf); ok; tok, ok = sc.next(tok) {
+			if i >= len(want) {
+				t.Fatalf("scanner on %q: token %d %q past the oracle's %d", s, i, tok, len(want))
+			}
+			if string(tok) != strings.ToLower(want[i]) {
+				t.Fatalf("scanner on %q: token %d = %q, oracle %q", s, i, tok, strings.ToLower(want[i]))
+			}
+			at := len(s) - len(rest) + strings.Index(rest, want[i])
+			if raw := s[sc.start:sc.end]; raw != want[i] || sc.start != at {
+				t.Fatalf("scanner on %q: token %d spans %q at %d, oracle %q at %d", s, i, raw, sc.start, want[i], at)
+			}
+			rest = s[sc.end:]
+			i++
+		}
+		if i != len(want) {
+			t.Fatalf("scanner on %q: %d tokens, oracle %d", s, i, len(want))
+		}
+		if _, ok := sc.next(nil); ok {
+			t.Fatalf("scanner on %q: token after the end", s)
 		}
 	})
 }

@@ -12,9 +12,11 @@ package index
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 
 	"github.com/banksdb/banks/internal/graph"
 	"github.com/banksdb/banks/internal/par"
@@ -23,26 +25,77 @@ import (
 
 // Tokenize splits s into lower-cased tokens at non-alphanumeric boundaries.
 // Numbers are kept as tokens (so "vldb 1998" matches a year column rendered
-// as text).
+// as text). It collects what tokenScanner yields; a token that lowering
+// leaves unchanged is returned as a substring of s, without a copy.
 func Tokenize(s string) []string {
 	var out []string
-	start := -1
-	for i, r := range s {
-		if unicode.IsLetter(r) || unicode.IsDigit(r) {
-			if start < 0 {
-				start = i
-			}
-			continue
+	var buf [64]byte
+	sc := tokenScanner{s: s}
+	for tok, ok := sc.next(buf[:0]); ok; tok, ok = sc.next(tok) {
+		if raw := s[sc.start:sc.end]; string(tok) == raw {
+			out = append(out, raw)
+		} else {
+			out = append(out, string(tok))
 		}
-		if start >= 0 {
-			out = append(out, strings.ToLower(s[start:i]))
-			start = -1
-		}
-	}
-	if start >= 0 {
-		out = append(out, strings.ToLower(s[start:]))
 	}
 	return out
+}
+
+// tokenScanner walks the tokens of s, each maximal run of letters and
+// digits, one at a time. The caller owns the buffer a token is lowered
+// into and hands it back on the next call, so a scan allocates only when
+// a token outgrows every earlier one. ASCII bytes are classified and
+// lowered without decoding; other runes go through unicode, rune by rune,
+// as strings.ToLower lowers them.
+type tokenScanner struct {
+	s          string
+	start, end int // the last token is s[start:end]
+}
+
+// next lower-cases the next token of s into dst[:0] and returns it; ok is
+// false at the end of s.
+func (sc *tokenScanner) next(dst []byte) (tok []byte, ok bool) {
+	s, i := sc.s, sc.end
+	for i < len(s) {
+		if c := s[i]; c < utf8.RuneSelf {
+			if isAlnumASCII(c) {
+				break
+			}
+			i++
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		if unicode.IsLetter(r) || unicode.IsDigit(r) {
+			break
+		}
+		i += size
+	}
+	sc.start, tok = i, dst[:0]
+	for i < len(s) {
+		if c := s[i]; c < utf8.RuneSelf {
+			if !isAlnumASCII(c) {
+				break
+			}
+			if 'A' <= c && c <= 'Z' {
+				c += 'a' - 'A'
+			}
+			tok = append(tok, c)
+			i++
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		if !unicode.IsLetter(r) && !unicode.IsDigit(r) {
+			break
+		}
+		tok = utf8.AppendRune(tok, unicode.ToLower(r))
+		i += size
+	}
+	sc.end = i
+	return tok, i > sc.start
+}
+
+func isAlnumASCII(c byte) bool {
+	return 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9'
 }
 
 // Match is the result of looking up one search term: explicit node matches
@@ -74,8 +127,8 @@ type BuildOptions struct {
 	// Shards caps how many concurrent workers tokenize the database. 0
 	// uses runtime.GOMAXPROCS(0); 1 forces a serial build. Every shard
 	// count produces byte-identical indexes: shards cover contiguous RID
-	// ranges in (table, range) order, so concatenating their postings in
-	// plan order yields the same sorted posting lists a serial build does.
+	// ranges in (table, range) order, so laying their hits out in plan
+	// order yields the same sorted posting lists a serial build does.
 	Shards int
 }
 
@@ -88,13 +141,23 @@ func Build(db *sqldb.Database, g *graph.Graph) (*Index, error) {
 }
 
 // indexShard is one contiguous RID range of one table, tokenized by one
-// worker into a private posting map.
+// worker. A token gets a shard-local id at its first sighting, the only
+// time the scan allocates a string (the lookup goes through string(buf),
+// which does not), and hits records every occurrence in scan order.
 type indexShard struct {
 	table    string
 	t        *sqldb.Table
 	textCols []int
 	lo, hi   sqldb.RID
-	terms    map[string][]graph.NodeID
+	ids      map[string]int32
+	hits     []hit
+}
+
+// hit is one occurrence of token id (shard-local, then build-wide after
+// the merge renumbers it) in node n.
+type hit struct {
+	id int32
+	n  graph.NodeID
 }
 
 // indexShardSize is the minimum row-range per shard (tokenizing is cheap
@@ -111,7 +174,6 @@ func BuildWithOptions(db *sqldb.Database, g *graph.Graph, opts *BuildOptions) (*
 		shards = runtime.GOMAXPROCS(0)
 	}
 	ix := &Index{
-		terms: make(map[string][]graph.NodeID),
 		meta:  make(map[string][]int32),
 		nodes: g.NumNodes(),
 	}
@@ -163,12 +225,12 @@ func BuildWithOptions(db *sqldb.Database, g *graph.Graph, opts *BuildOptions) (*
 		}
 	}
 
-	// Parallel scan: each shard tokenizes its row range into a private
-	// map. Within a shard postings are appended in RID order, so they are
-	// sorted by node id (node ids are assigned in RID order per table).
+	// Parallel scan: each shard tokenizes its row range into private hits,
+	// in RID order.
 	par.Run(len(plan), shards, func(i int) {
 		sh := &plan[i]
-		sh.terms = make(map[string][]graph.NodeID)
+		sh.ids = make(map[string]int32)
+		var buf []byte
 		sh.t.ScanRange(sh.lo, sh.hi, func(rid sqldb.RID, row []sqldb.Value) bool {
 			n := g.NodeOf(sh.table, rid)
 			if n == graph.NoNode {
@@ -179,38 +241,69 @@ func BuildWithOptions(db *sqldb.Database, g *graph.Graph, opts *BuildOptions) (*
 				if v.IsNull() {
 					continue
 				}
-				for _, tok := range Tokenize(v.S) {
-					sh.terms[tok] = append(sh.terms[tok], n)
+				sc := tokenScanner{s: v.S}
+				for t, ok := sc.next(buf); ok; t, ok = sc.next(t) {
+					buf = t
+					id, seen := sh.ids[string(t)]
+					if !seen {
+						id = int32(len(sh.ids))
+						sh.ids[string(t)] = id
+					}
+					sh.hits = append(sh.hits, hit{id: id, n: n})
 				}
 			}
 			return true
 		})
 	})
 
-	// Merge in plan order: tables appear in creation order and ranges in
-	// ascending RID order. When node ids are assigned in RID order per
-	// table (the default graph layout) the concatenated postings per term
-	// are already globally sorted; a graph built with a renumbering layout
-	// pass (BuildOptions.LayoutOrder) breaks that correspondence, so any
-	// out-of-order list is sorted before deduplication. Either way the
-	// result is canonical — identical for every shard count and layout.
+	// Merge (serial): number the tokens build-wide, then counting-sort
+	// every hit by token into one posting array. Shards are visited in
+	// plan order (tables in creation order, ranges in ascending RID order)
+	// and each shard's hits in scan order, so a token's postings arrive as
+	// a serial scan meets them. With node ids assigned in RID order per
+	// table (the default graph layout) each list is then already sorted; a
+	// renumbering layout (graph.BuildOptions.LayoutOrder) breaks that, so
+	// an out-of-order list is sorted before deduplication. Either way the
+	// result is canonical: identical for every shard count and layout.
+	gid := make(map[string]int32)
+	var toks []string
+	off := []int32{0} // off[t+1] counts token t's hits, then is summed
 	for i := range plan {
-		for tok, ns := range plan[i].terms {
-			ix.terms[tok] = append(ix.terms[tok], ns...)
+		sh := &plan[i]
+		gids := make([]int32, len(sh.ids))
+		for tok, id := range sh.ids {
+			t, ok := gid[tok]
+			if !ok {
+				t = int32(len(toks))
+				gid[tok], toks, off = t, append(toks, tok), append(off, 0)
+			}
+			gids[id] = t
+		}
+		for j, h := range sh.hits {
+			sh.hits[j].id = gids[h.id]
+			off[gids[h.id]+1]++
 		}
 	}
-	for tok, ns := range ix.terms {
-		if !sort.SliceIsSorted(ns, func(i, j int) bool { return ns[i] < ns[j] }) {
-			sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
+	for t := range toks {
+		off[t+1] += off[t]
+	}
+	posts := make([]graph.NodeID, off[len(toks)])
+	next := slices.Clone(off)
+	for i := range plan {
+		for _, h := range plan[i].hits {
+			posts[next[h.id]] = h.n
+			next[h.id]++
 		}
-		out := ns[:0]
-		for i, n := range ns {
-			if i == 0 || n != ns[i-1] {
-				out = append(out, n)
-			}
+	}
+	ix.terms = make(map[string][]graph.NodeID, len(toks))
+	for t, tok := range toks {
+		ns := posts[off[t]:off[t+1]:off[t+1]] // capped: an append cannot reach the next list
+		if !slices.IsSorted(ns) {
+			slices.Sort(ns)
 		}
-		ix.terms[tok] = out
-		ix.posts += len(out)
+		ns = slices.Compact(ns)
+		ix.terms[tok] = ns
+		ix.posts += len(ns)
 	}
 	return ix, nil
 }

@@ -128,7 +128,10 @@ func (t *Table) LookupPK(vals []Value) RID {
 	if t.pkIdx == nil || len(vals) != len(t.pkCols) {
 		return -1
 	}
-	if rid, ok := t.pkIdx[EncodeRowKey(vals)]; ok {
+	// Encode into a stack buffer and look up with string(key), which the
+	// compiler does without allocating: FK resolution calls this per row.
+	var buf [64]byte
+	if rid, ok := t.pkIdx[string(appendRowKey(buf[:0], vals))]; ok {
 		return rid
 	}
 	return -1

@@ -278,11 +278,12 @@ func (v Value) EncodeKey(dst []byte) []byte {
 func (v Value) KeyString() string { return string(v.EncodeKey(nil)) }
 
 // EncodeRowKey encodes a composite key from the given values.
-func EncodeRowKey(vals []Value) string {
-	var dst []byte
+func EncodeRowKey(vals []Value) string { return string(appendRowKey(nil, vals)) }
+
+// appendRowKey appends the EncodeRowKey form of vals to dst.
+func appendRowKey(dst []byte, vals []Value) []byte {
 	for _, v := range vals {
-		dst = v.EncodeKey(dst)
-		dst = append(dst, 0)
+		dst = append(v.EncodeKey(dst), 0)
 	}
-	return string(dst)
+	return dst
 }
