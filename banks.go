@@ -211,9 +211,11 @@ type SystemOptions struct {
 	// mentions). 0 keeps the paper's indegree prestige.
 	PrestigeDamping float64
 	// BuildShards caps how many concurrent workers Refresh uses to build
-	// the graph and keyword index. 0 uses runtime.GOMAXPROCS(0); 1 forces
-	// the serial build. Any shard count produces byte-identical engines,
-	// so parallelism is purely a wall-clock knob.
+	// the graph and keyword index; the index's token scan runs beside the
+	// graph's arc step, and the two share the cap. 0 uses
+	// runtime.GOMAXPROCS(0); 1 forces the serial build. Any shard count
+	// produces byte-identical engines, so parallelism is purely a
+	// wall-clock knob.
 	BuildShards int
 	// MatchCacheBytes bounds the per-snapshot keyword match-set cache
 	// consulted before the index on every term lookup. 0 uses
@@ -228,14 +230,6 @@ type SystemOptions struct {
 	// serving engine and the next process start can OpenSystem it
 	// instantly. A persist failure fails the Refresh without swapping.
 	StorePath string
-	// LayoutOrder selects the node-id numbering of the built graph:
-	// "" or "rid" keeps insertion (RID) order within each table;
-	// "degree" renumbers each table's nodes by descending degree
-	// (ties by RID), clustering the hubs backward search touches most
-	// onto the fewest pages of the persisted store — fewer page faults
-	// on a cold mmap-backed open. Answers are layout-independent: every
-	// ranking tie-break keys on (table, RID), never on raw node ids.
-	LayoutOrder string
 	// WALPath, when set, enables live mutations: System.Apply journals
 	// row-level changes to a write-ahead log at this path and folds them
 	// into delta overlays over the immutable engine, so small changes
@@ -428,12 +422,7 @@ func (s *System) rebuildLocked() error {
 	bo.ScaleBackEdges = !s.opts.DisableBackEdgeScaling
 	bo.PrestigeDamping = s.opts.PrestigeDamping
 	bo.Shards = s.opts.BuildShards
-	bo.LayoutOrder = s.opts.LayoutOrder
-	g, err := graph.Build(s.db.inner, bo)
-	if err != nil {
-		return err
-	}
-	ix, err := index.BuildWithOptions(s.db.inner, g, &index.BuildOptions{Shards: s.opts.BuildShards})
+	g, ix, err := index.BuildEngine(s.db.inner, bo)
 	if err != nil {
 		return err
 	}

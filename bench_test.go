@@ -104,8 +104,9 @@ func buildBenchTPCDDB(b *testing.B) *sqldb.Database {
 }
 
 // BenchmarkEngineBuild measures the full engine derivation (graph +
-// keyword index) at several shard counts on both generators. shards-0 is
-// the production default (GOMAXPROCS).
+// keyword index) through index.BuildEngine, the path Refresh runs, at
+// several shard counts on both generators. shards-0 is the production
+// default (GOMAXPROCS).
 func BenchmarkEngineBuild(b *testing.B) {
 	datasets := []struct {
 		name string
@@ -120,14 +121,9 @@ func BenchmarkEngineBuild(b *testing.B) {
 				db := ds.db(b)
 				bo := graph.DefaultBuildOptions()
 				bo.Shards = shards
-				io := &index.BuildOptions{Shards: shards}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					g, err := graph.Build(db, bo)
-					if err != nil {
-						b.Fatal(err)
-					}
-					ix, err := index.BuildWithOptions(db, g, io)
+					g, ix, err := index.BuildEngine(db, bo)
 					if err != nil {
 						b.Fatal(err)
 					}

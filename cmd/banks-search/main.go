@@ -46,12 +46,7 @@ func main() {
 		os.Exit(2)
 	}
 	start := time.Now()
-	g, err := graph.Build(db, nil)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	ix, err := index.Build(db, g)
+	g, ix, err := index.BuildEngine(db, nil)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

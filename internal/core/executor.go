@@ -306,8 +306,8 @@ func (em *emitter) finish() []*Answer {
 
 // canonicalizeSet orders a term's match set by stable (table, rid)
 // identity. Posting lists arrive in node-id order, which coincides with
-// canonical order under the default layout but not under a build-time
-// renumber (graph.LayoutDegree) or an overlay's appended nodes. Origin
+// canonical order for a built graph but not for an overlay's appended
+// nodes. Origin
 // slot numbering, iterator scheduling and the emission sequence all
 // inherit this order, so pinning it here is what makes answers — and
 // which of several equal-scored answers survive the output heap —

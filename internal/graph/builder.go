@@ -2,8 +2,6 @@ package graph
 
 import (
 	"fmt"
-	"runtime"
-	"sort"
 	"strings"
 
 	"github.com/banksdb/banks/internal/par"
@@ -32,24 +30,13 @@ type BuildOptions struct {
 	// deterministic per-range prefix sum, per-shard link lists are merged
 	// in (table, row-range) order, and the serial CSR fill keeps only the
 	// minimum weight per (from, to) pair, whatever order arcs arrive in.
+	//
+	// In an engine build (index.BuildEngine) Shards is the budget of the
+	// whole build. Number uses all of it; then the index's token scan and
+	// merge take Shards/2 workers beside Link, which keeps the rest. At 1
+	// the two halves run one after the other on the calling goroutine.
 	Shards int
-
-	// LayoutOrder selects the node-numbering pass applied before arcs are
-	// materialized. "" or LayoutRID keeps per-table RID order (the
-	// default). LayoutDegree renumbers each table by descending structural
-	// degree (ties broken by ascending RID), packing hub rows — the nodes
-	// a backward expanding search touches most — into adjacent CSR rows so
-	// their adjacency lists share cache lines and mapped pages. Answers
-	// are layout-independent: result identity and every tie-break key off
-	// (table, RID), never node id.
-	LayoutOrder string
 }
-
-// Layout orders accepted by BuildOptions.LayoutOrder.
-const (
-	LayoutRID    = "rid"
-	LayoutDegree = "degree"
-)
 
 // DefaultBuildOptions returns the paper's configuration.
 func DefaultBuildOptions() *BuildOptions {
@@ -68,7 +55,7 @@ type link struct {
 // range, and the global shard list is ordered by (table, range), so
 // concatenating per-shard outputs reproduces the serial scan order exactly.
 type buildShard struct {
-	tbl    int       // index into the build's table list
+	tbl    int       // table id: index into the build's table list
 	lo, hi sqldb.RID // scan range [lo, hi)
 
 	liveRows int    // pass A: live rows in range
@@ -83,10 +70,10 @@ type buildShard struct {
 const buildShardSize = 512
 
 // planShards splits every table into up to `shards` contiguous RID ranges.
-func planShards(tables []tableInfo, shards int) []buildShard {
+func planShards(tables []*sqldb.Table, shards int) []buildShard {
 	var plan []buildShard
-	for i, ti := range tables {
-		capRows := ti.t.Cap()
+	for i, t := range tables {
+		capRows := t.Cap()
 		chunk := (capRows + shards - 1) / shards
 		if chunk < buildShardSize {
 			chunk = buildShardSize
@@ -106,48 +93,116 @@ func planShards(tables []tableInfo, shards int) []buildShard {
 	return plan
 }
 
-type tableInfo struct {
-	t  *sqldb.Table
-	id int32
+// fkInfo is one foreign key of a table, resolved against the graph's
+// table ids.
+type fkInfo struct {
+	col     int
+	colName string
+	refTbl  int32
+	ref     *sqldb.Table
+	refType sqldb.Type
+	w       float64
 }
 
-// Build constructs the data graph from a database snapshot. The caller
-// should not mutate the database concurrently. Construction is sharded
-// over opts.Shards workers (GOMAXPROCS by default) and the result is
+// resolveFKs resolves the foreign keys of t against the table ids of v:
+// the graph a build's Number is making, or a Delta's base.
+func resolveFKs(v View, db *sqldb.Database, t *sqldb.Table) ([]fkInfo, error) {
+	schema := t.Schema()
+	var fks []fkInfo
+	for _, fk := range schema.ForeignKeys {
+		refID := v.TableID(fk.RefTable)
+		if refID < 0 {
+			return nil, fmt.Errorf("graph: %s.%s references table %s unknown to the graph", schema.Name, fk.Column, fk.RefTable)
+		}
+		ref := db.Table(fk.RefTable)
+		refCol := ref.Schema().Column(fk.RefColumn)
+		if refCol == nil {
+			return nil, fmt.Errorf("graph: %s.%s references missing column %s.%s", schema.Name, fk.Column, fk.RefTable, fk.RefColumn)
+		}
+		w := fk.Weight
+		if w <= 0 {
+			w = 1
+		}
+		fks = append(fks, fkInfo{
+			col:     t.ColumnIndex(fk.Column),
+			colName: fk.Column,
+			refTbl:  refID,
+			ref:     ref,
+			refType: refCol.Type,
+			w:       w,
+		})
+	}
+	return fks, nil
+}
+
+// Build constructs the data graph from a database snapshot under the
+// database's read lock: Number, then Link. Construction is sharded over
+// opts.Shards workers (GOMAXPROCS by default) and the result is
 // byte-identical to a serial build.
 func Build(db *sqldb.Database, opts *BuildOptions) (*Graph, error) {
+	db.RLock()
+	defer db.RUnlock()
+	nb, err := Number(db, opts)
+	if err != nil {
+		return nil, err
+	}
+	return nb.Link(nil), nil
+}
+
+// Numbering is the first step of a build: every table has its id, every
+// FK its target, and every live row its node, but no arc exists yet.
+// It answers NumNodes, TableID and TableNodes as the finished graph will,
+// which is all the keyword index's token scan needs, so that scan can
+// run beside the second step (Link).
+type Numbering struct {
+	g       *Graph
+	tables  []*sqldb.Table
+	fksOf   [][]fkInfo
+	plan    []buildShard
+	workers int
+	opts    BuildOptions
+}
+
+// Number runs the first step of a build over db: table ids and FK
+// metadata (serial: every error path of a build lives here), then pass A
+// counts live rows and pass B fills the node maps. The caller holds db's
+// read lock until Link returns.
+func Number(db *sqldb.Database, opts *BuildOptions) (*Numbering, error) {
 	if opts == nil {
 		opts = DefaultBuildOptions()
 	}
-	shards := opts.Shards
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
-	db.RLock()
-	defer db.RUnlock()
-
 	g := &Graph{tableIDs: make(map[string]int32)}
+	nb := &Numbering{g: g, workers: par.Workers(opts.Shards), opts: *opts}
 	names := db.TableNames()
-	tables := make([]tableInfo, 0, len(names))
+	tables := make([]*sqldb.Table, 0, len(names))
 	for _, name := range names {
 		t := db.Table(name)
 		if t == nil {
 			return nil, fmt.Errorf("graph: table %s disappeared during build", name)
 		}
-		id := int32(len(g.tableNames))
+		g.tableIDs[strings.ToLower(t.Name())] = int32(len(tables))
 		g.tableNames = append(g.tableNames, t.Name())
-		g.tableIDs[strings.ToLower(t.Name())] = id
-		tables = append(tables, tableInfo{t: t, id: id})
+		tables = append(tables, t)
+	}
+	nb.tables = tables
+
+	nb.fksOf = make([][]fkInfo, len(tables))
+	for i, t := range tables {
+		var err error
+		if nb.fksOf[i], err = resolveFKs(g, db, t); err != nil {
+			return nil, err
+		}
 	}
 
-	plan := planShards(tables, shards)
+	plan := planShards(tables, nb.workers)
+	nb.plan = plan
 
 	// Pass A (parallel): count live rows per shard, so node ids can be
 	// assigned without scanning serially.
-	par.Run(len(plan), shards, func(i int) {
+	par.Run(len(plan), nb.workers, func(i int) {
 		sh := &plan[i]
 		n := 0
-		tables[sh.tbl].t.ScanRange(sh.lo, sh.hi, func(sqldb.RID, []sqldb.Value) bool {
+		tables[sh.tbl].ScanRange(sh.lo, sh.hi, func(sqldb.RID, []sqldb.Value) bool {
 			n++
 			return true
 		})
@@ -177,7 +232,7 @@ func Build(db *sqldb.Database, opts *BuildOptions) (*Graph, error) {
 	g.prestige = make([]float64, numNodes)
 	g.nodeOf = make([][]NodeID, len(tables))
 	for i, t := range tables {
-		m := make([]NodeID, t.t.Cap())
+		m := make([]NodeID, t.Cap())
 		for r := range m {
 			m[r] = NoNode
 		}
@@ -186,12 +241,12 @@ func Build(db *sqldb.Database, opts *BuildOptions) (*Graph, error) {
 
 	// Pass B (parallel): fill the node maps. Each shard writes a disjoint
 	// node-id range and a disjoint RID range of its table's map.
-	par.Run(len(plan), shards, func(i int) {
+	par.Run(len(plan), nb.workers, func(i int) {
 		sh := &plan[i]
-		tid := tables[sh.tbl].id
+		tid := int32(sh.tbl)
 		m := g.nodeOf[sh.tbl]
 		n := sh.base
-		tables[sh.tbl].t.ScanRange(sh.lo, sh.hi, func(rid sqldb.RID, _ []sqldb.Value) bool {
+		tables[sh.tbl].ScanRange(sh.lo, sh.hi, func(rid sqldb.RID, _ []sqldb.Value) bool {
 			m[rid] = n
 			g.tableOf[n] = tid
 			g.ridOf[n] = rid
@@ -199,58 +254,63 @@ func Build(db *sqldb.Database, opts *BuildOptions) (*Graph, error) {
 			return true
 		})
 	})
+	return nb, nil
+}
 
-	// Per-table FK metadata, resolved once (serial: error paths live here).
-	type fkInfo struct {
-		col     int
-		refTbl  int32
-		ref     *sqldb.Table
-		refType sqldb.Type
-		w       float64
+// NumNodes returns the node count of the graph being built.
+func (nb *Numbering) NumNodes() int { return nb.g.NumNodes() }
+
+// TableID returns the id for a table name (case-insensitive), or -1.
+func (nb *Numbering) TableID(name string) int32 { return nb.g.TableID(name) }
+
+// TableNodes returns table t's rid -> node map (NoNode for tombstones).
+// Callers must not mutate it.
+func (nb *Numbering) TableNodes(t int32) []NodeID { return nb.g.nodeOf[t] }
+
+// Link runs the second step of a build and returns the finished graph.
+// It writes no field that Numbering's accessors read, so beside, when
+// non-nil, runs at the same time on its own goroutine with workers/2 of
+// the build's workers while the step keeps the rest; with one worker
+// beside runs after the step, on the calling goroutine. Link returns once
+// both are done.
+func (nb *Numbering) Link(beside func(workers int)) *Graph {
+	if beside == nil {
+		return nb.link(nb.workers)
 	}
-	fksOf := make([][]fkInfo, len(tables))
-	for i, t := range tables {
-		schema := t.t.Schema()
-		if len(schema.ForeignKeys) == 0 {
-			continue
-		}
-		fks := make([]fkInfo, 0, len(schema.ForeignKeys))
-		for _, fk := range schema.ForeignKeys {
-			refID, ok := g.tableIDs[strings.ToLower(fk.RefTable)]
-			if !ok {
-				return nil, fmt.Errorf("graph: %s.%s references unknown table %s", schema.Name, fk.Column, fk.RefTable)
-			}
-			ref := db.Table(fk.RefTable)
-			refCol := ref.Schema().Column(fk.RefColumn)
-			if refCol == nil {
-				return nil, fmt.Errorf("graph: %s.%s references missing column %s.%s", schema.Name, fk.Column, fk.RefTable, fk.RefColumn)
-			}
-			w := fk.Weight
-			if w <= 0 {
-				w = 1
-			}
-			fks = append(fks, fkInfo{
-				col:     t.t.ColumnIndex(fk.Column),
-				refTbl:  refID,
-				ref:     ref,
-				refType: refCol.Type,
-				w:       w,
-			})
-		}
-		fksOf[i] = fks
+	if nb.workers < 2 {
+		g := nb.link(1)
+		beside(1)
+		return g
 	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		beside(nb.workers / 2)
+	}()
+	g := nb.link(nb.workers - nb.workers/2)
+	<-done
+	return g
+}
+
+// link is the arc step: pass C resolves FK links, the merge lays them out
+// in scan order, and the IN_R counts scale the backward arcs before
+// finish fills the CSR.
+func (nb *Numbering) link(workers int) *Graph {
+	g, plan, tables := nb.g, nb.plan, nb.tables
 
 	// Pass C (parallel): resolve FK links into per-shard lists. Only reads
 	// shared state: node maps are complete after pass B, and PK lookups
-	// are read-only.
-	par.Run(len(plan), shards, func(i int) {
+	// are read-only. A shard's list is presized to its live rows times its
+	// table's FKs, which no shard exceeds.
+	par.Run(len(plan), workers, func(i int) {
 		sh := &plan[i]
-		fks := fksOf[sh.tbl]
+		fks := nb.fksOf[sh.tbl]
 		if len(fks) == 0 {
 			return
 		}
 		m := g.nodeOf[sh.tbl]
-		tables[sh.tbl].t.ScanRange(sh.lo, sh.hi, func(rid sqldb.RID, row []sqldb.Value) bool {
+		sh.links = make([]link, 0, sh.liveRows*len(fks))
+		tables[sh.tbl].ScanRange(sh.lo, sh.hi, func(rid sqldb.RID, row []sqldb.Value) bool {
 			u := m[rid]
 			for _, fk := range fks {
 				v := row[fk.col]
@@ -289,12 +349,9 @@ func Build(db *sqldb.Database, opts *BuildOptions) (*Graph, error) {
 		g.prestige[l.to]++
 	}
 
-	if err := g.applyLayout(opts.LayoutOrder, links); err != nil {
-		return nil, err
-	}
-
 	// inByTable[R][v] is IN_R(v), the links into v from tuples of R; it
 	// is allocated only for relations that have foreign keys.
+	numNodes := g.NumNodes()
 	inByTable := make([][]int32, len(tables))
 	for _, l := range links {
 		t := g.tableOf[l.from]
@@ -312,83 +369,21 @@ func Build(db *sqldb.Database, opts *BuildOptions) (*Graph, error) {
 	for _, l := range links {
 		arcs = append(arcs, arc{from: l.from, to: l.to, w: l.w})
 		bw := l.w
-		if opts.ScaleBackEdges {
+		if nb.opts.ScaleBackEdges {
 			bw = l.w * float64(inByTable[g.tableOf[l.from]][l.to])
 		}
 		arcs = append(arcs, arc{from: l.to, to: l.from, w: bw})
 	}
 	g.finish(arcs)
 
-	if opts.PrestigeDamping > 0 && opts.PrestigeDamping < 1 {
+	if d := nb.opts.PrestigeDamping; d > 0 && d < 1 {
 		pairs := make([]pair, len(links))
 		for i, l := range links {
 			pairs[i] = pair{from: l.from, to: l.to}
 		}
-		g.applyPageRankPrestige(opts.PrestigeDamping, opts.PrestigeIters, pairs)
+		g.applyPageRankPrestige(d, nb.opts.PrestigeIters, pairs)
 	}
-	return g, nil
-}
-
-// applyLayout renumbers nodes within each table according to
-// BuildOptions.LayoutOrder, rewriting every old-id-keyed structure the
-// build has produced so far (node maps, RID/prestige arrays and the link
-// list) before arcs are materialized. The permutation never crosses table
-// boundaries, so tableStart and tableOf are untouched. Sorting by (degree
-// desc, RID asc) is a total order — RIDs are unique within a table — so
-// the result is deterministic at any shard count.
-func (g *Graph) applyLayout(order string, links []link) error {
-	switch order {
-	case "", LayoutRID:
-		return nil
-	case LayoutDegree:
-	default:
-		return fmt.Errorf("graph: unknown layout order %q", order)
-	}
-	n := g.NumNodes()
-	deg := make([]int32, n)
-	for _, l := range links {
-		deg[l.from]++
-		deg[l.to]++
-	}
-	perm := make([]NodeID, n) // old id -> new id
-	var idx []NodeID
-	for t := 0; t+1 < len(g.tableStart); t++ {
-		lo, hi := g.tableStart[t], g.tableStart[t+1]
-		idx = idx[:0]
-		for v := lo; v < hi; v++ {
-			idx = append(idx, v)
-		}
-		sort.Slice(idx, func(i, j int) bool {
-			a, b := idx[i], idx[j]
-			if deg[a] != deg[b] {
-				return deg[a] > deg[b]
-			}
-			return g.ridOf[a] < g.ridOf[b]
-		})
-		for i, old := range idx {
-			perm[old] = lo + NodeID(i)
-		}
-	}
-	rid := make([]sqldb.RID, n)
-	prestige := make([]float64, n)
-	for old := 0; old < n; old++ {
-		nw := perm[old]
-		rid[nw] = g.ridOf[old]
-		prestige[nw] = g.prestige[old]
-	}
-	g.ridOf, g.prestige = rid, prestige
-	for _, m := range g.nodeOf {
-		for r, v := range m {
-			if v != NoNode {
-				m[r] = perm[v]
-			}
-		}
-	}
-	for i := range links {
-		links[i].from = perm[links[i].from]
-		links[i].to = perm[links[i].to]
-	}
-	return nil
+	return g
 }
 
 type pair struct{ from, to NodeID }

@@ -15,7 +15,9 @@ package graph
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
+	"unicode/utf8"
 
 	"github.com/banksdb/banks/internal/sqldb"
 )
@@ -35,7 +37,7 @@ type Edge struct {
 // Graph is the immutable data graph built from a database snapshot.
 type Graph struct {
 	tableNames []string         // table id -> name
-	tableIDs   map[string]int32 // lower(name) -> table id
+	tableIDs   map[string]int32 // strings.ToLower(name) -> table id
 	tableStart []NodeID         // nodes of table t are [tableStart[t], tableStart[t+1])
 
 	tableOf []int32     // node -> table id
@@ -82,8 +84,22 @@ func (g *Graph) NumTables() int { return len(g.tableNames) }
 func (g *Graph) TableName(t int32) string { return g.tableNames[t] }
 
 // TableID returns the id for a table name (case-insensitive), or -1.
+// The name folds as strings.ToLower folds it. An ASCII name is folded
+// into a stack buffer, so the lookups every query makes (its excluded
+// root tables) allocate nothing.
 func (g *Graph) TableID(name string) int32 {
-	if id, ok := g.tableIDs[lower(name)]; ok {
+	var buf [64]byte
+	key := append(buf[:0], name...)
+	for i, c := range key {
+		if c >= utf8.RuneSelf {
+			key = []byte(strings.ToLower(name))
+			break
+		}
+		if 'A' <= c && c <= 'Z' {
+			key[i] = c + 'a' - 'A'
+		}
+	}
+	if id, ok := g.tableIDs[string(key)]; ok {
 		return id
 	}
 	return -1
@@ -103,16 +119,22 @@ func (g *Graph) RIDOf(n NodeID) sqldb.RID {
 
 // NodeOf returns the node for (table, rid), or NoNode.
 func (g *Graph) NodeOf(table string, rid sqldb.RID) NodeID {
-	g.ensureNodeMeta()
 	t := g.TableID(table)
 	if t < 0 {
 		return NoNode
 	}
-	m := g.nodeOf[t]
+	m := g.TableNodes(t)
 	if rid < 0 || int(rid) >= len(m) {
 		return NoNode
 	}
 	return m[rid]
+}
+
+// TableNodes returns table t's rid -> node map (NoNode for tombstones).
+// Callers must not mutate it.
+func (g *Graph) TableNodes(t int32) []NodeID {
+	g.ensureNodeMeta()
+	return g.nodeOf[t]
 }
 
 // NodesOfTable returns the (contiguous) node range [lo, hi) of table id t.
@@ -188,22 +210,6 @@ func (g *Graph) MemoryFootprint() int64 {
 	b += int64(len(g.fwdEdges)+len(g.revEdges)) * 16
 	b += int64(len(g.fwdOff)+len(g.revOff)) * 4
 	return b
-}
-
-func lower(s string) string {
-	// strings.ToLower without the import churn elsewhere in the package.
-	b := []byte(s)
-	changed := false
-	for i, c := range b {
-		if c >= 'A' && c <= 'Z' {
-			b[i] = c + 'a' - 'A'
-			changed = true
-		}
-	}
-	if !changed {
-		return s
-	}
-	return string(b)
 }
 
 // arc is a builder-internal directed edge.

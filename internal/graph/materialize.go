@@ -1,5 +1,7 @@
 package graph
 
+import "strings"
+
 // Materialize folds any graph view — typically a base+delta Overlay —
 // into a concrete CSR Graph, off to the side and without touching the
 // view. It is how Compact turns the accumulated overlay into the next
@@ -29,7 +31,7 @@ func Materialize(v View) (*Graph, []NodeID) {
 	for t := int32(0); t < int32(nt); t++ {
 		name := v.TableName(t)
 		g.tableNames[t] = name
-		g.tableIDs[lower(name)] = t
+		g.tableIDs[strings.ToLower(name)] = t
 		g.tableStart[t] = NodeID(len(g.tableOf))
 		v.EachTableNode(t, func(old NodeID) bool {
 			n := NodeID(len(g.tableOf))

@@ -289,16 +289,6 @@ func (o *Overlay) DeltaNodes() int { return len(o.dTable) }
 // Tombstones returns how many nodes the delta removed.
 func (o *Overlay) Tombstones() int { return len(o.tomb) }
 
-// fkInfo mirrors the builder's per-FK resolution cache.
-type fkInfo struct {
-	col     int
-	colName string
-	refTbl  int32
-	ref     *sqldb.Table
-	refType sqldb.Type
-	w       float64
-}
-
 // Delta accumulates live row mutations over an immutable base graph. It is
 // not safe for concurrent use; the owning system serializes Apply/Snapshot.
 // Published Snapshots stay valid and immutable across later Applies.
@@ -616,29 +606,9 @@ func (d *Delta) ensureFKs() error {
 		if tbl == nil {
 			return fmt.Errorf("graph: table %s is in the base graph but not the database; a rebuild is required", name)
 		}
-		schema := tbl.Schema()
-		for _, fk := range schema.ForeignKeys {
-			refID := d.cur.base.TableID(fk.RefTable)
-			if refID < 0 {
-				return fmt.Errorf("graph: %s.%s references table %s unknown to the base graph; a rebuild is required", name, fk.Column, fk.RefTable)
-			}
-			ref := d.db.Table(fk.RefTable)
-			refCol := ref.Schema().Column(fk.RefColumn)
-			if refCol == nil {
-				return fmt.Errorf("graph: %s.%s references missing column %s.%s", name, fk.Column, fk.RefTable, fk.RefColumn)
-			}
-			w := fk.Weight
-			if w <= 0 {
-				w = 1
-			}
-			fks[t] = append(fks[t], fkInfo{
-				col:     tbl.ColumnIndex(fk.Column),
-				colName: fk.Column,
-				refTbl:  refID,
-				ref:     ref,
-				refType: refCol.Type,
-				w:       w,
-			})
+		var err error
+		if fks[t], err = resolveFKs(d.cur.base, d.db, tbl); err != nil {
+			return fmt.Errorf("%w; a rebuild is required", err)
 		}
 	}
 	d.fks = fks

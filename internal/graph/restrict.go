@@ -1,5 +1,7 @@
 package graph
 
+import "strings"
+
 // Restrict folds the kept subset of a graph view into a concrete CSR
 // Graph: the partition-store builder of internal/cluster. It is
 // Materialize with a node filter — nodes are renumbered table-major in
@@ -37,7 +39,7 @@ func Restrict(v View, keep func(NodeID) bool) (*Graph, []NodeID) {
 	for t := int32(0); t < int32(nt); t++ {
 		name := v.TableName(t)
 		g.tableNames[t] = name
-		g.tableIDs[lower(name)] = t
+		g.tableIDs[strings.ToLower(name)] = t
 		g.tableStart[t] = NodeID(len(g.tableOf))
 		v.EachTableNode(t, func(old NodeID) bool {
 			if !keep(old) {

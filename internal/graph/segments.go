@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"sync"
 
 	"github.com/banksdb/banks/internal/sqldb"
@@ -223,7 +224,7 @@ func OpenLazy(meta []byte, src SegmentSource) (*Graph, error) {
 	}
 	for i := uint64(0); i < ntables && d.err == nil; i++ {
 		name := d.str()
-		g.tableIDs[lower(name)] = int32(len(g.tableNames))
+		g.tableIDs[strings.ToLower(name)] = int32(len(g.tableNames))
 		g.tableNames = append(g.tableNames, name)
 	}
 	g.tableStart = make([]NodeID, ntables+1)

@@ -79,8 +79,8 @@ func requireKeys(t *testing.T, v View, label string) {
 	}
 }
 
-// eachForm runs check on each engine form: built, store-opened lazy,
-// degree-renumbered, an overlay after inserts, updates and deletes, that
+// eachForm runs check on each engine form: built, store-opened lazy, an
+// overlay after inserts, updates and deletes, that
 // overlay materialized (what Compact writes), and the restricted
 // partitions of a built graph and of the overlay.
 func eachForm(t *testing.T, check func(t *testing.T, v View, label string)) {
@@ -96,8 +96,6 @@ func eachForm(t *testing.T, check func(t *testing.T, v View, label string)) {
 				t.Fatal(err)
 			}
 			check(t, lazy, "lazy")
-
-			check(t, mustBuild(t, db, &BuildOptions{ScaleBackEdges: scale, LayoutOrder: LayoutDegree}), "degree layout")
 
 			even := func(n NodeID) bool { return n%2 == 0 }
 			odd := func(n NodeID) bool { return n%2 == 1 }

@@ -11,7 +11,6 @@ package index
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -140,13 +139,54 @@ func Build(db *sqldb.Database, g *graph.Graph) (*Index, error) {
 	return BuildWithOptions(db, g, nil)
 }
 
+// BuildWithOptions is Build with explicit construction options.
+func BuildWithOptions(db *sqldb.Database, g *graph.Graph, opts *BuildOptions) (*Index, error) {
+	shards := 0
+	if opts != nil {
+		shards = opts.Shards
+	}
+	db.RLock()
+	defer db.RUnlock()
+	return build(db, g, par.Workers(shards))
+}
+
+// BuildEngine builds the data graph and its keyword index from one
+// snapshot of db, under one read lock: graph.Number, then the graph's
+// arc step (Numbering.Link) with the index's token scan and merge
+// running beside it. opts.Shards is the budget of the whole build (see
+// graph.BuildOptions). Graph and index are byte-identical to those
+// graph.Build and BuildWithOptions make.
+func BuildEngine(db *sqldb.Database, opts *graph.BuildOptions) (*graph.Graph, *Index, error) {
+	db.RLock()
+	defer db.RUnlock()
+	nb, err := graph.Number(db, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	var ix *Index
+	g := nb.Link(func(workers int) { ix, err = build(db, nb, workers) })
+	if err != nil {
+		return nil, nil, err
+	}
+	return g, ix, nil
+}
+
+// numbering is what the token scan needs of a graph: its node count,
+// its table ids and each table's rid -> node map. A built graph.Graph
+// has them, and so does a graph.Numbering whose arc step is still running.
+type numbering interface {
+	NumNodes() int
+	TableID(name string) int32
+	TableNodes(t int32) []graph.NodeID
+}
+
 // indexShard is one contiguous RID range of one table, tokenized by one
 // worker. A token gets a shard-local id at its first sighting, the only
 // time the scan allocates a string (the lookup goes through string(buf),
 // which does not), and hits records every occurrence in scan order.
 type indexShard struct {
-	table    string
 	t        *sqldb.Table
+	nodes    []graph.NodeID // the table's rid -> node map
 	textCols []int
 	lo, hi   sqldb.RID
 	ids      map[string]int32
@@ -164,21 +204,13 @@ type hit struct {
 // per row, so shards smaller than this are dominated by overhead).
 const indexShardSize = 512
 
-// BuildWithOptions is Build with explicit construction options.
-func BuildWithOptions(db *sqldb.Database, g *graph.Graph, opts *BuildOptions) (*Index, error) {
-	shards := 0
-	if opts != nil {
-		shards = opts.Shards
-	}
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
+// build indexes db over the node numbering g on up to shards workers.
+// The caller holds db's read lock.
+func build(db *sqldb.Database, g numbering, shards int) (*Index, error) {
 	ix := &Index{
 		meta:  make(map[string][]int32),
 		nodes: g.NumNodes(),
 	}
-	db.RLock()
-	defer db.RUnlock()
 
 	// Serial prologue: metadata tokens (relation and column names) and the
 	// shard plan. Error paths all live here, so the parallel scan below
@@ -208,6 +240,7 @@ func BuildWithOptions(db *sqldb.Database, g *graph.Graph, opts *BuildOptions) (*
 		if len(textCols) == 0 {
 			continue
 		}
+		nodes := g.TableNodes(tid)
 		capRows := t.Cap()
 		chunk := (capRows + shards - 1) / shards
 		if chunk < indexShardSize {
@@ -219,7 +252,7 @@ func BuildWithOptions(db *sqldb.Database, g *graph.Graph, opts *BuildOptions) (*
 				hi = capRows
 			}
 			plan = append(plan, indexShard{
-				table: name, t: t, textCols: textCols,
+				t: t, nodes: nodes, textCols: textCols,
 				lo: sqldb.RID(lo), hi: sqldb.RID(hi),
 			})
 		}
@@ -232,10 +265,10 @@ func BuildWithOptions(db *sqldb.Database, g *graph.Graph, opts *BuildOptions) (*
 		sh.ids = make(map[string]int32)
 		var buf []byte
 		sh.t.ScanRange(sh.lo, sh.hi, func(rid sqldb.RID, row []sqldb.Value) bool {
-			n := g.NodeOf(sh.table, rid)
-			if n == graph.NoNode {
+			if int(rid) >= len(sh.nodes) || sh.nodes[rid] == graph.NoNode {
 				return true
 			}
+			n := sh.nodes[rid]
 			for _, ci := range sh.textCols {
 				v := row[ci]
 				if v.IsNull() {
@@ -260,11 +293,10 @@ func BuildWithOptions(db *sqldb.Database, g *graph.Graph, opts *BuildOptions) (*
 	// every hit by token into one posting array. Shards are visited in
 	// plan order (tables in creation order, ranges in ascending RID order)
 	// and each shard's hits in scan order, so a token's postings arrive as
-	// a serial scan meets them. With node ids assigned in RID order per
-	// table (the default graph layout) each list is then already sorted; a
-	// renumbering layout (graph.BuildOptions.LayoutOrder) breaks that, so
-	// an out-of-order list is sorted before deduplication. Either way the
-	// result is canonical: identical for every shard count and layout.
+	// a serial scan meets them. Node ids follow RID order within a table
+	// and tables follow creation order, so each list arrives sorted, and
+	// only a node's repeats (a token seen twice in one row) are dropped.
+	// The result is identical for every shard count.
 	gid := make(map[string]int32)
 	var toks []string
 	off := []int32{0} // off[t+1] counts token t's hits, then is summed
@@ -297,11 +329,7 @@ func BuildWithOptions(db *sqldb.Database, g *graph.Graph, opts *BuildOptions) (*
 	}
 	ix.terms = make(map[string][]graph.NodeID, len(toks))
 	for t, tok := range toks {
-		ns := posts[off[t]:off[t+1]:off[t+1]] // capped: an append cannot reach the next list
-		if !slices.IsSorted(ns) {
-			slices.Sort(ns)
-		}
-		ns = slices.Compact(ns)
+		ns := slices.Compact(posts[off[t]:off[t+1]:off[t+1]]) // capped: an append cannot reach the next list
 		ix.terms[tok] = ns
 		ix.posts += len(ns)
 	}

@@ -6,9 +6,19 @@
 package par
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
+
+// Workers resolves a worker-count option: n itself when positive,
+// runtime.GOMAXPROCS(0) otherwise.
+func Workers(n int) int {
+	if n <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return n
+}
 
 // Run invokes fn(i) for every i in [0, n), using at most workers
 // goroutines. workers <= 1 (or n <= 1) degrades to a plain serial loop on

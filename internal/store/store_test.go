@@ -627,62 +627,3 @@ func TestCloseWaitsForPinnedQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// layoutTrace is queryTrace minus the pop fingerprint: iterator schedules
-// legitimately differ across node numberings; answers must not.
-func layoutTrace(t *testing.T, g *graph.Graph, ix *index.Index) string {
-	t.Helper()
-	s := core.NewSearcher(g, ix)
-	var b strings.Builder
-	for _, terms := range parityQueries {
-		answers, err := s.Search(terms, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b.WriteString(strings.Join(terms, " "))
-		for _, a := range answers {
-			b.WriteString(" |")
-			b.WriteString(a.Describe(g))
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// TestDegreeLayoutParity: the build-time degree renumber changes node ids
-// only — every answer (roots, trees, scores, all named by table[rid]) is
-// identical to the default layout, both freshly built and through a store
-// round trip.
-func TestDegreeLayoutParity(t *testing.T) {
-	db, g0, ix0 := dblpEngine(t)
-	bo := graph.DefaultBuildOptions()
-	bo.LayoutOrder = graph.LayoutDegree
-	g1, err := graph.Build(db, bo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix1, err := index.Build(db, g1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := layoutTrace(t, g0, ix0)
-	if got := layoutTrace(t, g1, ix1); got != want {
-		t.Fatalf("degree layout diverges from rid layout:\n got %q\nwant %q", got, want)
-	}
-
-	path := filepath.Join(t.TempDir(), "degree.bstore")
-	if err := WriteFile(path, Engine{Graph: g1, Index: ix1}); err != nil {
-		t.Fatal(err)
-	}
-	st, err := Open(path, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if got := layoutTrace(t, st.Graph(), st.Index()); got != want {
-		t.Fatalf("store-opened degree layout diverges:\n got %q\nwant %q", got, want)
-	}
-	if err := st.Err(); err != nil {
-		t.Fatal(err)
-	}
-}
