@@ -106,7 +106,9 @@ func buildBenchTPCDDB(b *testing.B) *sqldb.Database {
 // BenchmarkEngineBuild measures the full engine derivation (graph +
 // keyword index) through index.BuildEngine, the path Refresh runs, at
 // several shard counts on both generators. shards-0 is the production
-// default (GOMAXPROCS).
+// default (GOMAXPROCS). The graph-shards-1 and index-shards-1 variants
+// time the pipeline's two halves alone on one worker each: the graph's
+// Number + Link, and the index build over a built graph.
 func BenchmarkEngineBuild(b *testing.B) {
 	datasets := []struct {
 		name string
@@ -133,6 +135,30 @@ func BenchmarkEngineBuild(b *testing.B) {
 				}
 			})
 		}
+		one := graph.DefaultBuildOptions()
+		one.Shards = 1
+		b.Run(ds.name+"/graph-shards-1", func(b *testing.B) {
+			db := ds.db(b)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if g, err := graph.Build(db, one); err != nil || g.NumNodes() == 0 {
+					b.Fatal("degenerate graph", err)
+				}
+			}
+		})
+		b.Run(ds.name+"/index-shards-1", func(b *testing.B) {
+			db := ds.db(b)
+			g, err := graph.Build(db, one)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if ix, err := index.BuildWithOptions(db, g, &index.BuildOptions{Shards: 1}); err != nil || ix.NumTerms() == 0 {
+					b.Fatal("degenerate index", err)
+				}
+			}
+		})
 	}
 }
 

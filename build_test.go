@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -79,6 +80,50 @@ func TestNonASCIITableName(t *testing.T) {
 	}
 	if got := renderAnswers(res.Answers); got != want {
 		t.Errorf("two-way cluster:\n%s\nwant\n%s", got, want)
+	}
+}
+
+// TestBareNonASCIIIdentifiers: bare (unquoted) identifiers may hold any
+// Unicode letter, and such a schema is served like an ASCII one: SQL
+// reads it back, a data query finds the answer joining two of its
+// tables, and the relation's name is a metadata keyword.
+func TestBareNonASCIIIdentifiers(t *testing.T) {
+	db := NewDatabase()
+	if err := db.ExecScript(`
+		CREATE TABLE Ärzte (id INT PRIMARY KEY, name TEXT);
+		CREATE TABLE patiënt (id INT PRIMARY KEY, naam TEXT);
+		CREATE TABLE Besuch (arzt INT REFERENCES Ärzte, patiënt INT REFERENCES patiënt);
+		INSERT INTO Ärzte VALUES (1, 'Paracelsus'), (2, 'Hildegard');
+		INSERT INTO patiënt VALUES (1, 'Anna'), (2, 'Bruno');
+		INSERT INTO Besuch VALUES (1, 1), (2, 2), (1, 2);
+	`); err != nil {
+		t.Fatal(err)
+	}
+	res, err := db.Exec("SELECT name FROM Ärzte WHERE id = 2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 1 || res.Rows[0][0] != "Hildegard" {
+		t.Fatalf("SELECT from Ärzte: %v", res.Rows)
+	}
+	sys, err := NewSystem(db, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+
+	answers := searchAnswers(t, sys, "paracelsus anna", nil)
+	if len(answers) == 0 || answers[0].Root.Table != "Besuch" {
+		t.Fatalf("paracelsus anna:\n%s", renderAnswers(answers))
+	}
+	got := answers[0].Format()
+	for _, want := range []string{"Ärzte", "patiënt"} {
+		if !strings.Contains(got, want) {
+			t.Errorf("paracelsus anna: top answer lacks %s:\n%s", want, got)
+		}
+	}
+	if answers := searchAnswers(t, sys, "ärzte", nil); len(answers) != 2 {
+		t.Errorf("metadata keyword ärzte: want both doctors:\n%s", renderAnswers(answers))
 	}
 }
 

@@ -94,19 +94,17 @@ func planShards(tables []*sqldb.Table, shards int) []buildShard {
 }
 
 // fkInfo is one foreign key of a table, resolved against the graph's
-// table ids.
+// table ids. Its position in the table's list is its position in the
+// schema, which indexes sqldb.Table.Refs.
 type fkInfo struct {
-	col     int
 	colName string
 	refTbl  int32
-	ref     *sqldb.Table
-	refType sqldb.Type
 	w       float64
 }
 
 // resolveFKs resolves the foreign keys of t against the table ids of v:
 // the graph a build's Number is making, or a Delta's base.
-func resolveFKs(v View, db *sqldb.Database, t *sqldb.Table) ([]fkInfo, error) {
+func resolveFKs(v View, t *sqldb.Table) ([]fkInfo, error) {
 	schema := t.Schema()
 	var fks []fkInfo
 	for _, fk := range schema.ForeignKeys {
@@ -114,23 +112,11 @@ func resolveFKs(v View, db *sqldb.Database, t *sqldb.Table) ([]fkInfo, error) {
 		if refID < 0 {
 			return nil, fmt.Errorf("graph: %s.%s references table %s unknown to the graph", schema.Name, fk.Column, fk.RefTable)
 		}
-		ref := db.Table(fk.RefTable)
-		refCol := ref.Schema().Column(fk.RefColumn)
-		if refCol == nil {
-			return nil, fmt.Errorf("graph: %s.%s references missing column %s.%s", schema.Name, fk.Column, fk.RefTable, fk.RefColumn)
-		}
 		w := fk.Weight
 		if w <= 0 {
 			w = 1
 		}
-		fks = append(fks, fkInfo{
-			col:     t.ColumnIndex(fk.Column),
-			colName: fk.Column,
-			refTbl:  refID,
-			ref:     ref,
-			refType: refCol.Type,
-			w:       w,
-		})
+		fks = append(fks, fkInfo{colName: fk.Column, refTbl: refID, w: w})
 	}
 	return fks, nil
 }
@@ -189,7 +175,7 @@ func Number(db *sqldb.Database, opts *BuildOptions) (*Numbering, error) {
 	nb.fksOf = make([][]fkInfo, len(tables))
 	for i, t := range tables {
 		var err error
-		if nb.fksOf[i], err = resolveFKs(g, db, t); err != nil {
+		if nb.fksOf[i], err = resolveFKs(g, t); err != nil {
 			return nil, err
 		}
 	}
@@ -298,32 +284,28 @@ func (nb *Numbering) Link(beside func(workers int)) *Graph {
 func (nb *Numbering) link(workers int) *Graph {
 	g, plan, tables := nb.g, nb.plan, nb.tables
 
-	// Pass C (parallel): resolve FK links into per-shard lists. Only reads
-	// shared state: node maps are complete after pass B, and PK lookups
-	// are read-only. A shard's list is presized to its live rows times its
-	// table's FKs, which no shard exceeds.
+	// Pass C (parallel): turn each live row's resolved FK targets
+	// (sqldb.Table.Refs) into per-shard link lists. Only reads shared
+	// state: node maps are complete after pass B. A shard's list is
+	// presized to its live rows times its table's FKs, which no shard
+	// exceeds.
 	par.Run(len(plan), workers, func(i int) {
 		sh := &plan[i]
 		fks := nb.fksOf[sh.tbl]
 		if len(fks) == 0 {
 			return
 		}
-		m := g.nodeOf[sh.tbl]
+		m, t := g.nodeOf[sh.tbl], tables[sh.tbl]
 		sh.links = make([]link, 0, sh.liveRows*len(fks))
-		tables[sh.tbl].ScanRange(sh.lo, sh.hi, func(rid sqldb.RID, row []sqldb.Value) bool {
+		for rid := sh.lo; rid < sh.hi; rid++ {
 			u := m[rid]
-			for _, fk := range fks {
-				v := row[fk.col]
-				if v.IsNull() {
-					continue
-				}
-				cv, err := v.Convert(fk.refType)
-				if err != nil {
-					continue
-				}
-				refRID := fk.ref.LookupPK([]sqldb.Value{cv})
+			if u == NoNode {
+				continue
+			}
+			for k, fk := range fks {
+				refRID := t.Refs(k)[rid]
 				if refRID < 0 {
-					continue // dangling reference: skip, the DB enforces FKs anyway
+					continue // NULL: no link
 				}
 				vNode := g.nodeOf[fk.refTbl][refRID]
 				if vNode == u {
@@ -331,8 +313,7 @@ func (nb *Numbering) link(workers int) *Graph {
 				}
 				sh.links = append(sh.links, link{from: u, to: vNode, w: fk.w})
 			}
-			return true
-		})
+		}
 	})
 
 	// Merge (serial, deterministic): concatenating shard link lists in

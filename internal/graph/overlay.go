@@ -55,9 +55,9 @@ type RowRef struct {
 
 // RowChange describes one already-applied database mutation for Delta.Apply.
 // OldTargets must list the FK target rows the pre-mutation row version
-// referenced (resolved the way the builder resolves links: non-NULL,
-// convertible, non-dangling, non-self); it is empty for inserts. The new
-// targets are read from the database, which already holds the final row.
+// referenced (as Delta.Targets reports them: non-NULL, non-self); it is
+// empty for inserts. The new targets are read from the database, which
+// already holds the final row.
 type RowChange struct {
 	Op         RowOp
 	Table      string
@@ -607,7 +607,7 @@ func (d *Delta) ensureFKs() error {
 			return fmt.Errorf("graph: table %s is in the base graph but not the database; a rebuild is required", name)
 		}
 		var err error
-		if fks[t], err = resolveFKs(d.cur.base, d.db, tbl); err != nil {
+		if fks[t], err = resolveFKs(d.cur.base, tbl); err != nil {
 			return fmt.Errorf("%w; a rebuild is required", err)
 		}
 	}
@@ -637,10 +637,10 @@ func (d *Delta) fkWeight(t int32, col string) (float64, error) {
 	return 0, fmt.Errorf("graph: no foreign key on %s.%s", d.cur.base.TableName(t), col)
 }
 
-// Targets resolves the FK target rows the database's current version of
-// (table, rid) references, with the builder's link semantics (NULL,
-// unconvertible, dangling and self references are skipped). Callers capture
-// a row's targets with this before mutating it, then pass the result as
+// Targets returns the FK target rows the database's current version of
+// (table, rid) references (sqldb.Table.Refs), with the builder's link
+// semantics (NULL and self references are skipped). Callers capture a
+// row's targets with this before mutating it, then pass the result as
 // RowChange.OldTargets.
 func (d *Delta) Targets(table string, rid sqldb.RID) ([]RowRef, error) {
 	if err := d.ensureFKs(); err != nil {
@@ -654,28 +654,17 @@ func (d *Delta) Targets(table string, rid sqldb.RID) ([]RowRef, error) {
 	if len(fks) == 0 {
 		return nil, nil
 	}
-	row := d.db.Table(d.cur.base.TableName(t)).Row(rid)
-	if row == nil {
+	tbl := d.db.Table(d.cur.base.TableName(t))
+	if !tbl.Live(rid) {
 		return nil, fmt.Errorf("graph: no row %s rid %d", table, rid)
 	}
 	var out []RowRef
-	for _, fk := range fks {
-		v := row[fk.col]
-		if v.IsNull() {
-			continue
+	for k, fk := range fks {
+		refRID := tbl.Refs(k)[rid]
+		if refRID < 0 || fk.refTbl == t && refRID == rid {
+			continue // NULL or self reference: no link
 		}
-		cv, err := v.Convert(fk.refType)
-		if err != nil {
-			continue
-		}
-		refRID := fk.ref.LookupPK([]sqldb.Value{cv})
-		if refRID < 0 {
-			continue
-		}
-		if fk.refTbl == t && refRID == rid {
-			continue // self reference: no link
-		}
-		out = append(out, RowRef{Table: fk.ref.Name(), RID: refRID})
+		out = append(out, RowRef{Table: d.cur.base.TableName(fk.refTbl), RID: refRID})
 	}
 	return out, nil
 }
@@ -707,35 +696,26 @@ func (d *Delta) targetsOf(t int32, rid sqldb.RID, self NodeID) ([]NodeID, error)
 	return vs, nil
 }
 
-// linksOut resolves the row's outgoing FK links from the final database
-// state. NULL, unconvertible, dangling and self references are skipped,
-// matching the builder.
+// linksOut returns the row's outgoing FK links in the final database
+// state. NULL and self references are skipped, matching the builder.
 func (d *Delta) linksOut(t int32, rid sqldb.RID, self NodeID) ([]outLink, error) {
 	fks := d.fks[t]
 	if len(fks) == 0 {
 		return nil, nil
 	}
-	row := d.db.Table(d.cur.base.TableName(t)).Row(rid)
-	if row == nil {
+	tbl := d.db.Table(d.cur.base.TableName(t))
+	if !tbl.Live(rid) {
 		return nil, fmt.Errorf("graph: row %s rid %d vanished from the database", d.cur.base.TableName(t), rid)
 	}
 	var out []outLink
-	for _, fk := range fks {
-		v := row[fk.col]
-		if v.IsNull() {
-			continue
-		}
-		cv, err := v.Convert(fk.refType)
-		if err != nil {
-			continue
-		}
-		refRID := fk.ref.LookupPK([]sqldb.Value{cv})
+	for k, fk := range fks {
+		refRID := tbl.Refs(k)[rid]
 		if refRID < 0 {
 			continue
 		}
 		vn := d.liveNode(fk.refTbl, refRID)
 		if vn == NoNode {
-			return nil, fmt.Errorf("graph: %s rid %d references untracked row %s rid %d", d.cur.base.TableName(t), rid, fk.ref.Name(), refRID)
+			return nil, fmt.Errorf("graph: %s rid %d references untracked row %s rid %d", d.cur.base.TableName(t), rid, d.cur.base.TableName(fk.refTbl), refRID)
 		}
 		if vn == self {
 			continue

@@ -10,7 +10,9 @@
 package index
 
 import (
+	"bytes"
 	"fmt"
+	"hash/maphash"
 	"slices"
 	"sort"
 	"strings"
@@ -181,16 +183,80 @@ type numbering interface {
 }
 
 // indexShard is one contiguous RID range of one table, tokenized by one
-// worker. A token gets a shard-local id at its first sighting, the only
-// time the scan allocates a string (the lookup goes through string(buf),
-// which does not), and hits records every occurrence in scan order.
+// worker. A token is interned in the shard's own table at its first
+// sighting, and hits records every occurrence in scan order. The scan
+// allocates no string: token bytes go to the table's arena.
 type indexShard struct {
 	t        *sqldb.Table
 	nodes    []graph.NodeID // the table's rid -> node map
 	textCols []int
 	lo, hi   sqldb.RID
-	ids      map[string]int32
+	toks     tokenTable
 	hits     []hit
+}
+
+// tokenTable interns tokens: each distinct token's bytes are appended
+// once to one arena and get a dense id in first-sighting order. It is
+// open-addressed (linear probing) over a hash the caller computes once
+// per token and the table keeps, so the build's merge interns a shard's
+// tokens build-wide without hashing them again.
+type tokenTable struct {
+	arena  []byte
+	ends   []int32  // id -> end of its bytes in arena; the start is ends[id-1]
+	hashes []uint64 // id -> hash
+	slots  []int32  // id+1, 0 when empty; the length is a power of two
+}
+
+// len returns the number of distinct tokens.
+func (tt *tokenTable) len() int { return len(tt.ends) }
+
+// tok returns the bytes of token id.
+func (tt *tokenTable) tok(id int32) []byte {
+	start := int32(0)
+	if id > 0 {
+		start = tt.ends[id-1]
+	}
+	return tt.arena[start:tt.ends[id]]
+}
+
+// intern returns the id of tok, whose hash is h, adding it if unseen.
+func (tt *tokenTable) intern(tok []byte, h uint64) int32 {
+	if 2*len(tt.ends) >= len(tt.slots) {
+		tt.grow()
+	}
+	mask := uint64(len(tt.slots) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		s := tt.slots[i]
+		if s == 0 {
+			id := int32(len(tt.ends))
+			tt.arena = append(tt.arena, tok...)
+			tt.ends = append(tt.ends, int32(len(tt.arena)))
+			tt.hashes = append(tt.hashes, h)
+			tt.slots[i] = id + 1
+			return id
+		}
+		if id := s - 1; tt.hashes[id] == h && bytes.Equal(tt.tok(id), tok) {
+			return id
+		}
+	}
+}
+
+// grow doubles the slot array (from 1 024 slots) and re-places every id
+// by its kept hash.
+func (tt *tokenTable) grow() {
+	n := 2 * len(tt.slots)
+	if n == 0 {
+		n = 1024
+	}
+	tt.slots = make([]int32, n)
+	mask := uint64(n - 1)
+	for id, h := range tt.hashes {
+		i := h & mask
+		for tt.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		tt.slots[i] = int32(id) + 1
+	}
 }
 
 // hit is one occurrence of token id (shard-local, then build-wide after
@@ -203,6 +269,10 @@ type hit struct {
 // indexShardSize is the minimum row-range per shard (tokenizing is cheap
 // per row, so shards smaller than this are dominated by overhead).
 const indexShardSize = 512
+
+// hitSample is how many live rows of a shard's range are tokenized
+// before its hits are presized by extrapolation.
+const hitSample = 256
 
 // build indexes db over the node numbering g on up to shards workers.
 // The caller holds db's read lock.
@@ -259,14 +329,22 @@ func build(db *sqldb.Database, g numbering, shards int) (*Index, error) {
 	}
 
 	// Parallel scan: each shard tokenizes its row range into private hits,
-	// in RID order.
+	// in RID order. Every table hashes with one seed, so the merge can
+	// reuse a shard's hashes.
+	seed := maphash.MakeSeed()
 	par.Run(len(plan), shards, func(i int) {
 		sh := &plan[i]
-		sh.ids = make(map[string]int32)
 		var buf []byte
+		scanned := 0
 		sh.t.ScanRange(sh.lo, sh.hi, func(rid sqldb.RID, row []sqldb.Value) bool {
 			if int(rid) >= len(sh.nodes) || sh.nodes[rid] == graph.NoNode {
 				return true
+			}
+			if scanned++; scanned == hitSample {
+				// Presize hits for the whole range, extrapolated (with
+				// an eighth to spare) from its first rows.
+				want := len(sh.hits) * int(sh.hi-sh.lo) / hitSample * 9 / 8
+				sh.hits = slices.Grow(sh.hits, want-len(sh.hits))
 			}
 			n := sh.nodes[rid]
 			for _, ci := range sh.textCols {
@@ -277,11 +355,7 @@ func build(db *sqldb.Database, g numbering, shards int) (*Index, error) {
 				sc := tokenScanner{s: v.S}
 				for t, ok := sc.next(buf); ok; t, ok = sc.next(t) {
 					buf = t
-					id, seen := sh.ids[string(t)]
-					if !seen {
-						id = int32(len(sh.ids))
-						sh.ids[string(t)] = id
-					}
+					id := sh.toks.intern(t, maphash.Bytes(seed, t))
 					sh.hits = append(sh.hits, hit{id: id, n: n})
 				}
 			}
@@ -297,17 +371,16 @@ func build(db *sqldb.Database, g numbering, shards int) (*Index, error) {
 	// and tables follow creation order, so each list arrives sorted, and
 	// only a node's repeats (a token seen twice in one row) are dropped.
 	// The result is identical for every shard count.
-	gid := make(map[string]int32)
-	var toks []string
+	var all tokenTable
+	var gids []int32
 	off := []int32{0} // off[t+1] counts token t's hits, then is summed
 	for i := range plan {
 		sh := &plan[i]
-		gids := make([]int32, len(sh.ids))
-		for tok, id := range sh.ids {
-			t, ok := gid[tok]
-			if !ok {
-				t = int32(len(toks))
-				gid[tok], toks, off = t, append(toks, tok), append(off, 0)
+		gids = slices.Grow(gids[:0], sh.toks.len())[:sh.toks.len()]
+		for id := range gids {
+			t := all.intern(sh.toks.tok(int32(id)), sh.toks.hashes[id])
+			if int(t) == len(off)-1 {
+				off = append(off, 0)
 			}
 			gids[id] = t
 		}
@@ -316,10 +389,11 @@ func build(db *sqldb.Database, g numbering, shards int) (*Index, error) {
 			off[gids[h.id]+1]++
 		}
 	}
-	for t := range toks {
+	nt := all.len()
+	for t := 0; t < nt; t++ {
 		off[t+1] += off[t]
 	}
-	posts := make([]graph.NodeID, off[len(toks)])
+	posts := make([]graph.NodeID, off[nt])
 	next := slices.Clone(off)
 	for i := range plan {
 		for _, h := range plan[i].hits {
@@ -327,11 +401,15 @@ func build(db *sqldb.Database, g numbering, shards int) (*Index, error) {
 			next[h.id]++
 		}
 	}
-	ix.terms = make(map[string][]graph.NodeID, len(toks))
-	for t, tok := range toks {
+	// Every key is cut from one string of all the tokens' bytes.
+	keys := string(all.arena)
+	ix.terms = make(map[string][]graph.NodeID, nt)
+	start := int32(0)
+	for t, end := range all.ends {
 		ns := slices.Compact(posts[off[t]:off[t+1]:off[t+1]]) // capped: an append cannot reach the next list
-		ix.terms[tok] = ns
+		ix.terms[keys[start:end]] = ns
 		ix.posts += len(ns)
+		start = end
 	}
 	return ix, nil
 }

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -205,5 +206,29 @@ func TestIndexSkipsDeletedRows(t *testing.T) {
 	}
 	if m := ix.Lookup("keepme"); len(m.Nodes) != 1 {
 		t.Errorf("live row not indexed: %+v", m)
+	}
+}
+
+// TestTokenTableCollisions: tokens whose hashes collide, in full or in
+// their slot bits, keep distinct ids through probing and every grow, and
+// a token seen again gets its first id back.
+func TestTokenTableCollisions(t *testing.T) {
+	var tt tokenTable
+	const n = 3000 // several grows past the first 1 024 slots
+	for i := 0; i < n; i++ {
+		tok := []byte(fmt.Sprint("t", i))
+		h := uint64(i%3) << 40 // three full hashes; all share slot bits
+		if id := tt.intern(tok, h); id != int32(i) {
+			t.Fatalf("token %s: id %d, want %d", tok, id, i)
+		}
+	}
+	for i := n - 1; i >= 0; i-- {
+		tok := fmt.Sprint("t", i)
+		if id := tt.intern([]byte(tok), uint64(i%3)<<40); id != int32(i) || string(tt.tok(id)) != tok {
+			t.Fatalf("token %s seen again: id %d (%q), want %d", tok, id, tt.tok(id), i)
+		}
+	}
+	if tt.len() != n {
+		t.Fatalf("len %d, want %d", tt.len(), n)
 	}
 }

@@ -140,10 +140,12 @@ func (db *Database) insertLocked(table string, vals []Value) (RID, error) {
 	if err != nil {
 		return -1, err
 	}
-	if err := db.checkForeignKeys(t, row); err != nil {
+	var buf [8]RID
+	refs, err := db.checkForeignKeys(t, row, -1, buf[:0])
+	if err != nil {
 		return -1, err
 	}
-	return t.insert(row)
+	return t.insert(row, refs)
 }
 
 // InsertMap adds a row given as column-name -> value; omitted columns are
@@ -166,31 +168,34 @@ func (db *Database) InsertMap(table string, m map[string]Value) (RID, error) {
 	return db.insertLocked(table, vals)
 }
 
-func (db *Database) checkForeignKeys(t *Table, row []Value) error {
+// checkForeignKeys resolves every foreign key of row, a coerced row of t,
+// to the rid it references (-1 for NULL), appending them to refs in
+// schema order; a value with no match is an ErrFKViolation. self is the
+// rid of a row whose primary key the write changes (else -1): such a row
+// may not reference itself, because its old key is gone after the write.
+func (db *Database) checkForeignKeys(t *Table, row []Value, self RID, refs []RID) ([]RID, error) {
 	for _, fk := range t.schema.ForeignKeys {
-		ci := t.ColumnIndex(fk.Column)
-		v := row[ci]
+		v := row[t.ColumnIndex(fk.Column)]
 		if v.IsNull() {
-			continue // NULL FK values are permitted (no edge)
+			refs = append(refs, -1) // NULL FK values are permitted (no edge)
+			continue
 		}
 		ref := db.tables[strings.ToLower(fk.RefTable)]
 		if ref == nil {
-			return fmt.Errorf("%w: %s", ErrNoTable, fk.RefTable)
-		}
-		if ref == t {
-			// Self-referencing FK: the row being inserted may reference
-			// itself only via an existing key; lookup below covers it.
+			return nil, fmt.Errorf("%w: %s", ErrNoTable, fk.RefTable)
 		}
 		cv, err := v.Convert(ref.schema.Columns[ref.pkCols[0]].Type)
 		if err != nil {
-			return fmt.Errorf("%w: %s.%s -> %s: %v", ErrFKViolation, t.Name(), fk.Column, fk.RefTable, err)
+			return nil, fmt.Errorf("%w: %s.%s -> %s: %v", ErrFKViolation, t.Name(), fk.Column, fk.RefTable, err)
 		}
-		if ref.LookupPK([]Value{cv}) < 0 {
-			return fmt.Errorf("%w: %s.%s = %s has no match in %s.%s",
+		rid := ref.LookupPK([]Value{cv})
+		if rid < 0 || ref == t && rid == self {
+			return nil, fmt.Errorf("%w: %s.%s = %s has no match in %s.%s",
 				ErrFKViolation, t.Name(), fk.Column, v, fk.RefTable, fk.RefColumn)
 		}
+		refs = append(refs, rid)
 	}
-	return nil
+	return refs, nil
 }
 
 // Delete removes the row at rid, failing with ErrFKRestrict when other live
@@ -240,16 +245,24 @@ func (db *Database) Update(table string, rid RID, set map[string]Value) error {
 			}
 		}
 	}
+	row, err := t.coerceRow(row)
+	if err != nil {
+		return err
+	}
+	self := RID(-1)
 	if pkChanged {
 		if refs := db.referencingLocked(t, rid, 1); len(refs) > 0 {
 			return fmt.Errorf("%w: cannot change key of %s rid %d (referenced by %s.%s)",
 				ErrFKRestrict, table, rid, refs[0].Table, refs[0].Column)
 		}
+		self = rid
 	}
-	if err := db.checkForeignKeys(t, row); err != nil {
+	var buf [8]RID
+	refs, err := db.checkForeignKeys(t, row, self, buf[:0])
+	if err != nil {
 		return err
 	}
-	return t.update(rid, row)
+	return t.update(rid, row, refs)
 }
 
 // Reference describes one incoming foreign-key reference to a tuple: the
@@ -290,18 +303,22 @@ func (db *Database) referencingLocked(t *Table, rid RID, limit int) []Reference 
 	sort.Strings(names)
 	for _, n := range names {
 		other := db.tables[n]
-		for _, fk := range other.schema.ForeignKeys {
+		for k, fk := range other.schema.ForeignKeys {
 			if !strings.EqualFold(fk.RefTable, t.Name()) {
 				continue
 			}
-			ci := other.ColumnIndex(fk.Column)
-			cv, err := pkVal.Convert(other.schema.Columns[ci].Type)
-			if err != nil {
-				continue
+			// A column of the key's own type holds exactly the values
+			// that resolve to it, so its secondary index answers. Across
+			// types it does not ("01" resolves to INT 1, but 1 reads
+			// back as "1"), so the resolved refs are scanned instead.
+			var rids []RID
+			if ci := other.ColumnIndex(fk.Column); other.schema.Columns[ci].Type == pkVal.T {
+				rids = append(rids, other.LookupEq(ci, pkVal)...)
+			} else {
+				rids = other.referrers(k, rid)
 			}
-			rids := other.LookupEq(ci, cv)
 			if len(rids) > 0 {
-				out = append(out, Reference{Table: other.Name(), Column: fk.Column, RIDs: append([]RID(nil), rids...)})
+				out = append(out, Reference{Table: other.Name(), Column: fk.Column, RIDs: rids})
 				if limit > 0 && len(out) >= limit {
 					return out
 				}

@@ -25,6 +25,12 @@ type Table struct {
 	pkCols []int          // positions of primary key columns
 	pkIdx  map[string]RID // EncodeRowKey(pk values) -> rid
 
+	// refs[k][rid] is the rid that row rid's k-th foreign key (schema
+	// order) references, or -1 for NULL. Database.checkForeignKeys
+	// resolves it when the row is written; the delete and key-change
+	// restrict rules keep it valid while the row lives.
+	refs [][]RID
+
 	// secondary maps column position -> value key -> rids with that value.
 	// Built on first use, maintained incrementally afterwards. secMu guards
 	// it against concurrent lazy builds by readers holding only the
@@ -48,6 +54,9 @@ func newTable(schema *TableSchema) *Table {
 	}
 	if len(t.pkCols) > 0 {
 		t.pkIdx = make(map[string]RID)
+	}
+	if n := len(schema.ForeignKeys); n > 0 {
+		t.refs = make([][]RID, n)
 	}
 	return t
 }
@@ -91,6 +100,13 @@ func (t *Table) Live(rid RID) bool {
 func (t *Table) Scan(fn func(rid RID, row []Value) bool) {
 	t.ScanRange(0, RID(len(t.rows)), fn)
 }
+
+// Refs returns, indexed by rid, the rid each row's k-th foreign key (in
+// schema order) references in its table, or -1 where the key is NULL.
+// Entries of deleted rows are stale. The slice is shared: callers must
+// not mutate it, and may read it only while no writer is mutating the
+// table (readers hold the database read lock).
+func (t *Table) Refs(k int) []RID { return t.refs[k] }
 
 // ScanRange calls fn for every live row with lo <= rid < hi, in RID order;
 // fn must not mutate the row. Returning false from fn stops the scan. The
@@ -186,13 +202,10 @@ func (t *Table) coerceRow(vals []Value) ([]Value, error) {
 	return row, nil
 }
 
-// insert appends a row without cross-table constraint checks (those are the
-// Database's job) but with PK uniqueness and NOT NULL enforcement.
-func (t *Table) insert(vals []Value) (RID, error) {
-	row, err := t.coerceRow(vals)
-	if err != nil {
-		return -1, err
-	}
+// insert appends a coerced row whose foreign keys resolve to refs, without
+// cross-table constraint checks (those are the Database's job) but with
+// PK uniqueness enforcement.
+func (t *Table) insert(row []Value, refs []RID) (RID, error) {
 	if t.pkIdx != nil {
 		k := t.pkKey(row)
 		if prev, ok := t.pkIdx[k]; ok {
@@ -204,6 +217,9 @@ func (t *Table) insert(vals []Value) (RID, error) {
 	t.rows = append(t.rows, row)
 	t.live = append(t.live, true)
 	t.n++
+	for k, r := range refs {
+		t.refs[k] = append(t.refs[k], r)
+	}
 	t.secMu.Lock()
 	for c, idx := range t.secondary {
 		k := row[c].KeyString()
@@ -236,14 +252,11 @@ func (t *Table) delete(rid RID) error {
 	return nil
 }
 
-// update replaces the row at rid with newVals (already full-width).
-func (t *Table) update(rid RID, newVals []Value) error {
+// update replaces the row at rid with a coerced row whose foreign keys
+// resolve to refs.
+func (t *Table) update(rid RID, row []Value, refs []RID) error {
 	if !t.Live(rid) {
 		return fmt.Errorf("%w: table %s rid %d", ErrNoRow, t.Name(), rid)
-	}
-	row, err := t.coerceRow(newVals)
-	if err != nil {
-		return err
 	}
 	old := t.rows[rid]
 	if t.pkIdx != nil {
@@ -269,7 +282,21 @@ func (t *Table) update(rid RID, newVals []Value) error {
 	}
 	t.secMu.Unlock()
 	t.rows[rid] = row
+	for k, r := range refs {
+		t.refs[k][rid] = r
+	}
 	return nil
+}
+
+// referrers returns the live rows whose k-th foreign key references rid.
+func (t *Table) referrers(k int, rid RID) []RID {
+	var out []RID
+	for r, ref := range t.refs[k] {
+		if ref == rid && t.live[r] {
+			out = append(out, RID(r))
+		}
+	}
+	return out
 }
 
 func removeRID(s []RID, rid RID) []RID {

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // TokenKind classifies lexical tokens.
@@ -72,7 +73,7 @@ func (l *Lexer) Next() (Token, error) {
 		return l.lexQuotedIdent()
 	case isDigit(c) || (c == '.' && l.pos+1 < len(l.src) && isDigit(l.src[l.pos+1])):
 		return l.lexNumber()
-	case isIdentStart(c):
+	case isIdentStart(l.runeAt(l.pos)):
 		return l.lexWord()
 	case c == '?':
 		l.pos++
@@ -90,7 +91,13 @@ func (l *Lexer) Next() (Token, error) {
 		l.pos++
 		return Token{Kind: TokOp, Text: string(c), Pos: start}, nil
 	}
-	return Token{}, fmt.Errorf("sqlparse: unexpected character %q at offset %d", c, l.pos)
+	return Token{}, fmt.Errorf("sqlparse: unexpected character %q at offset %d", l.runeAt(l.pos), l.pos)
+}
+
+// runeAt decodes the rune that starts at byte offset i of the source.
+func (l *Lexer) runeAt(i int) rune {
+	r, _ := utf8.DecodeRuneInString(l.src[i:])
+	return r
 }
 
 func (l *Lexer) skipSpaceAndComments() {
@@ -177,22 +184,34 @@ func (l *Lexer) lexNumber() (Token, error) {
 	return Token{Kind: TokNumber, Text: l.src[start:l.pos], Pos: start}, nil
 }
 
+// lexWord lexes a bare word: a keyword, or an identifier of Unicode
+// letters, marks, digits, '_' and '$'. Only an ASCII word can be a
+// keyword, so "ſelect" (long s), which upper-cases to SELECT, is an
+// identifier.
 func (l *Lexer) lexWord() (Token, error) {
-	start := l.pos
-	for l.pos < len(l.src) && isIdentPart(l.src[l.pos]) {
-		l.pos++
+	start, ascii := l.pos, true
+	for l.pos < len(l.src) {
+		r, size := utf8.DecodeRuneInString(l.src[l.pos:])
+		if !isIdentPart(r) {
+			break
+		}
+		ascii = ascii && size == 1
+		l.pos += size
 	}
 	word := l.src[start:l.pos]
-	up := strings.ToUpper(word)
-	if keywords[up] {
-		return Token{Kind: TokKeyword, Text: up, Pos: start}, nil
+	if ascii {
+		if up := strings.ToUpper(word); keywords[up] {
+			return Token{Kind: TokKeyword, Text: up, Pos: start}, nil
+		}
 	}
 	return Token{Kind: TokIdent, Text: word, Pos: start}, nil
 }
 
 func isDigit(c byte) bool      { return c >= '0' && c <= '9' }
-func isIdentStart(c byte) bool { return c == '_' || unicode.IsLetter(rune(c)) }
-func isIdentPart(c byte) bool  { return c == '_' || c == '$' || unicode.IsLetter(rune(c)) || isDigit(c) }
+func isIdentStart(r rune) bool { return r == '_' || unicode.IsLetter(r) }
+func isIdentPart(r rune) bool {
+	return r == '_' || r == '$' || unicode.IsLetter(r) || unicode.IsMark(r) || unicode.IsDigit(r)
+}
 
 // Tokenize lexes the whole input; convenient for tests.
 func Tokenize(src string) ([]Token, error) {

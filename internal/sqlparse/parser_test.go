@@ -62,6 +62,36 @@ func TestLexerErrors(t *testing.T) {
 	}
 }
 
+// TestLexerUnicodeIdentifiers: a bare identifier is a run of Unicode
+// letters, marks and digits, decoded as runes, and only an ASCII word is
+// a keyword. A stray non-ASCII symbol is reported as the rune it is.
+func TestLexerUnicodeIdentifiers(t *testing.T) {
+	toks, err := Tokenize("SELECT naïve, A\u0308rzte_2 FROM Ärzte WHERE ſelect = 1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []struct {
+		kind TokenKind
+		text string
+	}{
+		{TokKeyword, "SELECT"}, {TokIdent, "naïve"}, {TokOp, ","}, {TokIdent, "A\u0308rzte_2"},
+		{TokKeyword, "FROM"}, {TokIdent, "Ärzte"}, {TokKeyword, "WHERE"}, {TokIdent, "ſelect"},
+		{TokOp, "="}, {TokNumber, "1"}, {TokEOF, ""},
+	}
+	if len(toks) != len(want) {
+		t.Fatalf("tokens = %v", toks)
+	}
+	for i, w := range want {
+		if toks[i].Kind != w.kind || toks[i].Text != w.text {
+			t.Errorf("token %d = %v %q, want %v %q", i, toks[i].Kind, toks[i].Text, w.kind, w.text)
+		}
+	}
+	_, err = Tokenize("SELECT § FROM t")
+	if err == nil || !strings.Contains(err.Error(), "'§' at offset 7") {
+		t.Errorf("stray symbol: err = %v", err)
+	}
+}
+
 func TestParseCreateTable(t *testing.T) {
 	s := mustParse(t, `CREATE TABLE Writes (
 		AuthorId VARCHAR(32) NOT NULL REFERENCES Author(AuthorId) WEIGHT 1.5,
