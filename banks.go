@@ -39,7 +39,7 @@
 // is safe to call at any time, under any concurrency.
 //
 // The package also exposes the browsing subsystem of the paper's Section 4
-// via System.Handler, an http.Handler serving hyperlinked table views,
+// via System.ServeHandler, an http.Handler serving hyperlinked table views,
 // keyword search, and the four display templates.
 package banks
 
@@ -353,7 +353,7 @@ type System struct {
 	id         *index.Delta // live index delta, in step with gd
 	appliedSeq uint64       // last WAL sequence folded into the serving engine
 	rebuildGen uint64       // bumped on every base swap (Refresh/Compact); guards Compact's aside build
-	tail       *tailLog     // first-touch log of batches applied while Compact builds aside; nil otherwise
+	tail       *rowLog      // first-touch log of batches applied while Compact builds aside; nil otherwise
 
 	// compactMu serializes Compact's build-aside phase against other
 	// Compacts, so at most one tail log is ever live. It is always taken

@@ -34,7 +34,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer ln.Close()
-	srv := &http.Server{Handler: sys.Handler(nil)}
+	srv := &http.Server{Handler: sys.ServeHandler(nil)}
 	go srv.Serve(ln)
 	defer srv.Close()
 	base := "http://" + ln.Addr().String()

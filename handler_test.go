@@ -9,7 +9,7 @@ import (
 
 func TestPublicHandler(t *testing.T) {
 	_, sys := newQuickstartSystem(t)
-	ts := httptest.NewServer(sys.Handler(&SearchOptions{ExcludedRootTables: []string{"writes"}}))
+	ts := httptest.NewServer(sys.ServeHandler(&ServeOptions{Search: &SearchOptions{ExcludedRootTables: []string{"writes"}}}))
 	defer ts.Close()
 
 	resp, err := ts.Client().Get(ts.URL + "/search?q=sunita+soumen")

@@ -18,6 +18,7 @@ type Database struct {
 	catMu  sync.RWMutex
 	tables map[string]*Table // lower(name) -> table
 	order  []string          // creation order (original casing)
+	writes uint64            // row writes so far; an Undo checks it
 }
 
 // NewDatabase returns an empty database.
@@ -128,10 +129,10 @@ func (db *Database) TableNames() []string {
 func (db *Database) Insert(table string, vals []Value) (RID, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.insertLocked(table, vals)
+	return db.insertLocked(table, vals, nil)
 }
 
-func (db *Database) insertLocked(table string, vals []Value) (RID, error) {
+func (db *Database) insertLocked(table string, vals []Value, u *Undo) (RID, error) {
 	t, ok := db.tables[strings.ToLower(table)]
 	if !ok {
 		return -1, fmt.Errorf("%w: %s", ErrNoTable, table)
@@ -145,12 +146,20 @@ func (db *Database) insertLocked(table string, vals []Value) (RID, error) {
 	if err != nil {
 		return -1, err
 	}
-	return t.insert(row, refs)
+	rid, err := t.insert(row, refs)
+	if err == nil {
+		db.wrote(u, undoOp{t: t, rid: rid})
+	}
+	return rid, err
 }
 
 // InsertMap adds a row given as column-name -> value; omitted columns are
 // NULL.
 func (db *Database) InsertMap(table string, m map[string]Value) (RID, error) {
+	return db.insertMap(table, m, nil)
+}
+
+func (db *Database) insertMap(table string, m map[string]Value, u *Undo) (RID, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	t, ok := db.tables[strings.ToLower(table)]
@@ -165,7 +174,7 @@ func (db *Database) InsertMap(table string, m map[string]Value) (RID, error) {
 		}
 		vals[i] = v
 	}
-	return db.insertLocked(table, vals)
+	return db.insertLocked(table, vals, u)
 }
 
 // checkForeignKeys resolves every foreign key of row, a coerced row of t,
@@ -200,7 +209,9 @@ func (db *Database) checkForeignKeys(t *Table, row []Value, self RID, refs []RID
 
 // Delete removes the row at rid, failing with ErrFKRestrict when other live
 // rows reference it.
-func (db *Database) Delete(table string, rid RID) error {
+func (db *Database) Delete(table string, rid RID) error { return db.delete(table, rid, nil) }
+
+func (db *Database) delete(table string, rid RID, u *Undo) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	t, ok := db.tables[strings.ToLower(table)]
@@ -214,13 +225,21 @@ func (db *Database) Delete(table string, rid RID) error {
 		return fmt.Errorf("%w: %s rid %d referenced by %s.%s",
 			ErrFKRestrict, table, rid, refs[0].Table, refs[0].Column)
 	}
-	return t.delete(rid)
+	if err := t.delete(rid); err != nil {
+		return err
+	}
+	db.wrote(u, undoOp{t: t, rid: rid, deleted: true})
+	return nil
 }
 
 // Update modifies the named columns of the row at rid, enforcing all
 // constraints. Updating a primary key that other rows reference fails with
 // ErrFKRestrict.
 func (db *Database) Update(table string, rid RID, set map[string]Value) error {
+	return db.update(table, rid, set, nil)
+}
+
+func (db *Database) update(table string, rid RID, set map[string]Value, u *Undo) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	t, ok := db.tables[strings.ToLower(table)]
@@ -262,7 +281,17 @@ func (db *Database) Update(table string, rid RID, set map[string]Value) error {
 	if err != nil {
 		return err
 	}
-	return t.update(rid, row, refs)
+	op := undoOp{t: t, rid: rid, row: old}
+	if u != nil {
+		for k := range t.refs {
+			op.refs = append(op.refs, t.refs[k][rid])
+		}
+	}
+	if err := t.update(rid, row, refs); err != nil {
+		return err
+	}
+	db.wrote(u, op)
+	return nil
 }
 
 // Reference describes one incoming foreign-key reference to a tuple: the

@@ -279,6 +279,21 @@ func TestSecondaryIndexMaintenance(t *testing.T) {
 	if len(got) != 1 || got[0] != r2 {
 		t.Fatalf("LookupEq after delete = %v, want [%d]", got, r2)
 	}
+	// An update keeps the lists in rid order, as a fresh build has them.
+	db.Insert("Paper", []Value{Text("p2"), Text("U")})
+	r3, _ := db.Insert("Writes", []Value{Text("a1"), Text("p2")})
+	if err := db.Update("Writes", r3, map[string]Value{"PaperId": Text("p1")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Update("Writes", r2, map[string]Value{"PaperId": Text("p2")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Update("Writes", r2, map[string]Value{"PaperId": Text("p1")}); err != nil {
+		t.Fatal(err)
+	}
+	if got := w.LookupEq(ci, Text("p1")); fmt.Sprint(got) != fmt.Sprint([]RID{r2, r3}) {
+		t.Fatalf("LookupEq after updates = %v, want [%d %d]", got, r2, r3)
+	}
 }
 
 func TestScanOrderAndEarlyStop(t *testing.T) {

@@ -49,11 +49,23 @@ func newRefsDB(t *testing.T) *Database {
 }
 
 // checkRefs reports the first live row whose resolved FK target
-// (Table.Refs) is not what resolving its value now gives. The caller
-// holds the read lock.
+// (Table.Refs) is not what resolving its value now gives, or the first
+// built secondary index that differs from a fresh build (lists in rid
+// order). The caller holds the read lock.
 func checkRefs(db *Database) error {
 	for _, name := range db.TableNames() {
 		tbl := db.Table(name)
+		tbl.secMu.Lock()
+		for c, idx := range tbl.secondary {
+			delete(tbl.secondary, c)
+			fresh := tbl.ensureSecondary(c)
+			tbl.secondary[c] = idx
+			if fmt.Sprint(fresh) != fmt.Sprint(idx) {
+				tbl.secMu.Unlock()
+				return fmt.Errorf("%s column %d: secondary index %v, a fresh build gives %v", name, c, idx, fresh)
+			}
+		}
+		tbl.secMu.Unlock()
 		for k, fk := range tbl.Schema().ForeignKeys {
 			ref := db.Table(fk.RefTable)
 			refs := tbl.Refs(k)
@@ -86,8 +98,8 @@ func checkRefs(db *Database) error {
 }
 
 // dumpState renders every slot of every table (tombstones and refs
-// included) and every primary-key index entry, so that two dumps differ
-// if a write changed anything at all.
+// included), every primary-key index entry and every built secondary
+// index, so that two dumps differ if a write changed anything at all.
 func dumpState(db *Database) string {
 	db.RLock()
 	defer db.RUnlock()
@@ -116,19 +128,46 @@ func dumpState(db *Database) string {
 		sort.Strings(keys)
 		b.WriteString(strings.Join(keys, " "))
 		b.WriteByte('\n')
+		tbl.secMu.Lock()
+		keys = keys[:0]
+		for c, idx := range tbl.secondary {
+			for k, rids := range idx {
+				keys = append(keys, fmt.Sprintf("%d:%q=%v", c, k, rids))
+			}
+		}
+		tbl.secMu.Unlock()
+		sort.Strings(keys)
+		b.WriteString(strings.Join(keys, " "))
+		b.WriteByte('\n')
 	}
 	return b.String()
+}
+
+// writer is the write surface TestRefsInvariant drives: the Database's
+// own, or an Undo's over it.
+type writer interface {
+	InsertMap(table string, m map[string]Value) (RID, error)
+	Update(table string, rid RID, set map[string]Value) error
+	Delete(table string, rid RID) error
 }
 
 // TestRefsInvariant runs a seeded random sequence of inserts, updates and
 // deletes, many of them rejected, and checks after every step that each
 // live row's Refs entries equal what resolving its FK values gives, and
-// that a rejected write changed nothing. A reader goroutine checks the
-// same under the read lock while the writes run, as an engine build
-// reads Refs.
+// that a rejected write changed nothing. Some steps are batches of 1–4
+// writes through an Undo that end in a deliberate failure and are rolled
+// back; each must leave the database exactly as before the batch. A
+// reader goroutine checks the same under the read lock while the writes
+// run, as an engine build reads Refs.
 func TestRefsInvariant(t *testing.T) {
 	db := newRefsDB(t)
 	rng := rand.New(rand.NewSource(44))
+	// Build the secondary indexes the restrict checks use up front, so a
+	// rejected write cannot differ from its before-state by building one.
+	for _, c := range []struct{ table, col string }{{"emp", "dept"}, {"emp", "boss"}, {"assign", "emp"}, {"assign", "dept"}} {
+		tbl := db.Table(c.table)
+		tbl.LookupEq(tbl.ColumnIndex(c.col), Null())
+	}
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -190,25 +229,22 @@ func TestRefsInvariant(t *testing.T) {
 		}
 	}
 
-	outcomes := make(map[string]int)
-	for step := 0; step < 2000; step++ {
-		var op string
-		var err error
-		before := dumpState(db)
+	// write makes one random write through w.
+	write := func(w writer) (op string, err error) {
 		switch r := rng.Intn(10); {
 		case r < 2:
 			op = "insert dept"
-			_, err = db.Insert("dept", []Value{Int(int64(rng.Intn(12))), Text("d")})
+			_, err = w.InsertMap("dept", map[string]Value{"id": Int(int64(rng.Intn(12))), "name": Text("d")})
 		case r < 4:
 			op = "insert emp"
 			boss := Null()
 			if rng.Intn(2) == 0 {
 				boss = Int(int64(rng.Intn(24)))
 			}
-			_, err = db.Insert("emp", []Value{Int(int64(rng.Intn(24))), intOrNull(14), boss, mentor()})
+			_, err = w.InsertMap("emp", map[string]Value{"id": Int(int64(rng.Intn(24))), "dept": intOrNull(14), "boss": boss, "mentor": mentor()})
 		case r < 5:
 			op = "insert assign"
-			_, err = db.Insert("assign", []Value{intOrNull(24), intOrNull(14)})
+			_, err = w.InsertMap("assign", map[string]Value{"emp": intOrNull(24), "dept": intOrNull(14)})
 		case r < 7:
 			op = "update emp fks"
 			set := map[string]Value{}
@@ -224,7 +260,7 @@ func TestRefsInvariant(t *testing.T) {
 					}
 				}
 			}
-			err = db.Update("emp", randRID("emp"), set)
+			err = w.Update("emp", randRID("emp"), set)
 		case r < 8:
 			// A key change, sometimes with boss set to the row's own
 			// old key, which the new key would leave dangling.
@@ -235,13 +271,63 @@ func TestRefsInvariant(t *testing.T) {
 				set["boss"] = row[0]
 			}
 			op = "update " + table + " key"
-			err = db.Update(table, rid, set)
+			err = w.Update(table, rid, set)
 		default:
 			table := []string{"dept", "emp", "assign"}[rng.Intn(3)]
 			op = "delete " + table
-			err = db.Delete(table, randRID(table))
+			err = w.Delete(table, randRID(table))
 		}
+		return op, err
+	}
 
+	outcomes := make(map[string]int)
+	for step := 0; step < 2000; step++ {
+		before := dumpState(db)
+		if rng.Intn(6) == 0 {
+			// A batch of 1–4 writes whose last one fails on purpose (a
+			// delete past the table's end), rolled back.
+			u := db.Begin()
+			var undone []string
+			for n := rng.Intn(4); n > 0; n-- {
+				if op, err := write(u); err == nil {
+					undone = append(undone, "undone "+strings.Fields(op)[0])
+				}
+			}
+			if err := u.Delete("dept", RID(db.Table("dept").Cap())); !errors.Is(err, ErrNoRow) {
+				t.Fatalf("step %d: deliberate failure gave %v", step, err)
+			}
+			// Now and then a plain write is tried inside the batch. If it
+			// lands, the rollback must refuse and change nothing; if it is
+			// rejected, it wrote nothing and the rollback goes ahead.
+			if len(undone) > 0 && rng.Intn(8) == 0 {
+				if _, err := write(db); err == nil {
+					mid := dumpState(db)
+					if err := u.Rollback(); err == nil {
+						t.Fatalf("step %d: rollback over an interleaved write succeeded", step)
+					}
+					db.RLock()
+					cerr := checkRefs(db)
+					db.RUnlock()
+					if after := dumpState(db); after != mid || cerr != nil {
+						t.Fatalf("step %d: refused rollback changed the database (%v)", step, cerr)
+					}
+					outcomes["rollback refused"]++
+					continue
+				}
+			}
+			for _, o := range undone {
+				outcomes[o]++
+			}
+			if err := u.Rollback(); err != nil {
+				t.Fatalf("step %d: rollback: %v", step, err)
+			}
+			if after := dumpState(db); after != before {
+				t.Fatalf("step %d: rolled back, but the database changed:\nbefore\n%s\nafter\n%s", step, before, after)
+			}
+			outcomes["rolled back"]++
+			continue
+		}
+		op, err := write(db)
 		switch {
 		case err == nil:
 			outcomes[op]++
@@ -271,6 +357,7 @@ func TestRefsInvariant(t *testing.T) {
 	for _, o := range []string{
 		"insert dept", "insert emp", "insert assign", "update emp fks", "update dept key", "update emp key",
 		"delete dept", "delete emp", "delete assign", "fk violation", "duplicate key", "restrict", "no row",
+		"rolled back", "undone insert", "undone update", "undone delete", "rollback refused",
 	} {
 		if outcomes[o] == 0 {
 			t.Errorf("the sequence never produced %q: %v", o, outcomes)

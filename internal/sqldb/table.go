@@ -2,13 +2,15 @@ package sqldb
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 )
 
 // RID identifies a row slot within a table. RIDs are dense, start at 0, and
-// are never reused; deleted rows leave tombstones. The BANKS graph stores
-// only (table, RID) per node, exactly as the paper prescribes.
+// are never reused; deleted rows leave tombstones. Only a rolled-back
+// insert (Undo) gives its rid back, to the next insert. The BANKS graph
+// stores only (table, RID) per node, exactly as the paper prescribes.
 type RID int64
 
 // Table holds the rows of one relation plus its primary-key index and any
@@ -31,11 +33,12 @@ type Table struct {
 	// restrict rules keep it valid while the row lives.
 	refs [][]RID
 
-	// secondary maps column position -> value key -> rids with that value.
-	// Built on first use, maintained incrementally afterwards. secMu guards
-	// it against concurrent lazy builds by readers holding only the
-	// database read lock; writers hold the database write lock and take
-	// secMu too so the race detector sees a consistent story.
+	// secondary maps column position -> value key -> rids with that
+	// value, in rid order. Built on first use, maintained incrementally
+	// afterwards. secMu guards it against concurrent lazy builds by
+	// readers holding only the database read lock; writers hold the
+	// database write lock and take secMu too so the race detector sees a
+	// consistent story.
 	secMu     sync.Mutex
 	secondary map[int]map[string][]RID
 }
@@ -277,7 +280,7 @@ func (t *Table) update(rid RID, row []Value, refs []RID) error {
 			if len(idx[ok]) == 0 {
 				delete(idx, ok)
 			}
-			idx[nk] = append(idx[nk], rid)
+			idx[nk] = insertRID(idx[nk], rid)
 		}
 	}
 	t.secMu.Unlock()
@@ -286,6 +289,34 @@ func (t *Table) update(rid RID, row []Value, refs []RID) error {
 		t.refs[k][rid] = r
 	}
 	return nil
+}
+
+// unappend removes rid, the table's last slot and a live row, as if it
+// had never been inserted: an Undo's inverse of an insert.
+func (t *Table) unappend(rid RID) {
+	_ = t.delete(rid) // cannot fail: the row is live
+	t.rows[rid] = nil
+	t.rows, t.live = t.rows[:rid], t.live[:rid]
+	for k := range t.refs {
+		t.refs[k] = t.refs[k][:rid]
+	}
+}
+
+// revive brings the tombstoned row at rid back with the values and FK
+// targets it had: an Undo's inverse of a delete.
+func (t *Table) revive(rid RID) {
+	row := t.rows[rid]
+	if t.pkIdx != nil {
+		t.pkIdx[t.pkKey(row)] = rid
+	}
+	t.secMu.Lock()
+	for c, idx := range t.secondary {
+		k := row[c].KeyString()
+		idx[k] = insertRID(idx[k], rid)
+	}
+	t.secMu.Unlock()
+	t.live[rid] = true
+	t.n++
 }
 
 // referrers returns the live rows whose k-th foreign key references rid.
@@ -297,6 +328,12 @@ func (t *Table) referrers(k int, rid RID) []RID {
 		}
 	}
 	return out
+}
+
+// insertRID adds rid to s, a list in rid order.
+func insertRID(s []RID, rid RID) []RID {
+	i, _ := slices.BinarySearch(s, rid)
+	return slices.Insert(s, i, rid)
 }
 
 func removeRID(s []RID, rid RID) []RID {

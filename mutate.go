@@ -1,24 +1,29 @@
 package banks
 
-// Live mutations: System.Apply journals row-level changes to a
-// write-ahead log and folds them into delta overlays over the immutable
-// engine — graph.Delta patches the affected nodes' edges and prestige,
-// index.Delta diffs the affected rows' token sets — then publishes a new
-// engine snapshot (base + delta views) through the same atomic pointer
-// Refresh uses. Queries in flight keep the snapshot they pinned; queries
-// that begin after Apply returns see the mutated rows. The whole path
-// costs milliseconds where Refresh pays the full SQL→graph→index rebuild.
+// Live mutations: System.Apply writes row-level changes to the database,
+// journals them to a write-ahead log and folds them into delta overlays
+// over the immutable engine — graph.Delta patches the affected nodes'
+// edges and prestige, index.Delta diffs the affected rows' token sets —
+// then publishes a new engine snapshot (base + delta views) through the
+// same atomic pointer Refresh uses. Queries in flight keep the snapshot
+// they pinned; queries that begin after Apply returns see the mutated
+// rows. The whole path costs milliseconds where Refresh pays the full
+// SQL→graph→index rebuild.
 //
 // Durability pairs the WAL with the segmented store: the store records
 // the last folded WAL sequence, Compact persists the folded engine and
 // truncates the journal, and OpenSystem replays only the tail beyond the
 // store's sequence — so a crash between Apply and Compact loses nothing.
 //
-// Apply is not transactional: each row change is applied to the database
-// in order, and a failure mid-batch (after the upfront validation pass,
-// which catches the ordinary constraint violations) leaves the database
-// ahead of the engine. Such a failure is sticky — further Applies are
-// refused until Refresh or Compact resynchronizes from the database.
+// Apply is all-or-nothing against the database. A batch goes through
+// sqldb's own writes under an undo log (sqldb.Undo), so the database's
+// NOT NULL, key, foreign-key and restrict rules are the only checks, and
+// each write holds the database lock for itself alone. The database is
+// written first and the journal second; a rejection by either rolls the
+// batch back, leaving nothing written. Only a failure after the journal
+// (the graph delta rejecting a journaled batch) is sticky: further
+// Applies are refused until Refresh or Compact resynchronizes from the
+// database.
 
 import (
 	"context"
@@ -101,13 +106,17 @@ type ApplyResult struct {
 	RIDs []int64
 }
 
-// Apply journals the batch to the write-ahead log, applies it to the
-// database, folds it into the live graph and index deltas, and atomically
+// Apply writes the batch to the database, journals it to the write-ahead
+// log, folds it into the live graph and index deltas, and atomically
 // publishes a new engine snapshot containing the changes — all without a
 // rebuild. It requires SystemOptions.WALPath. The batch is applied in
-// order; an upfront validation pass rejects constraint violations
-// (unknown rows, duplicate keys, dangling or restricted foreign keys)
-// before anything is written.
+// order and all or nothing: when the database rejects a mutation (an
+// unknown row or column, a NOT NULL, duplicate key, dangling or
+// restricted foreign key) or the journal rejects the batch, the batch's
+// writes are rolled back and the error returned, and the next insert
+// gets the rid it would have got. Intra-batch dependencies hold as in the
+// database: insert a paper, then a citation to it; delete the citations,
+// then the paper.
 //
 // Mutations cover row changes within the known schema. Schema changes —
 // new tables, new foreign keys — and bulk loads go through Refresh.
@@ -131,9 +140,6 @@ func (s *System) Apply(ctx context.Context, muts []Mutation) (*ApplyResult, erro
 	}
 	wmuts, err := s.resolveMutations(muts)
 	if err != nil {
-		return nil, err
-	}
-	if err := s.validateResolved(wmuts); err != nil {
 		return nil, err
 	}
 	seq, rids, touched, err := s.applyResolved(wmuts, 0)
@@ -174,7 +180,7 @@ func (s *System) Compact() error {
 		return ErrClosed
 	}
 	if s.wal == nil || s.gd == nil || s.mutErr != nil {
-		// No live overlay to fold aside (plain systems), or a mid-batch
+		// No live overlay to fold aside (plain systems), or a sticky
 		// failure left the database ahead of the deltas — the blocking
 		// rebuild from the database is the only correct path.
 		defer s.mu.Unlock()
@@ -188,7 +194,7 @@ func (s *System) Compact() error {
 	if old := s.eng.Load(); old != nil && old.cache != nil {
 		warm = old.cache.HotKeys(warmKeyLimit)
 	}
-	s.tail = newTailLog()
+	s.tail = newRowLog()
 	s.mu.Unlock()
 
 	dropTail := func() {
@@ -243,7 +249,7 @@ func (s *System) Compact() error {
 		return nil
 	}
 	if s.mutErr != nil {
-		// A batch failed mid-flight during the build: the database is
+		// A journaled batch failed during the build: the database is
 		// ahead of both the old deltas and our tail log.
 		discard()
 		return s.rebuildLocked()
@@ -379,36 +385,12 @@ func (s *System) attachLiveMutations(st *store.Store) error {
 	return nil
 }
 
-// replayToDB applies one journaled batch to the database alone — the
-// NewSystem bootstrap, where the engine is built afterwards. Insert
-// replay asserts that the database assigns the journaled rid: a mismatch
-// means the database does not hold the rows the WAL was journaled
-// against.
+// replayToDB writes one journaled batch to the database alone — the
+// NewSystem bootstrap, where the engine is built afterwards.
 func (s *System) replayToDB(b wal.Batch) error {
-	db := s.db.inner
-	for i := range b.Muts {
-		m := &b.Muts[i]
-		switch m.Op {
-		case wal.OpInsert:
-			rid, err := db.InsertMap(m.Table, colMap(m))
-			if err != nil {
-				return fmt.Errorf("banks: WAL replay (seq %d): %w", b.Seq, err)
-			}
-			if int64(rid) != m.RID {
-				return fmt.Errorf("banks: WAL replay diverged at seq %d: insert into %s assigned rid %d, journal recorded %d — the database does not match the journal's base state",
-					b.Seq, m.Table, rid, m.RID)
-			}
-		case wal.OpUpdate:
-			if err := db.Update(m.Table, sqldb.RID(m.RID), colMap(m)); err != nil {
-				return fmt.Errorf("banks: WAL replay (seq %d): %w", b.Seq, err)
-			}
-		case wal.OpDelete:
-			if err := db.Delete(m.Table, sqldb.RID(m.RID)); err != nil {
-				return fmt.Errorf("banks: WAL replay (seq %d): %w", b.Seq, err)
-			}
-		default:
-			return fmt.Errorf("banks: WAL replay (seq %d): unknown op %d", b.Seq, m.Op)
-		}
+	u := s.db.inner.Begin()
+	if err := writeBatch(u, b.Muts, true); err != nil {
+		return s.rollback(u, fmt.Errorf("banks: WAL replay (seq %d): %w", b.Seq, err))
 	}
 	return nil
 }
@@ -496,346 +478,104 @@ func (s *System) resolveMutations(muts []Mutation) ([]wal.Mutation, error) {
 	return out, nil
 }
 
-// simKey identifies one row during batch validation and folding.
-type simKey struct {
-	table string // lowercased
-	rid   sqldb.RID
-}
-
-// validateResolved rejects a batch that would violate database
-// constraints, before anything is written — mirroring the checks Insert,
-// Update and Delete enforce (NOT NULL, key uniqueness, foreign-key
-// existence and delete/key-change restriction) while simulating the
-// batch's own inserts and deletes, so intra-batch dependencies (insert a
-// paper, then a citation to it; delete the citations, then the paper)
-// validate correctly. The mirror is conservative: anything it cannot
-// prove safe is left to the database, whose mid-batch failure is sticky.
-func (s *System) validateResolved(wmuts []wal.Mutation) error {
-	db := s.db.inner
-	simDeleted := map[simKey]bool{}
-	simFreedPK := map[string]map[sqldb.Value]bool{} // table -> pk values freed by in-batch deletes
-	simAddedPK := map[string]map[sqldb.Value]bool{} // table -> pk values added by in-batch inserts
-	type simIns struct {
-		tbl  *sqldb.Table
-		vals map[string]sqldb.Value // lowercased column -> coerced value
-	}
-	var simInserted []simIns
-
-	// targetLive reports whether a single-column key value resolves to a
-	// live referenced row once the batch's own effects are considered.
-	targetLive := func(refTable string, v sqldb.Value) (bool, error) {
-		ref := db.Table(refTable)
-		if ref == nil {
-			return false, fmt.Errorf("no such table %s", refTable)
-		}
-		pk := ref.Schema().PrimaryKey
-		if len(pk) != 1 {
-			return false, fmt.Errorf("table %s has no single-column primary key", refTable)
-		}
-		cv, err := v.Convert(ref.Schema().Column(pk[0]).Type)
-		if err != nil {
-			return false, err
-		}
-		lower := strings.ToLower(refTable)
-		if simAddedPK[lower][cv] {
-			return true, nil
-		}
-		rid := ref.LookupPK([]sqldb.Value{cv})
-		return rid >= 0 && !simDeleted[simKey{lower, rid}], nil
-	}
-
-	for i := range wmuts {
-		m := &wmuts[i]
-		tbl := db.Table(m.Table)
-		if tbl == nil {
-			return fmt.Errorf("banks: mutation %d: no such table %s", i, m.Table)
-		}
-		sch := tbl.Schema()
-		lower := strings.ToLower(m.Table)
-
-		// Coerce the provided values to their column types up front, so
-		// conversion failures surface here rather than mid-batch.
-		vals := make(map[string]sqldb.Value, len(m.Cols))
-		for j, c := range m.Cols {
-			col := sch.Column(c)
-			if col == nil {
-				return fmt.Errorf("banks: mutation %d: no column %s.%s", i, m.Table, c)
-			}
-			cv, err := m.Vals[j].Convert(col.Type)
-			if err != nil {
-				return fmt.Errorf("banks: mutation %d: column %s.%s: %w", i, m.Table, c, err)
-			}
-			vals[strings.ToLower(c)] = cv
-		}
-
-		switch m.Op {
-		case wal.OpInsert:
-			for _, col := range sch.Columns {
-				if v, ok := vals[strings.ToLower(col.Name)]; col.NotNull && (!ok || v.IsNull()) {
-					return fmt.Errorf("banks: mutation %d: %s.%s is NOT NULL", i, m.Table, col.Name)
-				}
-			}
-			if len(sch.PrimaryKey) > 0 {
-				pkVals := make([]sqldb.Value, len(sch.PrimaryKey))
-				for j, name := range sch.PrimaryKey {
-					v, ok := vals[strings.ToLower(name)]
-					if !ok || v.IsNull() {
-						return fmt.Errorf("banks: mutation %d: primary key %s.%s missing", i, m.Table, name)
-					}
-					pkVals[j] = v
-				}
-				dup := false
-				if len(pkVals) == 1 {
-					if simAddedPK[lower][pkVals[0]] {
-						dup = true
-					} else if rid := tbl.LookupPK(pkVals); rid >= 0 && !simFreedPK[lower][pkVals[0]] {
-						dup = true
-					}
-					if !dup {
-						if simAddedPK[lower] == nil {
-							simAddedPK[lower] = map[sqldb.Value]bool{}
-						}
-						simAddedPK[lower][pkVals[0]] = true
-						delete(simFreedPK[lower], pkVals[0])
-					}
-				} else if tbl.LookupPK(pkVals) >= 0 {
-					dup = true
-				}
-				if dup {
-					return fmt.Errorf("banks: mutation %d: duplicate key in %s", i, m.Table)
-				}
-			}
-			if err := checkFKs(sch, vals, targetLive, i, m.Table); err != nil {
-				return err
-			}
-			simInserted = append(simInserted, simIns{tbl: tbl, vals: vals})
-
-		case wal.OpUpdate:
-			rid := sqldb.RID(m.RID)
-			if !tbl.Live(rid) || simDeleted[simKey{lower, rid}] {
-				return fmt.Errorf("banks: mutation %d: no such row: %s rid %d", i, m.Table, m.RID)
-			}
-			keyChanged := false
-			for _, name := range sch.PrimaryKey {
-				if _, ok := vals[strings.ToLower(name)]; ok {
-					keyChanged = true
-				}
-			}
-			if keyChanged && len(db.Referencing(m.Table, rid)) > 0 {
-				return fmt.Errorf("banks: mutation %d: cannot change the key of %s rid %d while other rows reference it", i, m.Table, m.RID)
-			}
-			if err := checkFKs(sch, vals, targetLive, i, m.Table); err != nil {
-				return err
-			}
-
-		case wal.OpDelete:
-			rid := sqldb.RID(m.RID)
-			key := simKey{lower, rid}
-			if !tbl.Live(rid) || simDeleted[key] {
-				return fmt.Errorf("banks: mutation %d: no such row: %s rid %d", i, m.Table, m.RID)
-			}
-			for _, ref := range db.Referencing(m.Table, rid) {
-				refLower := strings.ToLower(ref.Table)
-				for _, r2 := range ref.RIDs {
-					if !simDeleted[simKey{refLower, r2}] {
-						return fmt.Errorf("banks: mutation %d: %s rid %d is referenced by %s.%s; delete the referencing rows first (in the same batch is fine)",
-							i, m.Table, m.RID, ref.Table, ref.Column)
-					}
-				}
-			}
-			// In-batch inserts referencing this row block the delete too.
-			if pk := sch.PrimaryKey; len(pk) == 1 {
-				pkIdx := sch.ColumnIndex(pk[0])
-				pkVal := tbl.Row(rid)[pkIdx]
-				for _, ins := range simInserted {
-					for _, fk := range ins.tbl.Schema().ForeignKeys {
-						if !strings.EqualFold(fk.RefTable, m.Table) {
-							continue
-						}
-						v, ok := ins.vals[strings.ToLower(fk.Column)]
-						if !ok || v.IsNull() {
-							continue
-						}
-						if cv, err := v.Convert(pkVal.T); err == nil && cv == pkVal {
-							return fmt.Errorf("banks: mutation %d: %s rid %d is referenced by an insert earlier in this batch", i, m.Table, m.RID)
-						}
-					}
-				}
-				if simFreedPK[lower] == nil {
-					simFreedPK[lower] = map[sqldb.Value]bool{}
-				}
-				simFreedPK[lower][pkVal] = true
-				delete(simAddedPK[lower], pkVal)
-			}
-			simDeleted[key] = true
-		}
-	}
-	return nil
-}
-
-// checkFKs validates the provided foreign-key columns of one row against
-// the batch-aware target lookup.
-func checkFKs(sch *sqldb.TableSchema, vals map[string]sqldb.Value,
-	targetLive func(string, sqldb.Value) (bool, error), i int, table string) error {
-	for _, fk := range sch.ForeignKeys {
-		v, ok := vals[strings.ToLower(fk.Column)]
-		if !ok || v.IsNull() {
-			continue
-		}
-		live, err := targetLive(fk.RefTable, v)
-		if err != nil {
-			return fmt.Errorf("banks: mutation %d: %s.%s: %v", i, table, fk.Column, err)
-		}
-		if !live {
-			return fmt.Errorf("banks: mutation %d: %s.%s = %s has no match in %s", i, table, fk.Column, v, fk.RefTable)
-		}
-	}
-	return nil
-}
-
-// applyResolved runs one validated batch through the database, the
-// journal and the live deltas, and returns the batch's sequence, the rids
-// it addressed and the tokens it added to or removed from any node (for
-// the warm publish). replaySeq is 0 on the Apply path (the
-// batch is appended to the WAL) and the journaled sequence during replay
-// (insert rids are asserted against the journal instead). Callers hold
-// s.mu (or own the System exclusively, during open). While a Compact is
-// building aside (s.tail non-nil), the pre-batch state of every
-// first-touched row is additionally recorded for the tail fold.
+// applyResolved runs one batch through the database, the journal and the
+// live deltas, and returns the batch's sequence, the rids it addressed
+// and the tokens it added to or removed from any node (for the warm
+// publish). replaySeq is 0 on the Apply path (the batch is appended to
+// the WAL) and the journaled sequence during replay (insert rids are
+// asserted against the journal instead). The database's own writes are
+// the only checks: a batch it rejects, or the journal rejects, is rolled
+// back. Callers hold s.mu (or own the System exclusively, during open).
+// While a Compact is building aside (s.tail non-nil), the pre-batch state
+// of every row the journaled batch touched is added to the tail log.
 func (s *System) applyResolved(wmuts []wal.Mutation, replaySeq uint64) (uint64, []int64, []string, error) {
 	db := s.db.inner
-	preView := s.gd.Snapshot()
-
-	// First-touch capture per row: the token set and node before the
-	// batch, so one diff per row covers chains like update-then-delete.
-	type rowTouch struct {
-		table   string
-		rid     sqldb.RID
-		oldToks map[string]bool
-		oldNode graph.NodeID
-	}
-	touchIdx := map[simKey]int{}
-	var touched []rowTouch
-	touch := func(table string, rid sqldb.RID, exists bool) {
-		k := simKey{strings.ToLower(table), rid}
-		if _, ok := touchIdx[k]; ok {
-			return
-		}
-		rt := rowTouch{table: table, rid: rid, oldNode: graph.NoNode}
-		if exists {
-			rt.oldToks = s.rowTokens(table, rid)
-			rt.oldNode = preView.NodeOf(table, rid)
-		}
-		touchIdx[k] = len(touched)
-		touched = append(touched, rt)
-		if s.tail != nil {
-			s.tail.note(k, table, rid, exists, rt.oldToks)
-		}
-	}
-
-	// fail distinguishes a clean first-mutation failure (nothing written,
-	// the caller can retry) from a mid-batch one, which leaves the
-	// database ahead of the engine and is therefore sticky until a
-	// rebuild resynchronizes them.
-	fail := func(i int, err error) error {
+	wrap := func(err error) error {
 		if replaySeq > 0 {
-			return fmt.Errorf("banks: WAL replay (seq %d), mutation %d: %w", replaySeq, i, err)
+			return fmt.Errorf("banks: WAL replay (seq %d): %w", replaySeq, err)
 		}
-		if i == 0 {
-			return fmt.Errorf("banks: applying mutation 0: %w", err)
+		return fmt.Errorf("banks: %w", err)
+	}
+
+	// Capture, before any write, the state of every live row the batch
+	// updates or deletes: token set and node, plus FK targets for a
+	// structural change, so one diff per row covers chains like
+	// update-then-delete. Rows that are not live yet are the batch's own
+	// inserts (or writes the database will reject).
+	preView := s.gd.Snapshot()
+	batch := newRowLog()
+	for i := range wmuts {
+		m := &wmuts[i]
+		tbl, rid := db.Table(m.Table), sqldb.RID(m.RID)
+		if m.Op == wal.OpInsert || tbl == nil || !tbl.Live(rid) {
+			continue
 		}
-		s.mutErr = fmt.Errorf("banks: mutation batch failed after %d of %d changes reached the database (%v); the engine no longer matches it — Refresh or Compact to resynchronize", i, len(wmuts), err)
-		return s.mutErr
+		rs := batch.get(m.Table, rid)
+		if rs == nil {
+			rs = batch.add(rowState{table: m.Table, rid: rid, existed: true,
+				oldToks: s.rowTokens(m.Table, rid), oldNode: preView.NodeOf(m.Table, rid)})
+		}
+		if !rs.targetsKnown && (m.Op == wal.OpDelete || graphRelevantCols(tbl, m.Cols)) {
+			targets, err := s.gd.Targets(m.Table, rid)
+			if err != nil {
+				return 0, nil, nil, wrap(fmt.Errorf("mutation %d: %w", i, err))
+			}
+			rs.targets, rs.targetsKnown = targets, true
+		}
+	}
+
+	undo := db.Begin()
+	if err := writeBatch(undo, wmuts, replaySeq > 0); err != nil {
+		return 0, nil, nil, s.rollback(undo, wrap(err))
+	}
+	seq := replaySeq
+	if replaySeq == 0 {
+		var err error
+		if seq, err = s.wal.Append(wmuts); err != nil {
+			return 0, nil, nil, s.rollback(undo, fmt.Errorf("banks: journaling the batch: %w", err))
+		}
 	}
 
 	var changes []graph.RowChange
 	rids := make([]int64, len(wmuts))
 	for i := range wmuts {
 		m := &wmuts[i]
+		rid := sqldb.RID(m.RID)
+		rids[i] = m.RID
+		op := graph.RowDelete
 		switch m.Op {
 		case wal.OpInsert:
-			rid, err := db.InsertMap(m.Table, colMap(m))
-			if err != nil {
-				return 0, nil, nil, fail(i, err)
-			}
-			if replaySeq > 0 {
-				if int64(rid) != m.RID {
-					return 0, nil, nil, fmt.Errorf("banks: WAL replay diverged at seq %d: insert into %s assigned rid %d, journal recorded %d — the database does not match the journal's base state",
-						replaySeq, m.Table, rid, m.RID)
-				}
-			} else {
-				m.RID = int64(rid)
-			}
-			touch(m.Table, rid, false)
+			batch.add(rowState{table: m.Table, rid: rid, oldNode: graph.NoNode})
 			changes = append(changes, graph.RowChange{Op: graph.RowInsert, Table: m.Table, RID: rid})
-			rids[i] = int64(rid)
-
+			continue
 		case wal.OpUpdate:
-			rid := sqldb.RID(m.RID)
-			touch(m.Table, rid, true)
-			relevant := graphRelevantCols(db.Table(m.Table).Schema(), m.Cols)
-			var oldT []graph.RowRef
-			if relevant {
-				var err error
-				if oldT, err = s.gd.Targets(m.Table, rid); err != nil {
-					return 0, nil, nil, fail(i, err)
-				}
-				if s.tail != nil {
-					s.tail.noteTargets(simKey{strings.ToLower(m.Table), rid}, oldT)
-				}
-			}
-			if err := db.Update(m.Table, rid, colMap(m)); err != nil {
-				return 0, nil, nil, fail(i, err)
-			}
 			// A change to non-key, non-FK columns cannot move edges or
 			// prestige; only the index diff below applies.
-			if relevant {
-				changes = append(changes, graph.RowChange{Op: graph.RowUpdate, Table: m.Table, RID: rid, OldTargets: oldT})
+			if !graphRelevantCols(db.Table(m.Table), m.Cols) {
+				continue
 			}
-			rids[i] = m.RID
-
-		case wal.OpDelete:
-			rid := sqldb.RID(m.RID)
-			touch(m.Table, rid, true)
-			oldT, err := s.gd.Targets(m.Table, rid)
-			if err != nil {
-				return 0, nil, nil, fail(i, err)
-			}
-			if s.tail != nil {
-				s.tail.noteTargets(simKey{strings.ToLower(m.Table), rid}, oldT)
-			}
-			if err := db.Delete(m.Table, rid); err != nil {
-				return 0, nil, nil, fail(i, err)
-			}
-			changes = append(changes, graph.RowChange{Op: graph.RowDelete, Table: m.Table, RID: rid, OldTargets: oldT})
-			rids[i] = m.RID
-
-		default:
-			return 0, nil, nil, fail(i, fmt.Errorf("unknown op %d", m.Op))
+			op = graph.RowUpdate
 		}
+		changes = append(changes, graph.RowChange{Op: op, Table: m.Table, RID: rid, OldTargets: batch.get(m.Table, rid).targets})
 	}
-
-	seq := replaySeq
-	if replaySeq == 0 {
-		var err error
-		if seq, err = s.wal.Append(wmuts); err != nil {
-			s.mutErr = fmt.Errorf("banks: batch reached the database but journaling failed (%v); Refresh or Compact to resynchronize", err)
-			return 0, nil, nil, s.mutErr
+	if s.tail != nil {
+		for _, rs := range batch.rows {
+			s.tail.add(rs)
 		}
 	}
 
 	if len(changes) > 0 {
 		if err := s.gd.Apply(changes); err != nil {
 			if replaySeq > 0 {
-				return 0, nil, nil, fmt.Errorf("banks: WAL replay (seq %d): folding into graph delta: %w", replaySeq, err)
+				return 0, nil, nil, wrap(fmt.Errorf("folding into graph delta: %w", err))
 			}
-			s.mutErr = fmt.Errorf("banks: batch reached the database but the graph delta rejected it (%v); Refresh or Compact to resynchronize", err)
+			s.mutErr = fmt.Errorf("banks: batch was journaled but the graph delta rejected it (%v); Refresh or Compact to resynchronize", err)
 			return 0, nil, nil, s.mutErr
 		}
 	}
 	gSnap := s.gd.Snapshot()
 	tokSet := map[string]bool{}
-	for _, rt := range touched {
+	for _, rt := range batch.rows {
 		newToks := s.rowTokens(rt.table, rt.rid)
 		node := rt.oldNode
 		if node == graph.NoNode {
@@ -864,51 +604,104 @@ func (s *System) applyResolved(wmuts []wal.Mutation, replaySeq uint64) (uint64, 
 	return seq, rids, touchedToks, nil
 }
 
-// tailLog records the batches Apply folds while a Compact builds its
-// base aside: for every row, the state it had when the tail window
-// opened (which is the state the aside base was materialized from, since
-// rows untouched since the snapshot are unchanged). The fold then
-// replays the window as one net per-row change set — a row touched five
-// times folds once.
-type tailLog struct {
-	idx  map[simKey]int
-	rows []tailRow
+// writeBatch writes a journal batch to the database in order, through
+// the undo log u. An insert records the rid the database assigns or,
+// when replaying, must be assigned the rid the journal recorded: a
+// mismatch means the database does not hold the rows the journal was
+// written against.
+func writeBatch(u *sqldb.Undo, muts []wal.Mutation, replay bool) error {
+	for i := range muts {
+		m := &muts[i]
+		var err error
+		switch m.Op {
+		case wal.OpInsert:
+			var rid sqldb.RID
+			if rid, err = u.InsertMap(m.Table, colMap(m)); err == nil && replay && int64(rid) != m.RID {
+				err = fmt.Errorf("insert into %s assigned rid %d, journal recorded %d — the database does not match the journal's base state", m.Table, rid, m.RID)
+			}
+			if !replay {
+				m.RID = int64(rid)
+			}
+		case wal.OpUpdate:
+			err = u.Update(m.Table, sqldb.RID(m.RID), colMap(m))
+		case wal.OpDelete:
+			err = u.Delete(m.Table, sqldb.RID(m.RID))
+		default:
+			err = fmt.Errorf("unknown op %d", m.Op)
+		}
+		if err != nil {
+			return fmt.Errorf("mutation %d: %w", i, err)
+		}
+	}
+	return nil
 }
 
-// tailRow is one row's first-touch capture within the tail window.
-type tailRow struct {
+// rollback undoes a rejected batch's writes and returns err. A rollback
+// that fails (another writer changed the database meanwhile) leaves the
+// database ahead of the engine, which is sticky.
+func (s *System) rollback(u *sqldb.Undo, err error) error {
+	if rerr := u.Rollback(); rerr != nil {
+		s.mutErr = fmt.Errorf("%v; undoing its writes failed (%v) — Refresh or Compact to resynchronize", err, rerr)
+		return s.mutErr
+	}
+	return err
+}
+
+// rowKey identifies one row in a rowLog.
+type rowKey struct {
+	table string // lowercased
+	rid   sqldb.RID
+}
+
+// rowLog holds rows' states before their first touch: within one batch
+// (its token diff and graph changes) or within the tail window of a
+// Compact building aside. The window's state is the one the aside base
+// was materialized from, since rows untouched since the snapshot are
+// unchanged, so the fold replays the window as one net per-row change
+// set — a row touched five times folds once.
+type rowLog struct {
+	idx  map[rowKey]int
+	rows []rowState
+}
+
+// rowState is one row's state at its first touch.
+type rowState struct {
 	table   string
 	rid     sqldb.RID
-	existed bool            // live when the window opened
-	oldToks map[string]bool // token set at window open (nil unless existed)
-	// targets holds the row's FK target set at window open; captured
-	// lazily at the first structural touch (text updates cannot move
-	// targets, so the first capture still sees the window-open state).
+	existed bool            // live before the first touch
+	oldToks map[string]bool // token set before the first touch (nil unless existed)
+	oldNode graph.NodeID    // the row's node before the batch, or NoNode
+	// targets holds the row's FK targets before the first touch; captured
+	// at the first structural touch (text updates cannot move targets, so
+	// that capture still sees the first-touch state).
 	targets      []graph.RowRef
 	targetsKnown bool
 }
 
-func newTailLog() *tailLog { return &tailLog{idx: map[simKey]int{}} }
+func newRowLog() *rowLog { return &rowLog{idx: map[rowKey]int{}} }
 
-// note records the row's pre-mutation state the first time the window
-// sees it; later touches are ignored (their "old" state is mid-window).
-func (t *tailLog) note(k simKey, table string, rid sqldb.RID, existed bool, oldToks map[string]bool) {
-	if _, ok := t.idx[k]; ok {
-		return
+// add records rs unless the row is already in the log, where it only
+// fills in targets the log does not know yet, and returns the row's entry.
+func (l *rowLog) add(rs rowState) *rowState {
+	k := rowKey{strings.ToLower(rs.table), rs.rid}
+	i, ok := l.idx[k]
+	if !ok {
+		l.idx[k] = len(l.rows)
+		l.rows = append(l.rows, rs)
+		return &l.rows[len(l.rows)-1]
 	}
-	t.idx[k] = len(t.rows)
-	t.rows = append(t.rows, tailRow{table: table, rid: rid, existed: existed, oldToks: oldToks})
+	if e := &l.rows[i]; rs.targetsKnown && !e.targetsKnown {
+		e.targets, e.targetsKnown = rs.targets, true
+	}
+	return &l.rows[i]
 }
 
-// noteTargets records the row's pre-mutation FK targets on the first
-// structural touch.
-func (t *tailLog) noteTargets(k simKey, targets []graph.RowRef) {
-	i, ok := t.idx[k]
-	if !ok || t.rows[i].targetsKnown {
-		return
+// get returns the logged state of the row (table, rid), or nil.
+func (l *rowLog) get(table string, rid sqldb.RID) *rowState {
+	if i, ok := l.idx[rowKey{strings.ToLower(table), rid}]; ok {
+		return &l.rows[i]
 	}
-	t.rows[i].targets = append([]graph.RowRef(nil), targets...)
-	t.rows[i].targetsKnown = true
+	return nil
 }
 
 // foldTail replays a tail window onto the freshly compacted base as net
@@ -916,12 +709,12 @@ func (t *tailLog) noteTargets(k simKey, targets []graph.RowRef) {
 // against its current database state decides one insert, update, delete
 // or nothing. Callers hold s.mu; the database already contains every
 // tail mutation.
-func (s *System) foldTail(tail *tailLog, g1 *graph.Graph, gd1 *graph.Delta, id1 *index.Delta) error {
+func (s *System) foldTail(tail *rowLog, g1 *graph.Graph, gd1 *graph.Delta, id1 *index.Delta) error {
 	if tail == nil || len(tail.rows) == 0 {
 		return nil
 	}
 	db := s.db.inner
-	live := func(rt *tailRow) bool {
+	live := func(rt *rowState) bool {
 		tbl := db.Table(rt.table)
 		return tbl != nil && tbl.Live(rt.rid)
 	}
@@ -1004,18 +797,20 @@ func (s *System) rowTokens(table string, rid sqldb.RID) map[string]bool {
 	return set
 }
 
-// graphRelevantCols reports whether touching cols can move graph
+// graphRelevantCols reports whether touching cols of tbl can move graph
 // structure: foreign-key columns rewire edges, key columns re-target the
-// references of other rows.
-func graphRelevantCols(sch *sqldb.TableSchema, cols []string) bool {
+// references of other rows. Names are matched by the table's own lookup.
+func graphRelevantCols(tbl *sqldb.Table, cols []string) bool {
+	sch := tbl.Schema()
 	for _, c := range cols {
+		i := tbl.ColumnIndex(c)
 		for _, fk := range sch.ForeignKeys {
-			if strings.EqualFold(fk.Column, c) {
+			if tbl.ColumnIndex(fk.Column) == i {
 				return true
 			}
 		}
 		for _, pk := range sch.PrimaryKey {
-			if strings.EqualFold(pk, c) {
+			if tbl.ColumnIndex(pk) == i {
 				return true
 			}
 		}

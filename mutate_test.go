@@ -11,11 +11,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/banksdb/banks/internal/datagen"
@@ -506,10 +510,29 @@ func referencedAuthorRID(t *testing.T, db *Database) int64 {
 	return int64(rid)
 }
 
+// tableShape renders every table's live row count and next rid, so two
+// shapes differ if a write landed, even one whose row was deleted again.
+func tableShape(db *Database) string {
+	var b strings.Builder
+	for _, name := range db.Internal().TableNames() {
+		tbl := db.Internal().Table(name)
+		fmt.Fprintf(&b, "%s len=%d next=%d; ", name, tbl.Len(), tbl.Cap())
+	}
+	return b.String()
+}
+
 func TestApplyValidation(t *testing.T) {
 	sys := newMutableDBLP(t)
 	ctx := context.Background()
 	writesRID := liveRIDs(sys.Database(), "Writes")[0]
+	// An author and a paper nothing references, whose keys may change.
+	lone, err := sys.Apply(ctx, []Mutation{
+		Insert("Author", map[string]interface{}{"AuthorId": "Lone", "AuthorName": "hermit"}),
+		Insert("Paper", map[string]interface{}{"PaperId": "P11", "PaperName": "solitude"}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	bad := []struct {
 		name string
@@ -525,6 +548,19 @@ func TestApplyValidation(t *testing.T) {
 		{"unknown row", []Mutation{Update("Paper", 1<<30, map[string]interface{}{"PaperName": "x"})}},
 		{"insert with rid", []Mutation{{Op: MutationInsert, Table: "Author", RID: 3, Set: map[string]interface{}{"AuthorId": "X"}}}},
 		{"delete with values", []Mutation{{Op: MutationDelete, Table: "Writes", RID: writesRID, Set: map[string]interface{}{"x": 1}}}},
+		// Batches the database rejects after an earlier write landed, and
+		// one only the journal rejects: each must be rolled back whole.
+		{"null key on update", []Mutation{
+			Insert("Paper", map[string]interface{}{"PaperId": "PlagueP", "PaperName": "plague"}),
+			Update("Author", lone.RIDs[0], map[string]interface{}{"AuthorId": nil}),
+		}},
+		{"duplicate key on update", []Mutation{
+			Insert("Paper", map[string]interface{}{"PaperId": "P12", "PaperName": "plague"}),
+			Update("Paper", lone.RIDs[1], map[string]interface{}{"PaperId": "P12"}),
+		}},
+		{"text over the journal's limit", []Mutation{
+			Insert("Paper", map[string]interface{}{"PaperId": "LongP", "PaperName": "plague " + strings.Repeat("x", 1<<20+1-len("plague "))}),
+		}},
 		{"delete target of same-batch insert", []Mutation{
 			Insert("Cites", map[string]interface{}{"Citing": datagen.PaperChakrabartiSD98, "Cited": datagen.PaperGrayTransaction}),
 		}},
@@ -540,21 +576,34 @@ func TestApplyValidation(t *testing.T) {
 	})
 	bad[len(bad)-1].muts = append(bad[len(bad)-1].muts, Delete("Paper", paperRID))
 
+	nextAuthor := sys.Database().Internal().Table("Author").Cap()
 	for _, tc := range bad {
+		before := tableShape(sys.Database())
 		if _, err := sys.Apply(ctx, tc.muts); err == nil {
 			t.Errorf("%s: accepted", tc.name)
+		} else if after := tableShape(sys.Database()); after != before {
+			t.Errorf("%s: rejected (%v) but the database changed:\nbefore %s\nafter  %s", tc.name, err, before, after)
 		}
 	}
-	// Validation failures must not poison the system.
-	if _, err := sys.Apply(ctx, []Mutation{
+	// Rejections must not poison the system, nor use up a rid.
+	res, err := sys.Apply(ctx, []Mutation{
 		Insert("Author", map[string]interface{}{"AuthorId": "OK1", "AuthorName": "fine"}),
-	}); err != nil {
+	})
+	if err != nil {
 		t.Fatalf("valid batch after rejected ones: %v", err)
+	}
+	if res.RIDs[0] != int64(nextAuthor) {
+		t.Errorf("insert after rejected batches got rid %d, want %d", res.RIDs[0], nextAuthor)
+	}
+	if q, err := sys.Query(ctx, Query{Text: "plague"}); err != nil {
+		t.Fatal(err)
+	} else if len(q.Answers) != 0 {
+		t.Fatalf("a rejected batch's row is searchable: %d answers", len(q.Answers))
 	}
 
 	// Intra-batch dependencies that must pass: reference a row inserted
 	// in the same batch; delete a row whose referrers die first.
-	res, err := sys.Apply(ctx, []Mutation{
+	res, err = sys.Apply(ctx, []Mutation{
 		Insert("Paper", map[string]interface{}{"PaperId": "IntraP", "PaperName": "intra batch"}),
 		Insert("Cites", map[string]interface{}{"Citing": "IntraP", "Cited": "IntraP"}),
 	})
@@ -600,38 +649,176 @@ func TestWALRejectsPrestigeDamping(t *testing.T) {
 	}
 }
 
-// TestRejectedBatchLeavesStateClean pins that validation failures are
-// all-or-nothing: a batch whose later mutation is invalid changes nothing,
-// and the system still answers in exact parity with a rebuild.
+// TestRejectedBatchLeavesStateClean pins that Apply is all-or-nothing: a
+// batch rejected at its first mutation, by the database mid-batch, or by
+// the journal after all its writes landed changes nothing — no table's
+// length, no rid the next insert gets, no journal record — and the
+// system answers in exact parity with a rebuild, live and after Compact
+// and recovery from the store and the WAL.
 func TestRejectedBatchLeavesStateClean(t *testing.T) {
-	sys := newMutableDBLP(t)
+	dir := t.TempDir()
+	storePath, walPath := filepath.Join(dir, "engine.store"), filepath.Join(dir, "m.wal")
+	db, err := datagen.BuildDBLP(datagen.SmallDBLP())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bdb := &Database{inner: db}
+	sys, err := NewSystem(bdb, &SystemOptions{StorePath: storePath, WALPath: walPath})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx := context.Background()
 	if _, err := sys.Apply(ctx, []Mutation{
 		Insert("Author", map[string]interface{}{"AuthorId": "Ephemeral", "AuthorName": "zeppelin obelisk"}),
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Apply(ctx, []Mutation{
-		Insert("Paper", map[string]interface{}{"PaperId": "EphP", "PaperName": "lantern mosaic"}),
-		Delete("Paper", 1<<30), // no such row: the whole batch must be rejected
-	}); err == nil {
-		t.Fatal("expected the bad delete to reject the batch")
+
+	lantern := func(id string) Mutation {
+		return Insert("Paper", map[string]interface{}{"PaperId": id, "PaperName": "lantern mosaic"})
 	}
-	q, err := sys.Query(ctx, Query{Text: "lantern"})
-	if err != nil {
+	overLong := Insert("Paper", map[string]interface{}{"PaperId": "LongP", "PaperName": strings.Repeat("x", 1<<20+1)})
+	serial := 0
+	reject := func(name string, muts ...Mutation) {
+		t.Helper()
+		before, next := tableShape(bdb), db.Table("Paper").Cap()
+		if _, err := sys.Apply(ctx, muts); err == nil {
+			t.Fatalf("%s: batch accepted", name)
+		}
+		if after := tableShape(bdb); after != before {
+			t.Fatalf("%s: rejected, but the database changed:\nbefore %s\nafter  %s", name, before, after)
+		}
+		serial++
+		res, err := sys.Apply(ctx, []Mutation{
+			Insert("Paper", map[string]interface{}{"PaperId": fmt.Sprintf("Kept%d", serial), "PaperName": "meridian sonnet"}),
+		})
+		if err != nil {
+			t.Fatalf("%s: the next batch: %v", name, err)
+		}
+		if res.RIDs[0] != int64(next) {
+			t.Fatalf("%s: the next insert got rid %d, want %d", name, res.RIDs[0], next)
+		}
+	}
+	reject("at mutation 0", Insert("Paper", map[string]interface{}{"PaperName": "lantern mosaic"}))
+	reject("mid-batch", lantern("EphP"), Delete("Paper", 1<<30))
+	reject("by the journal", lantern("EphP"), overLong)
+
+	if q, err := sys.Query(ctx, Query{Text: "lantern"}); err != nil {
 		t.Fatal(err)
+	} else if len(q.Answers) != 0 {
+		t.Fatal("a rejected batch's insert is visible to queries")
 	}
-	if len(q.Answers) != 0 {
-		t.Fatal("rejected batch's insert is visible to queries")
-	}
-	q, err = sys.Query(ctx, Query{Text: "zeppelin"})
-	if err != nil {
+	if q, err := sys.Query(ctx, Query{Text: "zeppelin"}); err != nil {
 		t.Fatal(err)
-	}
-	if len(q.Answers) == 0 {
+	} else if len(q.Answers) == 0 {
 		t.Fatal("author from the earlier committed batch vanished")
 	}
-	checkQueryParity(t, sys, dblpQueries, "after rejected batch")
+	queries := append([]string{"lantern", "meridian sonnet"}, dblpQueries...)
+	checkQueryParity(t, sys, queries, "after rejected batches")
+
+	// The store holds the database as of this dump; the journal holds
+	// what follows, which must be the accepted batches only.
+	if err := sys.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	var dump bytes.Buffer
+	if err := bdb.DumpSQL(&dump); err != nil {
+		t.Fatal(err)
+	}
+	reject("by the journal, after Compact", lantern("EphQ"), overLong)
+	reject("mid-batch, after Compact", lantern("EphQ"), lantern("EphQ"))
+	want := tableShape(bdb)
+	sys.Close()
+
+	db2 := NewDatabase()
+	if err := db2.ExecScript(dump.String()); err != nil {
+		t.Fatal(err)
+	}
+	sys2, err := OpenSystem(storePath, db2, &SystemOptions{WALPath: walPath})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys2.Close()
+	if got := tableShape(db2); got != want {
+		t.Fatalf("recovery replayed a different database:\ngot  %s\nwant %s", got, want)
+	}
+	checkQueryParity(t, sys2, queries, "after Compact and recovery")
+}
+
+// TestConcurrentApplyRollback runs readers that search and render
+// through ServeHandler beside one writer that alternates accepted batches
+// with batches the database or the journal rejects. Under -race it shows
+// that a rollback and the renderer's reads of the same tables are
+// ordered by the database lock; and that rolled-back inserts give their
+// rids back, reach no reader and leave the system in parity with a
+// rebuild.
+func TestConcurrentApplyRollback(t *testing.T) {
+	sys := newMutableDBLP(t)
+	ts := httptest.NewServer(sys.ServeHandler(nil))
+	defer ts.Close()
+	ctx := context.Background()
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var served atomic.Int64
+	paths := []string{"/search?q=sunita+soumen", "/search?q=lantern", "/search?q=meridian+sonnet", "/browse?table=paper"}
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := r; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				resp, err := ts.Client().Get(ts.URL + paths[i%len(paths)])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				body, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("%s: status %d: %s", paths[i%len(paths)], resp.StatusCode, body)
+					return
+				}
+				served.Add(1)
+			}
+		}(r)
+	}
+
+	// At least 20 rounds, and on until the readers have overlapped some.
+	next := int64(sys.Database().Internal().Table("Paper").Cap())
+	for i := 0; i < 20 || served.Load() < 20 && i < 500; i++ {
+		res, err := sys.Apply(ctx, []Mutation{
+			Insert("Paper", map[string]interface{}{"PaperId": fmt.Sprintf("CR%d", i), "PaperName": "meridian sonnet"}),
+		})
+		if err != nil {
+			t.Fatalf("round %d: accepted batch: %v", i, err)
+		}
+		if res.RIDs[0] != next+int64(i) {
+			t.Fatalf("round %d: insert got rid %d, want %d", i, res.RIDs[0], next+int64(i))
+		}
+		bad := []Mutation{Insert("Paper", map[string]interface{}{"PaperId": fmt.Sprintf("CRx%d", i), "PaperName": "lantern mosaic"})}
+		if i%2 == 0 {
+			bad = append(bad, Insert("Writes", map[string]interface{}{"AuthorId": "NoSuchAuthor", "PaperId": "CR0"}))
+		} else {
+			bad = append(bad, Insert("Paper", map[string]interface{}{"PaperId": "LongP", "PaperName": strings.Repeat("x", 1<<20+1)}))
+		}
+		if _, err := sys.Apply(ctx, bad); err == nil {
+			t.Fatalf("round %d: a batch that must be rejected was accepted", i)
+		}
+	}
+	close(stop)
+	wg.Wait()
+
+	if q, err := sys.Query(ctx, Query{Text: "lantern"}); err != nil {
+		t.Fatal(err)
+	} else if len(q.Answers) != 0 {
+		t.Fatal("a rolled-back insert is searchable")
+	}
+	checkQueryParity(t, sys, []string{"lantern", "meridian sonnet", "sunita soumen"}, "after concurrent rollbacks")
 }
 
 // TestCloseLifecycle pins the Close contract: idempotent, sticky result,

@@ -191,7 +191,7 @@ func TestQueryDeadlineAbortsLongQuery(t *testing.T) {
 // could observe a torn graph/index/searcher triple.
 func TestRefreshDuringQueriesAndHandler(t *testing.T) {
 	db, sys := newQuickstartSystem(t)
-	ts := httptest.NewServer(sys.Handler(&SearchOptions{ExcludedRootTables: []string{"writes"}}))
+	ts := httptest.NewServer(sys.ServeHandler(&ServeOptions{Search: &SearchOptions{ExcludedRootTables: []string{"writes"}}}))
 	defer ts.Close()
 
 	var done atomic.Bool

@@ -86,15 +86,6 @@ func (s *System) ServeHandler(opts *ServeOptions) http.Handler {
 	}, s.bindEngineGauges)
 }
 
-// Handler is ServeHandler with admission control and server-side
-// deadlines off: the web interface over this system with opts as the
-// default search parameters.
-//
-//	http.ListenAndServe(":8080", sys.Handler(nil))
-func (s *System) Handler(opts *SearchOptions) http.Handler {
-	return s.ServeHandler(&ServeOptions{Search: opts})
-}
-
 // newFrontDoor is the one constructor behind System.ServeHandler and
 // Cluster.ServeHandler: it builds the admission gates and the metrics
 // bundle opts describe, lets the backend register its gauges, and mounts

@@ -11,6 +11,7 @@ package banks
 
 import (
 	"context"
+	"errors"
 	"path/filepath"
 	"runtime"
 	"sync"
@@ -162,8 +163,9 @@ func TestInvalidationNeverServesStale(t *testing.T) {
 // TestCompactFoldsConcurrentTail drives Apply batches deterministically
 // into Compact's build-aside window (via the test hook) covering the net
 // per-row matrix — insert, text update of a tail insert, FK rewire,
-// delete of a pre-existing row, and insert+delete within the window —
-// and requires the folded engine to answer exactly like a rebuild.
+// delete of a pre-existing row, insert+delete within the window, and a
+// rolled-back batch — and requires the folded engine to answer exactly
+// like a rebuild.
 func TestCompactFoldsConcurrentTail(t *testing.T) {
 	sys := newMutableDBLP(t)
 	ctx := context.Background()
@@ -206,6 +208,15 @@ func TestCompactFoldsConcurrentTail(t *testing.T) {
 		apply(Delete("Paper", res.RIDs[0]))
 		// Delete a pre-existing link row.
 		apply(Delete("Cites", citesRID))
+		// A batch the database rejects after its first write landed: rolled
+		// back, it must reach neither the tail, the WAL, the deltas nor a
+		// publish.
+		if _, err := sys.Apply(ctx, []Mutation{
+			Insert("Paper", map[string]interface{}{"PaperId": "TF3", "PaperName": "glacier sonnet", "Year": 2003}),
+			Insert("Writes", map[string]interface{}{"AuthorId": "NoSuchAuthor", "PaperId": "TF3"}),
+		}); err == nil && hookErr == nil {
+			hookErr = errors.New("a batch with a dangling foreign key was accepted")
+		}
 	}
 	err := sys.Compact()
 	sys.compactHook = nil
@@ -218,7 +229,7 @@ func TestCompactFoldsConcurrentTail(t *testing.T) {
 	if n := sys.PendingMutations(); n == 0 {
 		t.Fatal("tail fold left no pending mutations — the window was not exercised")
 	}
-	queries := append([]string{"tundra lantern", "lantern mosaic", "meridian sonnet"}, dblpQueries...)
+	queries := append([]string{"tundra lantern", "lantern mosaic", "meridian sonnet", "glacier sonnet"}, dblpQueries...)
 	checkQueryParity(t, sys, queries, "after tail fold")
 
 	// A quiet second compaction folds the tail residue away.
