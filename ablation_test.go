@@ -164,7 +164,7 @@ func TestProximityBaselineComparison(t *testing.T) {
 		t.Errorf("proximity top = node %d, want a coauthored paper", prox[0].Node)
 	}
 	// BANKS agrees on the connection but explains it with a tree.
-	answers, err := s.Search([]string{"soumen", "sunita"}, eval.DefaultDBLPOptions())
+	answers, err := searchCore(s, []string{"soumen", "sunita"}, eval.DefaultDBLPOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

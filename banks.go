@@ -52,7 +52,6 @@ import (
 	"time"
 
 	"github.com/banksdb/banks/internal/core"
-	drv "github.com/banksdb/banks/internal/driver"
 	"github.com/banksdb/banks/internal/graph"
 	"github.com/banksdb/banks/internal/index"
 	"github.com/banksdb/banks/internal/sqldb"
@@ -124,19 +123,13 @@ func (d *Database) ExecScript(sql string) error {
 // Tables returns the table names in creation order.
 func (d *Database) Tables() []string { return d.inner.TableNames() }
 
-// RegisterDriver exposes the database to database/sql under
-// sql.Open("banks", name).
-func (d *Database) RegisterDriver(name string) { drv.Register(name, d.inner) }
-
 // Internal returns the underlying engine database; it is exported for the
-// sibling packages inside this module (cmd/, examples/) and carries no
-// compatibility promise.
+// benchmark harness (bench/) and carries no compatibility promise.
 func (d *Database) Internal() *sqldb.Database { return d.inner }
 
 // WrapDatabase adopts an already-built engine database (for example one of
-// the internal/datagen generators). Like Internal, it exists for the
-// sibling packages inside this module and carries no compatibility
-// promise.
+// the internal/datagen generators). Like Internal, it exists for cmd/ and
+// bench/ and carries no compatibility promise.
 func WrapDatabase(inner *sqldb.Database) *Database {
 	return &Database{inner: inner, engine: sqlexec.New(inner)}
 }

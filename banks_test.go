@@ -2,7 +2,6 @@ package banks
 
 import (
 	"context"
-	"database/sql"
 	"strings"
 	"testing"
 	"unicode/utf8"
@@ -207,23 +206,6 @@ func TestTupleByPK(t *testing.T) {
 	}
 	if _, ok := sys.TupleByPK("nosuch", "x"); ok {
 		t.Error("missing table should fail")
-	}
-}
-
-func TestRegisterDriverIntegration(t *testing.T) {
-	db, _ := newQuickstartSystem(t)
-	db.RegisterDriver("facade-test")
-	sqlDB, err := sql.Open("banks", "facade-test")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sqlDB.Close()
-	var title string
-	if err := sqlDB.QueryRow("SELECT title FROM paper WHERE id = ?", "p1").Scan(&title); err != nil {
-		t.Fatal(err)
-	}
-	if title != "Mining Surprising Patterns" {
-		t.Errorf("title = %q", title)
 	}
 }
 

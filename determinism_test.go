@@ -8,6 +8,7 @@ package banks
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 
@@ -133,11 +134,11 @@ func TestParallelBuildSameTopK(t *testing.T) {
 	sharded, _ := build(8)
 	opts := eval.DefaultDBLPOptions()
 	for _, q := range queries {
-		want, err := serial.Search(q.Terms, opts)
+		want, err := searchCore(serial, q.Terms, opts)
 		if err != nil {
 			t.Fatalf("query %s (serial): %v", q.Name, err)
 		}
-		got, err := sharded.Search(q.Terms, opts)
+		got, err := searchCore(sharded, q.Terms, opts)
 		if err != nil {
 			t.Fatalf("query %s (sharded): %v", q.Name, err)
 		}
@@ -151,4 +152,10 @@ func TestParallelBuildSameTopK(t *testing.T) {
 			}
 		}
 	}
+}
+
+// searchCore runs a plain-terms request straight through core.Searcher.Query.
+func searchCore(s *core.Searcher, terms []string, opts *core.Options) ([]*core.Answer, error) {
+	answers, _, err := s.Query(context.Background(), core.Request{Terms: terms}, opts, nil)
+	return answers, err
 }

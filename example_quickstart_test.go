@@ -1,7 +1,4 @@
-// Quickstart: build a three-table bibliography, ask a keyword query, print
-// the connection trees. This is the minimal end-to-end use of the public
-// API — no schema knowledge is needed at query time.
-package main
+package banks_test
 
 import (
 	"context"
@@ -11,7 +8,10 @@ import (
 	banks "github.com/banksdb/banks"
 )
 
-func main() {
+// Example_quickstart builds a three-table bibliography, asks a keyword
+// query and prints the connection trees. This is the minimal end-to-end
+// use of the public API: no schema knowledge is needed at query time.
+func Example_quickstart() {
 	db := banks.NewDatabase()
 	if err := db.ExecScript(`
 		CREATE TABLE author (id TEXT PRIMARY KEY, name TEXT);
@@ -59,4 +59,16 @@ func main() {
 	}
 	fmt.Printf("\n(%d iterator pops, %d candidate trees)\n",
 		res.Stats.Pops, res.Stats.Generated)
+
+	// Output:
+	// data graph: 10 nodes, 16 directed edges
+	//
+	// results for "sunita soumen":
+	//  1. (0.2254) paper(id=p1, title=Mining Surprising Patterns Using Tempor…)
+	//     -> writes(aid=a1, pid=p1)
+	//         -> author(id=a1, name=Soumen Chakrabarti)  *
+	//     -> writes(aid=a2, pid=p1)
+	//         -> author(id=a2, name=Sunita Sarawagi)  *
+	//
+	// (14 iterator pops, 7 candidate trees)
 }

@@ -1,26 +1,26 @@
-// Thesis: the paper's second dataset, demonstrating browsing (Section 4)
-// alongside search. The example builds a small university thesis database,
-// serves the BANKS web UI on an ephemeral port, and walks the Figure 4
-// browsing session over HTTP: start at the thesis relation, join the
-// student and faculty (advisor) relations in, and follow hyperlinks —
-// then replays the §5.1 thesis anecdotes as keyword queries.
-package main
+package banks_test
 
 import (
 	"context"
 	"fmt"
 	"io"
 	"log"
-	"net"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 
 	banks "github.com/banksdb/banks"
 )
 
-func main() {
+// Example_thesis is the paper's second dataset, demonstrating browsing
+// (Section 4) alongside search. It builds a small university thesis
+// database, serves the BANKS web UI and walks the Figure 4 browsing
+// session over HTTP: start at the thesis relation, join the student and
+// faculty (advisor) relations in, and follow hyperlinks. Then it replays
+// the §5.1 thesis anecdotes as keyword queries.
+func Example_thesis() {
 	db := banks.NewDatabase()
-	if err := db.ExecScript(schema); err != nil {
+	if err := db.ExecScript(thesisSchema); err != nil {
 		log.Fatal(err)
 	}
 	sys, err := banks.NewSystem(db, nil)
@@ -29,26 +29,18 @@ func main() {
 	}
 
 	// Serve the browsing UI on an ephemeral port.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer ln.Close()
-	srv := &http.Server{Handler: sys.ServeHandler(nil)}
-	go srv.Serve(ln)
+	srv := httptest.NewServer(sys.ServeHandler(nil))
 	defer srv.Close()
-	base := "http://" + ln.Addr().String()
-	fmt.Printf("BANKS web UI serving at %s\n\n", base)
 
 	// The Figure 4 session: browse thesis, join in student and advisor.
-	page := fetch(base + "/browse?table=thesis&join=rollno&join=advisor&fcol=rollno&fop=%3D&fval=S0001")
+	page := fetch(srv.URL + "/browse?table=thesis&join=rollno&join=advisor&fcol=rollno&fop=%3D&fval=S0001")
 	fmt.Println("browse thesis ⋈ student ⋈ faculty (Aditya's row):")
 	fmt.Printf("  joined columns present: student.name=%v faculty.name=%v\n",
 		strings.Contains(page, "student.name"), strings.Contains(page, "faculty.name"))
 	fmt.Printf("  advisor visible: %v\n\n", strings.Contains(page, "S. Sudarshan"))
 
 	// Follow the FK hyperlink to the student tuple, then browse backwards.
-	tuplePage := fetch(base + "/tuple?table=student&pk=S0001")
+	tuplePage := fetch(srv.URL + "/tuple?table=student&pk=S0001")
 	fmt.Println("tuple page for student S0001:")
 	fmt.Printf("  back-references shown: %v\n\n", strings.Contains(tuplePage, "Referenced by"))
 
@@ -67,8 +59,37 @@ func main() {
 		}
 		fmt.Println()
 	}
+
+	// Output:
+	// browse thesis ⋈ student ⋈ faculty (Aditya's row):
+	//   joined columns present: student.name=true faculty.name=true
+	//   advisor visible: true
+	//
+	// tuple page for student S0001:
+	//   back-references shown: true
+	//
+	// results for "computer engineering":
+	//  1. (1.0000) department(deptid=1, name=Computer Science and Engineering)  *
+	//  2. (0.8000) thesis(thesisid=T0003, title=Computer Aided Engineering of Circuits, rollno=S0004, advisor=F003)  *
+	//
+	// results for "sudarshan aditya":
+	//  1. (0.3000) thesis(thesisid=T0001, title=Keyword Searching in Graph Structured D…, rollno=S0001, advisor=FS01)
+	//     -> faculty(facid=FS01, name=S. Sudarshan, deptid=1)  *
+	//     -> student(rollno=S0001, name=Aditya Birla, progid=1)  *
+	//  2. (0.2390) department(deptid=1, name=Computer Science and Engineering)
+	//     -> program(progid=1, name=MTech, deptid=1)
+	//         -> student(rollno=S0001, name=Aditya Birla, progid=1)  *
+	//     -> faculty(facid=FS01, name=S. Sudarshan, deptid=1)  *
+	//  3. (0.1313) thesis(thesisid=T0002, title=Materialized View Maintenance, rollno=S0002, advisor=F002)
+	//     -> faculty(facid=F002, name=Helena Weber, deptid=1)
+	//         -> department(deptid=1, name=Computer Science and Engineering)
+	//             -> faculty(facid=FS01, name=S. Sudarshan, deptid=1)  *
+	//     -> student(rollno=S0002, name=Nina Rossi, progid=1)
+	//         -> program(progid=1, name=MTech, deptid=1)
+	//             -> student(rollno=S0001, name=Aditya Birla, progid=1)  *
 }
 
+// fetch GETs url and returns its body.
 func fetch(url string) string {
 	resp, err := http.Get(url)
 	if err != nil {
@@ -82,7 +103,7 @@ func fetch(url string) string {
 	return string(body)
 }
 
-const schema = `
+const thesisSchema = `
 CREATE TABLE department (deptid INT PRIMARY KEY, name TEXT);
 CREATE TABLE program (progid INT PRIMARY KEY, name TEXT, deptid INT REFERENCES department);
 CREATE TABLE faculty (facid TEXT PRIMARY KEY, name TEXT, deptid INT REFERENCES department);

@@ -1,8 +1,4 @@
-// TPCD: the Section 2.1 prestige example. In an order-processing catalog,
-// "if a query matches two parts (or suppliers, or customers) the one with
-// more orders would get a higher prestige". Two parts match "steel
-// widget"; the premium one appears in many lineitems and must rank first.
-package main
+package banks_test
 
 import (
 	"context"
@@ -12,9 +8,14 @@ import (
 	banks "github.com/banksdb/banks"
 )
 
-func main() {
+// Example_tpcd is the Section 2.1 prestige example. In an
+// order-processing catalog, "if a query matches two parts (or suppliers,
+// or customers) the one with more orders would get a higher prestige".
+// Two parts match "steel widget"; the premium one appears in many
+// lineitems and must rank first.
+func Example_tpcd() {
 	db := banks.NewDatabase()
-	if err := db.ExecScript(schema); err != nil {
+	if err := db.ExecScript(tpcdSchema); err != nil {
 		log.Fatal(err)
 	}
 	// The premium widget is ordered nine times, the economy one once.
@@ -44,17 +45,29 @@ func main() {
 			a.Rank, a.Score, a.NScore, a.Root.Label())
 	}
 
-	// The same database is reachable through database/sql for comparison.
-	db.RegisterDriver("tpcd-example")
-	fmt.Println("\nper-part order counts (via database/sql):")
+	// The same database answers SQL for comparison.
+	fmt.Println("\nper-part order counts (via SQL):")
 	rows := db.MustExec(`SELECT p.name, COUNT(*) AS n FROM lineitem l
 		JOIN part p ON p.partkey = l.partkey GROUP BY p.name ORDER BY n DESC`)
 	for _, r := range rows.Rows {
 		fmt.Printf("  %-24v %v\n", r[0], r[1])
 	}
+
+	// Output:
+	// results for "steel widget" (prestige = order count):
+	//  1. score=0.9800 prestige-component=0.9000  part(partkey=1, name=premium steel widget)
+	//  2. score=0.8200 prestige-component=0.1000  part(partkey=2, name=economy steel widget)
+	//  3. score=0.2140 prestige-component=0.6667  supplier(suppkey=1, name=Acme Industrial)
+	//  4. score=0.1763 prestige-component=0.4667  customer(custkey=1, name=Laura Jensen)
+	//  5. score=0.1695 prestige-component=0.3667  orders(orderkey=103, custkey=1)
+	//  6. score=0.1695 prestige-component=0.3667  orders(orderkey=106, custkey=1)
+	//
+	// per-part order counts (via SQL):
+	//   premium steel widget     9
+	//   economy steel widget     1
 }
 
-const schema = `
+const tpcdSchema = `
 CREATE TABLE part (partkey INT PRIMARY KEY, name TEXT);
 CREATE TABLE supplier (suppkey INT PRIMARY KEY, name TEXT);
 CREATE TABLE customer (custkey INT PRIMARY KEY, name TEXT);

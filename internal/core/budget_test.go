@@ -14,7 +14,7 @@ func TestBudgetPopsExhaustion(t *testing.T) {
 	f := newBibFixture(t)
 	o := defaultBibOptions()
 	o.Budget.MaxPops = 3
-	answers, stats, err := f.s.SearchStats([]string{"soumen", "sunita"}, o)
+	answers, stats, err := searchTerms(f.s, []string{"soumen", "sunita"}, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestBudgetMaxPopsDefault(t *testing.T) {
 	f := newBibFixture(t)
 	o := defaultBibOptions()
 	o.Budget.MaxPops = 5
-	_, stats, err := f.s.SearchStats([]string{"soumen", "sunita"}, o)
+	_, stats, err := searchTerms(f.s, []string{"soumen", "sunita"}, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestBudgetMaxPopsDefault(t *testing.T) {
 func TestBudgetArcsExhaustion(t *testing.T) {
 	f := newBibFixture(t)
 	o := defaultBibOptions()
-	full, fullStats, err := f.s.SearchStats([]string{"soumen", "sunita"}, o)
+	full, fullStats, err := searchTerms(f.s, []string{"soumen", "sunita"}, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestBudgetArcsExhaustion(t *testing.T) {
 	}
 
 	o.Budget.MaxArcsScanned = 1
-	_, stats, err := f.s.SearchStats([]string{"soumen", "sunita"}, o)
+	_, stats, err := searchTerms(f.s, []string{"soumen", "sunita"}, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestBudgetArcsExhaustion(t *testing.T) {
 
 	// An ample arc budget must not perturb the answers.
 	o.Budget.MaxArcsScanned = fullStats.ArcsScanned * 2
-	again, againStats, err := f.s.SearchStats([]string{"soumen", "sunita"}, o)
+	again, againStats, err := searchTerms(f.s, []string{"soumen", "sunita"}, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestBudgetNotSpentOnRetiredIterators(t *testing.T) {
 	ref.noRetire = true
 	terms := []string{"ahuja", "mohan"}
 	o := defaultBibOptions()
-	full, fullStats, err := f.s.SearchStats(terms, o)
+	full, fullStats, err := searchTerms(f.s, terms, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,14 +154,14 @@ func TestBudgetNotSpentOnRetiredIterators(t *testing.T) {
 	}
 
 	o.Budget.MaxPops = fullStats.Pops
-	answers, stats, err := f.s.SearchStats(terms, o)
+	answers, stats, err := searchTerms(f.s, terms, o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.BudgetExhausted || renderAnswers(answers) != renderAnswers(full) {
 		t.Errorf("budget %d: exhausted=%v, answers\n%s\nwant unbudgeted\n%s", o.Budget.MaxPops, stats.BudgetExhausted, renderAnswers(answers), renderAnswers(full))
 	}
-	_, refStats, err := ref.SearchStats(terms, o)
+	_, refStats, err := searchTerms(ref, terms, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestBudgetBytesFaulted(t *testing.T) {
 	// The searcher consults the meter but nothing faults: no exhaustion.
 	o := defaultBibOptions()
 	o.Budget.MaxBytesFaulted = 100
-	answers, stats, err := s.SearchStats([]string{"soumen", "sunita"}, o)
+	answers, stats, err := searchTerms(s, []string{"soumen", "sunita"}, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestBudgetBytesFaulted(t *testing.T) {
 	s2 := NewSearcher(f.g, f.ix).WithFaultMeter(func() int64 {
 		return reads.Add(200) // every sample is 200 bytes beyond the last
 	})
-	answers, stats, err = s2.SearchStats([]string{"soumen", "sunita"}, o)
+	answers, stats, err = searchTerms(s2, []string{"soumen", "sunita"}, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestBudgetBytesFaulted(t *testing.T) {
 // default) leave a normal query untouched.
 func TestBudgetZeroIsUnlimited(t *testing.T) {
 	f := newBibFixture(t)
-	answers, stats, err := f.s.SearchStats([]string{"soumen", "sunita"}, defaultBibOptions())
+	answers, stats, err := searchTerms(f.s, []string{"soumen", "sunita"}, defaultBibOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

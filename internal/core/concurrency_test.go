@@ -29,7 +29,7 @@ func TestConcurrentSearchesShareOneSearcher(t *testing.T) {
 	// Serial reference run.
 	want := make([][]string, len(queries))
 	for qi, q := range queries {
-		answers, err := f.s.Search(q, o)
+		answers, _, err := searchTerms(f.s, q, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,7 +48,7 @@ func TestConcurrentSearchesShareOneSearcher(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				qi := (gi + r) % len(queries)
-				answers, err := f.s.Search(queries[qi], o)
+				answers, _, err := searchTerms(f.s, queries[qi], o)
 				if err != nil {
 					errs <- err
 					return
@@ -93,7 +93,7 @@ func TestConcurrentStreamAndBatch(t *testing.T) {
 						return count < 1 // cancel after the first answer
 					})
 				} else {
-					if _, err := f.s.Search([]string{"mohan", "aries"}, o); err != nil {
+					if _, _, err := searchTerms(f.s, []string{"mohan", "aries"}, o); err != nil {
 						t.Error(err)
 						return
 					}

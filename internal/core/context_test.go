@@ -44,26 +44,15 @@ func TestQueryExpiredDeadline(t *testing.T) {
 	}
 }
 
-// TestQueryUnifiedWrappers asserts the legacy helpers and the unified
-// entry point agree on the same request.
+// TestQueryUnifiedWrappers asserts a plain request reports its stats and
+// that qualifying every term with the relation it matches in leaves the
+// answers unchanged.
 func TestQueryUnifiedWrappers(t *testing.T) {
 	f := newBibFixture(t)
 	o := defaultBibOptions()
-	legacy, err := f.s.Search([]string{"soumen", "sunita"}, o)
-	if err != nil {
-		t.Fatal(err)
-	}
 	unified, st, err := f.s.Query(context.Background(), Request{Terms: []string{"soumen", "sunita"}}, o, nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(legacy) != len(unified) {
-		t.Fatalf("answer counts differ: %d vs %d", len(legacy), len(unified))
-	}
-	for i := range legacy {
-		if legacy[i].Root != unified[i].Root || legacy[i].Score != unified[i].Score {
-			t.Errorf("answer %d differs", i)
-		}
 	}
 	if st == nil || st.Pops == 0 || len(st.Terms) != 2 {
 		t.Errorf("stats = %+v", st)

@@ -218,7 +218,7 @@ func absF(x float64) float64 {
 
 func TestAnswerNodesAndDescribe(t *testing.T) {
 	f := newBibFixture(t)
-	answers, err := f.s.Search([]string{"soumen", "sunita"}, defaultBibOptions())
+	answers, _, err := searchTerms(f.s, []string{"soumen", "sunita"}, defaultBibOptions())
 	if err != nil || len(answers) == 0 {
 		t.Fatalf("answers=%d err=%v", len(answers), err)
 	}

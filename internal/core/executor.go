@@ -52,17 +52,6 @@ func (ex *exec) bytesFaulted() int64 {
 // deadline while the steady-state cost of the check is noise.
 const cancelCheckMask = 256 - 1
 
-// Search runs the backward expanding search for the given terms.
-func (s *Searcher) Search(terms []string, opts *Options) ([]*Answer, error) {
-	answers, _, err := s.Query(context.Background(), Request{Terms: terms}, opts, nil)
-	return answers, err
-}
-
-// SearchStats is Search plus execution statistics.
-func (s *Searcher) SearchStats(terms []string, opts *Options) ([]*Answer, *Stats, error) {
-	return s.Query(context.Background(), Request{Terms: terms}, opts, nil)
-}
-
 // Query is the staged query executor: it resolves the request's terms to
 // node sets (plain, qualified or prefix matching per the request), runs
 // the backward expanding search over the resolved sets under ctx, and

@@ -13,7 +13,7 @@ func TestMaxPopsTermination(t *testing.T) {
 	f := newBibFixture(t)
 	o := defaultBibOptions()
 	o.Budget.MaxPops = 5 // absurdly small: the search must still terminate cleanly
-	answers, stats, err := f.s.SearchStats([]string{"soumen", "sunita"}, o)
+	answers, stats, err := searchTerms(f.s, []string{"soumen", "sunita"}, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestMetadataNodeLimit(t *testing.T) {
 	f := newFixture(t, db)
 	o := DefaultOptions()
 	o.MetadataNodeLimit = 10
-	_, stats, err := f.s.SearchStats([]string{"gizmo"}, o)
+	_, stats, err := searchTerms(f.s, []string{"gizmo"}, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestMetadataNodeLimit(t *testing.T) {
 	}
 	// Unlimited: all 50.
 	o.MetadataNodeLimit = 0
-	_, stats, err = f.s.SearchStats([]string{"gizmo"}, o)
+	_, stats, err = searchTerms(f.s, []string{"gizmo"}, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestMetadataNodeLimitExactUnderDuplicatePostings(t *testing.T) {
 	s := NewSearcher(g, ix)
 	o := DefaultOptions()
 	o.MetadataNodeLimit = 5
-	_, stats, err := s.SearchStats([]string{"gizmo"}, o)
+	_, stats, err := searchTerms(s, []string{"gizmo"}, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestMaxCombosTruncationReported(t *testing.T) {
 	o.MaxCombosPerVisit = 5
 	o.TopK = 100
 	o.HeapSize = 10
-	_, stats, err := f.s.SearchStats([]string{"left", "right"}, o)
+	_, stats, err := searchTerms(f.s, []string{"left", "right"}, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestStopsAfterTopKEmitted(t *testing.T) {
 	o := defaultBibOptions()
 	o.TopK = 1
 	o.HeapSize = 1
-	answers, stats, err := f.s.SearchStats([]string{"soumen", "sunita"}, o)
+	answers, stats, err := searchTerms(f.s, []string{"soumen", "sunita"}, o)
 	if err != nil {
 		t.Fatal(err)
 	}

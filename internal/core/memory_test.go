@@ -94,7 +94,7 @@ func TestFreshSearcherFirstQueryAllocation(t *testing.T) {
 	core.DrainArenaPool()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	answers, stats, err := s.SearchStats(name, dblpGoldenOptions())
+	answers, stats, err := s.Query(context.Background(), core.Request{Terms: name}, dblpGoldenOptions(), nil)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ package core_test
 // They check pops, not wall clock, so they are deterministic.
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -36,7 +37,7 @@ func TestRetirementPaperScaleDisconnectedPair(t *testing.T) {
 		t.Fatal("every paper-scale author wrote a paper; the generator changed")
 	}
 	terms := []string{strings.ToLower(lonely), strings.ToLower(datagen.AuthorSunita)}
-	answers, stats, err := core.NewSearcher(g, ix).SearchStats(terms, dblpGoldenOptions())
+	answers, stats, err := core.NewSearcher(g, ix).Query(context.Background(), core.Request{Terms: terms}, dblpGoldenOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestRetirementPaperScaleDisconnectedPair(t *testing.T) {
 func TestRetirementPaperScaleConnectedPairPops(t *testing.T) {
 	_, g, ix := paperScaleEngine(t)
 	terms := []string{strings.ToLower(datagen.AuthorSoumen), strings.ToLower(datagen.AuthorSunita)}
-	answers, stats, err := core.NewSearcher(g, ix).SearchStats(terms, dblpGoldenOptions())
+	answers, stats, err := core.NewSearcher(g, ix).Query(context.Background(), core.Request{Terms: terms}, dblpGoldenOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

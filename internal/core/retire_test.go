@@ -133,7 +133,7 @@ func genRetireCase(t *testing.T, seed int64, shape, flags uint8) retireCase {
 		// Budgets up to twice the pops retirement leaves: about half cut
 		// the search, some of them after a retirement, and the rest cut
 		// only the reference.
-		_, st, err := f.s.SearchStats(terms, o)
+		_, st, err := searchTerms(f.s, terms, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,11 +170,11 @@ func checkRetirement(t *testing.T, c retireCase) *Stats {
 	t.Helper()
 	ref := NewSearcher(c.f.g, c.f.ix)
 	ref.noRetire = true
-	got, gst, err := c.f.s.SearchStats(c.terms, c.opts)
+	got, gst, err := searchTerms(c.f.s, c.terms, c.opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, wst, err := ref.SearchStats(c.terms, c.opts)
+	_, wst, err := searchTerms(ref, c.terms, c.opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func checkRetirement(t *testing.T, c retireCase) *Stats {
 	}
 	unbudgeted := *c.opts
 	unbudgeted.Budget.MaxPops = 0
-	full, fst, err := ref.SearchStats(c.terms, &unbudgeted)
+	full, fst, err := searchTerms(ref, c.terms, &unbudgeted)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func checkRetirement(t *testing.T, c retireCase) *Stats {
 	budgeted, want := *c.opts, renderAnswers(got)
 	for q := c.opts.Budget.MaxPops; q <= fst.Pops; q++ {
 		budgeted.Budget.MaxPops = q
-		ans, st, err := ref.SearchStats(c.terms, &budgeted)
+		ans, st, err := searchTerms(ref, c.terms, &budgeted)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,14 +245,14 @@ func TestExpansionRetirementRandomized(t *testing.T) {
 		}
 		o := *c.opts
 		o.Budget.MaxPops = 0
-		_, full, err := c.f.s.SearchStats(c.terms, &o)
+		_, full, err := searchTerms(c.f.s, c.terms, &o)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for b := full.Pops - 1; b > 0; b-- {
 			cut := o
 			cut.Budget.MaxPops = b
-			if _, st, err := c.f.s.SearchStats(c.terms, &cut); err != nil || st.Retired == 0 {
+			if _, st, err := searchTerms(c.f.s, c.terms, &cut); err != nil || st.Retired == 0 {
 				break
 			}
 			checkRetirement(t, retireCase{f: c.f, terms: c.terms, opts: &cut})

@@ -177,7 +177,7 @@ func TestScoreOrderingUnderPrestige(t *testing.T) {
 	}
 	db.Insert("ref", []sqldb.Value{sqldb.Int(2)})
 	f := newFixture(t, db)
-	answers, err := f.s.Search([]string{"gadget"}, DefaultOptions())
+	answers, _, err := searchTerms(f.s, []string{"gadget"}, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

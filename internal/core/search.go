@@ -1,9 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"sort"
-
 	"github.com/banksdb/banks/internal/graph"
 	"github.com/banksdb/banks/internal/index"
 	"github.com/banksdb/banks/internal/sqldb"
@@ -194,10 +191,6 @@ func (s *Searcher) WithSnapshotEpoch(epoch uint64) *Searcher {
 	return s
 }
 
-// SnapshotEpoch returns the stamped snapshot epoch (0 when never
-// stamped — the epoch of a freshly built cache).
-func (s *Searcher) SnapshotEpoch() uint64 { return s.epoch }
-
 // WithFaultMeter attaches a cumulative byte counter of store faults
 // (typically store.Store.FaultedBytes). The executor samples it at query
 // start and end to report Stats.BytesFaulted and to enforce
@@ -208,9 +201,8 @@ func (s *Searcher) WithFaultMeter(fn func() int64) *Searcher {
 	return s
 }
 
-// Request describes one keyword query for Query — the unified,
-// context-aware entry point the Search and SearchStats helpers are thin
-// wrappers over.
+// Request describes one keyword query for Searcher.Query and
+// Session.Query.
 type Request struct {
 	// Terms are the (already split) query terms. Terms are trimmed and
 	// lowercased; empty terms are dropped.
@@ -282,25 +274,3 @@ func (s *Searcher) matchTerm(ar *searchArena, term string, o *Options, stats *St
 	set, f.set = f.set, nil
 	return set
 }
-
-// Rescore recomputes answer scores under different scoring options without
-// re-running the search; the evaluation harness uses it to compare
-// parameter settings over a fixed candidate pool.
-func (s *Searcher) Rescore(answers []*Answer, score ScoreOptions) []*Answer {
-	out := make([]*Answer, len(answers))
-	for i, a := range answers {
-		c := *a
-		scoreAnswer(&c, s.g, score)
-		out[i] = &c
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Score > out[j].Score })
-	for i := range out {
-		out[i].Rank = i + 1
-	}
-	return out
-}
-
-// ErrNoMatch is a helper sentinel some callers use to signal an empty
-// result to their own users. Search itself returns (nil, nil) when nothing
-// matches.
-var ErrNoMatch = fmt.Errorf("core: no results")

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -15,6 +16,12 @@ type fixture struct {
 	g  *graph.Graph
 	ix *index.Index
 	s  *Searcher
+}
+
+// searchTerms runs a plain-terms request through Searcher.Query with no
+// answer callback.
+func searchTerms(s *Searcher, terms []string, opts *Options) ([]*Answer, *Stats, error) {
+	return s.Query(context.Background(), Request{Terms: terms}, opts, nil)
 }
 
 func newFixture(t *testing.T, db *sqldb.Database) *fixture {
@@ -149,7 +156,7 @@ func defaultBibOptions() *Options {
 
 func TestCoauthorQueryFindsPaperRoot(t *testing.T) {
 	f := newBibFixture(t)
-	answers, err := f.s.Search([]string{"soumen", "sunita"}, defaultBibOptions())
+	answers, _, err := searchTerms(f.s, []string{"soumen", "sunita"}, defaultBibOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +189,7 @@ func TestCoauthorQueryFindsPaperRoot(t *testing.T) {
 
 func TestThreeKeywordQuery(t *testing.T) {
 	f := newBibFixture(t)
-	answers, err := f.s.Search([]string{"soumen", "sunita", "byron"}, defaultBibOptions())
+	answers, _, err := searchTerms(f.s, []string{"soumen", "sunita", "byron"}, defaultBibOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +209,7 @@ func TestSingleTermPrestigeRanking(t *testing.T) {
 	f := newBibFixture(t)
 	// "mohan" matches C. Mohan (2 papers -> prestige 2) and Mohan Ahuja
 	// (1 paper -> prestige 1): the §5.1 "Mohan" anecdote.
-	answers, err := f.s.Search([]string{"mohan"}, defaultBibOptions())
+	answers, _, err := searchTerms(f.s, []string{"mohan"}, defaultBibOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +237,7 @@ func TestAnswersAreValidConnectionTrees(t *testing.T) {
 		{"soumen", "sunita", "byron"},
 	}
 	for _, q := range queries {
-		answers, err := f.s.Search(q, defaultBibOptions())
+		answers, _, err := searchTerms(f.s, q, defaultBibOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -296,7 +303,7 @@ func assertConnectionTree(t *testing.T, g *graph.Graph, a *Answer) {
 
 func TestNoDuplicateAnswersModuloDirection(t *testing.T) {
 	f := newBibFixture(t)
-	answers, err := f.s.Search([]string{"soumen", "sunita"}, DefaultOptions()) // no exclusions
+	answers, _, err := searchTerms(f.s, []string{"soumen", "sunita"}, DefaultOptions()) // no exclusions
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +319,7 @@ func TestNoDuplicateAnswersModuloDirection(t *testing.T) {
 
 func TestExcludedRootTables(t *testing.T) {
 	f := newBibFixture(t)
-	answers, err := f.s.Search([]string{"soumen", "sunita"}, defaultBibOptions())
+	answers, _, err := searchTerms(f.s, []string{"soumen", "sunita"}, defaultBibOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +334,7 @@ func TestExcludedRootTables(t *testing.T) {
 func TestUnmatchedTermBehaviour(t *testing.T) {
 	f := newBibFixture(t)
 	// RequireAllTerms (default): no answers.
-	answers, err := f.s.Search([]string{"soumen", "xyzzy"}, defaultBibOptions())
+	answers, _, err := searchTerms(f.s, []string{"soumen", "xyzzy"}, defaultBibOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +344,7 @@ func TestUnmatchedTermBehaviour(t *testing.T) {
 	// Relaxed: the unmatched term is dropped.
 	o := defaultBibOptions()
 	o.RequireAllTerms = false
-	answers, stats, err := f.s.SearchStats([]string{"soumen", "xyzzy"}, o)
+	answers, stats, err := searchTerms(f.s, []string{"soumen", "xyzzy"}, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,10 +358,10 @@ func TestUnmatchedTermBehaviour(t *testing.T) {
 
 func TestEmptyQueryErrors(t *testing.T) {
 	f := newBibFixture(t)
-	if _, err := f.s.Search(nil, nil); err == nil {
+	if _, _, err := searchTerms(f.s, nil, nil); err == nil {
 		t.Error("nil terms should error")
 	}
-	if _, err := f.s.Search([]string{"  ", ""}, nil); err == nil {
+	if _, _, err := searchTerms(f.s, []string{"  ", ""}, nil); err == nil {
 		t.Error("blank terms should error")
 	}
 }
@@ -363,7 +370,7 @@ func TestMetadataQuery(t *testing.T) {
 	f := newBibFixture(t)
 	// "author" matches the Author relation metadata: every author tuple is
 	// relevant (§2.3 example).
-	answers, stats, err := f.s.SearchStats([]string{"author"}, defaultBibOptions())
+	answers, stats, err := searchTerms(f.s, []string{"author"}, defaultBibOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +392,7 @@ func TestMetadataCombinedWithData(t *testing.T) {
 	// "paper surprising": metadata term + title word; connection trees
 	// should link a paper tuple to papers titled "surprising". The minimal
 	// answer is the matching paper itself (root = leaf for both terms).
-	answers, err := f.s.Search([]string{"paper", "surprising"}, defaultBibOptions())
+	answers, _, err := searchTerms(f.s, []string{"paper", "surprising"}, defaultBibOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +412,7 @@ func TestTopKLimit(t *testing.T) {
 	f := newBibFixture(t)
 	o := defaultBibOptions()
 	o.TopK = 1
-	answers, err := f.s.Search([]string{"soumen", "sunita"}, o)
+	answers, _, err := searchTerms(f.s, []string{"soumen", "sunita"}, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +425,7 @@ func TestHeapSizeOneStillWorks(t *testing.T) {
 	f := newBibFixture(t)
 	o := defaultBibOptions()
 	o.HeapSize = 1
-	answers, err := f.s.Search([]string{"soumen", "sunita"}, o)
+	answers, _, err := searchTerms(f.s, []string{"soumen", "sunita"}, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +440,7 @@ func TestLargerHeapSortsBetter(t *testing.T) {
 	// when all results pass through the heap.
 	o := defaultBibOptions()
 	o.HeapSize = 1000
-	answers, err := f.s.Search([]string{"soumen", "sunita"}, o)
+	answers, _, err := searchTerms(f.s, []string{"soumen", "sunita"}, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,32 +451,9 @@ func TestLargerHeapSortsBetter(t *testing.T) {
 	}
 }
 
-func TestRescoreChangesOrder(t *testing.T) {
-	f := newBibFixture(t)
-	o := defaultBibOptions()
-	o.HeapSize = 100
-	answers, err := f.s.Search([]string{"mohan", "aries"}, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(answers) < 2 {
-		t.Skip("need at least 2 answers")
-	}
-	proximityOnly := f.s.Rescore(answers, ScoreOptions{Lambda: 0, EdgeLog: true})
-	prestigeOnly := f.s.Rescore(answers, ScoreOptions{Lambda: 1})
-	if len(proximityOnly) != len(answers) || len(prestigeOnly) != len(answers) {
-		t.Fatal("rescore changed answer count")
-	}
-	for i := 1; i < len(proximityOnly); i++ {
-		if proximityOnly[i].Score > proximityOnly[i-1].Score+1e-12 {
-			t.Error("rescored answers not sorted")
-		}
-	}
-}
-
 func TestStatsPopulated(t *testing.T) {
 	f := newBibFixture(t)
-	_, stats, err := f.s.SearchStats([]string{"soumen", "sunita"}, defaultBibOptions())
+	_, stats, err := searchTerms(f.s, []string{"soumen", "sunita"}, defaultBibOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,7 +471,7 @@ func TestTermMatchingMultipleNodesCrossProduct(t *testing.T) {
 	// should be considered; C. Mohan wrote both ARIES papers.
 	o := defaultBibOptions()
 	o.HeapSize = 100
-	answers, err := f.s.Search([]string{"aries", "mohan"}, o)
+	answers, _, err := searchTerms(f.s, []string{"aries", "mohan"}, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,7 +515,7 @@ func TestScoreMonotonicInTreeWeight(t *testing.T) {
 	o := defaultBibOptions()
 	o.HeapSize = 200
 	o.Score = ScoreOptions{Lambda: 0, EdgeLog: false}
-	answers, err := f.s.Search([]string{"soumen", "sunita"}, o)
+	answers, _, err := searchTerms(f.s, []string{"soumen", "sunita"}, o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,12 +39,6 @@ func (ss *Session) Query(ctx context.Context, req Request, opts *Options, cb fun
 	return ss.s.queryInArena(ctx, req, opts, cb, ss.ar)
 }
 
-// Search is the terms-only convenience form of Query (borrowed results).
-func (ss *Session) Search(terms []string, opts *Options) ([]*Answer, error) {
-	answers, _, err := ss.Query(context.Background(), Request{Terms: terms}, opts, nil)
-	return answers, err
-}
-
 // Close returns the Session's arena to the process-wide pool, where any
 // Searcher's next query may draw it: release drops everything that
 // belonged to this Searcher's snapshot first. The Session must not be used

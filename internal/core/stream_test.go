@@ -11,7 +11,7 @@ import (
 func TestSearchStreamMatchesBatchOrder(t *testing.T) {
 	f := newBibFixture(t)
 	o := defaultBibOptions()
-	batch, err := f.s.Search([]string{"soumen", "sunita"}, o)
+	batch, _, err := searchTerms(f.s, []string{"soumen", "sunita"}, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestSearchStreamSingleTermMatchesBatch(t *testing.T) {
 	for _, heapSize := range []int{1, 2, 20} {
 		o := DefaultOptions()
 		o.HeapSize = heapSize
-		batch, err := f.s.Search([]string{"smith"}, o)
+		batch, _, err := searchTerms(f.s, []string{"smith"}, o)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package datagen
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -129,7 +130,7 @@ func TestAnecdoteMohan(t *testing.T) {
 	g, s := buildSearch(t, db)
 	o := core.DefaultOptions()
 	o.ExcludedRootTables = []string{"Writes", "Cites"}
-	answers, err := s.Search([]string{"mohan"}, o)
+	answers, err := search(s, []string{"mohan"}, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +152,7 @@ func TestAnecdoteTransaction(t *testing.T) {
 	g, s := buildSearch(t, db)
 	o := core.DefaultOptions()
 	o.ExcludedRootTables = []string{"Writes", "Cites"}
-	answers, err := s.Search([]string{"transaction"}, o)
+	answers, err := search(s, []string{"transaction"}, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +178,7 @@ func TestAnecdoteSoumenSunita(t *testing.T) {
 	g, s := buildSearch(t, db)
 	o := core.DefaultOptions()
 	o.ExcludedRootTables = []string{"Writes", "Cites"}
-	answers, err := s.Search([]string{"soumen", "sunita"}, o)
+	answers, err := search(s, []string{"soumen", "sunita"}, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +205,7 @@ func TestAnecdoteSeltzerSunitaViaStonebraker(t *testing.T) {
 	o := core.DefaultOptions()
 	o.ExcludedRootTables = []string{"Writes", "Cites"}
 	o.HeapSize = 50
-	answers, err := s.Search([]string{"seltzer", "sunita"}, o)
+	answers, err := search(s, []string{"seltzer", "sunita"}, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +252,7 @@ func TestAnecdoteComputerEngineering(t *testing.T) {
 		t.Fatal(err)
 	}
 	g, s := buildSearch(t, db)
-	answers, err := s.Search([]string{"computer", "engineering"}, core.DefaultOptions())
+	answers, err := search(s, []string{"computer", "engineering"}, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +273,7 @@ func TestAnecdoteSudarshanAditya(t *testing.T) {
 	}
 	g, s := buildSearch(t, db)
 	o := core.DefaultOptions()
-	answers, err := s.Search([]string{"sudarshan", "aditya"}, o)
+	answers, err := search(s, []string{"sudarshan", "aditya"}, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +300,7 @@ func TestBuildTPCDPrestige(t *testing.T) {
 	}
 	// The §2.1 claim: a query matching both parts ranks the ordered one
 	// higher.
-	answers, err := s.Search([]string{"steel", "widget"}, core.DefaultOptions())
+	answers, err := search(s, []string{"steel", "widget"}, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,4 +348,10 @@ func TestAuthorsPerPaperRange(t *testing.T) {
 	if mean < 1.7 || mean > 3.2 {
 		t.Errorf("mean authors per paper = %v, want roughly 2.5", mean)
 	}
+}
+
+// search runs a plain-terms request through core.Searcher.Query.
+func search(s *core.Searcher, terms []string, opts *core.Options) ([]*core.Answer, error) {
+	answers, _, err := s.Query(context.Background(), core.Request{Terms: terms}, opts, nil)
+	return answers, err
 }

@@ -6,6 +6,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -46,7 +47,7 @@ const AnswersExamined = 10
 func QueryError(s *core.Searcher, q Query, opts *core.Options) (raw, worst float64, ranks []int, err error) {
 	o := *opts
 	o.TopK = AnswersExamined
-	answers, err := s.Search(q.Terms, &o)
+	answers, _, err := s.Query(context.Background(), core.Request{Terms: q.Terms}, &o, nil)
 	if err != nil {
 		return 0, 0, nil, fmt.Errorf("eval: query %s: %w", q.Name, err)
 	}

@@ -6,8 +6,7 @@
 //
 // The engine is deliberately self-contained: tables live in memory, writes
 // are serialized per database, and reads may run concurrently. SQL access is
-// layered on top by internal/sqlparse and internal/sqlexec; a database/sql
-// driver is provided by internal/driver.
+// layered on top by internal/sqlparse and internal/sqlexec.
 package sqldb
 
 import (

@@ -932,87 +932,3 @@ func (p *Parser) parseIdentExpr() (Expr, error) {
 	}
 	return &ColumnRef{Column: name}, nil
 }
-
-// NumParams reports how many ? placeholders the statement contained. Valid
-// after the statement is parsed with this parser. The package-level Parse
-// functions embed the count in each Param's Index already; this helper is
-// exposed for the driver.
-func CountParams(s Statement) int {
-	n := 0
-	walkStatement(s, func(e Expr) {
-		if _, ok := e.(*Param); ok {
-			n++
-		}
-	})
-	return n
-}
-
-func walkStatement(s Statement, fn func(Expr)) {
-	switch st := s.(type) {
-	case *Insert:
-		for _, row := range st.Rows {
-			for _, e := range row {
-				walkExpr(e, fn)
-			}
-		}
-	case *Select:
-		for _, it := range st.Items {
-			if it.Expr != nil {
-				walkExpr(it.Expr, fn)
-			}
-		}
-		for _, r := range st.From {
-			if r.On != nil {
-				walkExpr(r.On, fn)
-			}
-		}
-		for _, e := range []Expr{st.Where, st.Having, st.Limit, st.Offset} {
-			if e != nil {
-				walkExpr(e, fn)
-			}
-		}
-		for _, e := range st.GroupBy {
-			walkExpr(e, fn)
-		}
-		for _, o := range st.OrderBy {
-			walkExpr(o.Expr, fn)
-		}
-	case *Update:
-		for _, sc := range st.Set {
-			walkExpr(sc.Expr, fn)
-		}
-		if st.Where != nil {
-			walkExpr(st.Where, fn)
-		}
-	case *Delete:
-		if st.Where != nil {
-			walkExpr(st.Where, fn)
-		}
-	}
-}
-
-func walkExpr(e Expr, fn func(Expr)) {
-	fn(e)
-	switch x := e.(type) {
-	case *BinaryExpr:
-		walkExpr(x.Left, fn)
-		walkExpr(x.Right, fn)
-	case *UnaryExpr:
-		walkExpr(x.X, fn)
-	case *FuncCall:
-		for _, a := range x.Args {
-			walkExpr(a, fn)
-		}
-	case *InExpr:
-		walkExpr(x.X, fn)
-		for _, a := range x.List {
-			walkExpr(a, fn)
-		}
-	case *IsNullExpr:
-		walkExpr(x.X, fn)
-	case *BetweenExpr:
-		walkExpr(x.X, fn)
-		walkExpr(x.Lo, fn)
-		walkExpr(x.Hi, fn)
-	}
-}

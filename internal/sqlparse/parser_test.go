@@ -160,11 +160,10 @@ func TestParseInsert(t *testing.T) {
 }
 
 func TestParseInsertParams(t *testing.T) {
-	s := mustParse(t, "INSERT INTO t VALUES (?, ?, ?)")
-	if got := CountParams(s); got != 3 {
-		t.Errorf("CountParams = %d", got)
+	ins := mustParse(t, "INSERT INTO t VALUES (?, ?, ?)").(*Insert)
+	if len(ins.Rows) != 1 || len(ins.Rows[0]) != 3 {
+		t.Fatalf("ins = %+v", ins)
 	}
-	ins := s.(*Insert)
 	for i, e := range ins.Rows[0] {
 		if p, ok := e.(*Param); !ok || p.Index != i {
 			t.Errorf("param %d = %#v", i, e)

@@ -1,6 +1,7 @@
 package steiner
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -223,7 +224,7 @@ func TestHeuristicVsExactSteiner(t *testing.T) {
 		o := core.DefaultOptions()
 		o.Score = core.ScoreOptions{Lambda: 0} // pure proximity
 		o.HeapSize = 100
-		answers, err := s.Search([]string{"author" + string(rune('a'+i)), "author" + string(rune('a'+j))}, o)
+		answers, _, err := s.Query(context.Background(), core.Request{Terms: []string{"author" + string(rune('a'+i)), "author" + string(rune('a'+j))}}, o, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -600,7 +600,7 @@ func TestCloseWaitsForPinnedQueries(t *testing.T) {
 			defer st.Release()
 			<-start
 			s := core.NewSearcher(st.Graph(), st.Index())
-			if _, err := s.Search([]string{"soumen", "sunita"}, nil); err != nil {
+			if _, _, err := s.Query(context.Background(), core.Request{Terms: []string{"soumen", "sunita"}}, nil, nil); err != nil {
 				t.Error(err)
 			}
 			atomic.AddInt32(&done, 1)

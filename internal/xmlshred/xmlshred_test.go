@@ -1,6 +1,7 @@
 package xmlshred
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -121,7 +122,7 @@ func TestKeywordSearchOverXML(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := core.NewSearcher(g, ix)
-	answers, err := s.Search([]string{"soumen", "sunita"}, core.DefaultOptions())
+	answers, _, err := s.Query(context.Background(), core.Request{Terms: []string{"soumen", "sunita"}}, core.DefaultOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,7 @@ func TestAttributeSearchOverXML(t *testing.T) {
 	// "1981 gray": the year attribute of the second paper + its author.
 	o := core.DefaultOptions()
 	o.ExcludedRootTables = []string{AttributeTable}
-	answers, err := s.Search([]string{"1981", "gray"}, o)
+	answers, _, err := s.Query(context.Background(), core.Request{Terms: []string{"1981", "gray"}}, o, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
