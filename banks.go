@@ -203,13 +203,6 @@ type SystemOptions struct {
 	// transfer instead of raw reference indegree (the extension §2.2
 	// mentions). 0 keeps the paper's indegree prestige.
 	PrestigeDamping float64
-	// BuildShards caps how many concurrent workers Refresh uses to build
-	// the graph and keyword index; the index's token scan runs beside the
-	// graph's arc step, and the two share the cap. 0 uses
-	// runtime.GOMAXPROCS(0); 1 forces the serial build. Any shard count
-	// produces byte-identical engines, so parallelism is purely a
-	// wall-clock knob.
-	BuildShards int
 	// MatchCacheBytes bounds the per-snapshot keyword match-set cache
 	// consulted before the index on every term lookup. 0 uses
 	// DefaultMatchCacheBytes; a negative value disables caching. The
@@ -414,7 +407,6 @@ func (s *System) rebuildLocked() error {
 	bo := graph.DefaultBuildOptions()
 	bo.ScaleBackEdges = !s.opts.DisableBackEdgeScaling
 	bo.PrestigeDamping = s.opts.PrestigeDamping
-	bo.Shards = s.opts.BuildShards
 	g, ix, err := index.BuildEngine(s.db.inner, bo)
 	if err != nil {
 		return err

@@ -39,9 +39,10 @@ func Assign(g *graph.Graph, parts int) []int {
 // SplitEngine shards src into parts partition engines along the
 // (table, row-range) cut. Each output engine carries the restricted
 // graph (global normalizers preserved), the restricted keyword index
-// (postings filtered through the renumbering, metadata postings copied
-// verbatim — every table exists in every partition), the term-statistics
-// sketch for the routing broker, and the source's WAL sequence.
+// (index.Materialize through the partition's renumbering; metadata is
+// copied verbatim, as every table exists in every partition), the
+// term-statistics sketch for the routing broker, and the source's WAL
+// sequence.
 func SplitEngine(src store.Engine, parts int) ([]store.Engine, error) {
 	if src.Graph == nil || src.Index == nil {
 		return nil, fmt.Errorf("cluster: SplitEngine requires a graph and an index")
@@ -49,46 +50,20 @@ func SplitEngine(src store.Engine, parts int) ([]store.Engine, error) {
 	if parts <= 0 {
 		return nil, fmt.Errorf("cluster: cannot split into %d partitions", parts)
 	}
-	g := src.Graph
-	assign := Assign(g, parts)
-
-	remaps := make([][]graph.NodeID, parts)
-	graphs := make([]*graph.Graph, parts)
-	for p := 0; p < parts; p++ {
-		gp, remap := graph.Restrict(g, func(n graph.NodeID) bool { return assign[n] == p })
-		graphs[p] = gp
-		remaps[p] = remap
-	}
-
-	// One pass over the source postings fans each term's list out to the
-	// partitions. The renumbering is monotonic in node-id order, so the
-	// remapped lists stay sorted without re-sorting.
-	terms := make([]map[string][]graph.NodeID, parts)
-	for p := range terms {
-		terms[p] = make(map[string][]graph.NodeID)
-	}
-	err := src.Index.ForEachTermSorted(func(tok string, ns []graph.NodeID) {
-		for _, n := range ns {
-			p := assign[n]
-			if nn := remaps[p][n]; nn != graph.NoNode {
-				terms[p][tok] = append(terms[p][tok], nn)
-			}
-		}
-	})
-	if err != nil {
-		return nil, fmt.Errorf("cluster: splitting index: %w", err)
-	}
-	meta := src.Index.MetaTables()
-
+	assign := Assign(src.Graph, parts)
 	engines := make([]store.Engine, parts)
 	for p := 0; p < parts; p++ {
-		ix := index.NewFromPostings(graphs[p].NumNodes(), terms[p], meta)
+		g, remap := graph.Restrict(src.Graph, func(n graph.NodeID) bool { return assign[n] == p })
+		ix, err := index.Materialize(src.Index, remap, g.NumNodes())
+		if err != nil {
+			return nil, fmt.Errorf("cluster: splitting index: %w", err)
+		}
 		sk, err := BuildSketch(ix)
 		if err != nil {
 			return nil, err
 		}
 		engines[p] = store.Engine{
-			Graph:     graphs[p],
+			Graph:     g,
 			Index:     ix,
 			WALSeq:    src.WALSeq,
 			TermStats: sk.Encode(),

@@ -12,8 +12,9 @@ import (
 
 // MatchCache is a bounded, sharded LRU cache of keyword match sets — the
 // server-side caching Mragyati argues for, applied to the hot path of §3:
-// resolving a search term to its node set. Exact lookups are a single map
-// probe, but prefix expansion walks every indexed token, and skewed query
+// resolving a search term to its node set. An exact lookup is a binary
+// search of the sorted dictionary and one posting list, a prefix lookup
+// merges the lists of a whole dictionary range, and skewed query
 // workloads repeat the same few terms constantly; the cache turns both
 // into one mutex-protected map hit.
 //
@@ -245,9 +246,9 @@ func (c *MatchCache) Lookup(ix View, epoch uint64, term string) Match {
 }
 
 // LookupPrefix is Index.LookupPrefix through the cache. This is the
-// expensive lookup — the index walks every token for a prefix match — so
-// caching it converts O(vocabulary) scans into O(1) repeats. Callers must
-// not mutate the returned slice.
+// expensive lookup — the index sorts and merges the posting lists of
+// every matching token — so caching it turns repeats into one map hit.
+// Callers must not mutate the returned slice.
 func (c *MatchCache) LookupPrefix(ix View, epoch uint64, prefix string) []graph.NodeID {
 	if c == nil {
 		return ix.LookupPrefix(prefix)

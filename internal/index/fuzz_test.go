@@ -146,7 +146,11 @@ func FuzzIndexRoundTrip(f *testing.F) {
 		if got := contents(t, reopenLazy(t, lazy)); got != want {
 			t.Fatalf("second round trip is not a fixed point:\n got %s\nwant %s", got, want)
 		}
-		for tok := range eager.terms {
+		var toks []string
+		if err := eager.ForEachTermSorted(func(tok string, _ []graph.NodeID) { toks = append(toks, tok) }); err != nil {
+			t.Fatal(err)
+		}
+		for _, tok := range toks {
 			a, b := eager.Lookup(tok), lazy.Lookup(tok)
 			if !equalNodes(a.Nodes, b.Nodes) || !equalTables(a.Tables, b.Tables) {
 				t.Fatalf("Lookup(%q): lazy %+v, eager %+v", tok, b, a)

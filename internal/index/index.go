@@ -5,17 +5,20 @@
 // columns ("all tuples belonging to a relation named AUTHOR would be
 // regarded as relevant to the keyword 'author'").
 //
-// The paper keeps this index disk-resident; internal/store persists it
-// and serves it back lazily (OpenLazy).
+// The index has one form, the sorted term dictionary the store persists:
+// the paper keeps this index disk-resident, and internal/store serves it
+// back lazily (OpenLazy) with the same answers as the built index.
 package index
 
 import (
 	"bytes"
+	"cmp"
+	"encoding/binary"
 	"fmt"
 	"hash/maphash"
 	"slices"
-	"sort"
 	"strings"
+	"sync"
 	"unicode"
 	"unicode/utf8"
 
@@ -110,17 +113,18 @@ type Match struct {
 // Empty reports whether the term matched nothing at all.
 func (m Match) Empty() bool { return len(m.Nodes) == 0 && len(m.Tables) == 0 }
 
-// Index is the inverted keyword index over a data graph. An Index is
-// either eager (Build / NewFromPostings: every posting list
-// resident in terms) or lazy (OpenLazy: only the term dictionary resident,
-// postings fetched from a LazySource on first lookup); both serve the same
-// read interface with identical results.
+// Index is the inverted keyword index over a data graph: a sorted term
+// dictionary and the LazySource that serves each term's posting list. A
+// built index (Build, Materialize) keeps its postings resident; a
+// store-opened one (OpenLazy) fetches each list from the store on first
+// lookup.
 type Index struct {
-	terms map[string][]graph.NodeID
-	meta  map[string][]int32
-	nodes int
-	posts int
-	lazy  *lazyIndex // non-nil for store-opened indexes
+	nodes    int
+	src      LazySource
+	dictOnce sync.Once
+	dict     *LazyDict
+	mu       sync.Mutex
+	err      error // the first load failure, sticky
 }
 
 // BuildOptions tune index construction.
@@ -277,10 +281,7 @@ const hitSample = 256
 // build indexes db over the node numbering g on up to shards workers.
 // The caller holds db's read lock.
 func build(db *sqldb.Database, g numbering, shards int) (*Index, error) {
-	ix := &Index{
-		meta:  make(map[string][]int32),
-		nodes: g.NumNodes(),
-	}
+	meta := make(map[string][]int32)
 
 	// Serial prologue: metadata tokens (relation and column names) and the
 	// shard plan. Error paths all live here, so the parallel scan below
@@ -296,12 +297,12 @@ func build(db *sqldb.Database, g numbering, shards int) (*Index, error) {
 			return nil, fmt.Errorf("index: table %s not in graph", name)
 		}
 		for _, tok := range Tokenize(name) {
-			ix.meta[tok] = appendUniqueTable(ix.meta[tok], tid)
+			meta[tok] = appendUniqueTable(meta[tok], tid)
 		}
 		textCols := make([]int, 0, len(t.Schema().Columns))
 		for i, c := range t.Schema().Columns {
 			for _, tok := range Tokenize(c.Name) {
-				ix.meta[tok] = appendUniqueTable(ix.meta[tok], tid)
+				meta[tok] = appendUniqueTable(meta[tok], tid)
 			}
 			if c.Type == sqldb.TypeText {
 				textCols = append(textCols, i)
@@ -401,17 +402,39 @@ func build(db *sqldb.Database, g numbering, shards int) (*Index, error) {
 			next[h.id]++
 		}
 	}
-	// Every key is cut from one string of all the tokens' bytes.
-	keys := string(all.arena)
-	ix.terms = make(map[string][]graph.NodeID, nt)
-	start := int32(0)
-	for t, end := range all.ends {
-		ns := slices.Compact(posts[off[t]:off[t+1]:off[t+1]]) // capped: an append cannot reach the next list
-		ix.terms[keys[start:end]] = ns
-		ix.posts += len(ns)
-		start = end
+	// Lay the tokens out in byte order. Ids sort by their first eight
+	// bytes as one big-endian integer (zero-padded, which keeps byte
+	// order), and only ids whose keys tie compare whole tokens.
+	type sortKey struct {
+		key uint64
+		id  int32
 	}
-	return ix, nil
+	order := make([]sortKey, nt)
+	for id := range order {
+		var k [8]byte
+		copy(k[:], all.tok(int32(id)))
+		order[id] = sortKey{binary.BigEndian.Uint64(k[:]), int32(id)}
+	}
+	slices.SortFunc(order, func(a, b sortKey) int {
+		if c := cmp.Compare(a.key, b.key); c != 0 {
+			return c
+		}
+		return bytes.Compare(all.tok(a.id), all.tok(b.id))
+	})
+	// Every token is cut from one string of all the tokens' bytes.
+	keys := string(all.arena)
+	toks := make([]string, nt)
+	lists := make([][]graph.NodeID, nt)
+	for i, o := range order {
+		t := o.id
+		start := int32(0)
+		if t > 0 {
+			start = all.ends[t-1]
+		}
+		toks[i] = keys[start:all.ends[t]]
+		lists[i] = slices.Compact(posts[off[t]:off[t+1]])
+	}
+	return newIndex(g.NumNodes(), toks, lists, meta), nil
 }
 
 func appendUniqueTable(s []int32, t int32) []int32 {
@@ -424,131 +447,75 @@ func appendUniqueTable(s []int32, t int32) []int32 {
 }
 
 // Lookup returns the match set for one search term (case-insensitive exact
-// token match, as in the paper's prototype).
+// token match, as in the paper's prototype): a binary search of the sorted
+// dictionary, then one posting list.
 func (ix *Index) Lookup(term string) Match {
 	tok := strings.ToLower(strings.TrimSpace(term))
-	if ix.lazy != nil {
-		return ix.lazyLookup(tok)
+	d := ix.ensureDict()
+	m := Match{Tables: d.Meta[tok]}
+	if i, ok := slices.BinarySearch(d.Toks, tok); ok {
+		m.Nodes = ix.postings(i, tok, nil)
 	}
-	return Match{Nodes: ix.terms[tok], Tables: ix.meta[tok]}
+	return m
 }
 
 // LookupPrefix returns nodes for all indexed tokens with the given prefix;
 // it backs the approximate-match extension mentioned in the paper's future
-// work. The result is sorted and deduplicated.
+// work. The sorted dictionary makes the prefix range contiguous, so only
+// the matching terms' postings are read. The result is sorted and
+// deduplicated; callers must not mutate it.
 func (ix *Index) LookupPrefix(prefix string) []graph.NodeID {
 	prefix = strings.ToLower(strings.TrimSpace(prefix))
 	if prefix == "" {
 		return nil
 	}
-	if ix.lazy != nil {
-		return ix.lazyLookupPrefix(prefix)
-	}
+	d := ix.ensureDict()
+	lo, hi := prefixRange(d.Toks, prefix)
 	var out []graph.NodeID
-	for tok, ns := range ix.terms {
-		if strings.HasPrefix(tok, prefix) {
-			out = append(out, ns...)
-		}
+	for i := lo; i < hi; i++ {
+		out = ix.postings(i, d.Toks[i], out)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	dedup := out[:0]
-	for i, n := range out {
-		if i == 0 || n != out[i-1] {
-			dedup = append(dedup, n)
-		}
+	if hi-lo > 1 {
+		// Past the first term out is this call's own copy: no list is
+		// empty, and an append onto a source's slice copies it.
+		slices.Sort(out)
+		out = slices.Compact(out)
 	}
-	return dedup
-}
-
-// NewFromPostings builds an index directly from posting and metadata maps
-// for a graph of numNodes nodes — for tests and embedders that synthesize
-// match sets without a database. Unlike Build, postings are taken verbatim:
-// no sorting or deduplication is applied, so consumers of Lookup (such as
-// core.Searcher) must tolerate duplicate node entries.
-func NewFromPostings(numNodes int, terms map[string][]graph.NodeID, meta map[string][]int32) *Index {
-	ix := &Index{
-		terms: make(map[string][]graph.NodeID, len(terms)),
-		meta:  make(map[string][]int32, len(meta)),
-		nodes: numNodes,
-	}
-	for tok, ns := range terms {
-		ix.terms[strings.ToLower(tok)] = append([]graph.NodeID(nil), ns...)
-		ix.posts += len(ns)
-	}
-	for tok, ts := range meta {
-		ix.meta[strings.ToLower(tok)] = append([]int32(nil), ts...)
-	}
-	return ix
+	return out
 }
 
 // NumTerms returns the number of distinct indexed tokens.
-func (ix *Index) NumTerms() int {
-	if ix.lazy != nil {
-		return len(ix.ensureDict().Toks)
-	}
-	return len(ix.terms)
-}
+func (ix *Index) NumTerms() int { return len(ix.ensureDict().Toks) }
 
 // NumPostings returns the total posting count.
-func (ix *Index) NumPostings() int {
-	if ix.lazy != nil {
-		return ix.ensureDict().Posts
-	}
-	return ix.posts
-}
+func (ix *Index) NumPostings() int { return ix.ensureDict().Posts }
 
 // NumNodes returns the node count of the graph the index was built for.
 func (ix *Index) NumNodes() int { return ix.nodes }
 
 // ForEachTermSorted visits every indexed token in ascending order with
-// its posting list — the order of the store's postings segment. Lazy
-// indexes fetch each list through their source and return the first
-// fetch error. Visited slices must not be mutated and are only valid for
-// the duration of the callback (a lazy sweep decodes every term into one
-// reused buffer).
+// its posting list — the order of the store's postings segment — and
+// returns the first fetch error. Visited slices must not be mutated and
+// are only valid for the duration of the callback (a store-opened index
+// decodes every term into one reused buffer).
 func (ix *Index) ForEachTermSorted(fn func(tok string, ns []graph.NodeID)) error {
-	if ix.lazy != nil {
-		d := ix.ensureDict()
-		if err := ix.LazyErr(); err != nil {
-			return err
-		}
-		// With an append-capable source the whole sweep shares one
-		// buffer.
-		app, canAppend := ix.lazy.src.(appendSource)
-		var buf []graph.NodeID
-		for i, tok := range d.Toks {
-			var ns []graph.NodeID
-			var err error
-			if canAppend {
-				ns, err = app.PostingsAppend(i, tok, buf[:0])
-				buf = ns
-			} else {
-				ns, err = ix.lazy.src.Postings(i, tok)
-			}
-			if err != nil {
-				return fmt.Errorf("index: loading postings for %q: %w", tok, err)
-			}
-			fn(tok, ns)
-		}
-		return nil
+	d := ix.ensureDict()
+	if err := ix.LazyErr(); err != nil {
+		return err
 	}
-	toks := make([]string, 0, len(ix.terms))
-	for tok := range ix.terms {
-		toks = append(toks, tok)
-	}
-	sort.Strings(toks)
-	for _, tok := range toks {
-		fn(tok, ix.terms[tok])
+	var buf []graph.NodeID
+	for i, tok := range d.Toks {
+		ns, err := ix.src.PostingsAppend(i, tok, buf[:0])
+		if err != nil {
+			return fmt.Errorf("index: loading postings for %q: %w", tok, err)
+		}
+		buf = ns
+		fn(tok, ns)
 	}
 	return nil
 }
 
 // MetaTables returns the metadata (relation/column name token -> table
-// ids) map, loading the dictionary for lazy indexes. The map and its
-// slices are shared — callers must not mutate them.
-func (ix *Index) MetaTables() map[string][]int32 {
-	if ix.lazy != nil {
-		return ix.ensureDict().Meta
-	}
-	return ix.meta
-}
+// ids) map. The map and its slices are shared — callers must not mutate
+// them.
+func (ix *Index) MetaTables() map[string][]int32 { return ix.ensureDict().Meta }

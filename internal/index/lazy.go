@@ -1,93 +1,132 @@
 package index
 
-// Lazy (disk-resident) indexes. The paper keeps its keyword index on disk;
-// EMBANKS pushes the whole engine that way. A lazy Index keeps only the
-// term dictionary resident (sorted tokens, posting counts and the small
-// metadata map) and fetches each term's posting list from a LazySource on
-// first lookup — where those bytes live (internal/store serves them from
-// a mapped file) is the source's concern, not the index's. Lookup results are identical to the eager index built from the
-// same data: postings arrive sorted and deduplicated, exactly as Build
-// leaves them.
+// The index's one form: a sorted term dictionary and a source of posting
+// lists. The paper keeps its keyword index on disk; EMBANKS pushes the
+// whole engine that way. Every Index is the dictionary (sorted tokens,
+// posting counts and the small metadata map) plus a LazySource that
+// serves dictionary entry i's posting list. A built index (Build,
+// Materialize) wraps its postings in a resident source; a store-opened
+// one (OpenLazy) fetches each list from the store on first lookup. Both
+// answer through the same methods with the same results: postings arrive
+// sorted and deduplicated, exactly as Build leaves them.
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
 
 	"github.com/banksdb/banks/internal/graph"
 )
 
-// LazyDict is the parsed term dictionary of a store-opened index: the
-// sorted token list, per-term posting counts, the total posting count and
-// the metadata (relation/column name) map. It is immutable once returned.
+// LazyDict is the parsed term dictionary of an index: the sorted token
+// list, per-term posting counts, the total posting count and the metadata
+// (relation/column name) map. It is immutable once returned.
 type LazyDict struct {
-	Toks   []string // sorted ascending; index i keys Postings(i, ...)
+	Toks   []string // sorted ascending; index i keys PostingsAppend(i, ...)
 	Counts []int    // postings per term, parallel to Toks
 	Posts  int      // total postings
 	Meta   map[string][]int32
 }
 
-// LazySource backs a lazy Index. Dict is called once (memoized by the
-// Index); Postings may be called concurrently and must return the decoded,
-// sorted posting list of dictionary entry i. Returned slices are treated
-// as immutable.
+// LazySource backs an Index. Dict is called once (memoized by the Index);
+// PostingsAppend may be called concurrently and appends the sorted
+// posting list of dictionary entry i to dst, returning the extended
+// slice. When dst is empty a source may return a read-only slice of its
+// own instead, capped so that an append to it copies.
 type LazySource interface {
 	Dict() (*LazyDict, error)
-	Postings(i int, tok string) ([]graph.NodeID, error)
-}
-
-// appendSource is the optional buffer-reuse read path: decode dictionary
-// entry i's postings appending onto dst and return the extended slice.
-// Prefix lookups use it to fill one output buffer across a term range
-// instead of allocating a slice per term.
-type appendSource interface {
 	PostingsAppend(i int, tok string, dst []graph.NodeID) ([]graph.NodeID, error)
 }
 
-// lazyIndex is the deferred state of a store-opened Index.
-type lazyIndex struct {
-	src      LazySource
-	dictOnce sync.Once
-	dict     *LazyDict
-	mu       sync.Mutex
-	err      error
+// resident is the LazySource of a built index: the dictionary and one
+// posting list per term, all in memory. No list is empty.
+type resident struct {
+	dict  LazyDict
+	lists [][]graph.NodeID // parallel to dict.Toks
 }
 
-func (l *lazyIndex) setErr(err error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.err == nil {
-		l.err = err
+func (r *resident) Dict() (*LazyDict, error) { return &r.dict, nil }
+
+func (r *resident) PostingsAppend(i int, _ string, dst []graph.NodeID) ([]graph.NodeID, error) {
+	if len(dst) == 0 {
+		return slices.Clip(r.lists[i]), nil
 	}
+	return append(dst, r.lists[i]...), nil
+}
+
+// newIndex returns a built index over numNodes nodes: toks sorted
+// ascending, lists[i] the sorted, non-empty posting list of toks[i].
+func newIndex(numNodes int, toks []string, lists [][]graph.NodeID, meta map[string][]int32) *Index {
+	r := &resident{dict: LazyDict{Toks: toks, Counts: make([]int, len(lists)), Meta: meta}, lists: lists}
+	for i, l := range lists {
+		r.dict.Counts[i] = len(l)
+		r.dict.Posts += len(l)
+	}
+	ix := &Index{nodes: numNodes, src: r}
+	ix.dictOnce.Do(func() { ix.dict = &r.dict })
+	return ix
+}
+
+// NewFromPostings builds an index over numNodes nodes straight from
+// posting and metadata maps, for tests that synthesize match sets without
+// a database. Tokens are lowered and empty lists dropped; the lists are
+// otherwise taken verbatim, with no sorting or deduplication, so
+// consumers of Lookup (such as core.Searcher) must tolerate duplicate
+// node entries.
+func NewFromPostings(numNodes int, terms map[string][]graph.NodeID, meta map[string][]int32) *Index {
+	lowered := make(map[string][]graph.NodeID, len(terms))
+	for tok, ns := range terms {
+		if len(ns) > 0 {
+			tok = strings.ToLower(tok)
+			lowered[tok] = append(lowered[tok], ns...)
+		}
+	}
+	toks := make([]string, 0, len(lowered))
+	for tok := range lowered {
+		toks = append(toks, tok)
+	}
+	slices.Sort(toks)
+	lists := make([][]graph.NodeID, len(toks))
+	for i, tok := range toks {
+		lists[i] = lowered[tok]
+	}
+	m := make(map[string][]int32, len(meta))
+	for tok, ts := range meta {
+		m[strings.ToLower(tok)] = append([]int32(nil), ts...)
+	}
+	return newIndex(numNodes, toks, lists, m)
 }
 
 // OpenLazy returns an Index over a graph of numNodes nodes whose term
-// dictionary and postings load from src on first use. The returned Index
-// supports the full read interface (Lookup, LookupPrefix, ForEachTermSorted, the
-// counters); on a source failure lookups degrade to empty matches and the
-// first error is reported by LazyErr.
+// dictionary and postings load from src on first use. On a source
+// failure lookups degrade to empty matches and the first error is
+// reported by LazyErr.
 func OpenLazy(numNodes int, src LazySource) *Index {
-	return &Index{nodes: numNodes, lazy: &lazyIndex{src: src}}
+	return &Index{nodes: numNodes, src: src}
 }
 
-// LazyErr reports the first dictionary- or postings-load failure of a
-// store-opened index, or nil. Eager indexes always return nil.
+// LazyErr reports the first dictionary- or postings-load failure, or nil.
+// A built index never fails.
 func (ix *Index) LazyErr() error {
-	if ix.lazy == nil {
-		return nil
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	return ix.err
+}
+
+func (ix *Index) setErr(err error) {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	if ix.err == nil {
+		ix.err = err
 	}
-	ix.lazy.mu.Lock()
-	defer ix.lazy.mu.Unlock()
-	return ix.lazy.err
 }
 
 // ensureDict loads the term dictionary once; on failure it installs an
 // empty dictionary and records the sticky error.
 func (ix *Index) ensureDict() *LazyDict {
-	l := ix.lazy
-	l.dictOnce.Do(func() {
-		d, err := l.src.Dict()
+	ix.dictOnce.Do(func() {
+		d, err := ix.src.Dict()
 		if err == nil {
 			if len(d.Counts) != len(d.Toks) {
 				err = fmt.Errorf("index: dictionary has %d counts for %d terms", len(d.Counts), len(d.Toks))
@@ -96,62 +135,33 @@ func (ix *Index) ensureDict() *LazyDict {
 			}
 		}
 		if err != nil {
-			l.setErr(fmt.Errorf("index: loading term dictionary: %w", err))
+			ix.setErr(fmt.Errorf("index: loading term dictionary: %w", err))
 			d = &LazyDict{Meta: map[string][]int32{}}
 		}
-		l.dict = d
+		ix.dict = d
 	})
-	return l.dict
+	return ix.dict
 }
 
-// lazyPostings fetches dictionary entry i, degrading to nil on failure.
-func (ix *Index) lazyPostings(i int, tok string) []graph.NodeID {
-	ns, err := ix.lazy.src.Postings(i, tok)
+// postings appends dictionary entry i's posting list to dst, as
+// LazySource.PostingsAppend does; on a source failure it records the
+// error and returns dst unchanged.
+func (ix *Index) postings(i int, tok string, dst []graph.NodeID) []graph.NodeID {
+	ns, err := ix.src.PostingsAppend(i, tok, dst)
 	if err != nil {
-		ix.lazy.setErr(fmt.Errorf("index: loading postings for %q: %w", tok, err))
-		return nil
+		ix.setErr(fmt.Errorf("index: loading postings for %q: %w", tok, err))
+		return dst
 	}
 	return ns
 }
 
-// lazyLookup is Lookup for a store-opened index: a binary search of the
-// resident dictionary, then one postings fetch.
-func (ix *Index) lazyLookup(tok string) Match {
-	d := ix.ensureDict()
-	m := Match{Tables: d.Meta[tok]}
-	if i := sort.SearchStrings(d.Toks, tok); i < len(d.Toks) && d.Toks[i] == tok {
-		m.Nodes = ix.lazyPostings(i, tok)
+// prefixRange returns the range [lo, hi) of the sorted toks that begin
+// with prefix.
+func prefixRange(toks []string, prefix string) (lo, hi int) {
+	lo, _ = slices.BinarySearch(toks, prefix)
+	hi = lo
+	for hi < len(toks) && strings.HasPrefix(toks[hi], prefix) {
+		hi++
 	}
-	return m
-}
-
-// lazyLookupPrefix is LookupPrefix for a store-opened index: the sorted
-// dictionary makes the prefix range contiguous, so only matching terms'
-// postings are fetched (the eager index must walk its whole vocabulary).
-// With an append-capable source the whole range decodes into one output
-// buffer.
-func (ix *Index) lazyLookupPrefix(prefix string) []graph.NodeID {
-	d := ix.ensureDict()
-	var out []graph.NodeID
-	app, canAppend := ix.lazy.src.(appendSource)
-	for i := sort.SearchStrings(d.Toks, prefix); i < len(d.Toks) && strings.HasPrefix(d.Toks[i], prefix); i++ {
-		if canAppend {
-			ns, err := app.PostingsAppend(i, d.Toks[i], out)
-			if err != nil {
-				ix.lazy.setErr(fmt.Errorf("index: loading postings for %q: %w", d.Toks[i], err))
-				continue
-			}
-			out = ns
-			continue
-		}
-		out = append(out, ix.lazyPostings(i, d.Toks[i])...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	dedup := out[:0]
-	for i, n := range out {
-		if i == 0 || n != out[i-1] {
-			dedup = append(dedup, n)
-		}
-	}
-	return dedup
+	return lo, hi
 }

@@ -10,59 +10,21 @@ import (
 	"github.com/banksdb/banks/internal/graph"
 )
 
-// eagerAsLazySource adapts an eager index into a LazySource, counting
-// postings fetches — the in-memory stand-in for the store.
-type eagerAsLazySource struct {
-	ix      *Index
+// sweptSource serves what an index's ForEachTermSorted and MetaTables
+// yield as a LazySource: the round trip a store-opened index takes (the
+// store encodes exactly that sweep), minus the byte encoding. Like the
+// store, it copies every list it serves. It counts postings fetches and
+// can be made to fail.
+type sweptSource struct {
+	dict    LazyDict
+	posts   [][]graph.NodeID
 	fetches int
 	dictErr error
 	postErr error
 }
 
-func (s *eagerAsLazySource) Dict() (*LazyDict, error) {
-	if s.dictErr != nil {
-		return nil, s.dictErr
-	}
-	d := &LazyDict{Meta: s.ix.meta, Posts: s.ix.posts}
-	for tok := range s.ix.terms {
-		d.Toks = append(d.Toks, tok)
-	}
-	sort.Strings(d.Toks)
-	d.Counts = make([]int, len(d.Toks))
-	for i, tok := range d.Toks {
-		d.Counts[i] = len(s.ix.terms[tok])
-	}
-	return d, nil
-}
-
-func (s *eagerAsLazySource) Postings(i int, tok string) ([]graph.NodeID, error) {
-	s.fetches++
-	if s.postErr != nil {
-		return nil, s.postErr
-	}
-	return s.ix.terms[tok], nil
-}
-
-// sweptSource serves what an index's ForEachTermSorted and MetaTables
-// yield as a LazySource: the round trip a store-opened index takes (the
-// store encodes exactly that sweep), minus the byte encoding.
-type sweptSource struct {
-	dict  LazyDict
-	posts [][]graph.NodeID
-}
-
-func (s *sweptSource) Dict() (*LazyDict, error) { return &s.dict, nil }
-
-func (s *sweptSource) Postings(i int, _ string) ([]graph.NodeID, error) {
-	return append([]graph.NodeID(nil), s.posts[i]...), nil
-}
-
-func (s *sweptSource) PostingsAppend(i int, _ string, dst []graph.NodeID) ([]graph.NodeID, error) {
-	return append(dst, s.posts[i]...), nil
-}
-
-// reopenLazy round-trips ix through its sweep into a lazy index.
-func reopenLazy(t testing.TB, ix *Index) *Index {
+// sweep captures ix's sweep as a sweptSource.
+func sweep(t testing.TB, ix *Index) *sweptSource {
 	t.Helper()
 	src := &sweptSource{dict: LazyDict{Meta: ix.MetaTables()}}
 	if err := ix.ForEachTermSorted(func(tok string, ns []graph.NodeID) {
@@ -73,7 +35,28 @@ func reopenLazy(t testing.TB, ix *Index) *Index {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	return OpenLazy(ix.NumNodes(), src)
+	return src
+}
+
+func (s *sweptSource) Dict() (*LazyDict, error) {
+	if s.dictErr != nil {
+		return nil, s.dictErr
+	}
+	return &s.dict, nil
+}
+
+func (s *sweptSource) PostingsAppend(i int, _ string, dst []graph.NodeID) ([]graph.NodeID, error) {
+	s.fetches++
+	if s.postErr != nil {
+		return nil, s.postErr
+	}
+	return append(dst, s.posts[i]...), nil
+}
+
+// reopenLazy round-trips ix through its sweep into a lazy index.
+func reopenLazy(t testing.TB, ix *Index) *Index {
+	t.Helper()
+	return OpenLazy(ix.NumNodes(), sweep(t, ix))
 }
 
 // contents renders everything an index holds — its counts, every term's
@@ -99,10 +82,10 @@ func contents(t testing.TB, ix *Index) string {
 	return b.String()
 }
 
-func lazyPair(t *testing.T) (*Index, *Index, *eagerAsLazySource) {
+func lazyPair(t *testing.T) (*Index, *Index, *sweptSource) {
 	t.Helper()
 	_, _, eager := newIndexedDB(t)
-	src := &eagerAsLazySource{ix: eager}
+	src := sweep(t, eager)
 	return eager, OpenLazy(eager.NumNodes(), src), src
 }
 
@@ -136,11 +119,30 @@ func TestLazySweepMatchesEager(t *testing.T) {
 	}
 }
 
+// A sweep over a built index hands out the index's own posting lists in
+// dictionary order: no key sort, no copy, no allocation.
+func TestForEachTermSortedBuiltAllocatesNothing(t *testing.T) {
+	_, _, ix := newIndexedDB(t)
+	terms := 0
+	visit := func(string, []graph.NodeID) { terms++ }
+	allocs := testing.AllocsPerRun(10, func() {
+		if err := ix.ForEachTermSorted(visit); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("ForEachTermSorted on a built index: %v allocs per sweep, want 0", allocs)
+	}
+	if want := 11 * ix.NumTerms(); terms != want {
+		t.Errorf("visited %d terms over 11 sweeps, want %d", terms, want)
+	}
+}
+
 func TestLazyPrefixFetchesOnlyMatchingTerms(t *testing.T) {
 	_, lazy, src := lazyPair(t)
 	lazy.LookupPrefix("tr")
 	matching := 0
-	for _, tok := range src.mustDict(t).Toks {
+	for _, tok := range src.dict.Toks {
 		if strings.HasPrefix(tok, "tr") {
 			matching++
 		}
@@ -148,15 +150,6 @@ func TestLazyPrefixFetchesOnlyMatchingTerms(t *testing.T) {
 	if src.fetches != matching {
 		t.Errorf("prefix lookup fetched %d posting lists, want %d (only matching terms)", src.fetches, matching)
 	}
-}
-
-func (s *eagerAsLazySource) mustDict(t *testing.T) *LazyDict {
-	t.Helper()
-	d, err := s.Dict()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return d
 }
 
 func TestLazySourceErrorsAreStickyAndSoft(t *testing.T) {
@@ -170,7 +163,9 @@ func TestLazySourceErrorsAreStickyAndSoft(t *testing.T) {
 	}
 
 	_, _, eagerForBroken := newIndexedDB(t)
-	broken := OpenLazy(4, &eagerAsLazySource{ix: eagerForBroken, dictErr: errors.New("no dict")})
+	brokenSrc := sweep(t, eagerForBroken)
+	brokenSrc.dictErr = errors.New("no dict")
+	broken := OpenLazy(4, brokenSrc)
 	if n := broken.NumTerms(); n != 0 {
 		t.Fatalf("broken dict NumTerms = %d, want 0", n)
 	}

@@ -1,48 +1,61 @@
 package index
 
 import (
-	"sort"
+	"slices"
+	"strings"
 
 	"github.com/banksdb/banks/internal/graph"
 )
 
-// Materialize folds any index view — typically a base+delta Overlay —
-// into a concrete eager Index over a renumbered graph: remap maps the
-// view's node IDs to the materialized graph's (graph.NoNode for
-// tombstoned nodes, which drop out of every posting list), and numNodes
-// is the new graph's node count. The view is an immutable snapshot, so
-// the fold runs without any lock — it is Compact's index-side
-// counterpart to graph.Materialize.
+// Materialize folds any index view — a base+delta Overlay for Compact, a
+// whole index for a partition split — into a built Index over a
+// renumbered graph: remap maps the view's node IDs to the new graph's
+// (graph.NoNode for dropped nodes, which leave every posting list), and
+// numNodes is the new graph's node count. A term left with no postings
+// is dropped; metadata is copied verbatim. The view is an immutable
+// snapshot, so the fold runs without any lock — it is Compact's
+// index-side counterpart to graph.Materialize.
 //
-// The remap is not monotonic in general (delta nodes renumber into their
-// tables' ranges), so each posting list is re-sorted; the result is
-// byte-identical to an index built from scratch over the materialized
-// graph.
+// The remap need not be monotonic (delta nodes renumber into their
+// tables' ranges), so a remapped list that is out of order is re-sorted;
+// the result is byte-identical to an index built from scratch over the
+// materialized graph.
 func Materialize(v View, remap []graph.NodeID, numNodes int) (*Index, error) {
-	ix := &Index{
-		terms: make(map[string][]graph.NodeID, v.NumTerms()),
-		meta:  make(map[string][]int32),
-		nodes: numNodes,
-	}
+	var keys strings.Builder
+	var tokEnds, postEnds []int // term i is keys[tokEnds[i-1]:tokEnds[i]], its postings likewise
+	posts := make([]graph.NodeID, 0, v.NumPostings())
 	err := v.ForEachTermSorted(func(tok string, ns []graph.NodeID) {
-		out := make([]graph.NodeID, 0, len(ns))
+		start := len(posts)
 		for _, n := range ns {
 			if m := remap[n]; m != graph.NoNode {
-				out = append(out, m)
+				posts = append(posts, m)
 			}
 		}
-		if len(out) == 0 {
+		if len(posts) == start {
 			return
 		}
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-		ix.terms[tok] = out
-		ix.posts += len(out)
+		if out := posts[start:]; !slices.IsSorted(out) {
+			slices.Sort(out)
+		}
+		keys.WriteString(tok)
+		tokEnds = append(tokEnds, keys.Len())
+		postEnds = append(postEnds, len(posts))
 	})
 	if err != nil {
 		return nil, err
 	}
-	for tok, ts := range v.MetaTables() {
-		ix.meta[tok] = append([]int32(nil), ts...)
+	all := keys.String()
+	toks := make([]string, len(tokEnds))
+	lists := make([][]graph.NodeID, len(tokEnds))
+	tokStart, postStart := 0, 0
+	for i := range toks {
+		toks[i] = all[tokStart:tokEnds[i]]
+		lists[i] = posts[postStart:postEnds[i]]
+		tokStart, postStart = tokEnds[i], postEnds[i]
 	}
-	return ix, nil
+	meta := make(map[string][]int32, len(v.MetaTables()))
+	for tok, ts := range v.MetaTables() {
+		meta[tok] = slices.Clone(ts)
+	}
+	return newIndex(numNodes, toks, lists, meta), nil
 }

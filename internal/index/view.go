@@ -1,18 +1,16 @@
 package index
 
 import (
-	"sort"
 	"strings"
 
 	"github.com/banksdb/banks/internal/graph"
 )
 
-// View is the read interface of the keyword index. Three implementations
-// serve it with identical results: the eager *Index (Build), the
-// store-opened lazy *Index (OpenLazy), and *Overlay — an immutable base
-// composed with an in-memory delta of live posting changes. The search
-// core and match cache both resolve terms through a View, so engines
-// compose without touching the lookup path.
+// View is the read interface of the keyword index. Two implementations
+// serve it: *Index, built or store-opened, and *Overlay — an immutable
+// base composed with an in-memory delta of live posting changes. The
+// search core and match cache both resolve terms through a View, so
+// engines compose without touching the lookup path.
 type View interface {
 	// Lookup returns the match set for one term (case-insensitive exact
 	// token match). Nodes are sorted ascending and deduplicated.
@@ -42,27 +40,13 @@ type View interface {
 var _ View = (*Index)(nil)
 
 // PrefixTokens returns the indexed tokens beginning with prefix, sorted
-// ascending. A lazy index reads the contiguous dictionary range; an eager
-// one scans its vocabulary.
+// ascending: the contiguous dictionary range. The slice is read-only.
 func (ix *Index) PrefixTokens(prefix string) []string {
 	prefix = strings.ToLower(strings.TrimSpace(prefix))
 	if prefix == "" {
 		return nil
 	}
-	if ix.lazy != nil {
-		d := ix.ensureDict()
-		var out []string
-		for i := sort.SearchStrings(d.Toks, prefix); i < len(d.Toks) && strings.HasPrefix(d.Toks[i], prefix); i++ {
-			out = append(out, d.Toks[i])
-		}
-		return out
-	}
-	var out []string
-	for tok := range ix.terms {
-		if strings.HasPrefix(tok, prefix) {
-			out = append(out, tok)
-		}
-	}
-	sort.Strings(out)
-	return out
+	d := ix.ensureDict()
+	lo, hi := prefixRange(d.Toks, prefix)
+	return d.Toks[lo:hi:hi]
 }

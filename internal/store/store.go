@@ -510,16 +510,17 @@ func (s *Store) markBlockSeen(i int) bool {
 	}
 }
 
-// Postings implements index.LazySource: resolve dictionary entry i into a
-// fresh decoded posting list. The encoded block is a sub-slice of the
-// store's bytes, checksummed on first touch and trusted after.
+// Postings resolves dictionary entry i into a fresh decoded posting list.
+// The encoded block is a sub-slice of the store's bytes, checksummed on
+// first touch and trusted after.
 func (s *Store) Postings(i int, tok string) ([]graph.NodeID, error) {
 	return s.PostingsAppend(i, tok, nil)
 }
 
-// PostingsAppend is Postings decoding into dst (extended and returned;
-// nil allocates fresh) — the buffer-reuse path for callers that own
-// their result, like prefix sweeps appending into one per-query buffer.
+// PostingsAppend implements index.LazySource: it is Postings decoding
+// into dst (extended and returned; nil allocates fresh) — the
+// buffer-reuse path for callers that own their result, like prefix
+// lookups appending into one buffer and sweeps reusing one.
 func (s *Store) PostingsAppend(i int, tok string, dst []graph.NodeID) ([]graph.NodeID, error) {
 	ref, ok := s.blockRefFor(i)
 	if !ok {
