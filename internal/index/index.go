@@ -12,7 +12,6 @@ package index
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/maphash"
@@ -263,6 +262,54 @@ func (tt *tokenTable) grow() {
 	}
 }
 
+// sorted returns the token ids in byte order of their tokens. An LSD
+// radix sort orders them by their first eight bytes, read as one
+// big-endian integer (zero-padded, which keeps byte order); only ids whose
+// keys tie compare whole tokens.
+func (tt *tokenTable) sorted() []int32 {
+	n := tt.len()
+	keys, ids := make([]uint64, n), make([]int32, n)
+	for id := range ids {
+		var k [8]byte
+		copy(k[:], tt.tok(int32(id)))
+		keys[id], ids[id] = binary.BigEndian.Uint64(k[:]), int32(id)
+	}
+	if n < 2 {
+		return ids
+	}
+	keys2, ids2 := make([]uint64, n), make([]int32, n)
+	for shift := 0; shift < 64; shift += 8 {
+		var at [256]int
+		for _, k := range keys {
+			at[byte(k>>shift)]++
+		}
+		if at[byte(keys[0]>>shift)] == n {
+			continue // every key has this byte: the pass would move nothing
+		}
+		sum := 0
+		for b, c := range at {
+			at[b], sum = sum, sum+c
+		}
+		for i, k := range keys {
+			b := byte(k >> shift)
+			keys2[at[b]], ids2[at[b]] = k, ids[i]
+			at[b]++
+		}
+		keys, keys2, ids, ids2 = keys2, keys, ids2, ids
+	}
+	for i := 0; i < n; {
+		j := i + 1
+		for j < n && keys[j] == keys[i] {
+			j++
+		}
+		if j-i > 1 {
+			slices.SortFunc(ids[i:j], func(a, b int32) int { return bytes.Compare(tt.tok(a), tt.tok(b)) })
+		}
+		i = j
+	}
+	return ids
+}
+
 // hit is one occurrence of token id (shard-local, then build-wide after
 // the merge renumbers it) in node n.
 type hit struct {
@@ -402,31 +449,12 @@ func build(db *sqldb.Database, g numbering, shards int) (*Index, error) {
 			next[h.id]++
 		}
 	}
-	// Lay the tokens out in byte order. Ids sort by their first eight
-	// bytes as one big-endian integer (zero-padded, which keeps byte
-	// order), and only ids whose keys tie compare whole tokens.
-	type sortKey struct {
-		key uint64
-		id  int32
-	}
-	order := make([]sortKey, nt)
-	for id := range order {
-		var k [8]byte
-		copy(k[:], all.tok(int32(id)))
-		order[id] = sortKey{binary.BigEndian.Uint64(k[:]), int32(id)}
-	}
-	slices.SortFunc(order, func(a, b sortKey) int {
-		if c := cmp.Compare(a.key, b.key); c != 0 {
-			return c
-		}
-		return bytes.Compare(all.tok(a.id), all.tok(b.id))
-	})
+	order := all.sorted()
 	// Every token is cut from one string of all the tokens' bytes.
 	keys := string(all.arena)
 	toks := make([]string, nt)
 	lists := make([][]graph.NodeID, nt)
-	for i, o := range order {
-		t := o.id
+	for i, t := range order {
 		start := int32(0)
 		if t > 0 {
 			start = all.ends[t-1]

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/banksdb/banks/internal/graph"
@@ -129,5 +130,38 @@ func TestIndexStatsConsistency(t *testing.T) {
 	}
 	if ix.NumNodes() != 10 {
 		t.Errorf("nodes = %d", ix.NumNodes())
+	}
+}
+
+// TestTokenTableSorted checks the build's radix sort against sort order
+// on tokens that share long prefixes, end inside and past the eight-byte
+// key, and carry non-ASCII bytes.
+func TestTokenTableSorted(t *testing.T) {
+	if ids := new(tokenTable).sorted(); len(ids) != 0 {
+		t.Fatalf("empty table sorts to %v", ids)
+	}
+	alphabet := []string{"a", "b", "z", "0", "9", "é", "ß", "日"}
+	rng := rand.New(rand.NewSource(1))
+	var tt tokenTable
+	seen := map[string]bool{}
+	var want []string
+	for len(want) < 2000 {
+		tok := "prefix"[:rng.Intn(7)]
+		for n := 1 + rng.Intn(12); n > 0; n-- {
+			tok += alphabet[rng.Intn(len(alphabet))]
+		}
+		if !seen[tok] {
+			seen[tok] = true
+			want = append(want, tok)
+			tt.intern([]byte(tok), uint64(len(want)))
+		}
+	}
+	slices.Sort(want)
+	var got []string
+	for _, id := range tt.sorted() {
+		got = append(got, string(tt.tok(id)))
+	}
+	if !slices.Equal(got, want) {
+		t.Fatal("tokenTable.sorted is not in byte order")
 	}
 }

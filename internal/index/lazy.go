@@ -13,7 +13,6 @@ package index
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"github.com/banksdb/banks/internal/graph"
@@ -130,7 +129,7 @@ func (ix *Index) ensureDict() *LazyDict {
 		if err == nil {
 			if len(d.Counts) != len(d.Toks) {
 				err = fmt.Errorf("index: dictionary has %d counts for %d terms", len(d.Counts), len(d.Toks))
-			} else if !sort.StringsAreSorted(d.Toks) {
+			} else if !slices.IsSorted(d.Toks) {
 				err = fmt.Errorf("index: dictionary tokens not sorted")
 			}
 		}

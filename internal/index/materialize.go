@@ -2,7 +2,6 @@ package index
 
 import (
 	"slices"
-	"strings"
 
 	"github.com/banksdb/banks/internal/graph"
 )
@@ -21,8 +20,8 @@ import (
 // the result is byte-identical to an index built from scratch over the
 // materialized graph.
 func Materialize(v View, remap []graph.NodeID, numNodes int) (*Index, error) {
-	var keys strings.Builder
-	var tokEnds, postEnds []int // term i is keys[tokEnds[i-1]:tokEnds[i]], its postings likewise
+	var toks []string
+	var ends []int // term i's postings are posts[ends[i-1]:ends[i]]
 	posts := make([]graph.NodeID, 0, v.NumPostings())
 	err := v.ForEachTermSorted(func(tok string, ns []graph.NodeID) {
 		start := len(posts)
@@ -37,21 +36,17 @@ func Materialize(v View, remap []graph.NodeID, numNodes int) (*Index, error) {
 		if out := posts[start:]; !slices.IsSorted(out) {
 			slices.Sort(out)
 		}
-		keys.WriteString(tok)
-		tokEnds = append(tokEnds, keys.Len())
-		postEnds = append(postEnds, len(posts))
+		toks = append(toks, tok)
+		ends = append(ends, len(posts))
 	})
 	if err != nil {
 		return nil, err
 	}
-	all := keys.String()
-	toks := make([]string, len(tokEnds))
-	lists := make([][]graph.NodeID, len(tokEnds))
-	tokStart, postStart := 0, 0
-	for i := range toks {
-		toks[i] = all[tokStart:tokEnds[i]]
-		lists[i] = posts[postStart:postEnds[i]]
-		tokStart, postStart = tokEnds[i], postEnds[i]
+	lists := make([][]graph.NodeID, len(ends))
+	start := 0
+	for i, end := range ends {
+		lists[i] = posts[start:end]
+		start = end
 	}
 	meta := make(map[string][]int32, len(v.MetaTables()))
 	for tok, ts := range v.MetaTables() {
