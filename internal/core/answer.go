@@ -69,19 +69,6 @@ func (a *Answer) ContainsNode(n graph.NodeID) bool {
 	return false
 }
 
-// rootChildren counts the distinct direct children of the root; the
-// algorithm discards trees whose root has exactly one child, since the
-// smaller tree obtained by removing the root is also generated (§3).
-func (a *Answer) rootChildren() int {
-	seen := make(map[graph.NodeID]bool)
-	for _, e := range a.Edges {
-		if e.From == a.Root {
-			seen[e.To] = true
-		}
-	}
-	return len(seen)
-}
-
 // Signature is the canonical identity of the tree *modulo edge direction*:
 // the paper treats trees whose undirected versions coincide as duplicates
 // ("they represent the same result, except with different information

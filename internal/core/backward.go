@@ -320,7 +320,8 @@ func (gs *genState) rec(term int) bool {
 // once a path reaches a node already in the tree, the existing route from
 // the root is reused and the walk continues from that node. Every leaf
 // stays reachable from the root and the result is a genuine tree. Returns
-// nil for trees pruned by the single-child-root rule.
+// nil for trees pruned by the single-child-root rule, which spares a
+// one-edge tree between two matching tuples.
 func (ex *exec) buildAnswer(v graph.NodeID, combo []graph.NodeID) *Answer {
 	ar := ex.ar
 	gen := ar.bumpMark()
@@ -345,7 +346,10 @@ func (ex *exec) buildAnswer(v graph.NodeID, combo []graph.NodeID) *Answer {
 	}
 	ar.scratchEdges = scratch[:0]
 	ar.edgeBuf = edges
-	if len(edges) > 0 && rootChildren(ar, v, edges) == 1 {
+	// §3's single-child-root rule holds only where the tree minus its
+	// root still covers every term. A one-edge tree whose root matches a
+	// term is the only answer that joins two adjacent matching tuples.
+	if len(edges) > 0 && rootChildren(ar, v, edges) == 1 && !(len(edges) == 1 && slices.Contains(combo, v)) {
 		ex.stats.SingleChildRoots++
 		return nil
 	}
@@ -373,8 +377,7 @@ func (ex *exec) buildAnswer(v graph.NodeID, combo []graph.NodeID) *Answer {
 // rootChildren counts the distinct direct children of the root over the
 // arena's mark set; the §3 rule discards trees whose root has exactly one
 // child, since the smaller tree obtained by removing the root is also
-// generated. (Answer.rootChildren does the same with a map; this is the
-// allocation-free hot-path form.)
+// generated (buildAnswer spares the one-edge tree, where it is not).
 func rootChildren(ar *searchArena, root graph.NodeID, edges []TreeEdge) int {
 	gen := ar.bumpMark()
 	c := 0

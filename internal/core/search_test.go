@@ -526,3 +526,105 @@ func TestScoreMonotonicInTreeWeight(t *testing.T) {
 		}
 	}
 }
+
+// newClinicFixture builds a doctor and a patient joined by one visit:
+// Paracelsus (A1) saw Anna (P1) for gout (V12), and Hildegard (A2) saw
+// her for a fever (V13). Each visit references both.
+func newClinicFixture(t *testing.T) *fixture {
+	t.Helper()
+	db := sqldb.NewDatabase()
+	for _, s := range []*sqldb.TableSchema{
+		{
+			Name:       "Arzt",
+			Columns:    []sqldb.Column{{Name: "ArztId", Type: sqldb.TypeText, NotNull: true}, {Name: "Name", Type: sqldb.TypeText}},
+			PrimaryKey: []string{"ArztId"},
+		},
+		{
+			Name:       "Patient",
+			Columns:    []sqldb.Column{{Name: "PatId", Type: sqldb.TypeText, NotNull: true}, {Name: "Name", Type: sqldb.TypeText}},
+			PrimaryKey: []string{"PatId"},
+		},
+		{
+			Name: "Visit",
+			Columns: []sqldb.Column{
+				{Name: "VisitId", Type: sqldb.TypeText, NotNull: true},
+				{Name: "ArztId", Type: sqldb.TypeText},
+				{Name: "PatId", Type: sqldb.TypeText},
+				{Name: "Note", Type: sqldb.TypeText},
+			},
+			PrimaryKey: []string{"VisitId"},
+			ForeignKeys: []sqldb.ForeignKey{
+				{Column: "ArztId", RefTable: "Arzt"},
+				{Column: "PatId", RefTable: "Patient"},
+			},
+		},
+	} {
+		if _, err := db.CreateTable(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, r := range []struct {
+		table string
+		row   []string
+	}{
+		{"Arzt", []string{"A1", "Paracelsus"}},
+		{"Arzt", []string{"A2", "Hildegard"}},
+		{"Patient", []string{"P1", "Anna"}},
+		{"Visit", []string{"V12", "A1", "P1", "gout"}},
+		{"Visit", []string{"V13", "A2", "P1", "fever"}},
+	} {
+		vals := make([]sqldb.Value, len(r.row))
+		for i, s := range r.row {
+			vals[i] = sqldb.Text(s)
+		}
+		if _, err := db.Insert(r.table, vals); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return newFixture(t, db)
+}
+
+// Two matching tuples one edge apart are an answer. The §3 rule drops a
+// tree whose root has one child because the tree without the root is
+// generated too; for a one-edge tree between two matches it is not, so
+// the rule spares it.
+func TestAdjacentMatchesAreAnAnswer(t *testing.T) {
+	f := newClinicFixture(t)
+	answers, stats, err := searchTerms(f.s, []string{"paracelsus", "gout"}, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(answers) != 1 {
+		t.Fatalf("paracelsus gout: %d answers, want 1 (stats %+v)", len(answers), stats)
+	}
+	a := answers[0]
+	doctor, visit := f.node(t, "Arzt", "A1"), f.node(t, "Visit", "V12")
+	if len(a.Edges) != 1 || !a.ContainsNode(doctor) || !a.ContainsNode(visit) {
+		t.Fatalf("answer is not the visit-doctor edge:\n%s", a.Describe(f.g))
+	}
+	if a.TermNodes[0] != doctor || a.TermNodes[1] != visit {
+		t.Errorf("term nodes %v, want [%d %d]", a.TermNodes, doctor, visit)
+	}
+}
+
+// The exemption covers one-edge trees only. With a third term the
+// adjacent pair hangs off a larger tree: rooted at the doctor or the
+// patient it has a single-child root and is dropped, and the one answer
+// is the orientation rooted at the visit, which has two children.
+func TestAdjacentPairInLargerTree(t *testing.T) {
+	f := newClinicFixture(t)
+	answers, stats, err := searchTerms(f.s, []string{"paracelsus", "gout", "anna"}, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(answers) != 1 {
+		t.Fatalf("paracelsus gout anna: %d answers, want 1", len(answers))
+	}
+	a := answers[0]
+	if a.Root != f.node(t, "Visit", "V12") || len(a.Edges) != 2 || a.Edges[0].From != a.Root || a.Edges[1].From != a.Root {
+		t.Fatalf("want the two-edge tree rooted at visit V12:\n%s", a.Describe(f.g))
+	}
+	if stats.SingleChildRoots == 0 {
+		t.Error("no single-child root was dropped; the doctor- and patient-rooted orientations should be")
+	}
+}

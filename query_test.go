@@ -48,6 +48,37 @@ func TestQueryStatsAndAnswers(t *testing.T) {
 	}
 }
 
+// TestAdjacentMatchesThroughSystem: two directly linked tuples that each
+// match a term are an answer — one edge, both ends matched — through the
+// public API, on a visit row that references its doctor.
+func TestAdjacentMatchesThroughSystem(t *testing.T) {
+	db := NewDatabase()
+	if err := db.ExecScript(`
+		CREATE TABLE arzt (id INT PRIMARY KEY, name TEXT);
+		CREATE TABLE visit (id INT PRIMARY KEY, arzt INT REFERENCES arzt, note TEXT);
+		INSERT INTO arzt VALUES (1, 'Paracelsus');
+		INSERT INTO visit VALUES (12, 1, 'gout');
+	`); err != nil {
+		t.Fatal(err)
+	}
+	sys, err := NewSystem(db, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	answers := searchAnswers(t, sys, "paracelsus gout", nil)
+	if len(answers) != 1 {
+		t.Fatalf("paracelsus gout: %d answers, want 1:\n%s", len(answers), renderAnswers(answers))
+	}
+	root := answers[0].Tree
+	if len(root.Children) != 1 || len(root.Children[0].Children) != 0 || !root.Matched || !root.Children[0].Matched {
+		t.Fatalf("want one edge between two matched tuples:\n%s", renderAnswers(answers))
+	}
+	if tables := root.Tuple.Table + "," + root.Children[0].Tuple.Table; tables != "arzt,visit" && tables != "visit,arzt" {
+		t.Errorf("answer joins %s, want arzt and visit", tables)
+	}
+}
+
 func TestQueryGroupByShape(t *testing.T) {
 	_, sys := newQuickstartSystem(t)
 	res, err := sys.Query(context.Background(), Query{
