@@ -11,7 +11,7 @@ import (
 // slices — 20 bytes/node — invalidated in O(1) between queries by bumping
 // a generation stamp instead of clearing. Per-iterator state is not sized
 // to the graph: an iterator holds a table proportional to the nodes it
-// touched and borrows a dense 28 bytes/node block from freeDense only once
+// touched and borrows a dense 17 bytes/node block from freeDense only once
 // it has swept a real fraction of the graph (see sspIterator), so a
 // query's scratch bytes are bounded by the arcs it relaxed — the bounded
 // search-time footprint EMBANKS argues for.
@@ -70,9 +70,10 @@ type searchArena struct {
 	listsUsed int
 
 	// freeIters are recycled shortest-path iterators; each keeps its sparse
-	// table's backing and its heap, reused via generation bumps. growBuf is
-	// the scratch a table growing within its backing moves its live slots
-	// through (see sspIterator.grow). freeDense are the dense
+	// table's backing and its heap, cleared as a rerooted run reaches them
+	// (see sspIterator.reset and grow). growBuf is the scratch a table
+	// growing within its backing moves its live slots through (see
+	// sspIterator.grow). freeDense are the dense
 	// blocks promoted iterators borrow for one query, each sized to the view
 	// it last served (see takeDense): the list grows to the most iterators
 	// that went deep in a single query, not to every iterator that ever did.

@@ -365,11 +365,12 @@ func (ex *exec) buildAnswer(v graph.NodeID, combo []graph.NodeID) *Answer {
 	})
 	a := ar.newAnswer()
 	a.Root = v
+	for i := range edges {
+		edges[i].W = arcWeight(ex.s.g, edges[i].From, edges[i].To) // PathEdges leaves it 0
+		a.Weight += edges[i].W
+	}
 	a.Edges = ar.copyEdges(edges)
 	a.TermNodes = ar.copyNodes(combo)
-	for _, e := range edges {
-		a.Weight += e.W
-	}
 	scoreAnswer(a, ex.s.g, ex.o.Score)
 	return a
 }

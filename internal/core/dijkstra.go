@@ -17,21 +17,25 @@ import (
 // backward expanding search interleave |S| of these through a single
 // iterator heap.
 //
-// Per-node state (tentative or settled distance, next hop, its arc weight)
-// is proportional to the nodes the iterator has touched, in two regimes.
-// An iterator starts sparse: an open-addressed table keyed by NodeID,
+// Per-node state (tentative or settled distance, next hop) is proportional
+// to the nodes the iterator has touched, in two regimes. An iterator starts
+// sparse: an open-addressed table of 16-byte slots keyed by NodeID,
 // sparseInitSlots wide, doubling at half load — a name query opens hundreds
 // of iterators that each touch a few dozen nodes. Once it has touched more
 // than NumNodes/densePromoteDiv nodes it promotes: the table is scattered
-// into a denseBlock taken from the owning arena, and relaxation runs the
-// direct-indexed loop from then on — the far-apart queries that sweep half
-// the graph per origin. The regime is tested once per pop, never per arc.
-// Both regimes stamp slots with gen, so re-rooting an iterator costs a
-// generation bump, not a clear. Iterators are recycled through the
-// searchArena, and a recycled table restarts sparseInitSlots wide on the
-// backing it grew before: an iterator that once swept thousands of nodes
-// does not hand its width to the few-dozen-node runs that draw it next,
-// whose probes then stay in a table sized to their own run.
+// into a denseBlock (17 bytes/node) taken from the owning arena, and
+// relaxation runs the direct-indexed loop from then on — the far-apart
+// queries that sweep half the graph per origin. The regime is tested once
+// per pop, never per arc. Neither regime keeps arc weights (arcWeight
+// reads those of an answer's edges back from the graph) or generation
+// stamps: a free slot is zero, so re-rooting an iterator clears the 1 KB
+// table prefix it restarts on, and a dense block clears its 1 byte/node
+// visit array when it is taken.
+// Iterators are recycled through the searchArena, and a recycled table
+// restarts sparseInitSlots wide on the backing it grew before: an iterator
+// that once swept thousands of nodes does not hand its width to the
+// few-dozen-node runs that draw it next, whose probes then stay in a table
+// sized to their own run.
 //
 // The frontier is a monotone radix heap (distHeap) on (distance, node
 // key), where a node's key is its (table, rid) identity read from the
@@ -47,15 +51,14 @@ type sspIterator struct {
 	g      graph.View
 	origin graph.NodeID
 
-	gen uint32 // even; a slot stamped gen is tentative, gen+1 settled, anything else untouched
-	pq  distHeap
+	pq distHeap
 
 	// Sparse regime: tab is the open-addressed table (linear probing, no
-	// deletion within a generation), hashed by the top bits of a
-	// multiplicative hash, shift = 32 - log2(len(tab)). Its capacity is the
-	// widest it ever grew to; only the prefix tab holds this generation's
-	// slots. live counts the nodes touched this generation; crossing
-	// promoteAt promotes.
+	// deletion), hashed by the top bits of a multiplicative hash,
+	// shift = 32 - log2(len(tab)). Its capacity is the widest it ever grew
+	// to; only the prefix tab belongs to this run, and its slots are free
+	// (zero) but for the nodes this run touched. live counts those nodes;
+	// crossing promoteAt promotes.
 	tab       []sparseSlot
 	shift     uint
 	live      int
@@ -86,41 +89,49 @@ const (
 	sparseInitSlots = 1 << sparseInitBits
 	// densePromoteDiv sets the promotion point: an iterator that has touched
 	// more than NumNodes/densePromoteDiv nodes moves to dense arrays. At 32
-	// the largest table (under 4 × NumNodes/32 slots of 32 bytes: 4 bytes
-	// per graph node) stays a seventh of the 28 bytes/node block that
+	// the largest table (under 4 × NumNodes/32 slots of 16 bytes: 2 bytes
+	// per graph node) stays an eighth of the 17 bytes/node block that
 	// replaces it.
 	densePromoteDiv = 32
 )
 
-// sparseSlot is one touched node's state in the sparse regime; 32 bytes,
-// so a probe that hits costs one cache line.
+// sparseSlot is one touched node's state in the sparse regime; 16 bytes,
+// four to a cache line.
 type sparseSlot struct {
-	node    graph.NodeID
-	stamp   uint32 // see sspIterator.gen
-	dist    float64
-	parent  graph.NodeID // next hop from node toward origin (forward direction)
-	pweight float64      // weight of the arc node -> parent
+	tag    uint32 // node+1; 0 marks a free slot
+	parent uint32 // next hop from node toward origin (forward direction), with settledBit once node is settled
+	dist   float64
 }
 
+// settledBit marks a settled node in sparseSlot.parent; NodeIDs are
+// non-negative int32s, so it is never part of one.
+const settledBit = 1 << 31
+
 // denseBlock is the dense regime's state, two NodeID-indexed arrays: the
-// 4 bytes/node visit stamps, which every relaxed arc reads and which stay
-// cache-resident on their own, and one 24-byte record per node for the
-// rest, so a relaxation that improves a node writes one cache line, not
-// three. 28 bytes/node.
+// 1 byte/node visit states, which every relaxed arc reads and which stay
+// cache-resident on their own, and one 16-byte record per node for the
+// rest, so a relaxation that improves a node writes one cache line. 17
+// bytes/node.
 type denseBlock struct {
-	visit []uint32
+	visit []uint8 // nodeUntouched, nodeTentative or nodeSettled
 	rec   []denseRec
 }
 
+// The visit states of a dense block's nodes.
+const (
+	nodeUntouched uint8 = iota
+	nodeTentative
+	nodeSettled
+)
+
 // denseRec is a touched node's distance and next hop in the dense regime.
 type denseRec struct {
-	dist    float64
-	pweight float64      // weight of the arc node -> parent
-	parent  graph.NodeID // next hop from node toward origin (forward direction)
+	dist   float64
+	parent graph.NodeID // next hop from node toward origin (forward direction)
 }
 
 func newDenseBlock(n int) *denseBlock {
-	return &denseBlock{visit: make([]uint32, n), rec: make([]denseRec, n)}
+	return &denseBlock{visit: make([]uint8, n), rec: make([]denseRec, n)}
 }
 
 // resize reslices the block's arrays to length n, within their capacity.
@@ -367,10 +378,9 @@ func (h *distHeap) sortZero() {
 
 // reset re-roots a (possibly recycled) iterator at origin, in the sparse
 // regime. The table restarts sparseInitSlots wide on its old backing, and
-// the generation bump invalidates every slot of the previous run in O(1).
-// The stamps are zeroed only on uint32 wraparound, and then across the
-// whole backing: grow reuses the slots past the prefix, so a stamp left
-// there by the first generations would read as current again.
+// clearing that prefix (1 KB) frees every slot of the previous run the new
+// one can reach: the slots past it are cleared by grow before it widens
+// the table over them.
 func (it *sspIterator) reset(g graph.View, origin graph.NodeID) {
 	it.g = g
 	it.origin = origin
@@ -378,15 +388,8 @@ func (it *sspIterator) reset(g graph.View, origin graph.NodeID) {
 		it.tab = make([]sparseSlot, sparseInitSlots)
 	}
 	it.tab = it.tab[:sparseInitSlots]
+	clear(it.tab)
 	it.shift = 32 - sparseInitBits
-	it.gen += 2
-	if it.gen < 2 { // wrapped
-		all := it.tab[:cap(it.tab)]
-		for i := range all {
-			all[i].stamp = 0
-		}
-		it.gen = 2
-	}
 	it.dense = nil
 	it.live = 0
 	it.promoteAt = g.NumNodes() / densePromoteDiv
@@ -394,24 +397,24 @@ func (it *sspIterator) reset(g graph.View, origin graph.NodeID) {
 	it.pq.reset(g.Keys(), &it.ar.tie)
 	it.lastArcs = 0
 	i, _ := it.probe(origin)
-	it.tab[i] = sparseSlot{node: origin, stamp: it.gen}
+	it.tab[i] = sparseSlot{tag: uint32(origin) + 1}
 	it.pq.push(origin, 0)
 	it.claimed()
 }
 
 // probe finds n's slot in the sparse table: (its index, true) when n has
-// been touched this generation, else (the free slot it would claim, false).
-// Slots stamped by an earlier generation count as free.
+// been touched this run, else (the free slot it would claim, false).
 func (it *sspIterator) probe(n graph.NodeID) (int, bool) {
 	mask := len(it.tab) - 1
+	tag := uint32(n) + 1
 	i := int(uint32(n) * 0x9E3779B1 >> it.shift)
 	for {
-		s := &it.tab[i]
-		if s.stamp-it.gen > 1 {
-			return i, false
-		}
-		if s.node == n {
+		t := it.tab[i].tag
+		if t == tag {
 			return i, true
+		}
+		if t == 0 {
+			return i, false
 		}
 		i = (i + 1) & mask
 	}
@@ -432,11 +435,10 @@ func (it *sspIterator) claimed() bool {
 	return false
 }
 
-// grow doubles the table and rehashes this generation's slots into it.
-// Within the backing's capacity it allocates nothing: the live slots move
-// to the arena's scratch, their stamps in the prefix are zeroed (free in
-// any generation), and the table widens in place. The slots past the old
-// prefix hold only earlier generations' stamps, so they read as free.
+// grow doubles the table and rehashes its slots into it. Within the
+// backing's capacity it allocates nothing: the live slots move to the
+// arena's scratch, the doubled table is cleared, since past the old prefix
+// it holds an earlier run's slots, and they are rehashed back into it.
 func (it *sspIterator) grow() {
 	old := it.tab
 	if n := 2 * len(old); n <= cap(old) {
@@ -444,23 +446,23 @@ func (it *sspIterator) grow() {
 			it.ar.growBuf = make([]sparseSlot, len(old))
 		}
 		buf, j := it.ar.growBuf, 0
-		for k := range old {
-			if s := &old[k]; s.stamp-it.gen <= 1 {
-				buf[j] = *s
+		for _, s := range old {
+			if s.tag != 0 {
+				buf[j] = s
 				j++
-				s.stamp = 0
 			}
 		}
 		old = buf[:j]
 		it.tab = it.tab[:n]
+		clear(it.tab)
 	} else {
 		it.tab = make([]sparseSlot, n)
 	}
 	it.shift--
-	for k := range old {
-		if s := &old[k]; s.stamp-it.gen <= 1 {
-			i, _ := it.probe(s.node)
-			it.tab[i] = *s
+	for _, s := range old {
+		if s.tag != 0 {
+			i, _ := it.probe(graph.NodeID(s.tag - 1))
+			it.tab[i] = s
 		}
 	}
 }
@@ -470,10 +472,14 @@ func (it *sspIterator) grow() {
 // the next reset.
 func (it *sspIterator) promote() {
 	b := it.ar.takeDense(it.g.NumNodes())
-	for k := range it.tab {
-		if s := &it.tab[k]; s.stamp-it.gen <= 1 {
-			b.visit[s.node] = s.stamp
-			b.rec[s.node] = denseRec{dist: s.dist, pweight: s.pweight, parent: s.parent}
+	for _, s := range it.tab {
+		if s.tag != 0 {
+			n := s.tag - 1
+			b.visit[n] = nodeTentative
+			if s.parent&settledBit != 0 {
+				b.visit[n] = nodeSettled
+			}
+			b.rec[n] = denseRec{dist: s.dist, parent: graph.NodeID(s.parent &^ settledBit)}
 		}
 	}
 	it.dense = b
@@ -485,10 +491,9 @@ func (it *sspIterator) clean() graph.NodeID {
 	if it.cleaned {
 		return it.topNode
 	}
-	settled := it.gen + 1
 	n, ok := it.pq.min()
 	if b := it.dense; b != nil {
-		for ok && b.visit[n] == settled {
+		for ok && b.visit[n] == nodeSettled {
 			it.pq.pop()
 			n, ok = it.pq.min()
 		}
@@ -496,7 +501,7 @@ func (it *sspIterator) clean() graph.NodeID {
 		for ok {
 			// Every heap entry's node was claimed when it was pushed.
 			i, _ := it.probe(n)
-			if it.tab[i].stamp != settled {
+			if it.tab[i].parent&settledBit == 0 {
 				it.top = i
 				break
 			}
@@ -532,11 +537,11 @@ func (it *sspIterator) Next() (graph.NodeID, float64, bool) {
 	it.cleaned = false
 	if b := it.dense; b != nil {
 		b.rec[v].dist = d
-		b.visit[v] = it.gen + 1
+		b.visit[v] = nodeSettled
 	} else {
 		s := &it.tab[it.top]
 		s.dist = d
-		s.stamp = it.gen + 1
+		s.parent |= settledBit
 	}
 	in := it.g.In(v)
 	it.lastArcs = len(in)
@@ -555,30 +560,28 @@ func (it *sspIterator) Next() (graph.NodeID, float64, bool) {
 func (it *sspIterator) relaxSparse(v graph.NodeID, d float64, in []graph.Edge) []graph.Edge {
 	keys := &it.pq.keys
 	for k, e := range in {
-		u, w := e.To, e.W
-		nd := d + w
+		u := e.To
+		nd := d + e.W
 		i, ok := it.probe(u)
 		s := &it.tab[i]
 		if !ok {
-			*s = sparseSlot{node: u, stamp: it.gen, dist: nd, parent: v, pweight: w}
+			*s = sparseSlot{tag: uint32(u) + 1, parent: uint32(v), dist: nd}
 			it.pq.push(u, nd)
 			if it.claimed() {
 				return in[k+1:]
 			}
 			continue
 		}
-		if s.stamp == it.gen+1 {
-			continue // settled
+		if s.parent&settledBit != 0 {
+			continue
 		}
 		if nd < s.dist {
 			s.dist = nd
-			s.parent = v
-			s.pweight = w
+			s.parent = uint32(v)
 			it.pq.push(u, nd)
-		} else if nd == s.dist && keys.Of(v) < keys.Of(s.parent) {
+		} else if nd == s.dist && keys.Of(v) < keys.Of(graph.NodeID(s.parent)) {
 			// Equal-cost path through a smaller-identity parent; see relaxDense.
-			s.parent = v
-			s.pweight = w
+			s.parent = uint32(v)
 		}
 	}
 	return nil
@@ -589,18 +592,17 @@ func (it *sspIterator) relaxDense(v graph.NodeID, d float64, in []graph.Edge) {
 	keys := &it.pq.keys
 	b := it.dense
 	visit, rec := b.visit, b.rec
-	gen := it.gen
 	for _, e := range in {
-		u, w := e.To, e.W
+		u := e.To
 		st := visit[u]
-		if st == gen+1 {
-			continue // settled
+		if st == nodeSettled {
+			continue
 		}
-		nd := d + w
+		nd := d + e.W
 		r := &rec[u]
-		if st != gen || nd < r.dist {
-			*r = denseRec{dist: nd, pweight: w, parent: v}
-			visit[u] = gen
+		if st == nodeUntouched || nd < r.dist {
+			*r = denseRec{dist: nd, parent: v}
+			visit[u] = nodeTentative
 			it.pq.push(u, nd)
 		} else if nd == r.dist && keys.Of(v) < keys.Of(r.parent) {
 			// Equal-cost path through a smaller-identity parent: adopt it,
@@ -610,49 +612,44 @@ func (it *sspIterator) relaxDense(v graph.NodeID, d float64, in []graph.Edge) {
 			// the final choice is order-independent. No push: u's tentative
 			// distance is unchanged.
 			r.parent = v
-			r.pweight = w
 		}
 	}
 }
 
-// Dist returns the settled distance of v (forward path weight v->origin).
-func (it *sspIterator) Dist(v graph.NodeID) (float64, bool) {
+// settledState returns v's distance and next hop toward origin, and
+// whether v is settled.
+func (it *sspIterator) settledState(v graph.NodeID) (float64, graph.NodeID, bool) {
 	if b := it.dense; b != nil {
-		if b.visit[v] != it.gen+1 {
-			return 0, false
-		}
-		return b.rec[v].dist, true
+		r := &b.rec[v]
+		return r.dist, r.parent, b.visit[v] == nodeSettled
 	}
-	i, _ := it.probe(v)
-	if s := &it.tab[i]; s.stamp == it.gen+1 { // a free slot's stamp is never current
-		return s.dist, true
-	}
-	return 0, false
+	i, ok := it.probe(v)
+	s := &it.tab[i]
+	return s.dist, graph.NodeID(s.parent &^ settledBit), ok && s.parent&settledBit != 0
 }
 
 // PathEdges appends to dst the directed forward edges of the shortest path
-// v -> ... -> origin. v must be settled.
+// v -> ... -> origin. v must be settled. The iterator keeps no arc weights,
+// so each edge's W is left 0: arcWeight reads it back, for just the edges
+// an answer keeps.
 func (it *sspIterator) PathEdges(v graph.NodeID, dst []TreeEdge) []TreeEdge {
-	settled := it.gen + 1
-	if b := it.dense; b != nil {
-		for v != it.origin {
-			if b.visit[v] != settled {
-				return dst // origin unreachable; cannot happen for settled v
-			}
-			r := &b.rec[v]
-			dst = append(dst, TreeEdge{From: v, To: r.parent, W: r.pweight})
-			v = r.parent
-		}
-		return dst
-	}
 	for v != it.origin {
-		i, _ := it.probe(v)
-		s := &it.tab[i]
-		if s.stamp != settled {
-			return dst
+		_, p, ok := it.settledState(v)
+		if !ok {
+			return dst // origin unreachable; cannot happen for settled v
 		}
-		dst = append(dst, TreeEdge{From: v, To: s.parent, W: s.pweight})
-		v = s.parent
+		dst = append(dst, TreeEdge{From: v, To: p})
+		v = p
 	}
 	return dst
+}
+
+// arcWeight returns the weight of arc u -> p, read from In(p), which is
+// sorted by source and holds one arc per source: every view merges
+// parallel FK arcs to the lightest (Equation 1). When p is u's next hop,
+// In(p) is the list the relaxation that chose p read.
+func arcWeight(g graph.View, u, p graph.NodeID) float64 {
+	in := g.In(p)
+	i, _ := slices.BinarySearchFunc(in, u, func(e graph.Edge, u graph.NodeID) int { return cmp.Compare(e.To, u) })
+	return in[i].W
 }

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"container/heap"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/banksdb/banks/internal/graph"
@@ -111,8 +114,8 @@ func TestSSPIteratorPathEdges(t *testing.T) {
 		if e.From != cur {
 			t.Fatalf("path discontinuity at %d", cur)
 		}
-		if w := f.g.ArcWeight(e.From, e.To); w != e.W {
-			t.Errorf("edge %d->%d weight %v, graph %v", e.From, e.To, e.W, w)
+		if w, aw := f.g.ArcWeight(e.From, e.To), arcWeight(f.g, e.From, e.To); e.W != 0 || w < 0 || aw != w {
+			t.Errorf("edge %d->%d: W %v (want it left 0), arcWeight %v, graph %v", e.From, e.To, e.W, aw, w)
 		}
 		cur = e.To
 	}
@@ -396,7 +399,8 @@ func TestSSPIteratorRegimesAgree(t *testing.T) {
 // holds exactly half its width without growing, the next claim doubles it,
 // and every slot survives the rehash, with no stale copy left behind. The
 // second round runs on the same iterator recycled, whose table restarts
-// narrow and grows within the backing the first round allocated.
+// narrow and grows within the backing the first round allocated: a node
+// the first round claimed must read as free until the second claims it.
 func TestSSPIteratorTableGrowsAtHalfLoad(t *testing.T) {
 	f := lineDB(t, 3*sparseInitSlots)
 	it := newSSPIterator(f.g, 0)
@@ -405,25 +409,25 @@ func TestSSPIteratorTableGrowsAtHalfLoad(t *testing.T) {
 		if ok {
 			t.Fatalf("node %d already claimed", n)
 		}
-		it.tab[i] = sparseSlot{node: n, stamp: it.gen, dist: float64(n), parent: n - 1, pweight: 1}
+		it.tab[i] = sparseSlot{tag: uint32(n) + 1, parent: uint32(n - 1), dist: float64(n)}
 		it.claimed()
 	}
 	check := func() {
 		t.Helper()
 		for n := graph.NodeID(1); int(n) < it.live; n++ {
 			i, ok := it.probe(n)
-			if s := it.tab[i]; !ok || s.dist != float64(n) || s.parent != n-1 || s.stamp != it.gen {
+			if s := it.tab[i]; !ok || s.dist != float64(n) || s.parent != uint32(n-1) {
 				t.Fatalf("node %d lost in a %d-slot table: %+v (found %v)", n, len(it.tab), s, ok)
 			}
 		}
-		current := 0
-		for _, s := range it.tab[:cap(it.tab)] {
-			if s.stamp-it.gen <= 1 {
-				current++
+		used := 0
+		for _, s := range it.tab {
+			if s.tag != 0 {
+				used++
 			}
 		}
-		if current != it.live {
-			t.Fatalf("%d slots of the backing hold this generation, want the %d live", current, it.live)
+		if used != it.live {
+			t.Fatalf("%d slots of the table are taken, want the %d live", used, it.live)
 		}
 	}
 	for round := 0; round < 2; round++ {
@@ -457,30 +461,220 @@ func TestSSPIteratorTableGrowsAtHalfLoad(t *testing.T) {
 	}
 }
 
-// TestSSPIteratorGenWraparound: stamps left by the first generations must
-// not read as current once gen wraps back onto them. The recycled table
-// restarts narrow on a wider backing and grows back into it, so the wrap
-// must clear the whole backing, not just the prefix reset leaves.
-func TestSSPIteratorGenWraparound(t *testing.T) {
+// TestSSPIteratorRecycledTableForgetsOldRun: a table recycled from a deep
+// run restarts narrow on a wide backing whose slots still hold the old
+// run's nodes. reset must clear the prefix it restarts on, and grow each
+// doubled table before it rehashes into it, or the new run finds nodes it
+// never touched. Stepped beside a fresh iterator, the recycled one must
+// hold every old-run node in the same state after each pop (absent until
+// the new run touches it), and settle identically.
+func TestSSPIteratorRecycledTableForgetsOldRun(t *testing.T) {
 	f := randomFKDB(t, rand.New(rand.NewSource(11)), 200)
-	a, b := graph.NodeID(3), graph.NodeID(150)
-	it := newSSPIterator(f.g, a)
+	it := newSSPIterator(f.g, 3)
 	it.promoteAt = neverPromote
-	drain(t, it, nil) // the table now holds gen-2 stamps: 2 and 3
+	old := drain(t, it, nil)
 	wide := len(it.tab)
-	it.gen = ^uint32(0) - 1
-	it.reset(f.g, b) // wraps back to gen 2
-	it.promoteAt = neverPromote
-	if it.gen != 2 || len(it.tab) != sparseInitSlots || cap(it.tab) != wide || wide <= sparseInitSlots {
-		t.Fatalf("after wrap: gen %d, %d slots of a %d-slot backing; want gen 2, %d slots of %d (> %d)",
-			it.gen, len(it.tab), cap(it.tab), sparseInitSlots, wide, sparseInitSlots)
+	if wide < 8*sparseInitSlots {
+		t.Fatalf("the deep run's table grew to %d slots, want at least %d", wide, 8*sparseInitSlots)
 	}
-	fresh := newSSPIterator(f.g, b)
+
+	const origin = graph.NodeID(150)
+	fresh := newSSPIterator(f.g, origin)
 	fresh.promoteAt = neverPromote
-	want := drain(t, fresh, nil)
-	got := drain(t, it, nil)
-	if len(it.tab) <= sparseInitSlots {
-		t.Fatalf("the table never grew past its %d-slot prefix", sparseInitSlots)
+	it.reset(f.g, origin)
+	it.promoteAt = neverPromote
+	if len(it.tab) != sparseInitSlots || cap(it.tab) != wide {
+		t.Fatalf("recycled: %d slots of a %d-slot backing, want %d of %d", len(it.tab), cap(it.tab), sparseInitSlots, wide)
 	}
-	sameRun(t, "after wraparound", want, got, fresh, it)
+	var want, got []sspStep
+	grew := 0
+	for {
+		for _, s := range old {
+			i, ok := it.probe(s.node)
+			j, fok := fresh.probe(s.node)
+			if ok != fok || ok && it.tab[i] != fresh.tab[j] {
+				t.Fatalf("after %d pops: node %d is %+v (found %v) in the recycled table, %+v (found %v) in a fresh one",
+					len(got), s.node, it.tab[i], ok, fresh.tab[j], fok)
+			}
+		}
+		width := len(it.tab)
+		n, d, ok := it.Next()
+		fn, fd, fok := fresh.Next()
+		if ok != fok {
+			t.Fatalf("after %d pops: the recycled iterator reports %v, a fresh one %v", len(got), ok, fok)
+		}
+		if !ok {
+			break
+		}
+		got = append(got, sspStep{n, d, it.lastArcs})
+		want = append(want, sspStep{fn, fd, fresh.lastArcs})
+		if len(it.tab) > width {
+			grew++
+			if cap(it.tab) != wide {
+				t.Fatalf("the table grew out of its %d-slot backing to %d", wide, cap(it.tab))
+			}
+		}
+	}
+	if grew < 2 {
+		t.Fatalf("the recycled table grew %d times within its backing, want at least 2", grew)
+	}
+	sameRun(t, "recycled from a deep run", want, got, fresh, it)
+}
+
+// refEntry, refHeap: the reference Dijkstra's container/heap frontier,
+// popped by (distance, node key) like distHeap.
+type refEntry struct {
+	d   float64
+	key uint64
+	n   graph.NodeID
+}
+
+type refHeap []refEntry
+
+func (h refHeap) Len() int { return len(h) }
+func (h refHeap) Less(i, j int) bool {
+	return h[i].d < h[j].d || h[i].d == h[j].d && h[i].key < h[j].key
+}
+func (h refHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)   { *h = append(*h, x.(refEntry)) }
+func (h *refHeap) Pop() any {
+	x := (*h)[len(*h)-1]
+	*h = (*h)[:len(*h)-1]
+	return x
+}
+
+// refState is a node's state in the reference: its distance, the edge to
+// its next hop toward the origin with that arc's weight, and whether it
+// is settled.
+type refState struct {
+	d       float64
+	e       TreeEdge
+	settled bool
+}
+
+// refSSP is the plain Dijkstra the iterator is fuzzed against: the same
+// reversed arcs and (distance, key) pop order, with a map for the state
+// and the arc weight kept beside the parent it chose; among equal-cost
+// parents the smallest key wins. It returns the settle sequence and every
+// touched node's final state.
+func refSSP(g graph.View, origin graph.NodeID) ([]sspStep, map[graph.NodeID]*refState) {
+	keys := g.Keys()
+	st := map[graph.NodeID]*refState{origin: {}}
+	h := &refHeap{{0, keys.Of(origin), origin}}
+	var steps []sspStep
+	for h.Len() > 0 {
+		x := heap.Pop(h).(refEntry)
+		v := st[x.n]
+		if v.settled {
+			continue
+		}
+		v.settled = true
+		in := g.In(x.n)
+		steps = append(steps, sspStep{x.n, x.d, len(in)})
+		for _, e := range in {
+			nd, edge := x.d+e.W, TreeEdge{From: e.To, To: x.n, W: e.W}
+			u, ok := st[e.To]
+			switch {
+			case !ok:
+				st[e.To] = &refState{d: nd, e: edge}
+				heap.Push(h, refEntry{nd, keys.Of(e.To), e.To})
+			case u.settled:
+			case nd < u.d:
+				u.d, u.e = nd, edge
+				heap.Push(h, refEntry{nd, keys.Of(e.To), e.To})
+			case nd == u.d && keys.Of(x.n) < keys.Of(u.e.To):
+				u.e = edge
+			}
+		}
+	}
+	return steps, st
+}
+
+// FuzzSSPIterator checks the iterator against refSSP on tie-heavy
+// randomFKDB graphs: the settle sequence with arc counts, Dist of every
+// node, and every settled node's PathEdges, weighted by arcWeight. Each input
+// runs a fresh sparse iterator, one at the production promotion threshold,
+// and two drawn back from an arena after a deeper run from another origin
+// grew their table wide and, promoted, left a dense block behind: one kept
+// sparse, one promoted at pop at. The committed corpus under
+// testdata/fuzz replays under plain go test.
+func FuzzSSPIterator(f *testing.F) {
+	f.Add(int64(1), uint8(30), uint16(0), uint16(3))
+	f.Add(int64(2), uint8(200), uint16(17), uint16(90))
+	f.Add(int64(3), uint8(255), uint16(250), uint16(0))
+	f.Fuzz(func(t *testing.T, seed int64, size uint8, pick, at uint16) {
+		rng := rand.New(rand.NewSource(seed))
+		g := randomFKDB(t, rng, 33+4*int(size)).g // over 32 nodes: reset never promotes
+		n := g.NumNodes()
+		origin := graph.NodeID(int(pick) % n)
+		want, ref := refSSP(g, origin)
+		k := int(at) % (len(want) + 1)
+
+		// run drives it to exhaustion, promoting it after pop promote
+		// unless that is negative, and checks it against the reference.
+		run := func(label string, it *sspIterator, promoteAt, promote int) {
+			t.Helper()
+			it.promoteAt = promoteAt
+			var got []sspStep
+			for len(got) < promote {
+				v, d, ok := it.Next()
+				if !ok {
+					break
+				}
+				got = append(got, sspStep{v, d, it.lastArcs})
+			}
+			if promote >= 0 && it.dense == nil {
+				it.promote()
+			}
+			got = drain(t, it, got)
+			if len(got) != len(want) {
+				t.Fatalf("%s: settled %d nodes, want %d", label, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s: step %d = %+v, want %+v", label, i, got[i], want[i])
+				}
+			}
+			for v := graph.NodeID(0); int(v) < n; v++ {
+				r := ref[v]
+				if d, ok := it.Dist(v); ok != (r != nil) || ok && d != r.d {
+					t.Fatalf("%s: Dist(%d) = %v,%v, want %+v", label, v, d, ok, r)
+				}
+				if r == nil {
+					continue
+				}
+				var path []TreeEdge
+				for u := v; u != origin; u = ref[u].e.To {
+					path = append(path, ref[u].e)
+				}
+				got := it.PathEdges(v, nil)
+				for i := range got {
+					got[i].W = arcWeight(g, got[i].From, got[i].To)
+				}
+				if !slices.Equal(got, path) {
+					t.Fatalf("%s: PathEdges(%d) with arcWeight = %v, want %v", label, v, got, path)
+				}
+			}
+		}
+		run("sparse", newSSPIterator(g, origin), neverPromote, -1)
+		run("production threshold", newSSPIterator(g, origin), n/densePromoteDiv, -1)
+
+		ar := newSearchArena(n)
+		for _, promote := range []int{-1, k} {
+			deep := graph.NodeID(rng.Intn(n))
+			it := ar.newIterator(g, deep)
+			it.promoteAt = neverPromote
+			for _, _, ok := it.Next(); ok; _, _, ok = it.Next() {
+			}
+			it.promote()
+			ar.origins = append(ar.origins, originRec{node: deep, it: it})
+			ar.release()
+			if it2 := ar.newIterator(g, origin); it2 != it {
+				t.Fatal("the arena did not hand back its released iterator")
+			}
+			run(fmt.Sprintf("recycled, promoted after pop %d (-1: never)", promote), it, neverPromote, promote)
+			ar.origins = append(ar.origins, originRec{node: origin, it: it})
+			ar.release()
+		}
+	})
 }

@@ -1,6 +1,10 @@
 package core
 
-import "runtime"
+import (
+	"runtime"
+
+	"github.com/banksdb/banks/internal/graph"
+)
 
 // drainArenaPool empties the process-wide arena pool, so the next query
 // runs on a cold arena rather than one another test warmed. Two GC cycles
@@ -17,3 +21,12 @@ func drainArenaPool() {
 
 // DrainArenaPool is drainArenaPool for the package's external tests.
 var DrainArenaPool = drainArenaPool
+
+// Dist returns the settled distance of v (forward path weight v->origin).
+func (it *sspIterator) Dist(v graph.NodeID) (float64, bool) {
+	d, _, ok := it.settledState(v)
+	if !ok {
+		return 0, false
+	}
+	return d, true
+}

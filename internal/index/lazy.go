@@ -3,7 +3,7 @@ package index
 // The index's one form: a sorted term dictionary and a source of posting
 // lists. The paper keeps its keyword index on disk; EMBANKS pushes the
 // whole engine that way. Every Index is the dictionary (sorted tokens,
-// posting counts and the small metadata map) plus a LazySource that
+// the posting total and the small metadata map) plus a LazySource that
 // serves dictionary entry i's posting list. A built index (Build,
 // Materialize) wraps its postings in a resident source; a store-opened
 // one (OpenLazy) fetches each list from the store on first lookup. Both
@@ -19,13 +19,12 @@ import (
 )
 
 // LazyDict is the parsed term dictionary of an index: the sorted token
-// list, per-term posting counts, the total posting count and the metadata
-// (relation/column name) map. It is immutable once returned.
+// list, the total posting count and the metadata (relation/column name)
+// map. It is immutable once returned.
 type LazyDict struct {
-	Toks   []string // sorted ascending; index i keys PostingsAppend(i, ...)
-	Counts []int    // postings per term, parallel to Toks
-	Posts  int      // total postings
-	Meta   map[string][]int32
+	Toks  []string // sorted ascending; index i keys PostingsAppend(i, ...)
+	Posts int      // total postings
+	Meta  map[string][]int32
 }
 
 // LazySource backs an Index. Dict is called once (memoized by the Index);
@@ -57,9 +56,8 @@ func (r *resident) PostingsAppend(i int, _ string, dst []graph.NodeID) ([]graph.
 // newIndex returns a built index over numNodes nodes: toks sorted
 // ascending, lists[i] the sorted, non-empty posting list of toks[i].
 func newIndex(numNodes int, toks []string, lists [][]graph.NodeID, meta map[string][]int32) *Index {
-	r := &resident{dict: LazyDict{Toks: toks, Counts: make([]int, len(lists)), Meta: meta}, lists: lists}
-	for i, l := range lists {
-		r.dict.Counts[i] = len(l)
+	r := &resident{dict: LazyDict{Toks: toks, Meta: meta}, lists: lists}
+	for _, l := range lists {
 		r.dict.Posts += len(l)
 	}
 	ix := &Index{nodes: numNodes, src: r}
@@ -126,12 +124,8 @@ func (ix *Index) setErr(err error) {
 func (ix *Index) ensureDict() *LazyDict {
 	ix.dictOnce.Do(func() {
 		d, err := ix.src.Dict()
-		if err == nil {
-			if len(d.Counts) != len(d.Toks) {
-				err = fmt.Errorf("index: dictionary has %d counts for %d terms", len(d.Counts), len(d.Toks))
-			} else if !slices.IsSorted(d.Toks) {
-				err = fmt.Errorf("index: dictionary tokens not sorted")
-			}
+		if err == nil && !slices.IsSorted(d.Toks) {
+			err = fmt.Errorf("index: dictionary tokens not sorted")
 		}
 		if err != nil {
 			ix.setErr(fmt.Errorf("index: loading term dictionary: %w", err))

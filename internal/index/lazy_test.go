@@ -29,7 +29,6 @@ func sweep(t testing.TB, ix *Index) *sweptSource {
 	src := &sweptSource{dict: LazyDict{Meta: ix.MetaTables()}}
 	if err := ix.ForEachTermSorted(func(tok string, ns []graph.NodeID) {
 		src.dict.Toks = append(src.dict.Toks, tok)
-		src.dict.Counts = append(src.dict.Counts, len(ns))
 		src.dict.Posts += len(ns)
 		src.posts = append(src.posts, append([]graph.NodeID(nil), ns...))
 	}); err != nil {

@@ -418,7 +418,6 @@ func (s *Store) Dict() (*index.LazyDict, error) {
 	// header can't force a huge allocation.
 	nalloc := min(nterms, uint64(len(data))/8)
 	dict.Toks = make([]string, 0, nalloc)
-	dict.Counts = make([]int, 0, nalloc)
 	blocks := make([]blockRef, 0, nalloc)
 	for i := uint64(0); i < nterms && d.err == nil; i++ {
 		// Tokens alias the segment, which is immutable and lives as
@@ -440,7 +439,6 @@ func (s *Store) Dict() (*index.LazyDict, error) {
 			break
 		}
 		dict.Toks = append(dict.Toks, tok)
-		dict.Counts = append(dict.Counts, int(count))
 		blocks = append(blocks, blockRef{off: off, length: ln, crc: crc, count: int(count)})
 	}
 	nmeta := d.uvarint()

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -950,5 +951,72 @@ func checkQueryParityClosed(t *testing.T, sys *System) {
 	t.Helper()
 	if _, err := sys.Query(context.Background(), Query{Text: "x"}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("query after close: %v, want ErrClosed", err)
+	}
+}
+
+// TestSelfCitationParallelArcs: a Cites row whose citing and cited paper
+// are one row gives two FK arcs between one pair of nodes, each way. The
+// search keeps no arc weights and reads every tree edge's back from the
+// graph, so each answer through that row must weigh and score exactly as
+// on a fresh build over the same rows: through the Apply overlay, and
+// again after Compact. The two queries reach the row over the forward
+// arc (a one-edge tree) and over the scaled backward arc.
+func TestSelfCitationParallelArcs(t *testing.T) {
+	sys := newMutableDBLP(t)
+	ctx := context.Background()
+	res, err := sys.Apply(ctx, []Mutation{Insert("Cites", map[string]interface{}{
+		"Citing": datagen.PaperChakrabartiSD98, "Cited": datagen.PaperChakrabartiSD98,
+	})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rid := res.RIDs[0]
+	// through reports, for each answer whose tree holds the new row, its
+	// tree with exact edge weights, and its exact weight and score.
+	through := func(s *System, text string) map[string]string {
+		t.Helper()
+		r, err := s.Query(ctx, Query{Text: text, Options: &SearchOptions{TopK: 300}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]string{}
+		for _, a := range r.Answers {
+			var sig func(n *TreeNode) string
+			hit := false
+			sig = func(n *TreeNode) string {
+				hit = hit || n.Tuple.Table == "Cites" && n.Tuple.RID == rid
+				kids := make([]string, len(n.Children))
+				for i, c := range n.Children {
+					kids[i] = fmt.Sprintf("%v>%s", c.EdgeWeight, sig(c))
+				}
+				sort.Strings(kids)
+				return fmt.Sprintf("%s/%d[%s]", n.Tuple.Table, n.Tuple.RID, strings.Join(kids, ","))
+			}
+			if s := sig(a.Tree); hit {
+				out[s] = fmt.Sprintf("weight %v score %v", a.Weight, a.Score)
+			}
+		}
+		return out
+	}
+	for _, phase := range []string{"overlay", "compacted"} {
+		if phase == "compacted" {
+			if err := sys.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ref, err := NewSystem(sys.Database(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, text := range []string{"cites surprising", "chakrabartisd98 soumen"} {
+			got, want := through(sys, text), through(ref, text)
+			if len(want) == 0 {
+				t.Fatalf("%s: no answer to %q runs through the self-citation", phase, text)
+			}
+			if !maps.Equal(got, want) {
+				t.Errorf("%s: answers to %q through the self-citation differ from a fresh build:\ngot  %v\nwant %v", phase, text, got, want)
+			}
+		}
+		ref.Close()
 	}
 }
