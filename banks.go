@@ -33,10 +33,10 @@
 // QueryIter does the same as a range-over-func sequence.
 //
 // A System serves queries from an immutable engine snapshot (graph +
-// index + searcher) held behind an atomic pointer. Refresh builds a new
-// snapshot aside and swaps it in atomically, so queries and HTTP requests
-// already in flight keep reading the snapshot they started on — Refresh
-// is safe to call at any time, under any concurrency.
+// index + searcher) held behind an atomic pointer. Apply and Compact
+// build the next snapshot aside and swap it in atomically, so queries and
+// HTTP requests already in flight keep reading the snapshot they started
+// on — both are safe to call at any time, under any concurrency.
 //
 // The package also exposes the browsing subsystem of the paper's Section 4
 // via System.ServeHandler, an http.Handler serving hyperlinked table views,
@@ -67,6 +67,10 @@ import (
 type Database struct {
 	inner  *sqldb.Database
 	engine *sqlexec.Engine
+	// folding is held shared by Exec, ExecScript and LoadXML, and alone by
+	// a System's Apply and Compact while they fold rows into the engine:
+	// the fold reads tables without the database lock.
+	folding sync.RWMutex
 }
 
 // NewDatabase returns an empty database.
@@ -89,6 +93,8 @@ type Result struct {
 // supported argument types are nil, integers, floats, bools, strings and
 // time.Time.
 func (d *Database) Exec(sql string, args ...interface{}) (*Result, error) {
+	d.folding.RLock()
+	defer d.folding.RUnlock()
 	params := make([]sqldb.Value, len(args))
 	for i, a := range args {
 		v, err := toValue(a)
@@ -116,6 +122,8 @@ func (d *Database) MustExec(sql string, args ...interface{}) *Result {
 // ExecScript runs a semicolon-separated SQL script, stopping at the first
 // error.
 func (d *Database) ExecScript(sql string) error {
+	d.folding.RLock()
+	defer d.folding.RUnlock()
 	_, err := d.engine.ExecuteScript(sql)
 	return err
 }
@@ -136,10 +144,12 @@ func WrapDatabase(inner *sqldb.Database) *Database {
 
 // LoadXML shreds one XML document into the xml_element / xml_attribute
 // relations (created on first use), modelling containment as foreign-key
-// edges — the paper's Section 7 XML extension. After Refresh, keyword
+// edges — the paper's Section 7 XML extension. After Compact, keyword
 // queries return connection trees through the document structure. It
 // returns the number of elements loaded.
 func (d *Database) LoadXML(r io.Reader, docName string) (int, error) {
+	d.folding.RLock()
+	defer d.folding.RUnlock()
 	return xmlshred.Load(d.inner, r, docName)
 }
 
@@ -206,21 +216,21 @@ type SystemOptions struct {
 	// MatchCacheBytes bounds the per-snapshot keyword match-set cache
 	// consulted before the index on every term lookup. 0 uses
 	// DefaultMatchCacheBytes; a negative value disables caching. The
-	// cache belongs to the immutable engine snapshot, so Refresh
+	// cache belongs to the immutable engine snapshot, so a rebuild
 	// invalidates it for free by swapping in a fresh one.
 	MatchCacheBytes int64
-	// StorePath, when set, makes every Refresh (including the initial
-	// build in NewSystem) persist the freshly built engine to this path
-	// in the segmented store format before swapping it in —
+	// StorePath, when set, makes every Compact (and the initial build in
+	// NewSystem) persist the engine it builds to this path in the
+	// segmented store format before swapping it in —
 	// build-aside-then-persist, so the store on disk always matches the
 	// serving engine and the next process start can OpenSystem it
-	// instantly. A persist failure fails the Refresh without swapping.
+	// instantly. A persist failure fails the Compact without swapping.
 	StorePath string
 	// WALPath, when set, enables live mutations: System.Apply journals
 	// row-level changes to a write-ahead log at this path and folds them
 	// into delta overlays over the immutable engine, so small changes
-	// become visible to queries in milliseconds without the full
-	// SQL→graph→index rebuild Refresh pays. Compact folds the accumulated
+	// become visible to queries in milliseconds without a full
+	// SQL→graph→index rebuild. Compact folds the accumulated
 	// deltas back into concrete structures (and, with StorePath set,
 	// truncates the WAL after persisting the compacted engine).
 	//
@@ -254,10 +264,10 @@ func (o SystemOptions) cacheBytes() int64 {
 // engine is one immutable snapshot of the derived search structures: the
 // data graph, the keyword index built over it, and the searcher that
 // answers queries against the pair. An engine is never mutated after
-// construction; Refresh swaps a whole new engine in atomically, and every
-// query (including tuple materialization at answer-conversion time) pins
-// the engine it started on, so in-flight work is never torn between two
-// snapshots.
+// construction; Apply and Compact swap a whole new engine in atomically,
+// and every query (including tuple materialization at answer-conversion
+// time) pins the engine it started on, so in-flight work is never torn
+// between two snapshots.
 type engine struct {
 	g        graph.View
 	ix       index.View
@@ -296,9 +306,6 @@ func newEngine(g graph.View, ix index.View, opts SystemOptions) *engine {
 // renumber); a rebuild or a renumbering compaction must use newEngine
 // instead.
 func newEngineFrom(prev *engine, g graph.View, ix index.View, opts SystemOptions, touched []string) *engine {
-	if prev == nil {
-		return newEngine(g, ix, opts)
-	}
 	epoch := prev.epoch
 	if len(touched) > 0 {
 		epoch++
@@ -317,10 +324,11 @@ func newEngineFrom(prev *engine, g graph.View, ix index.View, opts SystemOptions
 
 // System couples a database snapshot with its BANKS graph and keyword
 // index and answers keyword queries. Apply folds small row-level changes
-// in live (SystemOptions.WALPath); rebuild with Refresh after bulk data
-// changes; searches against a stale System still work but will not see new
-// tuples. A System is safe for concurrent use, including Apply, Refresh
-// and Compact while queries and Handler requests are in flight.
+// in live (SystemOptions.WALPath); after writes made on the Database
+// directly, Compact rebuilds from it. Searches against a stale System still
+// work but will not see new tuples. A System is safe for concurrent use,
+// including Apply and Compact while queries and Handler requests are in
+// flight.
 type System struct {
 	db    *Database
 	eng   atomic.Pointer[engine]
@@ -329,21 +337,21 @@ type System struct {
 
 	// closed is checked lock-free at every query boundary; the fields
 	// below it are guarded by mu, which serializes the writers: Apply,
-	// Refresh, Compact and Close.
+	// Compact and Close.
 	closed     atomic.Bool
 	mu         sync.Mutex
 	closeErr   error        // sticky result of the first Close
-	mutErr     error        // sticky mutation-path failure; cleared by rebuild
 	wal        *wal.Log     // non-nil iff opts.WALPath is set
 	gd         *graph.Delta // live graph delta over the last compacted base
 	id         *index.Delta // live index delta, in step with gd
 	appliedSeq uint64       // last WAL sequence folded into the serving engine
-	rebuildGen uint64       // bumped on every base swap (Refresh/Compact); guards Compact's aside build
 	tail       *rowLog      // first-touch log of batches applied while Compact builds aside; nil otherwise
+	synced     uint64       // the database's write count as of the serving engine (see mutate.go)
 
-	// compactMu serializes Compact's build-aside phase against other
-	// Compacts, so at most one tail log is ever live. It is always taken
-	// before mu and released after; mu itself is dropped during the fold.
+	// compactMu serializes Compacts, so at most one tail log is ever live
+	// and no rebuild replaces the base under an aside build. It is always
+	// taken before mu and released after; mu itself is dropped during the
+	// fold.
 	compactMu sync.Mutex
 	// compactHook, when non-nil, runs after Compact's lock-free aside
 	// build and before the fold+swap. Test-only: it lets tests apply
@@ -373,37 +381,28 @@ func NewSystem(db *Database, opts *SystemOptions) (*System, error) {
 	if _, err := s.openWAL(0, false); err != nil {
 		return nil, err
 	}
-	if err := s.Refresh(); err != nil {
+	s.mu.Lock()
+	err := s.rebuildLocked()
+	s.mu.Unlock()
+	if err != nil {
 		s.Close()
 		return nil, err
 	}
 	return s, nil
 }
 
-// Refresh rebuilds the graph and index from the current database contents
-// and atomically swaps the new snapshot in. Queries already in flight
-// finish against the snapshot they started on; queries that begin after
-// Refresh returns see the new data.
-//
-// When SystemOptions.StorePath is set, Refresh additionally persists the
-// freshly built engine there (segmented store format, atomic rename)
-// before swapping — build aside, persist, then serve. If the persist
-// fails, the previous snapshot keeps serving and Refresh returns the
-// error.
-func (s *System) Refresh() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rebuildLocked()
-}
-
-// rebuildLocked is the shared full-rebuild path behind Refresh and
-// Compact: build aside, optionally persist, swap, and reset the live
-// mutation state (fresh deltas over the new base; WAL truncated once the
-// store has durably recorded the applied sequence). Callers hold s.mu.
+// rebuildLocked is the full rebuild behind NewSystem and Compact: build
+// the engine from the database aside, optionally persist it, swap it in,
+// and reset the live mutation state (fresh deltas over the new base; WAL
+// truncated once the store has durably recorded the applied sequence).
+// Callers hold s.mu.
 func (s *System) rebuildLocked() error {
 	if s.closed.Load() {
 		return ErrClosed
 	}
+	// Read before the build: a write that lands during it leaves synced
+	// behind, so it is caught by the next Apply or Compact, never missed.
+	writes := s.db.inner.Writes()
 	bo := graph.DefaultBuildOptions()
 	bo.ScaleBackEdges = !s.opts.DisableBackEdgeScaling
 	bo.PrestigeDamping = s.opts.PrestigeDamping
@@ -440,10 +439,7 @@ func (s *System) rebuildLocked() error {
 	eng := newEngine(g, ix, s.opts)
 	eng.walSeq = s.appliedSeq
 	s.eng.Store(eng)
-	s.mutErr = nil
-	// The base the serving engine reads from changed: any Compact building
-	// aside must discard its work, and its tail log is now meaningless.
-	s.rebuildGen++
+	s.synced = writes
 	s.tail = nil
 	return nil
 }
@@ -452,8 +448,8 @@ func (s *System) rebuildLocked() error {
 // a live-mutation system and the disk store backing OpenSystem; it is a
 // no-op for plain built
 // systems. Close is idempotent — the first call decides the error and
-// later calls return it — and safe to race with queries, Apply, Refresh
-// and Compact: operations that begin after Close fail with ErrClosed,
+// later calls return it — and safe to race with queries, Apply and
+// Compact: operations that begin after Close fail with ErrClosed,
 // while queries already in flight finish against the snapshot they
 // pinned. (In-flight queries of a store-backed engine may still surface
 // read errors, since they read the store file lazily.)
@@ -514,8 +510,8 @@ func (s *System) IndexStats() IndexStats {
 }
 
 // CacheStats summarize the current snapshot's keyword match-set cache.
-// Counters reset whenever Refresh swaps in a new snapshot (each snapshot
-// owns a fresh cache).
+// Counters reset whenever a publish starts a fresh cache: a rebuild, or a
+// Compact that renumbers nodes.
 type CacheStats struct {
 	Hits     int64 // term lookups served from the cache
 	Misses   int64 // term lookups that fell through to the index

@@ -141,7 +141,7 @@ func TestSearchOptionMapping(t *testing.T) {
 	}
 }
 
-func TestRefreshSeesNewData(t *testing.T) {
+func TestCompactSeesNewData(t *testing.T) {
 	db, sys := newQuickstartSystem(t)
 	answers := searchAnswers(t, sys, "newperson", nil)
 	if len(answers) != 0 {
@@ -153,12 +153,12 @@ func TestRefreshSeesNewData(t *testing.T) {
 	if len(answers) != 0 {
 		t.Error("stale system should not see new data")
 	}
-	if err := sys.Refresh(); err != nil {
+	if err := sys.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	answers = searchAnswers(t, sys, "newperson", nil)
 	if len(answers) != 1 {
-		t.Errorf("after refresh answers = %d", len(answers))
+		t.Errorf("after Compact answers = %d", len(answers))
 	}
 }
 

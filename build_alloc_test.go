@@ -8,11 +8,11 @@ import (
 )
 
 // TestEngineBuildAllocations bounds the allocations of one engine build
-// (index.BuildEngine, the path Refresh runs) on the small DBLP database.
-// The rebuild path runs on every NewSystem, Refresh and Compact, and should
-// allocate per array, never per FK reference, per distinct token or per
-// token occurrence. It measured 343 allocations (Go 1.24); the ceiling is
-// 25% above that. AllocsPerRun runs on one P, so the build is
+// (index.BuildEngine, the path a rebuild runs) on the small DBLP database.
+// The rebuild path runs on every NewSystem and rebuilding Compact, and
+// should allocate per array, never per FK reference, per distinct token
+// or per token occurrence. It measured 343 allocations (Go 1.24); the
+// ceiling is 25% above that. AllocsPerRun runs on one P, so the build is
 // single-shard.
 func TestEngineBuildAllocations(t *testing.T) {
 	if raceEnabled {

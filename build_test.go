@@ -127,14 +127,14 @@ func TestBareNonASCIIIdentifiers(t *testing.T) {
 	}
 }
 
-// TestRefreshConcurrentExecConsistent: every engine Refresh publishes
-// has a graph and an index built from one snapshot of the database, while
-// another goroutine updates and deletes rows. Each row of c carries its
+// TestCompactConcurrentExecConsistent: every engine a rebuilding Compact
+// publishes has a graph and an index built from one snapshot of the
+// database, while another goroutine updates and deletes rows. Each row of c carries its
 // parent's id as the token "p<id>" and the same parent as an FK, and one
 // UPDATE changes both, so a graph and an index that saw different
 // snapshots disagree on some row: the graph's arc says one parent, the
 // index's posting another (or none, for a row deleted in between).
-func TestRefreshConcurrentExecConsistent(t *testing.T) {
+func TestCompactConcurrentExecConsistent(t *testing.T) {
 	const parents, rows = 4, 400
 	db := NewDatabase()
 	db.MustExec("CREATE TABLE p (id INT PRIMARY KEY)")
@@ -178,13 +178,13 @@ func TestRefreshConcurrentExecConsistent(t *testing.T) {
 	}()
 
 	for round := 0; round < 30; round++ {
-		if err := sys.Refresh(); err != nil {
+		if err := sys.Compact(); err != nil {
 			t.Fatal(err)
 		}
 		eng := sys.engine()
 		g, ix, ok := eng.concrete()
 		if !ok {
-			t.Fatal("Refresh published an overlay engine")
+			t.Fatal("Compact published an overlay engine")
 		}
 		if ix.NumNodes() != g.NumNodes() {
 			t.Fatalf("round %d: index built for %d nodes, graph has %d", round, ix.NumNodes(), g.NumNodes())

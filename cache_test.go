@@ -1,7 +1,7 @@
 package banks
 
 // Race coverage for the match-set cache: every engine snapshot owns one
-// cache, queries consult it on the term-resolution hot path, and Refresh
+// cache, queries consult it on the term-resolution hot path, and Compact
 // retires whole snapshots (cache included) while queries are in flight.
 // Run under -race (the CI default) this pins the claim that a query never
 // observes a cache from a different snapshot and the cache's internal
@@ -42,10 +42,10 @@ func newDBLPSystem(t *testing.T, opts *SystemOptions) *System {
 	return sys
 }
 
-// TestCacheUnderConcurrentQueryAndRefresh mixes Query, QueryStream and
+// TestCacheUnderConcurrentQueryAndCompact mixes Query, QueryStream and
 // prefix queries (the cache's expensive path) from several goroutines
-// with a Refresh loop swapping snapshots underneath them.
-func TestCacheUnderConcurrentQueryAndRefresh(t *testing.T) {
+// with a Compact loop rebuilding and swapping snapshots underneath them.
+func TestCacheUnderConcurrentQueryAndCompact(t *testing.T) {
 	sys := newDBLPSystem(t, nil)
 	queries := []Query{
 		{Text: "soumen sunita"},
@@ -58,7 +58,7 @@ func TestCacheUnderConcurrentQueryAndRefresh(t *testing.T) {
 	const (
 		workers       = 4
 		iterPerWorker = 120
-		refreshes     = 25
+		compactions   = 25
 	)
 	var wg sync.WaitGroup
 	var queriesRun atomic.Int64
@@ -99,9 +99,9 @@ func TestCacheUnderConcurrentQueryAndRefresh(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := 0; i < refreshes; i++ {
-			if err := sys.Refresh(); err != nil {
-				errc <- fmt.Errorf("Refresh: %w", err)
+		for i := 0; i < compactions; i++ {
+			if err := sys.Compact(); err != nil {
+				errc <- fmt.Errorf("Compact: %w", err)
 				return
 			}
 			// Stats on whatever snapshot is current must be coherent at
@@ -194,12 +194,12 @@ func TestCacheStatsAccumulate(t *testing.T) {
 	if st.HitRate() <= 0.5 {
 		t.Errorf("hit rate %.2f after repeats, want > 0.5", st.HitRate())
 	}
-	// Refresh swaps in a fresh cache: counters reset.
-	if err := sys.Refresh(); err != nil {
+	// A rebuilding Compact swaps in a fresh cache: counters reset.
+	if err := sys.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	if st := sys.CacheStats(); st.Hits != 0 || st.Misses != 0 || st.Entries != 0 {
-		t.Errorf("stats after Refresh = %+v, want zeroed", st)
+		t.Errorf("stats after Compact = %+v, want zeroed", st)
 	}
 }
 

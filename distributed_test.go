@@ -29,7 +29,7 @@ import (
 // cluster over the same rows. Both close at test end.
 func newClusterFixture(t *testing.T, inner *sqldb.Database, parts int) (*System, *Cluster) {
 	t.Helper()
-	sys, err := NewSystem(wrapDatabase(inner), nil)
+	sys, err := NewSystem(WrapDatabase(inner), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

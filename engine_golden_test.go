@@ -67,7 +67,7 @@ func storeHashes(t *testing.T, name, path string) []string {
 // store's golden lines, then those of each partition of a two-way split.
 func savedHashes(t *testing.T, name string, db *sqldb.Database, opts *SystemOptions, split bool) []string {
 	t.Helper()
-	sys, err := NewSystem(&Database{inner: db}, opts)
+	sys, err := NewSystem(WrapDatabase(db), opts)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -102,7 +102,7 @@ func compactedHashes(t *testing.T) []string {
 	}
 	dir := t.TempDir()
 	storePath := filepath.Join(dir, "engine.banks")
-	sys, err := NewSystem(&Database{inner: db}, &SystemOptions{WALPath: filepath.Join(dir, "engine.wal"), StorePath: storePath})
+	sys, err := NewSystem(WrapDatabase(db), &SystemOptions{WALPath: filepath.Join(dir, "engine.wal"), StorePath: storePath})
 	if err != nil {
 		t.Fatal(err)
 	}

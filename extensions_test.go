@@ -105,7 +105,7 @@ func TestGroupAnswers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := NewSystem(wrapDatabase(inner), nil)
+	sys, err := NewSystem(WrapDatabase(inner), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,8 +17,8 @@ import (
 // search-time footprint EMBANKS argues for.
 //
 // Arenas are recycled through one process-wide pool (arenaPool), not one
-// per Searcher, so a snapshot publish — a new Searcher per Apply, Compact
-// or Refresh — does not start the next query on a cold arena, and the
+// per Searcher, so a snapshot publish — a new Searcher per Apply or
+// Compact — does not start the next query on a cold arena, and the
 // steady-state allocation cost of a query is just its answers. Sharing is
 // safe because an arena holds nothing that belongs to a snapshot: its
 // node-indexed maps are invalidated by generation bumps, a released

@@ -136,8 +136,8 @@ type Stats struct {
 // process-wide arena pool, so concurrent queries never share mutable
 // state while steady-state searches allocate almost nothing. The pool is
 // shared by every Searcher, not owned by one: a Searcher is cheap to
-// build per snapshot, and the first query on a new one (after a publish,
-// a Compact or a Refresh, or on another cluster partition) runs on a warm
+// build per snapshot, and the first query on a new one (after an Apply
+// or a Compact, or on another cluster partition) runs on a warm
 // arena, widened only if its view has more nodes than the arena covers.
 type Searcher struct {
 	g     graph.View

@@ -18,12 +18,21 @@ type Database struct {
 	catMu  sync.RWMutex
 	tables map[string]*Table // lower(name) -> table
 	order  []string          // creation order (original casing)
-	writes uint64            // row writes so far; an Undo checks it
+	writes uint64            // row and catalog writes so far; see Writes
 }
 
 // NewDatabase returns an empty database.
 func NewDatabase() *Database {
 	return &Database{tables: make(map[string]*Table)}
+}
+
+// Writes counts the writes that reached the database: one per row
+// inserted, updated or deleted and per table created or dropped. An Undo
+// that rolls back takes it back to where its batch found it.
+func (db *Database) Writes() uint64 {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return db.writes
 }
 
 // RLock / RUnlock expose the read lock for callers (like the graph builder)
@@ -74,6 +83,7 @@ func (db *Database) CreateTable(schema *TableSchema) (*Table, error) {
 	db.tables[key] = t
 	db.order = append(db.order, schema.Name)
 	db.catMu.Unlock()
+	db.writes++
 	return t, nil
 }
 
@@ -105,6 +115,7 @@ func (db *Database) DropTable(name string) error {
 		}
 	}
 	db.catMu.Unlock()
+	db.writes++
 	return nil
 }
 

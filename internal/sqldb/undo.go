@@ -53,9 +53,12 @@ func (u *Undo) Update(table string, rid RID, set map[string]Value) error {
 // Delete is Database.Delete, recorded.
 func (u *Undo) Delete(table string, rid RID) error { return u.db.delete(table, rid, u) }
 
-// Rollback undoes the recorded writes in reverse order and empties the
-// log. It refuses, changing nothing, if any other write reached the
-// database since the log's first one.
+// Len returns how many writes the log has recorded.
+func (u *Undo) Len() int { return len(u.ops) }
+
+// Rollback undoes the recorded writes in reverse order, write counter
+// included, and empties the log. It refuses, changing nothing, if any other write
+// reached the database since the log's first one.
 func (u *Undo) Rollback() error {
 	u.db.mu.Lock()
 	defer u.db.mu.Unlock()
@@ -73,6 +76,9 @@ func (u *Undo) Rollback() error {
 		default:
 			op.t.unappend(op.rid)
 		}
+	}
+	if len(u.ops) > 0 {
+		u.db.writes = u.base
 	}
 	u.ops = nil
 	return nil

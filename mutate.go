@@ -5,10 +5,10 @@ package banks
 // over the immutable engine — graph.Delta patches the affected nodes'
 // edges and prestige, index.Delta diffs the affected rows' token sets —
 // then publishes a new engine snapshot (base + delta views) through the
-// same atomic pointer Refresh uses. Queries in flight keep the snapshot
+// same atomic pointer a rebuild uses. Queries in flight keep the snapshot
 // they pinned; queries that begin after Apply returns see the mutated
-// rows. The whole path costs milliseconds where Refresh pays the full
-// SQL→graph→index rebuild.
+// rows. The whole path costs milliseconds where a rebuild pays the full
+// SQL→graph→index build.
 //
 // Durability pairs the WAL with the segmented store: the store records
 // the last folded WAL sequence, Compact persists the folded engine and
@@ -20,10 +20,14 @@ package banks
 // NOT NULL, key, foreign-key and restrict rules are the only checks, and
 // each write holds the database lock for itself alone. The database is
 // written first and the journal second; a rejection by either rolls the
-// batch back, leaving nothing written. Only a failure after the journal
-// (the graph delta rejecting a journaled batch) is sticky: further
-// Applies are refused until Refresh or Compact resynchronizes from the
-// database.
+// batch back, leaving nothing written.
+//
+// One number says whether the engine is in step with its database: the
+// database's write counter (sqldb.Database.Writes) against System.synced,
+// its value as of the serving engine. Apply adds each accepted batch's
+// writes to synced; any other write — a Database.Exec, a refused
+// rollback, a journaled batch the graph delta rejects — leaves synced
+// behind, Apply returns ErrStale, and Compact rebuilds from the database.
 
 import (
 	"context"
@@ -42,6 +46,10 @@ import (
 
 // ErrClosed is returned by queries and mutations that begin after Close.
 var ErrClosed = errors.New("banks: system is closed")
+
+// ErrStale is returned by Apply, before it writes or journals anything,
+// when the database holds writes the engine does not.
+var ErrStale = errors.New("banks: the database changed outside Apply; Compact resynchronizes")
 
 // MutationOp is the kind of one row-level change.
 type MutationOp int
@@ -119,7 +127,8 @@ type ApplyResult struct {
 // then the paper.
 //
 // Mutations cover row changes within the known schema. Schema changes —
-// new tables, new foreign keys — and bulk loads go through Refresh.
+// new tables, new foreign keys — and bulk loads are made on the Database;
+// Apply then returns ErrStale until Compact rebuilds from it.
 func (s *System) Apply(ctx context.Context, muts []Mutation) (*ApplyResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -135,8 +144,10 @@ func (s *System) Apply(ctx context.Context, muts []Mutation) (*ApplyResult, erro
 	if s.wal == nil {
 		return nil, errors.New("banks: live mutations require SystemOptions.WALPath")
 	}
-	if s.mutErr != nil {
-		return nil, s.mutErr
+	s.db.folding.Lock()
+	defer s.db.folding.Unlock()
+	if s.db.inner.Writes() != s.synced {
+		return nil, ErrStale
 	}
 	wmuts, err := s.resolveMutations(muts)
 	if err != nil {
@@ -156,17 +167,16 @@ func (s *System) Apply(ctx context.Context, muts []Mutation) (*ApplyResult, erro
 // set — recording the folded WAL sequence and truncating the journal —
 // and swaps the concrete snapshot in. Queries before, during and after
 // compaction see identical results; what changes is that the per-query
-// overlay indirection and the journal tail are gone. Compact also clears
-// a sticky Apply failure, resynchronizing the engine with the database.
+// overlay indirection and the journal tail are gone. Without a WAL, or
+// when the database holds writes the engine does not (see ErrStale), it
+// rebuilds from the database instead, as NewSystem does.
 //
 // Compact does not block Apply for the duration of the fold: it
 // snapshots the overlay, materializes and persists the compacted base
 // off to the side, and takes the writer lock only to fold the batches
 // that arrived during the build onto the fresh base and swap — so a
 // concurrent Apply stalls for the final fold+swap, not the rebuild.
-// Concurrent Compacts serialize; a Refresh that lands mid-build wins
-// (its engine already contains everything) and the aside work is
-// discarded.
+// Concurrent Compacts serialize.
 func (s *System) Compact() error {
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
@@ -175,33 +185,23 @@ func (s *System) Compact() error {
 	// start logging the first-touch state of every row Apply touches from
 	// here on, so the tail can be folded as net per-row changes later.
 	s.mu.Lock()
-	if s.closed.Load() {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	if s.wal == nil || s.gd == nil || s.mutErr != nil {
-		// No live overlay to fold aside (plain systems), or a sticky
-		// failure left the database ahead of the deltas — the blocking
-		// rebuild from the database is the only correct path.
+	if s.closed.Load() || s.wal == nil || s.db.inner.Writes() != s.synced {
+		// Closed (the rebuild returns ErrClosed), no live overlay to fold
+		// aside (plain systems), or the database is ahead of the deltas:
+		// the blocking rebuild from the database is the only correct path.
 		defer s.mu.Unlock()
 		return s.rebuildLocked()
 	}
 	gView := s.gd.Snapshot()
 	ixView := s.id.Snapshot(gView.NumNodes())
 	s0 := s.appliedSeq
-	gen := s.rebuildGen
-	var warm []string
-	if old := s.eng.Load(); old != nil && old.cache != nil {
-		warm = old.cache.HotKeys(warmKeyLimit)
-	}
+	warm := s.eng.Load().cache.HotKeys(warmKeyLimit)
 	s.tail = newRowLog()
 	s.mu.Unlock()
 
 	dropTail := func() {
 		s.mu.Lock()
-		if s.tail != nil {
-			s.tail = nil
-		}
+		s.tail = nil
 		s.mu.Unlock()
 	}
 
@@ -231,6 +231,8 @@ func (s *System) Compact() error {
 	// Phase 3 (lock): replay the tail onto the fresh base and swap.
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.db.folding.Lock()
+	defer s.db.folding.Unlock()
 	tail := s.tail
 	s.tail = nil
 	discard := func() {
@@ -238,25 +240,11 @@ func (s *System) Compact() error {
 			os.Remove(tmpStore)
 		}
 	}
-	if s.closed.Load() {
-		discard()
-		return ErrClosed
-	}
-	if s.rebuildGen != gen {
-		// A Refresh (or recovery rebuild) replaced the base mid-build; its
-		// engine and store already contain everything we folded.
-		discard()
-		return nil
-	}
-	if s.mutErr != nil {
-		// A journaled batch failed during the build: the database is
-		// ahead of both the old deltas and our tail log.
-		discard()
-		return s.rebuildLocked()
-	}
 	gd1 := graph.NewDelta(g1, s.db.inner, !s.opts.DisableBackEdgeScaling)
 	id1 := index.NewDelta(ix1)
-	if err := s.foldTail(tail, g1, gd1, id1); err != nil {
+	if s.closed.Load() || s.db.inner.Writes() != s.synced || s.foldTail(tail, g1, gd1, id1) != nil {
+		// Closed, a write the tail log did not see landed during the
+		// build, or the tail does not fold: rebuild from the database.
 		discard()
 		return s.rebuildLocked()
 	}
@@ -272,9 +260,8 @@ func (s *System) Compact() error {
 
 	prev := s.eng.Load()
 	var eng *engine
-	tailEmpty := tail == nil || len(tail.rows) == 0
-	carry := tailEmpty && prev != nil &&
-		gView.DeltaNodes() == 0 && gView.Tombstones() == 0
+	tailEmpty := len(tail.rows) == 0
+	carry := tailEmpty && gView.DeltaNodes() == 0 && gView.Tombstones() == 0
 	switch {
 	case carry:
 		// The compacted base keeps the exact node numbering the serving
@@ -306,14 +293,12 @@ func (s *System) Compact() error {
 			return fmt.Errorf("banks: truncating WAL after compaction: %w", err)
 		}
 	}
-	s.rebuildGen++
-	s.mutErr = nil
 	return nil
 }
 
 // PendingMutations reports how many row mutations have been folded into
 // the live deltas since the last compaction; 0 for systems without
-// WALPath (or right after Compact/Refresh).
+// WALPath (or right after Compact).
 func (s *System) PendingMutations() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -390,7 +375,7 @@ func (s *System) attachLiveMutations(st *store.Store) error {
 func (s *System) replayToDB(b wal.Batch) error {
 	u := s.db.inner.Begin()
 	if err := writeBatch(u, b.Muts, true); err != nil {
-		return s.rollback(u, fmt.Errorf("banks: WAL replay (seq %d): %w", b.Seq, err))
+		return rollback(u, fmt.Errorf("banks: WAL replay (seq %d): %w", b.Seq, err))
 	}
 	return nil
 }
@@ -405,17 +390,14 @@ func (s *System) replayToDB(b wal.Batch) error {
 func (s *System) publishLocked(seq uint64, touched []string) {
 	gSnap := s.gd.Snapshot()
 	ixSnap := s.id.Snapshot(gSnap.NumNodes())
-	prev := s.eng.Load()
-	eng := newEngineFrom(prev, gSnap, ixSnap, s.opts, touched)
+	eng := newEngineFrom(s.eng.Load(), gSnap, ixSnap, s.opts, touched)
 	eng.st = s.store
 	if s.store != nil {
 		eng.searcher.WithFaultMeter(s.store.FaultedBytes)
 	}
 	eng.walSeq = seq
 	s.eng.Store(eng)
-	if prev != nil {
-		s.warmPublishes.Add(1)
-	}
+	s.warmPublishes.Add(1)
 }
 
 // resolveMutations converts the public batch into journal form: ops
@@ -429,7 +411,7 @@ func (s *System) resolveMutations(muts []Mutation) ([]wal.Mutation, error) {
 			return nil, fmt.Errorf("banks: mutation %d has no table", i)
 		}
 		if g.TableID(m.Table) < 0 {
-			return nil, fmt.Errorf("banks: mutation %d: table %q is not part of the current graph; new tables need a full Refresh", i, m.Table)
+			return nil, fmt.Errorf("banks: mutation %d: table %q is not part of the current graph; new tables need a Compact", i, m.Table)
 		}
 		wm := wal.Mutation{Table: m.Table, RID: m.RID}
 		switch m.Op {
@@ -485,9 +467,10 @@ func (s *System) resolveMutations(muts []Mutation) ([]wal.Mutation, error) {
 // the WAL) and the journaled sequence during replay (insert rids are
 // asserted against the journal instead). The database's own writes are
 // the only checks: a batch it rejects, or the journal rejects, is rolled
-// back. Callers hold s.mu (or own the System exclusively, during open).
-// While a Compact is building aside (s.tail non-nil), the pre-batch state
-// of every row the journaled batch touched is added to the tail log.
+// back. A batch folded whole adds its writes to s.synced. Callers hold
+// s.mu (or own the System exclusively, during open). While a Compact is
+// building aside (s.tail non-nil), the pre-batch state of every row the
+// journaled batch touched is added to the tail log.
 func (s *System) applyResolved(wmuts []wal.Mutation, replaySeq uint64) (uint64, []int64, []string, error) {
 	db := s.db.inner
 	wrap := func(err error) error {
@@ -526,13 +509,13 @@ func (s *System) applyResolved(wmuts []wal.Mutation, replaySeq uint64) (uint64, 
 
 	undo := db.Begin()
 	if err := writeBatch(undo, wmuts, replaySeq > 0); err != nil {
-		return 0, nil, nil, s.rollback(undo, wrap(err))
+		return 0, nil, nil, rollback(undo, wrap(err))
 	}
 	seq := replaySeq
 	if replaySeq == 0 {
 		var err error
 		if seq, err = s.wal.Append(wmuts); err != nil {
-			return 0, nil, nil, s.rollback(undo, fmt.Errorf("banks: journaling the batch: %w", err))
+			return 0, nil, nil, rollback(undo, fmt.Errorf("banks: journaling the batch: %w", err))
 		}
 	}
 
@@ -566,13 +549,10 @@ func (s *System) applyResolved(wmuts []wal.Mutation, replaySeq uint64) (uint64, 
 
 	if len(changes) > 0 {
 		if err := s.gd.Apply(changes); err != nil {
-			if replaySeq > 0 {
-				return 0, nil, nil, wrap(fmt.Errorf("folding into graph delta: %w", err))
-			}
-			s.mutErr = fmt.Errorf("banks: batch was journaled but the graph delta rejected it (%v); Refresh or Compact to resynchronize", err)
-			return 0, nil, nil, s.mutErr
+			return 0, nil, nil, wrap(fmt.Errorf("batch was journaled but the graph delta rejected it (%w); Compact resynchronizes", err))
 		}
 	}
+	s.synced += uint64(undo.Len())
 	gSnap := s.gd.Snapshot()
 	tokSet := map[string]bool{}
 	for _, rt := range batch.rows {
@@ -637,12 +617,11 @@ func writeBatch(u *sqldb.Undo, muts []wal.Mutation, replay bool) error {
 }
 
 // rollback undoes a rejected batch's writes and returns err. A rollback
-// that fails (another writer changed the database meanwhile) leaves the
-// database ahead of the engine, which is sticky.
-func (s *System) rollback(u *sqldb.Undo, err error) error {
+// the database refuses (another writer changed it meanwhile) leaves the
+// batch's writes in place, and synced behind the database's counter.
+func rollback(u *sqldb.Undo, err error) error {
 	if rerr := u.Rollback(); rerr != nil {
-		s.mutErr = fmt.Errorf("%v; undoing its writes failed (%v) — Refresh or Compact to resynchronize", err, rerr)
-		return s.mutErr
+		return fmt.Errorf("%w; undoing its writes failed (%v), Compact resynchronizes", err, rerr)
 	}
 	return err
 }
@@ -710,7 +689,7 @@ func (l *rowLog) get(table string, rid sqldb.RID) *rowState {
 // or nothing. Callers hold s.mu; the database already contains every
 // tail mutation.
 func (s *System) foldTail(tail *rowLog, g1 *graph.Graph, gd1 *graph.Delta, id1 *index.Delta) error {
-	if tail == nil || len(tail.rows) == 0 {
+	if len(tail.rows) == 0 {
 		return nil
 	}
 	db := s.db.inner

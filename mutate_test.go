@@ -283,7 +283,7 @@ func TestApplyParityDBLP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bdb := &Database{inner: db}
+	bdb := WrapDatabase(db)
 	sys, err := NewSystem(bdb, &SystemOptions{WALPath: filepath.Join(t.TempDir(), "m.wal")})
 	if err != nil {
 		t.Fatal(err)
@@ -316,7 +316,7 @@ func TestApplyParityTPCD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bdb := &Database{inner: db}
+	bdb := WrapDatabase(db)
 	sys, err := NewSystem(bdb, &SystemOptions{WALPath: filepath.Join(t.TempDir(), "m.wal")})
 	if err != nil {
 		t.Fatal(err)
@@ -353,7 +353,7 @@ func TestCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bdb := &Database{inner: db}
+	bdb := WrapDatabase(db)
 	sys, err := NewSystem(bdb, &SystemOptions{StorePath: storePath, WALPath: walPath})
 	if err != nil {
 		t.Fatal(err)
@@ -440,7 +440,7 @@ func TestNewSystemReplaysWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bdb := &Database{inner: db}
+	bdb := WrapDatabase(db)
 	var dump bytes.Buffer
 	if err := bdb.DumpSQL(&dump); err != nil {
 		t.Fatal(err)
@@ -485,7 +485,7 @@ func newMutableDBLP(t *testing.T) *System {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := NewSystem(&Database{inner: db}, &SystemOptions{WALPath: filepath.Join(t.TempDir(), "m.wal")})
+	sys, err := NewSystem(WrapDatabase(db), &SystemOptions{WALPath: filepath.Join(t.TempDir(), "m.wal")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -522,12 +522,21 @@ func tableShape(db *Database) string {
 	return b.String()
 }
 
-func TestApplyValidation(t *testing.T) {
-	sys := newMutableDBLP(t)
-	ctx := context.Background()
+// namedBatch is one Apply batch with a label for failure messages.
+type namedBatch struct {
+	name string
+	muts []Mutation
+}
+
+// rejectedBatches applies an author and a paper nothing references, then
+// returns batches over the small DBLP database that Apply must reject:
+// at resolution, by the database at the first or a later write, and by
+// the journal after every write landed.
+func rejectedBatches(t *testing.T, sys *System) []namedBatch {
+	t.Helper()
 	writesRID := liveRIDs(sys.Database(), "Writes")[0]
 	// An author and a paper nothing references, whose keys may change.
-	lone, err := sys.Apply(ctx, []Mutation{
+	lone, err := sys.Apply(context.Background(), []Mutation{
 		Insert("Author", map[string]interface{}{"AuthorId": "Lone", "AuthorName": "hermit"}),
 		Insert("Paper", map[string]interface{}{"PaperId": "P11", "PaperName": "solitude"}),
 	})
@@ -535,10 +544,7 @@ func TestApplyValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	bad := []struct {
-		name string
-		muts []Mutation
-	}{
+	bad := []namedBatch{
 		{"empty batch", nil},
 		{"unknown table", []Mutation{Insert("Venue", map[string]interface{}{"x": 1})}},
 		{"unknown column", []Mutation{Insert("Author", map[string]interface{}{"AuthorId": "X", "Nick": "x"})}},
@@ -576,7 +582,13 @@ func TestApplyValidation(t *testing.T) {
 		return true
 	})
 	bad[len(bad)-1].muts = append(bad[len(bad)-1].muts, Delete("Paper", paperRID))
+	return bad
+}
 
+func TestApplyValidation(t *testing.T) {
+	sys := newMutableDBLP(t)
+	ctx := context.Background()
+	bad := rejectedBatches(t, sys)
 	nextAuthor := sys.Database().Internal().Table("Author").Cap()
 	for _, tc := range bad {
 		before := tableShape(sys.Database())
@@ -611,8 +623,7 @@ func TestApplyValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("intra-batch insert dependency rejected: %v", err)
 	}
-	citesRID := res.RIDs[1]
-	paperRID = res.RIDs[0]
+	citesRID, paperRID := res.RIDs[1], res.RIDs[0]
 	if _, err := sys.Apply(ctx, []Mutation{
 		Delete("Cites", citesRID),
 		Delete("Paper", paperRID),
@@ -626,7 +637,7 @@ func TestApplyRequiresWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := NewSystem(&Database{inner: db}, nil)
+	sys, err := NewSystem(WrapDatabase(db), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -641,7 +652,7 @@ func TestWALRejectsPrestigeDamping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = NewSystem(&Database{inner: db}, &SystemOptions{
+	_, err = NewSystem(WrapDatabase(db), &SystemOptions{
 		WALPath:         filepath.Join(t.TempDir(), "m.wal"),
 		PrestigeDamping: 0.85,
 	})
@@ -663,7 +674,7 @@ func TestRejectedBatchLeavesStateClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bdb := &Database{inner: db}
+	bdb := WrapDatabase(db)
 	sys, err := NewSystem(bdb, &SystemOptions{StorePath: storePath, WALPath: walPath})
 	if err != nil {
 		t.Fatal(err)
@@ -844,18 +855,16 @@ func TestCloseLifecycle(t *testing.T) {
 	if _, err := sys.Apply(ctx, []Mutation{Delete("Writes", 0)}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("apply after close: %v, want ErrClosed", err)
 	}
-	if err := sys.Refresh(); !errors.Is(err, ErrClosed) {
-		t.Fatalf("refresh after close: %v, want ErrClosed", err)
-	}
 	if err := sys.Compact(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("compact after close: %v, want ErrClosed", err)
 	}
 }
 
 // TestMutationChurnRace interleaves Apply, two querying goroutines,
-// Refresh, Compact and a final Close under the race detector: writers
-// serialize, queries pin their snapshot, and whatever begins after Close
-// fails with ErrClosed instead of tearing.
+// foreign database writes, Compact and a final Close under the race
+// detector: writers serialize, queries pin their snapshot, an Apply
+// behind a foreign write fails with ErrStale until Compact rebuilds, and
+// whatever begins after Close fails with ErrClosed instead of tearing.
 func TestMutationChurnRace(t *testing.T) {
 	sys := newMutableDBLP(t)
 	ctx := context.Background()
@@ -878,7 +887,7 @@ func TestMutationChurnRace(t *testing.T) {
 			_, err := sys.Apply(ctx, []Mutation{
 				Insert("Author", map[string]interface{}{"AuthorId": id, "AuthorName": mutWords[rng.Intn(len(mutWords))]}),
 			})
-			if err != nil && !errors.Is(err, ErrClosed) {
+			if err != nil && !errors.Is(err, ErrClosed) && !errors.Is(err, ErrStale) {
 				t.Errorf("apply: %v", err)
 				return
 			}
@@ -903,7 +912,7 @@ func TestMutationChurnRace(t *testing.T) {
 		}()
 	}
 	wg.Add(1)
-	go func() { // maintenance: alternate Refresh and Compact
+	go func() { // maintenance: Compact, after a foreign write every other time
 		defer wg.Done()
 		for i := 0; i < 6; i++ {
 			select {
@@ -911,13 +920,14 @@ func TestMutationChurnRace(t *testing.T) {
 				return
 			default:
 			}
-			var err error
 			if i%2 == 0 {
-				err = sys.Refresh()
-			} else {
-				err = sys.Compact()
+				// The next Compact rebuilds instead of folding.
+				if _, err := sys.Database().Exec("INSERT INTO Author (AuthorId, AuthorName) VALUES (?, ?)", fmt.Sprintf("Foreign%d", i), "foreign"); err != nil {
+					t.Errorf("foreign insert: %v", err)
+					return
+				}
 			}
-			if err != nil && !errors.Is(err, ErrClosed) {
+			if err := sys.Compact(); err != nil && !errors.Is(err, ErrClosed) {
 				t.Errorf("maintenance: %v", err)
 				return
 			}

@@ -35,7 +35,7 @@ func TestFirstQueryAfterPublishAllocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := NewSystem(&Database{inner: db}, &SystemOptions{WALPath: filepath.Join(t.TempDir(), "p.wal")})
+	sys, err := NewSystem(WrapDatabase(db), &SystemOptions{WALPath: filepath.Join(t.TempDir(), "p.wal")})
 	if err != nil {
 		t.Fatal(err)
 	}

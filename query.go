@@ -142,7 +142,7 @@ type Results struct {
 // Query answers a keyword query against the current engine snapshot. The
 // search honours ctx: cancellation or an expired deadline stops the
 // backward expansion within a few hundred iterator pops and returns the
-// context's error. A Refresh concurrent with Query is safe — the query
+// context's error. A Compact concurrent with Query is safe — the query
 // finishes against the snapshot it started on.
 func (s *System) Query(ctx context.Context, q Query) (*Results, error) {
 	return run(ctx, s.db.inner, s.search, q, nil)
@@ -174,7 +174,7 @@ type backend func(ctx context.Context, req *cluster.Request, cb func(*cluster.An
 // store-backed one, its byte source: Close unmaps the file only after
 // every holder drains, so a search never faults on memory yanked out
 // from under it — and maps the answers through that pinned graph, so a
-// concurrent Refresh or Apply cannot tear them.
+// concurrent Compact or Apply cannot tear them.
 func (s *System) search(ctx context.Context, req *cluster.Request, cb func(*cluster.Answer) bool) (*cluster.Result, error) {
 	if s.closed.Load() {
 		return nil, ErrClosed

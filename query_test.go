@@ -12,14 +12,7 @@ import (
 	"time"
 
 	"github.com/banksdb/banks/internal/datagen"
-	"github.com/banksdb/banks/internal/sqldb"
-	"github.com/banksdb/banks/internal/sqlexec"
 )
-
-// wrapDatabase adopts a datagen-built database into the public facade.
-func wrapDatabase(db *sqldb.Database) *Database {
-	return &Database{inner: db, engine: sqlexec.New(db)}
-}
 
 func TestQueryStatsAndAnswers(t *testing.T) {
 	_, sys := newQuickstartSystem(t)
@@ -195,7 +188,7 @@ func TestQueryDeadlineAbortsLongQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := NewSystem(wrapDatabase(inner), nil)
+	sys, err := NewSystem(WrapDatabase(inner), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,12 +208,12 @@ func TestQueryDeadlineAbortsLongQuery(t *testing.T) {
 	}
 }
 
-// TestRefreshDuringQueriesAndHandler is the concurrency contract of the
+// TestCompactDuringQueriesAndHandler is the concurrency contract of the
 // atomically swapped engine: queries (direct and via the HTTP handler)
-// run non-stop while the database grows and Refresh repeatedly swaps new
-// snapshots in. Under -race this fails loudly if any in-flight search
+// run non-stop while the database grows and Compact repeatedly rebuilds
+// and swaps new snapshots in. Under -race this fails loudly if any in-flight search
 // could observe a torn graph/index/searcher triple.
-func TestRefreshDuringQueriesAndHandler(t *testing.T) {
+func TestCompactDuringQueriesAndHandler(t *testing.T) {
 	db, sys := newQuickstartSystem(t)
 	ts := httptest.NewServer(sys.ServeHandler(&ServeOptions{Search: &SearchOptions{ExcludedRootTables: []string{"writes"}}}))
 	defer ts.Close()
@@ -242,7 +235,7 @@ func TestRefreshDuringQueriesAndHandler(t *testing.T) {
 					return
 				}
 				if len(res.Answers) == 0 {
-					fail <- errors.New("query lost its answers mid-refresh")
+					fail <- errors.New("query lost its answers mid-compaction")
 					return
 				}
 				if _, err := sys.QueryStream(context.Background(),
@@ -267,7 +260,7 @@ func TestRefreshDuringQueriesAndHandler(t *testing.T) {
 			body, _ := io.ReadAll(resp.Body)
 			resp.Body.Close()
 			if resp.StatusCode != 200 || !strings.Contains(string(body), "Mining Surprising Patterns") {
-				fail <- errors.New("handler response torn during refresh")
+				fail <- errors.New("handler response torn during compaction")
 				return
 			}
 		}
@@ -276,7 +269,7 @@ func TestRefreshDuringQueriesAndHandler(t *testing.T) {
 	// Main thread: grow the database and swap snapshots as fast as it can.
 	for i := 0; i < 60; i++ {
 		db.MustExec("INSERT INTO author VALUES (?, ?)", "x"+string(rune('a'+i%26))+string(rune('0'+i/26)), "Extra Person")
-		if err := sys.Refresh(); err != nil {
+		if err := sys.Compact(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -293,6 +286,6 @@ func TestRefreshDuringQueriesAndHandler(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(res.Answers) == 0 {
-		t.Error("refreshed engine does not see inserted rows")
+		t.Error("compacted engine does not see inserted rows")
 	}
 }

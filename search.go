@@ -188,7 +188,7 @@ func formatNode(b *strings.Builder, n *TreeNode, depth int) {
 // as (table, rid) references — a single engine maps its nodes through the
 // snapshot the search pinned (cluster.AnswerToWire), a cluster's merge
 // produces them directly — so conversion never mixes the graph a search
-// ran on with a newer one swapped in by a concurrent Refresh. The database
+// ran on with a newer one swapped in by a concurrent Compact. The database
 // read lock is held for the duration of the tree walk: row storage appends
 // under the write lock, and answers must not render half-written rows.
 func answerFromRefs(db *sqldb.Database, a *cluster.Answer) *Answer {

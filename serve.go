@@ -66,7 +66,7 @@ type ServeOptions struct {
 //
 // Each search pins the engine snapshot current at its start and honours
 // the request's context, so the handler is safe to serve concurrently
-// with Refresh and Apply. The form's timeout field puts a per-query
+// with Compact and Apply. The form's timeout field puts a per-query
 // deadline on the search.
 //
 // Status mapping: a malformed request (no keywords, a bad timeout) gets
@@ -130,7 +130,7 @@ func doorSearch(search backend, sopts *SearchOptions) web.SearchFunc {
 // bindEngineGauges registers the engine's live state — the gauges the
 // serving tier watches for capacity decisions — on the metrics registry.
 // Every gauge samples the current engine snapshot at read time, so the
-// numbers stay truthful across Refresh/Apply swaps.
+// numbers stay truthful across Compact/Apply swaps.
 func (s *System) bindEngineGauges(m *serve.Metrics) {
 	reg := m.Registry()
 	reg.Gauge("cache_hits", func() int64 { return s.CacheStats().Hits })

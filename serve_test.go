@@ -77,7 +77,7 @@ func newHeavyTPCDSystem(t *testing.T) *System {
 			heavyTPCDErr = err
 			return
 		}
-		heavyTPCDSys, heavyTPCDErr = NewSystem(wrapDatabase(inner), nil)
+		heavyTPCDSys, heavyTPCDErr = NewSystem(WrapDatabase(inner), nil)
 	})
 	if heavyTPCDErr != nil {
 		t.Fatal(heavyTPCDErr)
@@ -148,7 +148,7 @@ func TestServeBudgetExhaustionTPCD(t *testing.T) {
 
 // TestServeMetricsConsistencyUnderChurn runs the full front door while
 // the engine churns underneath it — concurrent searches through the
-// handler, live Apply batches, and Refresh swaps — then checks the books
+// handler, live Apply batches, and Compact swaps — then checks the books
 // balance: gate counters account for every request, the admitted count
 // equals the observed query count, and the gate is fully drained. Four
 // clients never exceed the gate's four slots, so churn must not make the
@@ -215,12 +215,12 @@ func TestServeMetricsConsistencyUnderChurn(t *testing.T) {
 			}
 		}
 	}()
-	// Full refreshes swapping the engine under the handler.
+	// Compactions swapping the engine under the handler.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for !done.Load() {
-			if err := sys.Refresh(); err != nil {
+			if err := sys.Compact(); err != nil {
 				t.Error(err)
 				return
 			}

@@ -26,7 +26,7 @@ const warmKeyLimit = 512
 func (e *engine) storeEngine() (store.Engine, error) {
 	g, ix, ok := e.concrete()
 	if !ok {
-		return store.Engine{}, fmt.Errorf("engine holds uncompacted live mutations; call Compact (or Refresh) before saving")
+		return store.Engine{}, fmt.Errorf("engine holds uncompacted live mutations; call Compact before saving")
 	}
 	return store.Engine{
 		Graph:    g,
@@ -107,6 +107,7 @@ func (s *System) installStoreEngine(st *store.Store) error {
 	eng.searcher.WithFaultMeter(st.FaultedBytes)
 	s.store = st
 	s.eng.Store(eng)
+	s.synced = s.db.inner.Writes()
 	if keys, err := st.WarmKeys(); err == nil && len(keys) > 0 {
 		go func() {
 			// The warmer races Close: hold a store reference so the byte

@@ -100,7 +100,7 @@ func TestSaveRefusesForeignFiles(t *testing.T) {
 	}
 }
 
-func TestRefreshPersistsToStorePath(t *testing.T) {
+func TestCompactPersistsToStorePath(t *testing.T) {
 	db := NewDatabase()
 	if err := db.ExecScript(`
 		CREATE TABLE author (id TEXT PRIMARY KEY, name TEXT);
@@ -128,10 +128,10 @@ func TestRefreshPersistsToStorePath(t *testing.T) {
 	}
 	opened.Close()
 
-	// New data + Refresh: the store on disk follows the engine.
+	// New data + Compact: the store on disk follows the engine.
 	db.MustExec(`INSERT INTO author VALUES ('a9', 'Zanzibar Quux')`)
 	db.MustExec(`INSERT INTO writes VALUES ('a9', 'p1')`)
-	if err := sys.Refresh(); err != nil {
+	if err := sys.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	reopened, err := OpenSystem(path, db, nil)
@@ -144,7 +144,7 @@ func TestRefreshPersistsToStorePath(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(res.Answers) == 0 {
-		t.Fatal("refreshed store does not see the new tuple")
+		t.Fatal("compacted store does not see the new tuple")
 	}
 }
 

@@ -100,7 +100,7 @@ func TestStreamCancelDuringHeapOverflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := NewSystem(wrapDatabase(inner), nil)
+	sys, err := NewSystem(WrapDatabase(inner), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,7 @@ func newMutableDBLPOpts(t *testing.T, opts SystemOptions) *System {
 	if opts.WALPath == "" {
 		opts.WALPath = filepath.Join(t.TempDir(), "m.wal")
 	}
-	sys, err := NewSystem(&Database{inner: db}, &opts)
+	sys, err := NewSystem(WrapDatabase(db), &opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,9 +286,10 @@ func TestCompactCarriesWarmStateWhenUnchanged(t *testing.T) {
 	checkQueryParity(t, sys, dblpQueries, "after identity compaction")
 }
 
-// TestCompactWithCachingDisabledAndStore: rebuild paths must tolerate a
-// nil match cache (MatchCacheBytes < 0) while StorePath asks them to
-// harvest warm keys for the persisted store.
+// TestCompactWithCachingDisabledAndStore: both Compact paths, the fold
+// and the rebuild a foreign write forces, must tolerate a nil match cache
+// (MatchCacheBytes < 0) while StorePath asks them to harvest warm keys
+// for the persisted store.
 func TestCompactWithCachingDisabledAndStore(t *testing.T) {
 	dir := t.TempDir()
 	sys := newMutableDBLPOpts(t, SystemOptions{
@@ -305,15 +306,18 @@ func TestCompactWithCachingDisabledAndStore(t *testing.T) {
 	if err := sys.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Refresh(); err != nil {
+	sys.Database().MustExec(`INSERT INTO Paper (PaperId, PaperName, Year) VALUES ('NC2', 'cipher obelisk', 2002)`)
+	if err := sys.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := sys.Query(ctx, Query{Text: "cipher mosaic"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Answers) == 0 {
-		t.Fatal("no answers with caching disabled")
+	for _, q := range []string{"cipher mosaic", "cipher obelisk"} {
+		res, err := sys.Query(ctx, Query{Text: q})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Answers) == 0 {
+			t.Fatalf("%q: no answers with caching disabled", q)
+		}
 	}
 	if st := sys.CacheStats(); st.Hits != 0 || st.Entries != 0 {
 		t.Fatalf("disabled cache reports state: %+v", st)
